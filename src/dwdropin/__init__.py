@@ -14,6 +14,8 @@ plus a `dwdropin` CLI wiring them into reproducible runs over a model-
 archive file format (see archive module).
 """
 
+__version__ = "0.1.0"
+
 from .archive import Archive, ArchiveError, load_archive, save_archive, save_model
 from .cost import bench, budget_sweep, flops_params, model_cost_report, variant_table
 from .dropin import (
@@ -21,6 +23,7 @@ from .dropin import (
     HybridModel,
     attn_conv_full,
     attn_dw,
+    build_dropins,
     ensemble_weights,
     fit_depthwise_kernel,
     fit_kernels,
@@ -49,7 +52,6 @@ from .tensor import (
     ConfigError,
     NonFiniteError,
     ShapeError,
-    ShiftSet,
     conv2d,
     dwconv2d,
     matmul,
@@ -71,5 +73,3 @@ from .vit import (
     model_forward,
     qkv_project,
 )
-
-__version__ = "0.1.0"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import F32
-from .vit import BLOCK_TENSOR_NAMES, BlockParams, Model, ModelConfig
+from .vit import BlockParams, Model, ModelConfig, block_shapes
 
 MAGIC = b"DWDROPIN"
 FORMAT_VERSION = 1
@@ -101,22 +101,13 @@ def model_tensors(model: Model) -> dict:
     """Flatten a model's weights into archive naming order."""
     out = {"pos_enc": model.pos_enc}
     for b, blk in enumerate(model.blocks):
-        for name in BLOCK_TENSOR_NAMES:
+        for name in block_shapes(model.config):
             out[f"block{b}.{name}"] = getattr(blk, name)
-        out[f"block{b}.norm1_scale"] = blk.norm1_scale
-        out[f"block{b}.norm1_shift"] = blk.norm1_shift
-        out[f"block{b}.norm2_scale"] = blk.norm2_scale
-        out[f"block{b}.norm2_shift"] = blk.norm2_shift
     return out
 
 
 def save_model(path, model: Model, meta: dict | None = None) -> None:
     save_archive(path, model.config, model_tensors(model), meta)
-
-
-def save_config_only(path, config: ModelConfig, meta: dict | None = None) -> None:
-    """Archive with a config and no weights; enough for cost accounting."""
-    save_archive(path, config, {}, meta)
 
 
 def model_from_archive(ar: Archive) -> Model:
@@ -125,16 +116,10 @@ def model_from_archive(ar: Archive) -> Model:
         raise ArchiveError("archive is config-only, it carries no weights")
     try:
         pos_enc = ar.tensors["pos_enc"]
-        blocks = []
-        for b in range(cfg.n_b):
-            blocks.append(BlockParams(
-                n_h=cfg.n_h, d_h=cfg.d_h,
-                **{name: ar.tensors[f"block{b}.{name}"] for name in BLOCK_TENSOR_NAMES},
-                norm1_scale=ar.tensors[f"block{b}.norm1_scale"],
-                norm1_shift=ar.tensors[f"block{b}.norm1_shift"],
-                norm2_scale=ar.tensors[f"block{b}.norm2_scale"],
-                norm2_shift=ar.tensors[f"block{b}.norm2_shift"],
-            ))
+        blocks = [BlockParams(n_h=cfg.n_h, d_h=cfg.d_h,
+                              **{name: ar.tensors[f"block{b}.{name}"]
+                                 for name in block_shapes(cfg)})
+                  for b in range(cfg.n_b)]
     except KeyError as exc:
         raise ArchiveError(f"archive is missing tensor {exc}") from exc
     for name, arr in ar.tensors.items():
@@ -145,13 +130,6 @@ def model_from_archive(ar: Archive) -> Model:
 
 
 def _expected_shape(name: str, cfg: ModelConfig):
-    d, hidden = cfg.d, cfg.ffn_mult * cfg.d
     if name == "pos_enc":
-        return (cfg.n, d)
-    base = name.split(".", 1)[-1]
-    return {
-        "w_q": (d, d), "w_k": (d, d), "w_v": (d, d), "w_o": (d, d),
-        "ffn_w1": (d, hidden), "ffn_w2": (hidden, d),
-        "norm1_scale": (d,), "norm1_shift": (d,),
-        "norm2_scale": (d,), "norm2_shift": (d,),
-    }.get(base)
+        return (cfg.n, cfg.d)
+    return block_shapes(cfg).get(name.split(".", 1)[-1])

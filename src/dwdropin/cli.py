@@ -11,12 +11,13 @@ error, 3 I/O or file-format error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
-from . import cost, dropin, select, vit
+from . import __version__, cost, dropin, select, vit
 from .archive import (
     ArchiveError,
     load_archive,
@@ -36,7 +37,6 @@ from .tensor import (
 from .vit import PRESETS, ModelConfig
 
 TOOL = "dwdropin"
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -49,7 +49,7 @@ def run_manifest(command: str, args: argparse.Namespace) -> dict:
     resolved options (inputs, seeds, output paths), tool version. No
     timestamps, so re-running a command reproduces its outputs bitwise."""
     options = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    return {"tool": TOOL, "version": VERSION, "command": command, "options": options}
+    return {"tool": TOOL, "version": __version__, "command": command, "options": options}
 
 
 def write_json(path, doc: dict) -> None:
@@ -136,8 +136,8 @@ def cmd_gen(args) -> int:
     else:
         model = vit.init_model(cfg, args.seed)
         save_model(args.out, model, meta)
-        n_tensors = 1 + cfg.n_b * 10
-        print(f"wrote model archive {args.out} ({n_tensors} tensors, seed {args.seed})")
+        print(f"wrote model archive {args.out} "
+              f"({len(model_tensors(model))} tensors, seed {args.seed})")
     return EXIT_OK
 
 
@@ -174,49 +174,22 @@ def cmd_replace(args) -> int:
     if model is None:
         raise ArchiveError(f"{args.model} is config-only; surgery needs weights")
     plan = select.plan_from_file(args.plan)
-    cfg = model.config
-    if args.variant in dropin.ENSEMBLED and plan.mode != "blockwise" and plan.targets:
-        raise ConfigError(f"{args.variant} requires a blockwise plan")
-    samples = None
-    if args.fit:
-        samples, _ = get_samples(args, cfg)
-    seeds = seed_stream(args.init_seed)
-    params = {}
-    covered = plan.covered_heads(cfg)
-    by_block = {}
-    for b, h in sorted(covered):
-        by_block.setdefault(b, []).append(h)
-    for b, heads in by_block.items():
+    samples = get_samples(args, model.config)[0] if args.fit else None
+    hm, reports = dropin.build_dropins(model, plan, args.variant, args.init_seed, samples)
+    for key, rep in reports.items():
         if args.variant in dropin.ENSEMBLED:
-            gamma = np.zeros(cfg.n_h, dtype=np.float32)
-            if args.fit:
-                kern, rep = dropin.fit_ensembled_kernel(model, b, gamma, samples,
-                                                        variant=args.variant)
-                print(f"block {b}: fitted {args.variant} kernel, "
-                      f"objective {rep.objective:.6g} (zero-kernel {rep.zero_objective:.6g})")
-            else:
-                kern = dropin.init_kernel(args.variant, cfg, next(seeds))
-            params[b] = dropin.BlockDropin(variant=args.variant, gamma=gamma, kernel=kern)
-        else:
-            kernels = {}
-            for h in heads:
-                if args.fit:
-                    kern, rep = dropin.fit_kernels(model, (b, h), samples,
-                                                   variant=args.variant)
-                    if rep.ridge_channels:
-                        print(f"block {b} head {h}: ridge applied on channels "
-                              f"{list(rep.ridge_channels)}")
-                else:
-                    kern = dropin.init_kernel(args.variant, cfg, next(seeds))
-                kernels[h] = kern
-            params[b] = dropin.BlockDropin(variant=args.variant, head_kernels=kernels)
-    hm = dropin.replace_heads(model, plan, params)
+            print(f"block {key}: fitted {args.variant} kernel, "
+                  f"objective {rep.objective:.6g} (zero-kernel {rep.zero_objective:.6g})")
+        elif rep.ridge_channels:
+            print(f"block {key[0]} head {key[1]}: ridge applied on channels "
+                  f"{list(rep.ridge_channels)}")
     extra, dmeta = dropin.hybrid_tensors_meta(hm)
     tensors = {**model_tensors(model), **extra}
     meta = {"dropin": dmeta, "manifest": run_manifest("replace", args)}
-    save_archive(args.out, cfg, tensors, meta)
+    save_archive(args.out, model.config, tensors, meta)
     print(f"wrote hybrid archive {args.out} "
-          f"({len(covered)} heads across {len(by_block)} blocks, variant {args.variant})")
+          f"({len(plan.covered_heads(model.config))} heads across {len(hm.dropins)} blocks, "
+          f"variant {args.variant})")
     return EXIT_OK
 
 
@@ -351,37 +324,16 @@ def cmd_cost(args) -> int:
 
 
 def single_block_bench_fns(cfg: ModelConfig, seed: int) -> dict:
-    """Attention-sublayer callables for one seeded block of this config."""
-    seeds = seed_stream(seed)
-    std = cfg.d ** -0.5
-    block = vit.BlockParams(
-        n_h=cfg.n_h, d_h=cfg.d_h,
-        w_q=seeded_fill((cfg.d, cfg.d), next(seeds), "gaussian", 0.0, std),
-        w_k=seeded_fill((cfg.d, cfg.d), next(seeds), "gaussian", 0.0, std),
-        w_v=seeded_fill((cfg.d, cfg.d), next(seeds), "gaussian", 0.0, std),
-        w_o=seeded_fill((cfg.d, cfg.d), next(seeds), "gaussian", 0.0, std),
-        ffn_w1=np.zeros((1, 1), np.float32), ffn_w2=np.zeros((1, 1), np.float32),
-        norm1_scale=np.ones(cfg.d, np.float32), norm1_shift=np.zeros(cfg.d, np.float32),
-        norm2_scale=np.ones(cfg.d, np.float32), norm2_shift=np.zeros(cfg.d, np.float32),
-    )
-    dw_kernels = {h: dropin.init_kernel("dw", cfg, next(seeds)) for h in range(cfg.n_h)}
-    cf_kernels = {h: dropin.init_kernel("convfull", cfg, next(seeds)) for h in range(cfg.n_h)}
-    gamma = np.zeros(cfg.n_h, dtype=np.float32)
-    fns = {
-        "mhsa": lambda x: vit.mhsa_forward(x, block),
-        "dw": None, "convfull": None, "ens-dw": None, "ens-convfull": None,
-    }
-    mk = dropin._block_mhsa_fn
-    fns["dw"] = (lambda f: (lambda x: f(x, block)))(
-        mk(dropin.BlockDropin(variant="dw", head_kernels=dw_kernels), cfg))
-    fns["convfull"] = (lambda f: (lambda x: f(x, block)))(
-        mk(dropin.BlockDropin(variant="convfull", head_kernels=cf_kernels), cfg))
-    fns["ens-dw"] = (lambda f: (lambda x: f(x, block)))(
-        mk(dropin.BlockDropin(variant="ens-dw", gamma=gamma,
-                              kernel=dropin.init_kernel("ens-dw", cfg, next(seeds))), cfg))
-    fns["ens-convfull"] = (lambda f: (lambda x: f(x, block)))(
-        mk(dropin.BlockDropin(variant="ens-convfull", gamma=gamma,
-                              kernel=dropin.init_kernel("ens-convfull", cfg, next(seeds))), cfg))
+    """Attention-sublayer callables for one seeded block of this config:
+    the exact "mhsa" plus every drop-in variant with seeded kernels."""
+    one = ModelConfig(**{**cfg.to_dict(), "n_b": 1})
+    model = vit.init_model(one, seed)
+    block = model.blocks[0]
+    plan = select.SelectionPlan(mode="blockwise", order="lowest", budget=1, targets=(0,))
+    fns = {"mhsa": functools.partial(vit.mhsa_forward, block=block)}
+    for v in dropin.VARIANTS:
+        hm, _ = dropin.build_dropins(model, plan, v, seed)
+        fns[v] = functools.partial(dropin._block_mhsa_fn(hm.dropins[0], one), block=block)
     return fns
 
 
@@ -394,18 +346,7 @@ def cmd_bench(args) -> int:
             raise ConfigError("--plan benching needs --model with weights")
         cfg = model.config
         plan = select.plan_from_file(args.plan)
-        seeds = seed_stream(args.seed)
-        params = {}
-        for b in plan.blocks():
-            if args.variant in dropin.ENSEMBLED:
-                params[b] = dropin.BlockDropin(
-                    variant=args.variant, gamma=np.zeros(cfg.n_h, dtype=np.float32),
-                    kernel=dropin.init_kernel(args.variant, cfg, next(seeds)))
-            else:
-                heads = sorted(h for bb, h in plan.covered_heads(cfg) if bb == b)
-                params[b] = dropin.BlockDropin(variant=args.variant, head_kernels={
-                    h: dropin.init_kernel(args.variant, cfg, next(seeds)) for h in heads})
-        hm = dropin.replace_heads(model, plan, params)
+        hm, _ = dropin.build_dropins(model, plan, args.variant, args.seed)
         x = seeded_fill((cfg.n, cfg.d), args.seed + 1, "gaussian", 0.0, 1.0)
         pairs = {"baseline": lambda inp: vit.model_forward(inp, model),
                  f"hybrid[{args.variant}]": lambda inp: dropin.hybrid_forward(hm, inp)}
@@ -471,7 +412,7 @@ def _add_config_flags(p):
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog=TOOL, description=__doc__)
-    ap.add_argument("--version", action="version", version=f"{TOOL} {VERSION}")
+    ap.add_argument("--version", action="version", version=f"{TOOL} {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded model archive")
@@ -524,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--model", help="read the config from an archive instead")
     p.add_argument("--plan")
-    p.add_argument("--variant", choices=cost.VARIANTS[1:], default="dw")
+    p.add_argument("--variant", choices=dropin.VARIANTS, default="dw")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("--sweep", action="store_true",
                    help="emit the FLOPs-vs-budget curve for blockwise replacement")

@@ -24,17 +24,17 @@ reported, never asserted: real peak memory depends on runtime buffer reuse.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import dropin
 from .select import SelectionPlan
 from .tensor import ConfigError
 from .vit import ModelConfig
 
-VARIANTS = ("mhsa", "convfull", "dw", "ens-convfull", "ens-dw")
+VARIANTS = ("mhsa",) + dropin.VARIANTS
 
 
 def per_head_flops(variant: str, cfg: ModelConfig) -> int:
@@ -181,8 +181,8 @@ def model_cost_report(cfg: ModelConfig, plan=None, variant: str = "dw") -> CostR
         raise ConfigError(f"unknown attention variant {variant!r}")
     covered = plan.covered_heads(cfg) if plan is not None else set()
     if covered and variant == "mhsa":
-        raise ConfigError(f"replacement variant must be one of {VARIANTS[1:]}")
-    if covered and variant in ("ens-convfull", "ens-dw"):
+        raise ConfigError(f"replacement variant must be one of {dropin.VARIANTS}")
+    if covered and variant in dropin.ENSEMBLED:
         full = {b for b in range(cfg.n_b)
                 if all((b, h) in covered for h in range(cfg.n_h))}
         partial = {b for b, _ in covered if b not in full}
@@ -284,12 +284,3 @@ def bench(fn, arg, warmup: int = 5, reps: int = 30) -> dict:
         "reps": reps,
         "warmup": warmup,
     }
-
-
-def report_to_file(report: CostReport, path, meta: dict | None = None) -> None:
-    doc = report.to_json()
-    if meta:
-        doc["meta"] = meta
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -31,6 +31,7 @@ from .tensor import (
     conv2d,
     dwconv2d,
     matmul,
+    seed_stream,
     seeded_fill,
 )
 from .vit import Model, flat, grid, head_cols, head_rows
@@ -132,10 +133,28 @@ class HybridModel:
         return self.base.config
 
 
+def kernel_shape(variant: str, cfg) -> tuple:
+    """Kernel shape of a variant: (k, k) shared spatial kernel for the
+    full-convolution variants, (k, k, d_h) per-channel for the depthwise ones."""
+    if variant in ("convfull", "ens-convfull"):
+        return (cfg.k, cfg.k)
+    return (cfg.k, cfg.k, cfg.d_h)
+
+
 def _check_kernel_shape(variant: str, kern: np.ndarray, cfg) -> None:
-    want = (cfg.k, cfg.k) if variant in ("convfull", "ens-convfull") else (cfg.k, cfg.k, cfg.d_h)
+    want = kernel_shape(variant, cfg)
     if tuple(kern.shape) != want:
         raise ShapeError(f"{variant} kernel must be {want}, got {tuple(kern.shape)}")
+
+
+def _planned_heads(plan, cfg) -> dict:
+    """The plan's covered heads grouped by block; refuses nonexistent heads."""
+    by_block: dict[int, set] = {}
+    for b, h in plan.covered_heads(cfg):
+        if not (0 <= b < cfg.n_b and 0 <= h < cfg.n_h):
+            raise ConfigError(f"plan targets nonexistent head (block {b}, head {h})")
+        by_block.setdefault(b, set()).add(h)
+    return by_block
 
 
 def replace_heads(model: Model, plan, params: dict) -> HybridModel:
@@ -146,12 +165,7 @@ def replace_heads(model: Model, plan, params: dict) -> HybridModel:
     variants are refused unless the plan covers every head of the block.
     """
     cfg = model.config
-    covered = plan.covered_heads(cfg)
-    by_block: dict[int, set] = {}
-    for b, h in covered:
-        if not (0 <= b < cfg.n_b and 0 <= h < cfg.n_h):
-            raise ConfigError(f"plan targets nonexistent head (block {b}, head {h})")
-        by_block.setdefault(b, set()).add(h)
+    by_block = _planned_heads(plan, cfg)
     dropins = {}
     for b, heads in by_block.items():
         if b not in params:
@@ -221,8 +235,45 @@ def hybrid_forward(hm: HybridModel, x: np.ndarray) -> np.ndarray:
 
 def init_kernel(variant: str, cfg, seed: int) -> np.ndarray:
     """Unfitted kernel init: gaussian(0, 1/k), scaled like a convex mix."""
-    shape = (cfg.k, cfg.k) if variant in ("convfull", "ens-convfull") else (cfg.k, cfg.k, cfg.d_h)
-    return seeded_fill(shape, seed, "gaussian", 0.0, 1.0 / cfg.k)
+    return seeded_fill(kernel_shape(variant, cfg), seed, "gaussian", 0.0, 1.0 / cfg.k)
+
+
+def build_dropins(model: Model, plan, variant: str, seed: int = 0, samples=None):
+    """Build the plan's replacements and swap them in: the one surgery step.
+
+    The plan is checked before any kernel is made. Covered heads (or, for
+    ensembled variants, covered blocks) are then built in sorted order:
+    with `samples`, each kernel is least-squares fitted against the exact
+    attention; without them, kernels are drawn by `init_kernel` from
+    `seed_stream(seed)` in that order. Ensembled blocks start from zero
+    gamma logits. Returns (HybridModel, reports), where `reports` maps
+    (block, head) or, for ensembled variants, block -> FitReport.
+    """
+    cfg = model.config
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}")
+    if variant in ENSEMBLED and plan.mode != "blockwise" and plan.targets:
+        raise ConfigError(f"{variant} requires a blockwise plan")
+    by_block = _planned_heads(plan, cfg)
+    seeds = seed_stream(seed)
+    params, reports = {}, {}
+    for b in sorted(by_block):
+        if variant in ENSEMBLED:
+            gamma = np.zeros(cfg.n_h, dtype=F32)
+            if samples is None:
+                kern = init_kernel(variant, cfg, next(seeds))
+            else:
+                kern, reports[b] = fit_ensembled_kernel(model, b, gamma, samples, variant)
+            params[b] = BlockDropin(variant=variant, gamma=gamma, kernel=kern)
+            continue
+        kernels = {}
+        for h in sorted(by_block[b]):
+            if samples is None:
+                kernels[h] = init_kernel(variant, cfg, next(seeds))
+            else:
+                kernels[h], reports[b, h] = fit_kernels(model, (b, h), samples, variant)
+        params[b] = BlockDropin(variant=variant, head_kernels=kernels)
+    return replace_heads(model, plan, params), reports
 
 
 # Reserved archive tensor names for replacement parameters.

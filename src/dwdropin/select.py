@@ -16,6 +16,7 @@ behavior can be verified.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vit
-from .tensor import ConfigError, ShapeError, ShiftSet
+from .tensor import ConfigError, ShapeError
 from .vit import Model
 
 POPULATION = "population"  # sigma = sqrt(M2 / N); documented convention
@@ -164,7 +165,8 @@ def check_properties(e_samples: list, k: int, tol: float) -> dict:
     m = math.isqrt(n)
     if m * m != n or e_samples[0].shape != (n, n):
         raise ShapeError(f"weight matrices must be (m*m, m*m), got {e_samples[0].shape}")
-    shifts = ShiftSet.of(k)
+    if k < 1 or k % 2 == 0:
+        raise ConfigError(f"kernel size must be odd and >= 1, got {k}")
     stack = np.stack([np.asarray(e, dtype=np.float64) for e in e_samples])
 
     ii = float((stack.max(axis=0) - stack.min(axis=0)).max()) <= tol
@@ -183,7 +185,7 @@ def check_properties(e_samples: list, k: int, tol: float) -> dict:
     # query positions within each sample (samples may differ; that is II's
     # business, not TI's).
     ti = True
-    for (r, s) in shifts.offsets:
+    for r, s in itertools.product(range(-half, half + 1), repeat=2):
         valid_i = ii_coord + r
         valid_j = jj_coord + s
         on_grid = (valid_i >= 0) & (valid_i < m) & (valid_j >= 0) & (valid_j < m)

@@ -12,8 +12,6 @@ delegated to BLAS, whose reduction order is fixed for a given build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 F32 = np.float32
@@ -40,32 +38,6 @@ def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
 def as_f32(a) -> np.ndarray:
     """Return `a` as a C-contiguous float32 array."""
     return np.ascontiguousarray(a, dtype=F32)
-
-
-@dataclass(frozen=True)
-class ShiftSet:
-    """The symmetric set of k*k integer offsets centred on (0, 0).
-
-    `offsets` lists (row, col) displacements in row-major order; a kernel
-    array of shape (k, k, ...) indexes offset (r, s) at [r + k//2, s + k//2].
-    """
-
-    k: int
-    offsets: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, k: int) -> "ShiftSet":
-        if k < 1 or k % 2 == 0:
-            raise ConfigError(f"kernel size must be odd and >= 1, got {k}")
-        half = k // 2
-        offs = tuple(
-            (r, s) for r in range(-half, half + 1) for s in range(-half, half + 1)
-        )
-        return cls(k=k, offsets=offs)
-
-    def __contains__(self, offset: tuple[int, int]) -> bool:
-        half = self.k // 2
-        return abs(offset[0]) <= half and abs(offset[1]) <= half
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,21 +112,6 @@ def dwconv2d(x: np.ndarray, kern: np.ndarray) -> np.ndarray:
         for b in range(k):
             out += xp[a : a + m, b : b + m] * kern[a, b]
     return _check_finite(out, "dwconv2d result")
-
-
-def diag_embed_kernel(kern: np.ndarray) -> np.ndarray:
-    """Lift a depthwise kernel (k, k, c) to a full (k, k, c, c) kernel.
-
-    The result is zero off the channel diagonal, so conv2d with it equals
-    dwconv2d with the original kernel.
-    """
-    if kern.ndim != 3:
-        raise ShapeError(f"expected (k, k, c), got {kern.shape}")
-    k, _, c = kern.shape
-    out = np.zeros((k, k, c, c), dtype=F32)
-    idx = np.arange(c)
-    out[:, :, idx, idx] = as_f32(kern)
-    return out
 
 
 def seeded_fill(shape, seed: int, dist: str = "gaussian",

@@ -120,6 +120,18 @@ def head_rows(w: np.ndarray, h: int, d_h: int) -> np.ndarray:
 BLOCK_TENSOR_NAMES = ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_w2")
 
 
+def block_shapes(config: ModelConfig) -> dict:
+    """Shape of every tensor of one block, in archive order: the weights
+    (BLOCK_TENSOR_NAMES), then the two layer norms' scale and shift."""
+    d, hidden = config.d, config.ffn_mult * config.d
+    return {
+        "w_q": (d, d), "w_k": (d, d), "w_v": (d, d), "w_o": (d, d),
+        "ffn_w1": (d, hidden), "ffn_w2": (hidden, d),
+        "norm1_scale": (d,), "norm1_shift": (d,),
+        "norm2_scale": (d,), "norm2_shift": (d,),
+    }
+
+
 def init_model(config: ModelConfig, seed: int) -> Model:
     """Build a model with gaussian(0, 1/sqrt(d)) weights from one seed.
 
@@ -129,14 +141,11 @@ def init_model(config: ModelConfig, seed: int) -> Model:
     """
     seeds = seed_stream(seed)
     std = 1.0 / math.sqrt(config.d)
-    d, hidden = config.d, config.ffn_mult * config.d
+    d = config.d
+    shapes = block_shapes(config)
     pos_enc = seeded_fill((config.n, d), next(seeds), "gaussian", 0.0, std)
     blocks = []
     for _ in range(config.n_b):
-        shapes = {
-            "w_q": (d, d), "w_k": (d, d), "w_v": (d, d), "w_o": (d, d),
-            "ffn_w1": (d, hidden), "ffn_w2": (hidden, d),
-        }
         tensors = {
             name: seeded_fill(shapes[name], next(seeds), "gaussian", 0.0, std)
             for name in BLOCK_TENSOR_NAMES

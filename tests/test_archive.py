@@ -10,7 +10,6 @@ from dwdropin.archive import (
     model_from_archive,
     model_tensors,
     save_archive,
-    save_config_only,
     save_model,
 )
 from dwdropin.select import SelectionPlan
@@ -60,7 +59,7 @@ def test_forward_identical_after_roundtrip(tmp_path, tiny_model):
 
 def test_config_only_archive(tmp_path):
     p = tmp_path / "c.bin"
-    save_config_only(p, vit.VITL)
+    save_archive(p, vit.VITL, {})
     ar = load_archive(p)
     assert ar.config == vit.VITL
     assert not ar.tensors

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+import dwdropin
 from dwdropin import dropin, vit
 from dwdropin.archive import load_archive, model_from_archive, model_tensors, save_archive, save_model
-from dwdropin.cli import main, save_samples
+from dwdropin.cli import main, save_samples, single_block_bench_fns
 from dwdropin.select import SelectionPlan, plan_to_file
 
 from conftest import TINY, make_inputs
@@ -191,6 +192,23 @@ class TestReplace:
         assert run("replace", "--model", tiny_archive, "--plan", plan,
                    "--variant", "ens-dw", "--out", tmp_path / "h.bin") == 2
 
+    @pytest.mark.parametrize("variant", ["dw", "ens-dw"])
+    @pytest.mark.parametrize("target", [99, -1])
+    def test_fit_nonexistent_block_usage_error(self, tmp_path, tiny_archive, capsys,
+                                               variant, target):
+        # refused with one error line before any kernel is fitted
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (target,)), plan)
+        out = tmp_path / "h.bin"
+        capsys.readouterr()
+        assert run("replace", "--model", tiny_archive, "--plan", plan, "--variant", variant,
+                   "--fit", "--samples", 2, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: plan targets nonexistent head (block {target},")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_ensembled_blockwise_accepted(self, tmp_path, tiny_archive):
         plan = tmp_path / "plan.json"
         plan_to_file(SelectionPlan("blockwise", "lowest", 1, (1,)), plan)
@@ -306,6 +324,15 @@ class TestBench:
             r = doc["results"][v]
             assert r["p10"] <= r["median"] <= r["p90"]
 
+    def test_single_block_fns_cover_every_variant(self):
+        fns = single_block_bench_fns(TINY, seed=3)
+        assert set(fns) == {"mhsa", *dropin.VARIANTS}
+        x = make_inputs(TINY, 1, 4)[0]
+        for v, fn in fns.items():
+            y = fn(x)
+            assert y.shape == (TINY.n, TINY.d), v
+            assert np.all(np.isfinite(y)), v
+
     def test_plan_mode_times_baseline_and_hybrid(self, tmp_path, tiny_archive):
         plan = tmp_path / "plan.json"
         plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
@@ -356,6 +383,17 @@ class TestEntryPoint:
                               "--out", str(tmp_path / "r.json")],
                              capture_output=True, text=True)
         assert bad.returncode == 2
+
+
+class TestVersion:
+    def test_version_flag(self, capsys):
+        assert run("--version") == 0
+        assert capsys.readouterr().out == f"dwdropin {dwdropin.__version__}\n"
+
+    def test_manifest_records_package_version(self, tmp_path):
+        out = tmp_path / "m.bin"
+        assert run("gen", "--seed", 1, "--out", out, *TINY_FLAGS) == 0
+        assert load_archive(out).meta["manifest"]["version"] == dwdropin.__version__
 
 
 class TestManifestReproducibility:

@@ -6,19 +6,22 @@ from dwdropin.dropin import (
     BlockDropin,
     attn_conv_full,
     attn_dw,
+    build_dropins,
     ensemble_weights,
     fit_depthwise_kernel,
+    fit_ensembled_kernel,
     fit_kernels,
     fit_loss_and_grad,
     fit_shared_kernel,
     fold_full_kernel,
     hybrid_forward,
     init_kernel,
+    kernel_shape,
     mhsa_dw_ensembled,
     replace_heads,
 )
 from dwdropin.select import SelectionPlan, kernel_energy, read_off_kernel
-from dwdropin.tensor import ConfigError, dwconv2d, seeded_fill
+from dwdropin.tensor import ConfigError, dwconv2d, seed_stream, seeded_fill
 from dwdropin.vit import ModelConfig, grid, head_cols, head_rows, init_model
 
 from conftest import TINY, make_inputs
@@ -370,3 +373,70 @@ class TestEnsembledFitting:
                                                 samples, variant="ens-dw")
         assert kern.shape == (TINY.k, TINY.k, TINY.d_h)
         assert rep.objective <= rep.zero_objective
+
+
+class TestBuildDropins:
+    @pytest.mark.parametrize("variant", ["dw", "convfull"])
+    def test_fit_matches_per_head_fitting_bitwise(self, tiny_model, variant):
+        samples = make_inputs(TINY, 3, 91)
+        plan = SelectionPlan("scattered", "lowest", 3, ((1, 0), (0, 1), (1, 1)))
+        hm, reports = build_dropins(tiny_model, plan, variant, samples=samples)
+        assert list(reports) == [(0, 1), (1, 0), (1, 1)]
+        for (b, h), rep in reports.items():
+            kern, want = fit_kernels(tiny_model, (b, h), samples, variant=variant)
+            np.testing.assert_array_equal(hm.dropins[b].head_kernels[h], kern)
+            assert rep == want
+
+    @pytest.mark.parametrize("variant", ["ens-dw", "ens-convfull"])
+    def test_fit_matches_block_fitting_bitwise(self, tiny_model, variant):
+        samples = make_inputs(TINY, 3, 92)
+        plan = SelectionPlan("blockwise", "lowest", 2, (1, 0))
+        hm, reports = build_dropins(tiny_model, plan, variant, samples=samples)
+        assert list(reports) == [0, 1]
+        gamma = np.zeros(TINY.n_h, dtype=np.float32)
+        for b, rep in reports.items():
+            kern, want = fit_ensembled_kernel(tiny_model, b, gamma, samples, variant=variant)
+            np.testing.assert_array_equal(hm.dropins[b].kernel, kern)
+            np.testing.assert_array_equal(hm.dropins[b].gamma, gamma)
+            assert rep == want
+
+    @pytest.mark.parametrize("variant", dropin.VARIANTS)
+    def test_init_draws_seed_stream_in_sorted_order(self, tiny_model, variant):
+        plan = SelectionPlan("blockwise", "lowest", 2, (1, 0))
+        hm, reports = build_dropins(tiny_model, plan, variant, seed=12)
+        assert reports == {}
+        seeds = seed_stream(12)
+        for b in (0, 1):
+            dp = hm.dropins[b]
+            if variant in dropin.ENSEMBLED:
+                kernels = [dp.kernel]
+            else:
+                kernels = [dp.head_kernels[h] for h in range(TINY.n_h)]
+            for kern in kernels:
+                assert kern.shape == kernel_shape(variant, TINY)
+                np.testing.assert_array_equal(kern, init_kernel(variant, TINY, next(seeds)))
+
+    @pytest.mark.parametrize("variant", dropin.ENSEMBLED)
+    def test_ensembled_scattered_plan_refused(self, tiny_model, variant):
+        # refused even when the scattered targets cover a whole block
+        plan = SelectionPlan("scattered", "lowest", 2, ((0, 0), (0, 1)))
+        with pytest.raises(ConfigError, match="blockwise"):
+            build_dropins(tiny_model, plan, variant)
+
+    @pytest.mark.parametrize("target", [99, -1])
+    @pytest.mark.parametrize("variant", ["dw", "ens-dw"])
+    def test_nonexistent_block_refused_before_fitting(self, tiny_model, monkeypatch,
+                                                      target, variant):
+        def no_capture(*args):
+            raise AssertionError("fitting started before the plan was checked")
+        monkeypatch.setattr(dropin, "attention_inputs", no_capture)
+        plan = SelectionPlan("blockwise", "lowest", 1, (target,))
+        with pytest.raises(ConfigError, match="nonexistent head"):
+            build_dropins(tiny_model, plan, variant, samples=make_inputs(TINY, 1, 5))
+
+    def test_empty_plan_is_noop_bitwise(self, tiny_model):
+        hm, reports = build_dropins(tiny_model, SelectionPlan("blockwise", "lowest", 0, ()),
+                                    "ens-dw", samples=make_inputs(TINY, 1, 6))
+        assert hm.dropins == {} and reports == {}
+        x = make_inputs(TINY, 1, 7)[0]
+        np.testing.assert_array_equal(hybrid_forward(hm, x), vit.model_forward(x, tiny_model))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dwdropin import vit
@@ -260,9 +260,11 @@ class TestSelect:
     @settings(max_examples=40, deadline=None)
     def test_argsort_invariance(self, scores, budget):
         budget = min(budget, len(scores))
-        base = select(scores, budget).targets
-        squeezed = select([np.arctan(0.01 * s) for s in scores], budget).targets
-        assert base == squeezed
+        squeezed = [np.arctan(0.01 * s) for s in scores]
+        # the squeeze must stay strictly monotone; tiny scores can underflow
+        # to a tie (e.g. -5e-324 -> -0.0 == 0.0), which tie-breaking decides
+        assume(len(set(squeezed)) == len(scores))
+        assert select(scores, budget).targets == select(squeezed, budget).targets
 
     def test_budget_bounds(self):
         with pytest.raises(ConfigError):

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwdropin.select import check_properties
 from dwdropin.tensor import (
     ConfigError,
     NonFiniteError,
     ShapeError,
-    ShiftSet,
     conv2d,
-    diag_embed_kernel,
     dwconv2d,
     matmul,
     seeded_fill,
@@ -18,20 +17,29 @@ from dwdropin.tensor import softmax_rows
 
 
 class TestShiftSet:
+    """The k x k offset set the convolutions accumulate over and the
+    structural checks test: symmetric about (0, 0), odd k only."""
+
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_symmetric_and_complete(self, k):
-        s = ShiftSet.of(k)
-        assert len(s.offsets) == k * k
+        # an impulse through an all-ones depthwise kernel stamps every offset once
+        m = 2 * k + 1
+        x = np.zeros((m, m, 1), dtype=np.float32)
+        x[k, k, 0] = 1.0
+        out = dwconv2d(x, np.ones((k, k, 1), dtype=np.float32))[:, :, 0]
+        offsets = {(int(i) - k, int(j) - k) for i, j in zip(*np.nonzero(out))}
         half = k // 2
-        assert set(s.offsets) == {
+        assert len(offsets) == k * k
+        assert offsets == {
             (r, c) for r in range(-half, half + 1) for c in range(-half, half + 1)
         }
-        assert (0, 0) in s
+        assert (0, 0) in offsets
+        assert np.all(out[out != 0] == 1.0)
 
     @pytest.mark.parametrize("k", [0, 2, 4, -1])
     def test_even_or_nonpositive_rejected(self, k):
         with pytest.raises(ConfigError):
-            ShiftSet.of(k)
+            check_properties([np.eye(16)], k, 1e-6)
 
 
 class TestMatmul:
@@ -158,7 +166,9 @@ class TestDwconv2d:
     def test_equals_diagonal_embedding(self, rng):
         x = rng.standard_normal((5, 5, 3)).astype(np.float32)
         kern = rng.standard_normal((3, 3, 3)).astype(np.float32)
-        full = conv2d(x, diag_embed_kernel(kern))
+        diag = np.zeros((3, 3, 3, 3), dtype=np.float32)
+        diag[:, :, np.arange(3), np.arange(3)] = kern
+        full = conv2d(x, diag)
         np.testing.assert_allclose(dwconv2d(x, kern), full, atol=1e-6)
 
     def test_linearity(self, rng):
