@@ -21,6 +21,7 @@ from .cost import bench, budget_sweep, flops_params, model_cost_report, variant_
 from .dropin import (
     BlockDropin,
     HybridModel,
+    attention_inputs,
     attn_conv_full,
     attn_dw,
     build_dropins,

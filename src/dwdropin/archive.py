@@ -16,6 +16,7 @@ same bytes. `meta` carries free-form JSON (run manifests, drop-in plans).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -81,20 +82,34 @@ def load_archive(path) -> Archive:
         raise ArchiveError(f"{path}: unsupported format version")
     try:
         config = ModelConfig.from_dict(manifest["config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArchiveError(f"{path}: bad config block: {exc}") from exc
+    entries = [_tensor_entry(path, entry) for entry in manifest.get("tensors", [])]
     blob = data[mstart + mlen :]
     tensors = {}
-    for entry in manifest.get("tensors", []):
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = int(entry["offset"])
-        end = start + 4 * count
-        if start < 0 or end > len(blob):
-            raise ArchiveError(f"{path}: tensor {entry['name']!r} overruns the blob")
+    for name, shape, start in entries:
+        end = start + 4 * math.prod(shape)
+        if end > len(blob):
+            raise ArchiveError(f"{path}: tensor {name!r} overruns the blob")
         arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape)
-        tensors[entry["name"]] = np.ascontiguousarray(arr, dtype=F32)
+        tensors[name] = np.ascontiguousarray(arr, dtype=F32)
     return Archive(config=config, tensors=tensors, meta=manifest.get("meta", {}))
+
+
+def _tensor_entry(path, entry) -> tuple:
+    """A manifest tensor entry as (name, shape, offset), refused unless every
+    field is present and every dimension and the offset are integers >= 0."""
+    try:
+        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+    except (KeyError, TypeError) as exc:
+        raise ArchiveError(f"{path}: tensor entry {entry!r} lacks a name, shape "
+                           "or offset") from exc
+    # type(v) is int: JSON true/false load as bool, a subclass of int
+    if not (isinstance(name, str) and isinstance(shape, list)
+            and all(type(v) is int and v >= 0 for v in [*shape, offset])):
+        raise ArchiveError(f"{path}: tensor entry {entry!r} needs a name and "
+                           "non-negative integer shape and offset")
+    return name, tuple(shape), offset
 
 
 def model_tensors(model: Model) -> dict:

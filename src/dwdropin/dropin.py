@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import vit
+from .archive import ArchiveError
+from .select import SelectionPlan
 from .tensor import (
     F32,
     ConfigError,
@@ -33,6 +35,7 @@ from .tensor import (
     matmul,
     seed_stream,
     seeded_fill,
+    softmax64,
 )
 from .vit import Model, flat, grid, head_cols, head_rows
 
@@ -79,10 +82,7 @@ def ensemble_weights(gamma: np.ndarray, w_v: np.ndarray, w_o: np.ndarray,
     gamma = np.asarray(gamma, dtype=np.float64).ravel()
     if gamma.shape != (n_h,):
         raise ShapeError(f"gamma must have {n_h} entries, got {gamma.shape}")
-    z = gamma - gamma.max()
-    sig = np.exp(z)
-    sig /= sig.sum()
-    sig = sig.astype(F32)
+    sig = softmax64(gamma).astype(F32)
     w_ve = np.zeros((w_v.shape[0], d_h), dtype=F32)
     w_oe = np.zeros((d_h, w_o.shape[1]), dtype=F32)
     for h in range(n_h):
@@ -181,6 +181,9 @@ def replace_heads(model: Model, plan, params: dict) -> HybridModel:
                 )
             if dp.gamma is None or dp.kernel is None:
                 raise ConfigError(f"block {b}: ensembled replacement needs gamma and kernel")
+            if np.shape(dp.gamma) != (cfg.n_h,):
+                raise ShapeError(f"block {b}: gamma must be ({cfg.n_h},), "
+                                 f"got {np.shape(dp.gamma)}")
             _check_kernel_shape(dp.variant, dp.kernel, cfg)
         else:
             if set(dp.head_kernels) != heads:
@@ -243,10 +246,10 @@ def build_dropins(model: Model, plan, variant: str, seed: int = 0, samples=None)
 
     The plan is checked before any kernel is made. Covered heads (or, for
     ensembled variants, covered blocks) are then built in sorted order:
-    with `samples`, each kernel is least-squares fitted against the exact
-    attention; without them, kernels are drawn by `init_kernel` from
-    `seed_stream(seed)` in that order. Ensembled blocks start from zero
-    gamma logits. Returns (HybridModel, reports), where `reports` maps
+    with `samples`, the attention inputs are captured once and each kernel
+    is least-squares fitted against the exact attention; without them,
+    kernels are drawn by `init_kernel` from `seed_stream(seed)` in that
+    order. Ensembled blocks start from zero gamma logits. Returns (HybridModel, reports), where `reports` maps
     (block, head) or, for ensembled variants, block -> FitReport.
     """
     cfg = model.config
@@ -256,22 +259,23 @@ def build_dropins(model: Model, plan, variant: str, seed: int = 0, samples=None)
         raise ConfigError(f"{variant} requires a blockwise plan")
     by_block = _planned_heads(plan, cfg)
     seeds = seed_stream(seed)
+    inputs = attention_inputs(model, samples) if samples is not None and by_block else None
     params, reports = {}, {}
     for b in sorted(by_block):
         if variant in ENSEMBLED:
             gamma = np.zeros(cfg.n_h, dtype=F32)
-            if samples is None:
+            if inputs is None:
                 kern = init_kernel(variant, cfg, next(seeds))
             else:
-                kern, reports[b] = fit_ensembled_kernel(model, b, gamma, samples, variant)
+                kern, reports[b] = fit_ensembled_kernel(model, b, gamma, inputs, variant)
             params[b] = BlockDropin(variant=variant, gamma=gamma, kernel=kern)
             continue
         kernels = {}
         for h in sorted(by_block[b]):
-            if samples is None:
+            if inputs is None:
                 kernels[h] = init_kernel(variant, cfg, next(seeds))
             else:
-                kernels[h], reports[b, h] = fit_kernels(model, (b, h), samples, variant)
+                kernels[h], reports[b, h] = fit_kernels(model, (b, h), inputs, variant)
         params[b] = BlockDropin(variant=variant, head_kernels=kernels)
     return replace_heads(model, plan, params), reports
 
@@ -309,31 +313,36 @@ def hybrid_tensors_meta(hm: HybridModel) -> tuple:
 
 
 def hybrid_from_archive(ar, model: Model) -> HybridModel:
-    """Rebuild a HybridModel from an archive's dropin tensors and metadata."""
-    from .select import SelectionPlan
+    """Rebuild a HybridModel from an archive's dropin tensors and metadata.
 
+    The rebuild goes through `replace_heads`, so a variant, plan, gamma or
+    kernel that surgery would refuse is refused here too, as is a `dropin.*`
+    tensor that no replaced block uses. Every refusal is an ArchiveError.
+    """
     info = ar.meta.get("dropin")
-    if not info:
-        return HybridModel(base=model, dropins={}, plan=None)
-    dropins = {}
-    for b_str, variant in info["variants"].items():
-        b = int(b_str)
-        if variant in ENSEMBLED:
-            dropins[b] = BlockDropin(
-                variant=variant,
-                gamma=ar.tensors[_gamma_name(b)],
-                kernel=ar.tensors[_ens_kernel_name(b)],
-            )
-        else:
-            prefix = f"dropin.block{b}.head"
-            kernels = {}
-            for name, arr in ar.tensors.items():
-                if name.startswith(prefix) and name.endswith(".K"):
-                    h = int(name[len(prefix):-2])
-                    kernels[h] = arr
-            dropins[b] = BlockDropin(variant=variant, head_kernels=kernels)
-    plan = SelectionPlan.from_json(info["plan"]) if "plan" in info else None
-    return HybridModel(base=model, dropins=dropins, plan=plan)
+    hm = HybridModel(base=model, dropins={}, plan=None)
+    try:
+        if info:
+            params = {}
+            for b_str, variant in info["variants"].items():
+                b = int(b_str)
+                if variant in ENSEMBLED:
+                    params[b] = BlockDropin(variant=variant, gamma=ar.tensors[_gamma_name(b)],
+                                            kernel=ar.tensors[_ens_kernel_name(b)])
+                    continue
+                names = {h: _head_kernel_name(b, h) for h in range(model.config.n_h)}
+                params[b] = BlockDropin(variant=variant, head_kernels={
+                    h: ar.tensors[name] for h, name in names.items() if name in ar.tensors})
+            hm = replace_heads(model, SelectionPlan.from_json(info["plan"]), params)
+    except KeyError as exc:
+        raise ArchiveError(f"drop-in section is missing {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ArchiveError(f"bad drop-in section: {exc}") from exc
+    used = hybrid_tensors_meta(hm)[0]
+    unused = sorted(n for n in ar.tensors if n.startswith("dropin.") and n not in used)
+    if unused:
+        raise ArchiveError(f"drop-in tensor {unused[0]!r} belongs to no replaced head")
+    return hm
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +373,53 @@ class FitReport:
     ridge_channels: tuple   # channels whose normal matrix needed ridge
 
 
+def _normal_equations(v_samples: list, target_samples: list, k: int):
+    """Per-channel normal equations of targets ~ dwconv2d(v, kernel).
+
+    Accumulated in float64 one sample at a time, so only one sample's
+    shifts are ever held: gram (c, k^2, k^2), rhs (c, k^2), t^T t (c,).
+    """
+    if not v_samples:
+        raise ConfigError("kernel fitting needs at least one sample")
+    if len(v_samples) != len(target_samples):
+        raise ShapeError("value/target sample counts differ")
+    c = v_samples[0].shape[2]
+    kk = k * k
+    gram, rhs, tt = np.zeros((c, kk, kk)), np.zeros((c, kk)), np.zeros(c)
+    for v, t in zip(v_samples, target_samples):
+        if v.shape != t.shape:
+            raise ShapeError(f"value {v.shape} and target {t.shape} shapes differ")
+        shifts = _shift_stack(v, k)                      # (kk, m, m, c)
+        t64 = np.asarray(t, dtype=np.float64)
+        gram += np.einsum("qijc,pijc->cqp", shifts, shifts)
+        rhs += np.einsum("qijc,ijc->cq", shifts, t64)
+        tt += np.einsum("ijc,ijc->c", t64, t64)
+    return gram, rhs, tt
+
+
+def _solve_ridge(gram: np.ndarray, rhs: np.ndarray):
+    """Exact solve of gram @ x = rhs, falling back to ridge (eps RIDGE_EPS)
+    when gram is singular. Returns (x, whether ridge was applied)."""
+    try:
+        np.linalg.cholesky(gram)
+        return np.linalg.solve(gram, rhs), False
+    except np.linalg.LinAlgError:
+        return np.linalg.solve(gram + RIDGE_EPS * np.eye(len(rhs)), rhs), True
+
+
+def _fit_report(kern: np.ndarray, gram, rhs, tt, ridge: tuple) -> FitReport:
+    """FitReport with the objective in closed form at the float32 kernel:
+    per channel t^T t - 2 k^T r + k^T G k. A (k, k) kernel is shared by
+    every channel."""
+    kk, c = gram.shape[1], tt.shape[0]
+    w = np.broadcast_to(np.asarray(kern, dtype=np.float64).reshape(kk, -1), (kk, c))
+    per_channel = (tt - 2.0 * np.einsum("qc,cq->c", w, rhs)
+                   + np.einsum("qc,cqp,pc->c", w, gram, w))
+    # cancellation can push a near-exact fit a rounding error below zero
+    return FitReport(objective=max(float(per_channel.sum()), 0.0),
+                     zero_objective=float(tt.sum()), ridge_channels=ridge)
+
+
 def fit_depthwise_kernel(v_samples: list, target_samples: list, k: int):
     """Least-squares depthwise kernel for targets ~ dwconv2d(v, kernel).
 
@@ -372,67 +428,20 @@ def fit_depthwise_kernel(v_samples: list, target_samples: list, k: int):
     falls back to ridge regularization (eps 1e-6) and is reported.
     Returns (kernel (k, k, c) float32, FitReport).
     """
-    if not v_samples:
-        raise ConfigError("kernel fitting needs at least one sample")
-    if len(v_samples) != len(target_samples):
-        raise ShapeError("value/target sample counts differ")
-    c = v_samples[0].shape[2]
-    kk = k * k
-    gram = np.zeros((c, kk, kk))
-    rhs = np.zeros((c, kk))
-    zero_obj = 0.0
-    for v, t in zip(v_samples, target_samples):
-        if v.shape != t.shape:
-            raise ShapeError(f"value {v.shape} and target {t.shape} shapes differ")
-        shifts = _shift_stack(v, k)                      # (kk, m, m, c)
-        t64 = np.asarray(t, dtype=np.float64)
-        gram += np.einsum("qijc,pijc->cqp", shifts, shifts)
-        rhs += np.einsum("qijc,ijc->cq", shifts, t64)
-        zero_obj += float((t64 ** 2).sum())
-    kernel = np.zeros((kk, c))
-    ridge = []
-    for ch in range(c):
-        g = gram[ch]
-        try:
-            np.linalg.cholesky(g)
-            kernel[:, ch] = np.linalg.solve(g, rhs[ch])
-        except np.linalg.LinAlgError:
-            ridge.append(ch)
-            kernel[:, ch] = np.linalg.solve(g + RIDGE_EPS * np.eye(kk), rhs[ch])
-    kern = kernel.reshape(k, k, c).astype(F32)
-    obj, _ = fit_loss_and_grad(kern, v_samples, target_samples)
-    return kern, FitReport(objective=obj, zero_objective=zero_obj,
-                           ridge_channels=tuple(ridge))
+    gram, rhs, tt = _normal_equations(v_samples, target_samples, k)
+    solved = [_solve_ridge(g, r) for g, r in zip(gram, rhs)]
+    kern = np.stack([x for x, _ in solved], axis=1).reshape(k, k, -1).astype(F32)
+    ridge = tuple(ch for ch, (_, used) in enumerate(solved) if used)
+    return kern, _fit_report(kern, gram, rhs, tt, ridge)
 
 
 def fit_shared_kernel(v_samples: list, target_samples: list, k: int):
     """Least-squares shared spatial kernel (k, k), one weight per offset
-    across all channels; the full-convolution analogue of the fit above."""
-    if not v_samples:
-        raise ConfigError("kernel fitting needs at least one sample")
-    kk = k * k
-    gram = np.zeros((kk, kk))
-    rhs = np.zeros(kk)
-    zero_obj = 0.0
-    for v, t in zip(v_samples, target_samples):
-        shifts = _shift_stack(v, k)
-        t64 = np.asarray(t, dtype=np.float64)
-        gram += np.einsum("qijc,pijc->qp", shifts, shifts)
-        rhs += np.einsum("qijc,ijc->q", shifts, t64)
-        zero_obj += float((t64 ** 2).sum())
-    ridge = False
-    try:
-        np.linalg.cholesky(gram)
-        coeff = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        ridge = True
-        coeff = np.linalg.solve(gram + RIDGE_EPS * np.eye(kk), rhs)
+    across all channels: the channel-summed system of the fit above."""
+    gram, rhs, tt = _normal_equations(v_samples, target_samples, k)
+    coeff, used = _solve_ridge(gram.sum(axis=0), rhs.sum(axis=0))
     kern = coeff.reshape(k, k).astype(F32)
-    c = v_samples[0].shape[2]
-    rep = np.repeat(kern[:, :, None], c, axis=2)
-    obj, _ = fit_loss_and_grad(rep, v_samples, target_samples)
-    return kern, FitReport(objective=obj, zero_objective=zero_obj,
-                           ridge_channels=(0,) if ridge else ())
+    return kern, _fit_report(kern, gram, rhs, tt, (0,) if used else ())
 
 
 def fit_loss_and_grad(kern: np.ndarray, v_samples: list, target_samples: list):
@@ -440,6 +449,7 @@ def fit_loss_and_grad(kern: np.ndarray, v_samples: list, target_samples: list):
 
     loss = sum_s ||dwconv2d(v_s, kern) - t_s||_F^2, evaluated in float64;
     grad[r, s, c] = 2 sum_s <residual_s[..., c], shift(v_s, (r, s))[..., c]>.
+    The fitters report the same loss in closed form; this is its oracle.
     """
     k = kern.shape[0]
     kern64 = np.asarray(kern, dtype=np.float64)
@@ -465,24 +475,20 @@ def attention_inputs(model: Model, samples: list) -> list:
     return captured
 
 
-def fit_kernels(model: Model, target, samples: list, variant: str = "dw"):
+def fit_kernels(model: Model, target, inputs: list, variant: str = "dw"):
     """Fit one head's replacement kernel against its exact attention output.
 
-    `target` is a (block, head) pair; `samples` are model inputs (n, d).
-    The head's in-context attention inputs are captured during forward
-    passes, the exact attention outputs become regression targets, and the
-    kernel is the exact least-squares minimizer. Returns (kernel, FitReport).
+    `target` is a (block, head) pair; `inputs` is what `attention_inputs`
+    captured for the fitting samples. The head's values are the regressors,
+    its exact attention outputs the regression targets, and the kernel is
+    the exact least-squares minimizer. Returns (kernel, FitReport).
     """
     b, h = target
     cfg = model.config
     block = model.blocks[b]
-    inputs = attention_inputs(model, samples)
     w_v_slice = head_cols(block.w_v, h, block.d_h)
-    v_list, t_list = [], []
-    for per_block in inputs:
-        a_in = per_block[b]
-        v_list.append(grid(matmul(a_in, w_v_slice), cfg.m))
-        t_list.append(grid(vit.head_attention(a_in, block, h), cfg.m))
+    v_list = [grid(matmul(per_block[b], w_v_slice), cfg.m) for per_block in inputs]
+    t_list = [grid(vit.head_attention(per_block[b], block, h), cfg.m) for per_block in inputs]
     if variant == "dw":
         return fit_depthwise_kernel(v_list, t_list, cfg.k)
     if variant == "convfull":
@@ -491,8 +497,8 @@ def fit_kernels(model: Model, target, samples: list, variant: str = "dw"):
 
 
 def fit_ensembled_kernel(model: Model, b: int, gamma: np.ndarray,
-                         samples: list, variant: str = "ens-dw"):
-    """Fit a block's ensembled kernel.
+                         inputs: list, variant: str = "ens-dw"):
+    """Fit a block's ensembled kernel from `attention_inputs`' capture.
 
     The regression target is the softmax(gamma)-weighted mix of the block's
     exact head attentions (the quantity the ensembled convolution replaces
@@ -501,10 +507,7 @@ def fit_ensembled_kernel(model: Model, b: int, gamma: np.ndarray,
     cfg = model.config
     block = model.blocks[b]
     w_ve, _ = ensemble_weights(gamma, block.w_v, block.w_o, block.n_h, block.d_h)
-    g64 = np.asarray(gamma, dtype=np.float64).ravel()
-    sig = np.exp(g64 - g64.max())
-    sig /= sig.sum()
-    inputs = attention_inputs(model, samples)
+    sig = softmax64(np.asarray(gamma, dtype=np.float64).ravel())
     v_list, t_list = [], []
     for per_block in inputs:
         a_in = per_block[b]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vit
-from .tensor import ConfigError, ShapeError
+from .tensor import ConfigError, ShapeError, softmax64
 from .vit import Model
 
 POPULATION = "population"  # sigma = sqrt(M2 / N); documented convention
@@ -376,11 +376,6 @@ def gumbel_noise(n: int, seed: int) -> np.ndarray:
     return -np.log(-np.log(u))
 
 
-def _softmax64(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
 def gumbel_topk_relax(w, p: int, tau: float, seed: int) -> np.ndarray:
     """Relaxed top-k weights over Gumbel-perturbed logits.
 
@@ -402,7 +397,7 @@ def gumbel_topk_relax(w, p: int, tau: float, seed: int) -> np.ndarray:
     cur = z.copy()
     acc = np.zeros_like(z)
     for _ in range(p):
-        s = _softmax64(cur / tau)
+        s = softmax64(cur / tau)
         acc += s
         with np.errstate(divide="ignore"):
             cur = cur + np.log1p(-np.minimum(s, 1.0))

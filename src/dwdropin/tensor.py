@@ -61,6 +61,12 @@ def softmax_rows(t: np.ndarray) -> np.ndarray:
     return _check_finite(out, "softmax_rows result")
 
 
+def softmax64(z: np.ndarray) -> np.ndarray:
+    """Softmax of a float64 vector with max subtraction."""
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
 def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """2-D convolution of x (m, m, c_i) with w (k, k, c_i, c_o), stride 1.
 

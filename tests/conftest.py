@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -26,3 +29,13 @@ def make_inputs(cfg, count, seed):
     seeds = seed_stream(seed)
     return [seeded_fill((cfg.n, cfg.d), next(seeds), "gaussian", 0.0, 1.0)
             for _ in range(count)]
+
+
+def rewrite_manifest(path, edit):
+    """Apply `edit` to an archive's parsed manifest in place, keeping its blob."""
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack_from("<Q", raw, 8)
+    manifest = json.loads(raw[16 : 16 + mlen])
+    edit(manifest)
+    mbytes = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(mbytes)) + mbytes + raw[16 + mlen :])

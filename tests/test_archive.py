@@ -14,7 +14,7 @@ from dwdropin.archive import (
 )
 from dwdropin.select import SelectionPlan
 
-from conftest import TINY, make_inputs
+from conftest import TINY, make_inputs, rewrite_manifest
 
 
 def sha256(path):
@@ -100,6 +100,38 @@ def test_wrong_shape_rejected(tmp_path, tiny_model):
     save_archive(p, TINY, tensors)
     with pytest.raises(ArchiveError):
         model_from_archive(load_archive(p))
+
+
+@pytest.mark.parametrize("change", [{"n_b": "two"}, {"n_b": 1.5e400}, {"d": TINY.d + 1}],
+                         ids=["non-integer", "infinite", "d-not-n_h-times-d_h"])
+def test_bad_config_block_rejected(tmp_path, tiny_model, change):
+    p = tmp_path / "m.bin"
+    save_model(p, tiny_model)
+    rewrite_manifest(p, lambda m: m["config"].update(change))
+    with pytest.raises(ArchiveError, match="bad config block"):
+        load_archive(p)
+
+
+@pytest.mark.parametrize("change", [{"shape": [-1, TINY.d]}, {"shape": [TINY.n, 2.0 * TINY.d]},
+                                    {"shape": [True, TINY.n * TINY.d]}, {"offset": -4},
+                                    {"shape": "16x8"}, {"name": None}],
+                         ids=["negative-dim", "float-dim", "bool-dim", "negative-offset",
+                              "shape-not-a-list", "name-not-a-string"])
+def test_bad_tensor_entry_rejected(tmp_path, tiny_model, change):
+    p = tmp_path / "m.bin"
+    save_model(p, tiny_model)
+    rewrite_manifest(p, lambda m: m["tensors"][0].update(change))
+    with pytest.raises(ArchiveError, match="needs a name and non-negative integer"):
+        load_archive(p)
+
+
+@pytest.mark.parametrize("field", ["name", "shape", "offset"])
+def test_tensor_entry_missing_field_rejected(tmp_path, tiny_model, field):
+    p = tmp_path / "m.bin"
+    save_model(p, tiny_model)
+    rewrite_manifest(p, lambda m: m["tensors"][-1].pop(field))
+    with pytest.raises(ArchiveError, match="lacks a name, shape or offset"):
+        load_archive(p)
 
 
 def test_hybrid_tensors_roundtrip(tmp_path, tiny_model):

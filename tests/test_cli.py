@@ -10,7 +10,7 @@ from dwdropin.archive import load_archive, model_from_archive, model_tensors, sa
 from dwdropin.cli import main, save_samples, single_block_bench_fns
 from dwdropin.select import SelectionPlan, plan_to_file
 
-from conftest import TINY, make_inputs
+from conftest import TINY, make_inputs, rewrite_manifest
 
 
 def sha256(path):
@@ -281,6 +281,65 @@ class TestVerify:
                    "--samples", 3, "--tol", 1e-5) == 0
 
 
+def _unknown_variant(ar):
+    ar.meta["dropin"]["variants"]["0"] = "dw-typo"
+
+
+def _wrong_shape_kernel(ar):
+    ar.tensors["dropin.block0.head0.K"] = np.zeros((TINY.k, TINY.k, TINY.d_h + 1), np.float32)
+
+
+def _renamed_kernel(ar):
+    ar.tensors["dropin.block0.head0.kernel"] = ar.tensors.pop("dropin.block0.head0.K")
+
+
+def _wrong_shape_gamma(ar):
+    ar.tensors["dropin.block0.gamma"] = np.zeros(TINY.n_h + 1, np.float32)
+
+
+def _stray_kernel(ar):
+    ar.tensors["dropin.block1.head0.K"] = ar.tensors["dropin.block0.head0.K"]
+
+
+class TestMalformedArchives:
+    """Each malformed archive exits 3 with one error line, before any forward."""
+
+    @pytest.mark.parametrize("variant, mutate, message", [
+        ("dw", _unknown_variant, "unknown variant 'dw-typo'"),
+        ("dw", _wrong_shape_kernel, "dw kernel must be"),
+        ("dw", _renamed_kernel, "kernels given for heads [1] but plan covers [0, 1]"),
+        ("ens-dw", _wrong_shape_gamma, f"gamma must be ({TINY.n_h},)"),
+        ("dw", _stray_kernel, "'dropin.block1.head0.K' belongs to no replaced head"),
+    ], ids=["unknown-variant", "wrong-shape-kernel", "renamed-kernel", "wrong-shape-gamma",
+            "stray-kernel"])
+    def test_bad_dropin_section(self, tmp_path, tiny_archive, capsys, variant, mutate, message):
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        hybrid = tmp_path / "h.bin"
+        assert run("replace", "--model", tiny_archive, "--plan", plan,
+                   "--variant", variant, "--out", hybrid) == 0
+        ar = load_archive(hybrid)
+        mutate(ar)
+        save_archive(hybrid, ar.config, ar.tensors, ar.meta)
+        capsys.readouterr()
+        assert run("verify", "--model", tiny_archive, "--hybrid", hybrid,
+                   "--samples", 2) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("change", [{"n_b": "two"}, {"d": TINY.d + 1}],
+                             ids=["non-integer", "d-not-n_h-times-d_h"])
+    def test_bad_config_block(self, tiny_archive, capsys, change):
+        rewrite_manifest(tiny_archive, lambda m: m["config"].update(change))
+        capsys.readouterr()
+        assert run("score", "--model", tiny_archive, "--samples", 2,
+                   "--out", tiny_archive.with_suffix(".json")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bad config block" in err
+
+
 class TestCost:
     def test_vitl_table_output(self, capsys):
         assert run("cost", "--config", "vitl", "--format", "table") == 0
@@ -394,6 +453,17 @@ class TestVersion:
         out = tmp_path / "m.bin"
         assert run("gen", "--seed", 1, "--out", out, *TINY_FLAGS) == 0
         assert load_archive(out).meta["manifest"]["version"] == dwdropin.__version__
+
+
+    @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+    def test_pyproject_reads_package_version(self):
+        from pathlib import Path
+
+        from setuptools.config.pyprojecttoml import read_configuration
+
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        config = read_configuration(pyproject, expand=True)
+        assert config["project"]["version"] == dwdropin.__version__
 
 
 class TestManifestReproducibility:

@@ -4,6 +4,7 @@ import pytest
 from dwdropin import dropin, vit
 from dwdropin.dropin import (
     BlockDropin,
+    attention_inputs,
     attn_conv_full,
     attn_dw,
     build_dropins,
@@ -297,7 +298,7 @@ class TestKernelFitting:
         model = init_model(vit.DESK, 303)
         model.blocks[2].w_q[:] = 0  # uniform attention: global mean, not local
         samples = make_inputs(vit.DESK, 2, 107)
-        kern, rep = fit_kernels(model, (2, 0), samples, variant="dw")
+        kern, rep = fit_kernels(model, (2, 0), attention_inputs(model, samples), variant="dw")
         assert np.isfinite(kern).all()
         assert rep.objective > 1e-6
         assert rep.objective <= rep.zero_objective
@@ -321,13 +322,47 @@ class TestKernelFitting:
 
     def test_fit_kernels_roundtrip_through_model(self, tiny_model):
         samples = make_inputs(TINY, 3, 130)
-        kern, rep = fit_kernels(tiny_model, (0, 1), samples, variant="dw")
+        kern, rep = fit_kernels(tiny_model, (0, 1), attention_inputs(tiny_model, samples),
+                                variant="dw")
         assert kern.shape == (TINY.k, TINY.k, TINY.d_h)
         assert rep.objective <= rep.zero_objective
 
     def test_needs_samples(self, tiny_model):
         with pytest.raises(ConfigError):
             fit_depthwise_kernel([], [], 3)
+
+
+def _fit_sets(desk_model):
+    """(v_list, t_list, k) regression sets: planted, random, all-zero, and
+    desk heads built from one capture the way `fit_kernels` builds them."""
+    planted = seeded_fill((3, 3, 4), 210, "gaussian", 0.0, 0.5)
+    v = [seeded_fill((8, 8, 4), 211 + i, "gaussian") for i in range(3)]
+    sets = [(v, [dwconv2d(x, planted) for x in v], 3),
+            (v, [seeded_fill((8, 8, 4), 215 + i, "gaussian") for i in range(3)], 3),
+            ([np.zeros((6, 6, 2), np.float32)], [np.zeros((6, 6, 2), np.float32)], 3)]
+    cfg = vit.DESK
+    inputs = attention_inputs(desk_model, make_inputs(cfg, 4, 220))
+    for b, h in ((0, 1), (4, 3)):
+        block = desk_model.blocks[b]
+        w_v = head_cols(block.w_v, h, cfg.d_h)
+        sets.append(([grid(per_block[b] @ w_v, cfg.m) for per_block in inputs],
+                     [grid(vit.head_attention(per_block[b], block, h), cfg.m)
+                      for per_block in inputs], cfg.k))
+    return sets
+
+
+class TestClosedFormObjective:
+    def test_matches_loss_oracle(self, desk_model):
+        for v, t, k in _fit_sets(desk_model):
+            c = v[0].shape[2]
+            kern, rep = fit_depthwise_kernel(v, t, k)
+            shared, shared_rep = fit_shared_kernel(v, t, k)
+            for got, oracle_kern in ((rep, kern),
+                                     (shared_rep, np.repeat(shared[:, :, None], c, axis=2))):
+                want, _ = fit_loss_and_grad(oracle_kern, v, t)
+                assert abs(got.objective - want) <= 1e-9 * got.zero_objective
+                assert got.zero_objective == pytest.approx(
+                    fit_loss_and_grad(np.zeros_like(oracle_kern), v, t)[0], rel=1e-12)
 
 
 class TestLossAndGrad:
@@ -370,7 +405,8 @@ class TestEnsembledFitting:
     def test_fit_reduces_objective(self, tiny_model):
         samples = make_inputs(TINY, 3, 200)
         kern, rep = dropin.fit_ensembled_kernel(tiny_model, 0, np.zeros(TINY.n_h),
-                                                samples, variant="ens-dw")
+                                                attention_inputs(tiny_model, samples),
+                                                variant="ens-dw")
         assert kern.shape == (TINY.k, TINY.k, TINY.d_h)
         assert rep.objective <= rep.zero_objective
 
@@ -382,8 +418,9 @@ class TestBuildDropins:
         plan = SelectionPlan("scattered", "lowest", 3, ((1, 0), (0, 1), (1, 1)))
         hm, reports = build_dropins(tiny_model, plan, variant, samples=samples)
         assert list(reports) == [(0, 1), (1, 0), (1, 1)]
+        inputs = attention_inputs(tiny_model, samples)
         for (b, h), rep in reports.items():
-            kern, want = fit_kernels(tiny_model, (b, h), samples, variant=variant)
+            kern, want = fit_kernels(tiny_model, (b, h), inputs, variant=variant)
             np.testing.assert_array_equal(hm.dropins[b].head_kernels[h], kern)
             assert rep == want
 
@@ -394,11 +431,25 @@ class TestBuildDropins:
         hm, reports = build_dropins(tiny_model, plan, variant, samples=samples)
         assert list(reports) == [0, 1]
         gamma = np.zeros(TINY.n_h, dtype=np.float32)
+        inputs = attention_inputs(tiny_model, samples)
         for b, rep in reports.items():
-            kern, want = fit_ensembled_kernel(tiny_model, b, gamma, samples, variant=variant)
+            kern, want = fit_ensembled_kernel(tiny_model, b, gamma, inputs, variant=variant)
             np.testing.assert_array_equal(hm.dropins[b].kernel, kern)
             np.testing.assert_array_equal(hm.dropins[b].gamma, gamma)
             assert rep == want
+
+    @pytest.mark.parametrize("variant", dropin.VARIANTS)
+    def test_fit_captures_attention_inputs_once(self, tiny_model, monkeypatch, variant):
+        capture, calls = dropin.attention_inputs, []
+
+        def counted(model, samples):
+            calls.append(len(samples))
+            return capture(model, samples)
+        monkeypatch.setattr(dropin, "attention_inputs", counted)
+        plan = SelectionPlan("blockwise", "lowest", 2, (1, 0))  # 2 blocks x 2 heads
+        _, reports = build_dropins(tiny_model, plan, variant, samples=make_inputs(TINY, 3, 93))
+        assert calls == [3]
+        assert len(reports) == (2 if variant in dropin.ENSEMBLED else 4)
 
     @pytest.mark.parametrize("variant", dropin.VARIANTS)
     def test_init_draws_seed_stream_in_sorted_order(self, tiny_model, variant):
