@@ -70,21 +70,33 @@ def load_archive(path) -> Archive:
         data = f.read()
     if data[: len(MAGIC)] != MAGIC:
         raise ArchiveError(f"{path}: bad magic, not a model archive")
-    (mlen,) = struct.unpack_from("<Q", data, len(MAGIC))
     mstart = len(MAGIC) + 8
+    if len(data) < mstart:
+        raise ArchiveError(f"{path}: truncated header")
+    (mlen,) = struct.unpack_from("<Q", data, len(MAGIC))
     if mstart + mlen > len(data):
         raise ArchiveError(f"{path}: truncated manifest")
     try:
         manifest = json.loads(data[mstart : mstart + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArchiveError(f"{path}: manifest is not valid JSON: {exc}") from exc
-    if manifest.get("format_version") != FORMAT_VERSION:
+    if not isinstance(manifest, dict):
+        raise ArchiveError(f"{path}: manifest must be a JSON object")
+    version = manifest.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ArchiveError(f"{path}: unsupported format version")
+    if not isinstance(manifest.get("config"), dict):
+        raise ArchiveError(f"{path}: bad config block: not a JSON object")
     try:
         config = ModelConfig.from_dict(manifest["config"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ArchiveError(f"{path}: bad config block: {exc}") from exc
+    if not isinstance(manifest.get("tensors", []), list):
+        raise ArchiveError(f"{path}: manifest 'tensors' must be a list")
+    if not isinstance(manifest.get("meta", {}), dict):
+        raise ArchiveError(f"{path}: manifest 'meta' must be a JSON object")
     entries = [_tensor_entry(path, entry) for entry in manifest.get("tensors", [])]
+    _check_layout(path, entries)
     blob = data[mstart + mlen :]
     tensors = {}
     for name, shape, start in entries:
@@ -92,8 +104,24 @@ def load_archive(path) -> Archive:
         if end > len(blob):
             raise ArchiveError(f"{path}: tensor {name!r} overruns the blob")
         arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise ArchiveError(f"{path}: tensor {name!r} holds non-finite values")
         tensors[name] = np.ascontiguousarray(arr, dtype=F32)
     return Archive(config=config, tensors=tensors, meta=manifest.get("meta", {}))
+
+
+def _check_layout(path, entries: list) -> None:
+    """Refuse duplicate tensor names and tensors whose byte ranges overlap."""
+    names = set()
+    for name, _, _ in entries:
+        if name in names:
+            raise ArchiveError(f"{path}: tensor {name!r} is listed twice")
+        names.add(name)
+    spans = sorted((start, start + 4 * math.prod(shape), name)
+                   for name, shape, start in entries if math.prod(shape))
+    for (_, end, before), (start, _, after) in zip(spans, spans[1:]):
+        if start < end:
+            raise ArchiveError(f"{path}: tensors {before!r} and {after!r} overlap")
 
 
 def _tensor_entry(path, entry) -> tuple:

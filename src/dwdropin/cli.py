@@ -146,7 +146,10 @@ def cmd_score(args) -> int:
     if model is None:
         raise ArchiveError(f"{args.model} is config-only; scoring needs weights")
     samples, source = get_samples(args, model.config)
-    result = select.score_model(model, samples)
+    try:
+        result = select.score_model(model, samples)
+    except NonFiniteError as exc:
+        raise ArchiveError(f"{args.model}: the model's forward pass overflows ({exc})") from exc
     report = result.to_report(meta={"source": source,
                                     "manifest": run_manifest("score", args)})
     write_json(args.out, report)
@@ -505,7 +508,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # finiteness is checked explicitly (NonFiniteError), so numpy's
+        # floating-point warnings would only add stray stderr lines
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -197,8 +197,24 @@ def replace_heads(model: Model, plan, params: dict) -> HybridModel:
     return HybridModel(base=model, dropins=dropins, plan=plan)
 
 
+def _value_cols(w_v: np.ndarray, heads: tuple, d_h: int) -> np.ndarray:
+    """The value-projection columns of `heads` (sorted), stacked in head
+    order: a view when the heads are contiguous, one gather otherwise."""
+    if heads[-1] - heads[0] + 1 == len(heads):
+        return w_v[:, heads[0] * d_h : (heads[-1] + 1) * d_h]
+    cols = np.concatenate([np.arange(h * d_h, (h + 1) * d_h) for h in heads])
+    return np.take(w_v, cols, axis=1)
+
+
 def _block_mhsa_fn(dp: BlockDropin, cfg):
-    """Attention-sublayer substitute implementing this block's replacement."""
+    """Attention-sublayer substitute implementing this block's replacement.
+
+    An unensembled block's replaced heads run fused: one value GEMM over
+    their stacked value columns and one convolution over their stacked
+    kernels (dw) or their folded kernels concatenated along the output
+    channel (convfull). Untouched heads keep the exact attention path, and
+    the output projection runs once over all heads.
+    """
     m = cfg.m
 
     if dp.variant in ENSEMBLED:
@@ -210,28 +226,29 @@ def _block_mhsa_fn(dp: BlockDropin, cfg):
             return mhsa_convfull_ensembled(x, w_ve, dp.kernel, w_oe, m)
         return ens_fn
 
+    heads = dp.heads()
+    if dp.variant == "dw":
+        kern = np.concatenate([dp.head_kernels[h] for h in heads], axis=2)
+
     def swapped_fn(x, block):
-        outs = []
-        xg = None
-        for h in range(block.n_h):
-            if h in dp.head_kernels:
-                if xg is None:
-                    xg = grid(x, m)
-                w_v_slice = head_cols(block.w_v, h, block.d_h)
-                if dp.variant == "dw":
-                    y = attn_dw(xg, w_v_slice, dp.head_kernels[h])
-                else:
-                    y = attn_conv_full(xg, fold_full_kernel(dp.head_kernels[h], w_v_slice))
-                outs.append(flat(y))
-            else:
-                outs.append(vit.head_attention(x, block, h))
+        if dp.variant == "dw":
+            y = attn_dw(grid(x, m), _value_cols(block.w_v, heads, block.d_h), kern)
+        else:
+            folded = [fold_full_kernel(dp.head_kernels[h], head_cols(block.w_v, h, block.d_h))
+                      for h in heads]
+            y = attn_conv_full(grid(x, m), np.concatenate(folded, axis=3))
+        fused = dict(zip(heads, np.split(flat(y), len(heads), axis=1)))
+        outs = [fused[h] if h in fused else vit.head_attention(x, block, h)
+                for h in range(block.n_h)]
         return vit.project_heads(outs, block)
     return swapped_fn
 
 
 def hybrid_forward(hm: HybridModel, x: np.ndarray) -> np.ndarray:
     """Forward pass with replacements live; untouched blocks run the exact
-    baseline code path, so an empty plan reproduces the baseline bitwise."""
+    baseline code path, so an empty plan reproduces the baseline bitwise.
+    Within a replaced block the replaced heads run fused (see
+    `_block_mhsa_fn`): one value GEMM and one convolution per block."""
     fns = {b: _block_mhsa_fn(dp, hm.config) for b, dp in hm.dropins.items()}
     return vit.model_forward(x, hm.base, mhsa_fns=fns)
 

@@ -66,7 +66,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: int(v) for k, v in d.items()})
+        """Config from its dict form; every value must be an exact int, so
+        6.9, "6" and true are refused rather than converted."""
+        for key, value in d.items():
+            # type() is int: JSON true/false load as bool, a subclass of int
+            if type(value) is not int:
+                raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
+        return cls(**d)
 
 
 # Desk-scale default for running everything end to end.

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,15 @@ from dwdropin.archive import (
 )
 from dwdropin.select import SelectionPlan
 
-from conftest import TINY, make_inputs, rewrite_manifest
+from conftest import (
+    BAD_CONFIGS,
+    MANIFEST_FAULTS,
+    TINY,
+    make_inputs,
+    read_manifest,
+    rewrite_manifest,
+    write_manifest,
+)
 
 
 def sha256(path):
@@ -102,8 +111,7 @@ def test_wrong_shape_rejected(tmp_path, tiny_model):
         model_from_archive(load_archive(p))
 
 
-@pytest.mark.parametrize("change", [{"n_b": "two"}, {"n_b": 1.5e400}, {"d": TINY.d + 1}],
-                         ids=["non-integer", "infinite", "d-not-n_h-times-d_h"])
+@pytest.mark.parametrize("change", [c for _, c in BAD_CONFIGS], ids=[i for i, _ in BAD_CONFIGS])
 def test_bad_config_block_rejected(tmp_path, tiny_model, change):
     p = tmp_path / "m.bin"
     save_model(p, tiny_model)
@@ -131,6 +139,46 @@ def test_tensor_entry_missing_field_rejected(tmp_path, tiny_model, field):
     save_model(p, tiny_model)
     rewrite_manifest(p, lambda m: m["tensors"][-1].pop(field))
     with pytest.raises(ArchiveError, match="lacks a name, shape or offset"):
+        load_archive(p)
+
+
+@pytest.mark.parametrize("fault, message", [f[1:] for f in MANIFEST_FAULTS],
+                         ids=[f[0] for f in MANIFEST_FAULTS])
+def test_malformed_manifest_rejected(tmp_path, tiny_model, fault, message):
+    p = tmp_path / "m.bin"
+    save_model(p, tiny_model)
+    write_manifest(p, fault(read_manifest(p)))
+    with pytest.raises(ArchiveError, match=re.escape(message)):
+        load_archive(p)
+
+
+def test_adjacent_and_empty_tensors_accepted(tmp_path):
+    # back-to-back ranges touch without overlapping; an empty tensor
+    # occupies no bytes, wherever its offset points
+    p = tmp_path / "m.bin"
+    save_archive(p, TINY, {"a": np.ones((2, 3), np.float32), "b": np.zeros((0,), np.float32),
+                           "c": np.full((4,), 2.0, np.float32)})
+    rewrite_manifest(p, lambda m: m["tensors"][1].update(offset=4))
+    ar = load_archive(p)
+    assert [t.shape for t in ar.tensors.values()] == [(2, 3), (0,), (4,)]
+
+
+def test_truncated_header_rejected(tmp_path, tiny_model):
+    p = tmp_path / "m.bin"
+    save_model(p, tiny_model)
+    p.write_bytes(p.read_bytes()[:12])
+    with pytest.raises(ArchiveError, match="truncated header"):
+        load_archive(p)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensor_rejected(tmp_path, tiny_model, value):
+    p = tmp_path / "m.bin"
+    tensors = model_tensors(tiny_model)
+    tensors["block1.w_v"] = tensors["block1.w_v"].copy()
+    tensors["block1.w_v"][2, 3] = value
+    save_archive(p, TINY, tensors)
+    with pytest.raises(ArchiveError, match="'block1.w_v' holds non-finite values"):
         load_archive(p)
 
 

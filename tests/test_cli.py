@@ -1,8 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dwdropin
 from dwdropin import dropin, vit
@@ -10,7 +16,15 @@ from dwdropin.archive import load_archive, model_from_archive, model_tensors, sa
 from dwdropin.cli import main, save_samples, single_block_bench_fns
 from dwdropin.select import SelectionPlan, plan_to_file
 
-from conftest import TINY, make_inputs, rewrite_manifest
+from conftest import (
+    BAD_CONFIGS,
+    MANIFEST_FAULTS,
+    TINY,
+    make_inputs,
+    read_manifest,
+    rewrite_manifest,
+    write_manifest,
+)
 
 
 def sha256(path):
@@ -63,6 +77,14 @@ class TestGen:
 def tiny_archive(tmp_path):
     out = tmp_path / "model.bin"
     assert run("gen", "--seed", 7, "--out", out, *TINY_FLAGS) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def fuzz_archive(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("gen", "--seed", 7, "--out", out, *TINY_FLAGS) == 0
     return out
 
 
@@ -328,16 +350,60 @@ class TestMalformedArchives:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
-    @pytest.mark.parametrize("change", [{"n_b": "two"}, {"d": TINY.d + 1}],
-                             ids=["non-integer", "d-not-n_h-times-d_h"])
-    def test_bad_config_block(self, tiny_archive, capsys, change):
-        rewrite_manifest(tiny_archive, lambda m: m["config"].update(change))
+    @staticmethod
+    def score_error(archive, capsys) -> str:
+        """Run score on a malformed archive: exit 3 and one error line."""
         capsys.readouterr()
-        assert run("score", "--model", tiny_archive, "--samples", 2,
-                   "--out", tiny_archive.with_suffix(".json")) == 3
+        assert run("score", "--model", archive, "--samples", 2,
+                   "--out", archive.with_suffix(".json")) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "bad config block" in err
+        return err
+
+    @pytest.mark.parametrize("change", [c for _, c in BAD_CONFIGS],
+                             ids=[i for i, _ in BAD_CONFIGS])
+    def test_bad_config_block(self, tiny_archive, capsys, change):
+        rewrite_manifest(tiny_archive, lambda m: m["config"].update(change))
+        assert "bad config block" in self.score_error(tiny_archive, capsys)
+
+    @pytest.mark.parametrize("fault, message", [f[1:] for f in MANIFEST_FAULTS],
+                             ids=[f[0] for f in MANIFEST_FAULTS])
+    def test_malformed_manifest(self, tiny_archive, capsys, fault, message):
+        write_manifest(tiny_archive, fault(read_manifest(tiny_archive)))
+        assert message in self.score_error(tiny_archive, capsys)
+
+    def test_overflowing_weights(self, tiny_archive, capsys):
+        ar = load_archive(tiny_archive)
+        ar.tensors["block0.w_q"] = np.full_like(ar.tensors["block0.w_q"], 3e38)
+        save_archive(tiny_archive, ar.config, ar.tensors, ar.meta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            err = self.score_error(tiny_archive, capsys)
+        assert "the model's forward pass overflows" in err
+
+    # a byte is arbitrary or JSON punctuation/digits, which keep more
+    # mutated manifests parseable and so reach the structural checks
+    @settings(max_examples=40, deadline=None)
+    @given(region=st.sampled_from(["manifest", "blob"]),
+           writes=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                                     st.integers(0, 255) | st.sampled_from(b'0123456789-.e"[]{},:')),
+                           min_size=1, max_size=4))
+    def test_mutated_bytes_exit_cleanly(self, fuzz_archive, region, writes):
+        """score on an archive with overwritten manifest or blob bytes exits 0,
+        or 3 with one error line; an exception escaping main fails the test."""
+        raw = bytearray(fuzz_archive.read_bytes())
+        (mlen,) = struct.unpack_from("<Q", raw, 8)
+        lo, hi = (16, 16 + mlen) if region == "manifest" else (16 + mlen, len(raw))
+        for where, byte in writes:
+            raw[lo + int(where * (hi - lo))] = byte
+        mutated = fuzz_archive.with_name("mutated.bin")
+        mutated.write_bytes(bytes(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("score", "--model", mutated, "--samples", 2,
+                       "--out", mutated.with_suffix(".json"))
+        assert code in (0, 3)
+        assert err.getvalue().count("\n") == (1 if code == 3 else 0)
 
 
 class TestCost:

@@ -245,6 +245,55 @@ class TestReplaceHeads:
         np.testing.assert_array_equal(vit.head_attention(a_in, blk, 0), before)
 
 
+FOUR_HEADS = ModelConfig(n_b=2, n_h=4, d=16, d_h=4, m=4, k=3, ffn_mult=2)
+
+
+def _per_head_sublayer(dp, cfg):
+    """Reference for the fused sublayer: each replaced head on its own
+    (attn_dw / attn_conv_full), then the output projection over all heads."""
+    def fn(x, block):
+        outs = []
+        for h in range(block.n_h):
+            if h not in dp.head_kernels:
+                outs.append(vit.head_attention(x, block, h))
+                continue
+            w_v_slice = head_cols(block.w_v, h, block.d_h)
+            if dp.variant == "dw":
+                y = attn_dw(grid(x, cfg.m), w_v_slice, dp.head_kernels[h])
+            else:
+                y = attn_conv_full(grid(x, cfg.m), fold_full_kernel(dp.head_kernels[h], w_v_slice))
+            outs.append(vit.flat(y))
+        return vit.project_heads(outs, block)
+    return fn
+
+
+class TestFusedDropins:
+    """A block's replaced heads run as one group: one convolution per block."""
+
+    @pytest.mark.parametrize("heads", [(0, 1, 2, 3), (2,), (0, 1), (0, 2)],
+                             ids=["every-head", "single", "contiguous", "non-contiguous"])
+    @pytest.mark.parametrize("variant, conv", [("dw", "dwconv2d"), ("convfull", "conv2d")])
+    def test_matches_per_head_reference(self, monkeypatch, variant, conv, heads):
+        cfg = FOUR_HEADS
+        model = init_model(cfg, 303)
+        seeds = seed_stream(17)
+        plan = SelectionPlan("scattered", "lowest", cfg.n_b * len(heads),
+                             tuple((b, h) for b in range(cfg.n_b) for h in heads))
+        params = {b: BlockDropin(variant, head_kernels={
+            h: init_kernel(variant, cfg, next(seeds)) for h in heads}) for b in range(cfg.n_b)}
+        hm = replace_heads(model, plan, params)
+        x = make_inputs(cfg, 1, 18)[0]
+        want = vit.model_forward(x, model, mhsa_fns={
+            b: _per_head_sublayer(dp, cfg) for b, dp in params.items()})
+
+        calls = []
+        original = getattr(dropin, conv)
+        monkeypatch.setattr(dropin, conv, lambda *a: calls.append(1) or original(*a))
+        got = hybrid_forward(hm, x)
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        assert len(calls) == cfg.n_b
+
+
 class TestConstructedEquivalence:
     def test_kernel_like_head_replacement_matches(self, tiny_model):
         """A head driven by an ideal kernel-like weight matrix is replaced
