@@ -32,6 +32,7 @@ from .dropin import (
     fold_full_kernel,
     hybrid_forward,
     mhsa_dw_ensembled,
+    planned_heads,
     replace_heads,
 )
 from .select import (
@@ -51,6 +52,7 @@ from .select import (
 from .select import select as select_units
 from .tensor import (
     ConfigError,
+    FormatError,
     NonFiniteError,
     ShapeError,
     conv2d,

@@ -22,14 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import F32
+from .tensor import F32, FormatError
 from .vit import BlockParams, Model, ModelConfig, block_shapes
 
 MAGIC = b"DWDROPIN"
 FORMAT_VERSION = 1
 
 
-class ArchiveError(ValueError):
+class ArchiveError(FormatError):
     """Archive file is malformed or inconsistent."""
 
 

@@ -11,6 +11,7 @@ error, 3 I/O or file-format error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -28,6 +29,7 @@ from .archive import (
 )
 from .tensor import (
     ConfigError,
+    FormatError,
     NonFiniteError,
     ShapeError,
     dwconv2d,
@@ -122,6 +124,16 @@ def load_forward(path):
     return ar.config, (lambda x: dropin.hybrid_forward(hm, x)), ar, model
 
 
+@contextlib.contextmanager
+def overflow_is_file_fault(path):
+    """Refuse, as an ArchiveError naming `path` (exit 3), a model whose
+    finite weights overflow its forward pass."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise ArchiveError(f"{path}: the model's forward pass overflows ({exc})") from exc
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -146,10 +158,8 @@ def cmd_score(args) -> int:
     if model is None:
         raise ArchiveError(f"{args.model} is config-only; scoring needs weights")
     samples, source = get_samples(args, model.config)
-    try:
+    with overflow_is_file_fault(args.model):
         result = select.score_model(model, samples)
-    except NonFiniteError as exc:
-        raise ArchiveError(f"{args.model}: the model's forward pass overflows ({exc})") from exc
     report = result.to_report(meta={"source": source,
                                     "manifest": run_manifest("score", args)})
     write_json(args.out, report)
@@ -159,12 +169,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    with open(args.report) as f:
-        report = json.load(f)
-    if args.mode == "blockwise":
-        scores = np.asarray(report["sigma_b"], dtype=np.float64)
-    else:
-        scores = np.asarray(report["sigma_h"], dtype=np.float64)
+    scores = select.scores_from_file(args.report, args.mode)
     plan = select.select(scores, args.budget, mode=args.mode, order=args.order)
     select.plan_to_file(plan, args.out, meta={"report": args.report,
                                               "manifest": run_manifest("plan", args)})
@@ -178,7 +183,8 @@ def cmd_replace(args) -> int:
         raise ArchiveError(f"{args.model} is config-only; surgery needs weights")
     plan = select.plan_from_file(args.plan)
     samples = get_samples(args, model.config)[0] if args.fit else None
-    hm, reports = dropin.build_dropins(model, plan, args.variant, args.init_seed, samples)
+    with overflow_is_file_fault(args.model):
+        hm, reports = dropin.build_dropins(model, plan, args.variant, args.init_seed, samples)
     for key, rep in reports.items():
         if args.variant in dropin.ENSEMBLED:
             print(f"block {key}: fitted {args.variant} kernel, "
@@ -515,7 +521,7 @@ def main(argv=None) -> int:
     except (ConfigError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArchiveError, json.JSONDecodeError, OSError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except NonFiniteError as exc:

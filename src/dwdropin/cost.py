@@ -66,19 +66,17 @@ def per_head_params(variant: str, cfg: ModelConfig) -> int:
 
 
 def flops_params(variant: str, cfg: ModelConfig) -> tuple:
-    """Closed-form (flops, params) of one block's attention path."""
+    """Closed-form (flops, params) of one block's attention path: n_h times
+    the per-head cost, except for the ensembled variants, which run one
+    effective head for the whole block."""
     n, d, d_h, n_h, k = cfg.n, cfg.d, cfg.d_h, cfg.n_h, cfg.k
-    if variant == "mhsa":
-        return 2 * n * d * d * 4 + 2 * n * n * d * 2, 4 * d * d
-    if variant == "convfull":
-        return 2 * n * k * k * d * d + 2 * n * d * d, 2 * d * d + n_h * k * k
-    if variant == "dw":
-        return 2 * n * d * d + 2 * n * k * k * d + 2 * n * d * d, 2 * d * d + k * k * d
     if variant == "ens-convfull":
         return 2 * n * k * k * d * d_h + 2 * n * d_h * d, 2 * d * d + k * k + n_h
     if variant == "ens-dw":
         flops = 2 * n * d * d_h + 2 * n * k * k * d_h + 2 * n * d_h * d
         return flops, 2 * d * d + k * k * d_h + n_h
+    if variant in VARIANTS:
+        return n_h * per_head_flops(variant, cfg), n_h * per_head_params(variant, cfg)
     raise ConfigError(f"unknown attention variant {variant!r}")
 
 
@@ -172,40 +170,29 @@ def variant_table_text(cfg: ModelConfig) -> str:
 def model_cost_report(cfg: ModelConfig, plan=None, variant: str = "dw") -> CostReport:
     """Whole-model accounting for a replacement plan.
 
-    Blockwise plans price chosen blocks at the variant's block cost;
-    scattered plans price each replaced head at the per-head variant cost
-    and retained heads at the per-head attention cost. An empty or missing
-    plan reproduces the baseline.
+    The plan must pass `dropin.planned_heads` for the variant. A block
+    whose heads are all replaced is priced at the variant's block cost, a
+    partly replaced one (unensembled variants only) per head: replaced heads
+    at the variant's per-head cost, retained ones at attention's. An empty
+    or missing plan reproduces the baseline.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown attention variant {variant!r}")
-    covered = plan.covered_heads(cfg) if plan is not None else set()
-    if covered and variant == "mhsa":
-        raise ConfigError(f"replacement variant must be one of {dropin.VARIANTS}")
-    if covered and variant in dropin.ENSEMBLED:
-        full = {b for b in range(cfg.n_b)
-                if all((b, h) in covered for h in range(cfg.n_h))}
-        partial = {b for b, _ in covered if b not in full}
-        if partial:
-            raise ConfigError(
-                f"ensembled variants need whole blocks; blocks {sorted(partial)} are partial"
-            )
+    if plan is None:
+        plan = SelectionPlan(mode="blockwise", order="lowest", budget=0, targets=())
+    by_block = dropin.planned_heads(plan, cfg, variant)
     ffn_f, ffn_p = ffn_flops_params(cfg)
     base_attn_f, base_attn_p = flops_params("mhsa", cfg)
     rows = []
     for b in range(cfg.n_b):
-        heads = {h for h in range(cfg.n_h) if (b, h) in covered}
-        if not heads:
-            att, att_f, att_p = "mhsa", base_attn_f, base_attn_p
-        elif len(heads) == cfg.n_h:
-            att = variant
-            att_f, att_p = flops_params(variant, cfg)
+        replaced = len(by_block.get(b, ()))
+        if replaced in (0, cfg.n_h):
+            att = variant if replaced else "mhsa"
+            att_f, att_p = flops_params(att, cfg)
         else:
-            att = f"mixed({variant} x{len(heads)})"
-            kept = cfg.n_h - len(heads)
-            att_f = (len(heads) * per_head_flops(variant, cfg)
+            att = f"mixed({variant} x{replaced})"
+            kept = cfg.n_h - replaced
+            att_f = (replaced * per_head_flops(variant, cfg)
                      + kept * per_head_flops("mhsa", cfg))
-            att_p = (len(heads) * per_head_params(variant, cfg)
+            att_p = (replaced * per_head_params(variant, cfg)
                      + kept * per_head_params("mhsa", cfg))
         rows.append({
             "block": b,
@@ -229,10 +216,9 @@ def model_cost_report(cfg: ModelConfig, plan=None, variant: str = "dw") -> CostR
         "attn_flops": cfg.n_b * base_attn_f,
         "activation_bytes": cfg.n_b * activation_bytes("mhsa", cfg),
     }
-    replaced_blocks = sorted({b for b, _ in covered})
-    if replaced_blocks:
-        repl_base = sum(rows[b]["attn_flops"] for b in replaced_blocks)
-        attn_red = 100.0 * (1.0 - repl_base / (len(replaced_blocks) * base_attn_f))
+    if by_block:
+        repl_base = sum(rows[b]["attn_flops"] for b in by_block)
+        attn_red = 100.0 * (1.0 - repl_base / (len(by_block) * base_attn_f))
     else:
         attn_red = 0.0
     deltas = {
@@ -241,7 +227,7 @@ def model_cost_report(cfg: ModelConfig, plan=None, variant: str = "dw") -> CostR
         "attn_flops_ratio": totals["attn_flops"] / baseline["attn_flops"],
         "attn_reduction_pct_replaced": attn_red,
     }
-    return CostReport(config=cfg, variant=variant if covered else "mhsa",
+    return CostReport(config=cfg, variant=variant if by_block else "mhsa",
                       rows=rows, totals=totals, baseline=baseline, deltas=deltas)
 
 

@@ -11,9 +11,9 @@ Four formulations:
   ens-dw        the same ensembling with the depthwise formulation
 
 Unensembled variants replace any subset of heads; ensembled variants
-collapse a whole block and are only legal when every head of that block is
-replaced. Kernel fitting is exact per-channel linear least squares against
-the attention outputs the kernels stand in for.
+collapse whole blocks and take only blockwise plans (`planned_heads`).
+Kernel fitting is exact per-channel linear least squares against the
+attention outputs the kernels stand in for.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .tensor import (
     F32,
     ConfigError,
     ShapeError,
+    _zero_pad,
     as_f32,
     conv2d,
     dwconv2d,
@@ -147,10 +148,18 @@ def _check_kernel_shape(variant: str, kern: np.ndarray, cfg) -> None:
         raise ShapeError(f"{variant} kernel must be {want}, got {tuple(kern.shape)}")
 
 
-def _planned_heads(plan, cfg) -> dict:
-    """The plan's covered heads grouped by block; refuses nonexistent heads."""
+def planned_heads(plan, cfg, *variants) -> dict:
+    """The plan rule of surgery, archive loading and cost accounting: the
+    covered heads as {block: set of heads}. Refuses an unknown variant, an
+    ensembled variant on a non-empty plan that is not blockwise, and a
+    (block, head) the config lacks."""
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {variant!r}")
+        if variant in ENSEMBLED and plan.mode != "blockwise" and plan.targets:
+            raise ConfigError(f"{variant} requires a blockwise plan")
     by_block: dict[int, set] = {}
-    for b, h in plan.covered_heads(cfg):
+    for b, h in sorted(plan.covered_heads(cfg)):
         if not (0 <= b < cfg.n_b and 0 <= h < cfg.n_h):
             raise ConfigError(f"plan targets nonexistent head (block {b}, head {h})")
         by_block.setdefault(b, set()).add(h)
@@ -160,25 +169,18 @@ def _planned_heads(plan, cfg) -> dict:
 def replace_heads(model: Model, plan, params: dict) -> HybridModel:
     """Swap the planned heads' attention for convolutional replacements.
 
-    `plan` is a SelectionPlan; `params` maps block index -> BlockDropin.
-    Heads outside the plan keep the exact attention path. Ensembled
-    variants are refused unless the plan covers every head of the block.
+    `plan` is a SelectionPlan; `params` maps block index -> BlockDropin,
+    and the plan must pass `planned_heads` for every variant they use.
+    Heads outside the plan keep the exact attention path.
     """
     cfg = model.config
-    by_block = _planned_heads(plan, cfg)
+    by_block = planned_heads(plan, cfg, *(dp.variant for dp in params.values()))
     dropins = {}
     for b, heads in by_block.items():
         if b not in params:
             raise ConfigError(f"no replacement parameters for block {b}")
         dp = params[b]
-        if dp.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {dp.variant!r}")
         if dp.variant in ENSEMBLED:
-            if heads != set(range(cfg.n_h)):
-                raise ConfigError(
-                    f"{dp.variant} collapses a whole block; plan covers only "
-                    f"{sorted(heads)} of block {b}"
-                )
             if dp.gamma is None or dp.kernel is None:
                 raise ConfigError(f"block {b}: ensembled replacement needs gamma and kernel")
             if np.shape(dp.gamma) != (cfg.n_h,):
@@ -261,20 +263,17 @@ def init_kernel(variant: str, cfg, seed: int) -> np.ndarray:
 def build_dropins(model: Model, plan, variant: str, seed: int = 0, samples=None):
     """Build the plan's replacements and swap them in: the one surgery step.
 
-    The plan is checked before any kernel is made. Covered heads (or, for
-    ensembled variants, covered blocks) are then built in sorted order:
-    with `samples`, the attention inputs are captured once and each kernel
-    is least-squares fitted against the exact attention; without them,
-    kernels are drawn by `init_kernel` from `seed_stream(seed)` in that
-    order. Ensembled blocks start from zero gamma logits. Returns (HybridModel, reports), where `reports` maps
+    The plan is checked (`planned_heads`) before any kernel is made.
+    Covered heads (or, for ensembled variants, covered blocks) are then
+    built in sorted order: with `samples`, the attention inputs are
+    captured once and each kernel is least-squares fitted against the exact
+    attention; without them, kernels are drawn by `init_kernel` from
+    `seed_stream(seed)` in that order. Ensembled blocks start from zero
+    gamma logits. Returns (HybridModel, reports), where `reports` maps
     (block, head) or, for ensembled variants, block -> FitReport.
     """
     cfg = model.config
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
-    if variant in ENSEMBLED and plan.mode != "blockwise" and plan.targets:
-        raise ConfigError(f"{variant} requires a blockwise plan")
-    by_block = _planned_heads(plan, cfg)
+    by_block = planned_heads(plan, cfg, variant)
     seeds = seed_stream(seed)
     inputs = attention_inputs(model, samples) if samples is not None and by_block else None
     params, reports = {}, {}
@@ -378,7 +377,7 @@ def _shift_stack(v: np.ndarray, k: int) -> np.ndarray:
     """
     m = v.shape[0]
     half = k // 2
-    vp = np.pad(np.asarray(v, dtype=np.float64), ((half, half), (half, half), (0, 0)))
+    vp = _zero_pad(np.asarray(v, dtype=np.float64), half)
     rows = [vp[a : a + m, b : b + m] for a in range(k) for b in range(k)]
     return np.stack(rows, axis=0)
 

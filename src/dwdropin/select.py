@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vit
-from .tensor import ConfigError, ShapeError, softmax64
+from .tensor import ConfigError, FormatError, ShapeError, softmax64
 from .vit import Model
 
 POPULATION = "population"  # sigma = sqrt(M2 / N); documented convention
@@ -278,14 +278,36 @@ class SelectionPlan:
                 "budget": self.budget, "targets": targets}
 
     @classmethod
-    def from_json(cls, d: dict) -> "SelectionPlan":
-        mode = d["mode"]
+    def from_json(cls, d) -> "SelectionPlan":
+        """A plan from its JSON form, refusing (ConfigError) a `mode` or
+        `order` outside MODES/ORDERS (a missing order reads as "lowest"), a
+        budget that is not an exact int, and targets that are not exact-int
+        block indices (blockwise) or [block, head] pairs (scattered).
+        Whether the targets exist is `dropin.planned_heads`' question."""
+        if not isinstance(d, dict):
+            raise ConfigError("plan must be a JSON object")
+        mode, order, budget = d.get("mode"), d.get("order", "lowest"), d.get("budget")
+        if mode not in MODES:
+            raise ConfigError(f"plan mode must be one of {MODES}, got {mode!r}")
+        if order not in ORDERS:
+            raise ConfigError(f"plan order must be one of {ORDERS}, got {order!r}")
+        # type() is int: JSON true/false load as bool, a subclass of int
+        if type(budget) is not int:
+            raise ConfigError(f"plan budget must be an integer, got {budget!r}")
+        targets = d.get("targets")
         if mode == "blockwise":
-            targets = tuple(int(b) for b in d["targets"])
+            ok = isinstance(targets, list) and all(type(b) is int for b in targets)
+            what = "block indices"
         else:
-            targets = tuple((int(b), int(h)) for b, h in d["targets"])
-        return cls(mode=mode, order=d.get("order", "lowest"),
-                   budget=int(d["budget"]), targets=targets)
+            ok = isinstance(targets, list) and all(
+                isinstance(t, list) and len(t) == 2 and all(type(i) is int for i in t)
+                for t in targets)
+            what = "[block, head] pairs"
+        if not ok:
+            raise ConfigError(f"{mode} plan targets must be a list of integer {what}, "
+                              f"got {targets!r}")
+        return cls(mode=mode, order=order, budget=budget,
+                   targets=tuple(t if mode == "blockwise" else tuple(t) for t in targets))
 
 
 def select(scores, budget: int, mode: str = "blockwise",
@@ -334,8 +356,35 @@ def plan_to_file(plan: SelectionPlan, path, meta: dict | None = None) -> None:
 
 
 def plan_from_file(path) -> SelectionPlan:
+    """Read a plan file; one that is not a plan (`SelectionPlan.from_json`)
+    or not JSON is refused as a FormatError naming the file."""
     with open(path) as f:
-        return SelectionPlan.from_json(json.load(f))
+        try:
+            return SelectionPlan.from_json(json.load(f))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or ConfigError
+            raise FormatError(f"{path}: not a plan file: {exc}") from exc
+
+
+def scores_from_file(path, mode: str) -> np.ndarray:
+    """The scores `select` ranks for `mode`, read from a score report:
+    `sigma_b`, one per block (blockwise), or `sigma_h`, one row of head
+    scores per block (scattered). A report without them, or with a score
+    that is not a finite number, is refused as a FormatError naming the file."""
+    key, shape = (("sigma_b", "a list") if mode == "blockwise"
+                  else ("sigma_h", "equal-length rows"))
+    with open(path) as f:
+        try:
+            report = json.load(f)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise FormatError(f"{path}: not a score report: {exc}") from exc
+    scores = report.get(key) if isinstance(report, dict) else None
+    rows = scores if mode != "blockwise" and isinstance(scores, list) else [scores]
+    finite = (type(v) in (int, float) and math.isfinite(v) for r in rows for v in r)
+    if not (all(isinstance(r, list) for r in rows) and all(finite)
+            and len({len(r) for r in rows}) <= 1):
+        raise FormatError(f"{path}: not a score report: {key!r} must be {shape} of "
+                          "finite numbers")
+    return np.asarray(scores, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

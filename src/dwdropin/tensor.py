@@ -25,6 +25,10 @@ class ConfigError(ValueError):
     """A structural parameter (kernel size, head count, budget...) is invalid."""
 
 
+class FormatError(ValueError):
+    """An input file (model archive, plan, score report) is malformed."""
+
+
 class NonFiniteError(ArithmeticError):
     """A NaN or Inf appeared where only finite values are allowed."""
 
@@ -67,6 +71,15 @@ def softmax64(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _zero_pad(x: np.ndarray, half: int) -> np.ndarray:
+    """x (m, m, c) inside a zero border `half` wide on both grid axes: the
+    values of np.pad's constant mode without its per-call overhead."""
+    m = x.shape[0]
+    out = np.zeros((m + 2 * half, m + 2 * half, x.shape[2]), dtype=x.dtype)
+    out[half : half + m, half : half + m] = x
+    return out
+
+
 def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """2-D convolution of x (m, m, c_i) with w (k, k, c_i, c_o), stride 1.
 
@@ -86,7 +99,7 @@ def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     w = as_f32(w)
     m = x.shape[0]
     half = k // 2
-    xp = np.pad(x, ((half, half), (half, half), (0, 0)))
+    xp = _zero_pad(x, half)
     out = np.zeros((m, m, w.shape[3]), dtype=F32)
     for a in range(k):
         for b in range(k):
@@ -112,7 +125,7 @@ def dwconv2d(x: np.ndarray, kern: np.ndarray) -> np.ndarray:
     kern = as_f32(kern)
     m = x.shape[0]
     half = k // 2
-    xp = np.pad(x, ((half, half), (half, half), (0, 0)))
+    xp = _zero_pad(x, half)
     out = np.zeros_like(x)
     for a in range(k):
         for b in range(k):

@@ -9,7 +9,7 @@ once at the input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import erf
@@ -66,8 +66,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Config from its dict form; every value must be an exact int, so
+        """Config from its dict form; every field must be present and an
+        exact int, so a missing key is refused rather than defaulted, and
         6.9, "6" and true are refused rather than converted."""
+        missing = [f.name for f in fields(cls) if f.name not in d]
+        if missing:
+            raise ConfigError(f"config field {missing[0]!r} is missing")
         for key, value in d.items():
             # type() is int: JSON true/false load as bool, a subclass of int
             if type(value) is not int:

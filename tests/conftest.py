@@ -53,6 +53,18 @@ def rewrite_manifest(path, edit):
     write_manifest(path, manifest)
 
 
+DROP = object()  # a BAD_CONFIGS value that deletes its key
+
+
+def change_config(manifest, change):
+    """Apply a BAD_CONFIGS change to a manifest's config (DROP deletes a key)."""
+    for key, value in change.items():
+        if value is DROP:
+            del manifest["config"][key]
+        else:
+            manifest["config"][key] = value
+
+
 # Config values load_archive refuses, as (id, config change).
 BAD_CONFIGS = [
     ("non-integer", {"n_b": "two"}),
@@ -61,6 +73,7 @@ BAD_CONFIGS = [
     ("fractional", {"n_b": TINY.n_b + 0.9}),
     ("bool", {"n_b": True}),
     ("numeric-string", {"n_b": str(TINY.n_b)}),
+    ("missing-key", {"ffn_mult": DROP}),
 ]
 
 # Manifests load_archive refuses, as (id, manifest -> faulty manifest, message
@@ -76,3 +89,38 @@ MANIFEST_FAULTS = [
      "'pos_enc' and 'block0.w_q' overlap"),
 ]
 
+# Plan files SelectionPlan.from_json refuses, as (id, parsed JSON, message fragment).
+PLAN_FAULTS = [
+    ("no-mode", {"order": "lowest", "budget": 1, "targets": [0]}, "plan mode must be one of"),
+    ("unknown-mode", {"mode": "diagonal", "order": "lowest", "budget": 1, "targets": [[0, 0]]},
+     "got 'diagonal'"),
+    ("unknown-order", {"mode": "blockwise", "order": "middle", "budget": 1, "targets": [0]},
+     "plan order must be one of"),
+    ("fractional-budget", {"mode": "blockwise", "order": "lowest", "budget": 1.5, "targets": [0]},
+     "plan budget must be an integer, got 1.5"),
+    ("targets-not-a-list", {"mode": "blockwise", "order": "lowest", "budget": 1, "targets": 5},
+     "blockwise plan targets must be a list of integer block indices, got 5"),
+    ("fractional-target", {"mode": "blockwise", "order": "lowest", "budget": 1, "targets": [0.7]},
+     "integer block indices, got [0.7]"),
+    ("bool-target", {"mode": "blockwise", "order": "lowest", "budget": 1, "targets": [True]},
+     "integer block indices, got [True]"),
+    ("scattered-target-not-a-pair",
+     {"mode": "scattered", "order": "lowest", "budget": 1, "targets": [[0, 0, 1]]},
+     "integer [block, head] pairs"),
+    ("top-level-array", [0, 1], "plan must be a JSON object"),
+]
+
+# Score reports `plan` refuses, as (id, mode, report -> faulty report, message fragment).
+REPORT_FAULTS = [
+    ("no-sigma_b", "blockwise", lambda r: {k: v for k, v in r.items() if k != "sigma_b"},
+     "'sigma_b' must be a list of finite numbers"),
+    ("sigma_b-a-string", "blockwise", lambda r: {**r, "sigma_b": "abc"},
+     "'sigma_b' must be a list of finite numbers"),
+    ("null-score", "blockwise", lambda r: {**r, "sigma_b": [None, *r["sigma_b"][1:]]},
+     "'sigma_b' must be a list of finite numbers"),
+    ("nan-score", "blockwise", lambda r: {**r, "sigma_b": [float("nan"), *r["sigma_b"][1:]]},
+     "'sigma_b' must be a list of finite numbers"),
+    ("ragged-sigma_h", "scattered", lambda r: {**r, "sigma_h": [r["sigma_h"][0], [1.0]]},
+     "'sigma_h' must be equal-length rows of finite numbers"),
+    ("not-an-object", "blockwise", lambda r: [r], "'sigma_b' must be a list of finite numbers"),
+]

@@ -19,6 +19,7 @@ from conftest import (
     BAD_CONFIGS,
     MANIFEST_FAULTS,
     TINY,
+    change_config,
     make_inputs,
     read_manifest,
     rewrite_manifest,
@@ -115,7 +116,7 @@ def test_wrong_shape_rejected(tmp_path, tiny_model):
 def test_bad_config_block_rejected(tmp_path, tiny_model, change):
     p = tmp_path / "m.bin"
     save_model(p, tiny_model)
-    rewrite_manifest(p, lambda m: m["config"].update(change))
+    rewrite_manifest(p, lambda m: change_config(m, change))
     with pytest.raises(ArchiveError, match="bad config block"):
         load_archive(p)
 

@@ -19,7 +19,10 @@ from dwdropin.select import SelectionPlan, plan_to_file
 from conftest import (
     BAD_CONFIGS,
     MANIFEST_FAULTS,
+    PLAN_FAULTS,
+    REPORT_FAULTS,
     TINY,
+    change_config,
     make_inputs,
     read_manifest,
     rewrite_manifest,
@@ -86,6 +89,45 @@ def fuzz_archive(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert run("gen", "--seed", 7, "--out", out, *TINY_FLAGS) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def fuzz_hybrid(fuzz_archive):
+    """A dw hybrid of fuzz_archive over block 0, next to its plan.json."""
+    plan = fuzz_archive.with_name("plan.json")
+    plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+    out = fuzz_archive.with_name("hybrid.bin")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("replace", "--model", fuzz_archive, "--plan", plan, "--out", out) == 0
+    return out
+
+
+def mutate_bytes(archive, region, writes):
+    """A copy of `archive` with bytes of its manifest or blob overwritten;
+    `writes` holds (position as a fraction of the region, byte) pairs."""
+    raw = bytearray(archive.read_bytes())
+    (mlen,) = struct.unpack_from("<Q", raw, 8)
+    lo, hi = (16, 16 + mlen) if region == "manifest" else (16 + mlen, len(raw))
+    for where, byte in writes:
+        raw[lo + int(where * (hi - lo))] = byte
+    mutated = archive.with_name("mutated.bin")
+    mutated.write_bytes(bytes(raw))
+    return mutated
+
+
+def run_quietly(*argv):
+    """Run the CLI; returns (exit code, number of stderr lines)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(*argv)
+    return code, err.getvalue().count("\n")
+
+
+# a byte is arbitrary or JSON punctuation/digits, which keep more mutated
+# manifests parseable and so reach the structural checks
+BYTE_WRITES = st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                                 st.integers(0, 255) | st.sampled_from(b'0123456789-.e"[]{},:')),
+                       min_size=1, max_size=4)
 
 
 class TestScore:
@@ -363,7 +405,7 @@ class TestMalformedArchives:
     @pytest.mark.parametrize("change", [c for _, c in BAD_CONFIGS],
                              ids=[i for i, _ in BAD_CONFIGS])
     def test_bad_config_block(self, tiny_archive, capsys, change):
-        rewrite_manifest(tiny_archive, lambda m: m["config"].update(change))
+        rewrite_manifest(tiny_archive, lambda m: change_config(m, change))
         assert "bad config block" in self.score_error(tiny_archive, capsys)
 
     @pytest.mark.parametrize("fault, message", [f[1:] for f in MANIFEST_FAULTS],
@@ -381,29 +423,105 @@ class TestMalformedArchives:
             err = self.score_error(tiny_archive, capsys)
         assert "the model's forward pass overflows" in err
 
-    # a byte is arbitrary or JSON punctuation/digits, which keep more
-    # mutated manifests parseable and so reach the structural checks
     @settings(max_examples=40, deadline=None)
-    @given(region=st.sampled_from(["manifest", "blob"]),
-           writes=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
-                                     st.integers(0, 255) | st.sampled_from(b'0123456789-.e"[]{},:')),
-                           min_size=1, max_size=4))
+    @given(region=st.sampled_from(["manifest", "blob"]), writes=BYTE_WRITES)
     def test_mutated_bytes_exit_cleanly(self, fuzz_archive, region, writes):
         """score on an archive with overwritten manifest or blob bytes exits 0,
         or 3 with one error line; an exception escaping main fails the test."""
-        raw = bytearray(fuzz_archive.read_bytes())
-        (mlen,) = struct.unpack_from("<Q", raw, 8)
-        lo, hi = (16, 16 + mlen) if region == "manifest" else (16 + mlen, len(raw))
-        for where, byte in writes:
-            raw[lo + int(where * (hi - lo))] = byte
-        mutated = fuzz_archive.with_name("mutated.bin")
-        mutated.write_bytes(bytes(raw))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run("score", "--model", mutated, "--samples", 2,
-                       "--out", mutated.with_suffix(".json"))
+        mutated = mutate_bytes(fuzz_archive, region, writes)
+        code, err_lines = run_quietly("score", "--model", mutated, "--samples", 2,
+                                      "--out", mutated.with_suffix(".json"))
         assert code in (0, 3)
-        assert err.getvalue().count("\n") == (1 if code == 3 else 0)
+        assert err_lines == (1 if code == 3 else 0)
+
+    @pytest.mark.parametrize("command", ["replace", "verify"])
+    @settings(max_examples=40, deadline=None)
+    @given(region=st.sampled_from(["manifest", "blob"]), writes=BYTE_WRITES)
+    def test_mutated_hybrid_exits_cleanly(self, fuzz_archive, fuzz_hybrid, command,
+                                          region, writes):
+        """replace --fit on a mutated hybrid exits 0 or 3; verify against it
+        exits 0, 1 (a check failed, or its forward overflowed) or 3; an
+        error exit prints one line."""
+        mutated = mutate_bytes(fuzz_hybrid, region, writes)
+        if command == "replace":
+            code, err_lines = run_quietly(
+                "replace", "--model", mutated, "--plan", fuzz_hybrid.with_name("plan.json"),
+                "--fit", "--samples", 2, "--out", mutated.with_name("refit.bin"))
+            assert code in (0, 3)
+        else:
+            code, err_lines = run_quietly("verify", "--model", fuzz_archive,
+                                          "--hybrid", mutated, "--samples", 2)
+            assert code in (0, 1, 3)
+        assert err_lines == (1 if code == 3 else 0) or (code == 1 and err_lines == 1)
+
+    def test_replace_fit_overflowing_weights(self, tmp_path, tiny_archive, capsys):
+        ar = load_archive(tiny_archive)
+        ar.tensors["block0.w_q"] = np.full_like(ar.tensors["block0.w_q"], 3e38)
+        save_archive(tiny_archive, ar.config, ar.tensors, ar.meta)
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        capsys.readouterr()
+        assert run("replace", "--model", tiny_archive, "--plan", plan, "--fit",
+                   "--samples", 2, "--out", tmp_path / "h.bin") == 3
+        err = capsys.readouterr().err
+        assert err == (f"error: {tiny_archive}: the model's forward pass overflows "
+                       "(non-finite values in matmul result)\n")
+
+
+class TestMalformedPlans:
+    """A plan file or score report that is not one exits 3 with one error
+    line naming the file, in every command that reads it."""
+
+    @pytest.mark.parametrize("doc, message", [f[1:] for f in PLAN_FAULTS],
+                             ids=[f[0] for f in PLAN_FAULTS])
+    @pytest.mark.parametrize("command", [("replace", "--out", "h.bin"), ("cost",),
+                                         ("bench", "--reps", "1", "--warmup", "0")],
+                             ids=["replace", "cost", "bench-plan"])
+    def test_bad_plan_file(self, tmp_path, tiny_archive, capsys, command, doc, message):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        name, *rest = command
+        rest = [tmp_path / a if a.endswith(".bin") else a for a in rest]
+        capsys.readouterr()
+        assert run(name, "--model", tiny_archive, "--plan", plan, *rest) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {plan}: not a plan file: ")
+        assert captured.err.count("\n") == 1 and message in captured.err
+        assert not (tmp_path / "h.bin").exists()
+
+    def test_plan_file_not_json(self, tmp_path, tiny_archive, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text("{")
+        capsys.readouterr()
+        assert run("cost", "--model", tiny_archive, "--plan", plan) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {plan}: not a plan file: ") and err.count("\n") == 1
+
+    def test_bad_plan_in_archive_meta(self, tmp_path, tiny_archive, capsys):
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        hybrid = tmp_path / "h.bin"
+        assert run("replace", "--model", tiny_archive, "--plan", plan, "--out", hybrid) == 0
+        rewrite_manifest(hybrid, lambda m: m["meta"]["dropin"]["plan"].update(mode="diagonal"))
+        capsys.readouterr()
+        assert run("verify", "--model", tiny_archive, "--hybrid", hybrid, "--samples", 2) == 3
+        assert capsys.readouterr().err == (
+            "error: bad drop-in section: plan mode must be one of "
+            "('blockwise', 'scattered'), got 'diagonal'\n")
+
+    @pytest.mark.parametrize("mode, fault, message", [f[1:] for f in REPORT_FAULTS],
+                             ids=[f[0] for f in REPORT_FAULTS])
+    def test_bad_score_report(self, tmp_path, tiny_archive, capsys, mode, fault, message):
+        report = tmp_path / "report.json"
+        assert run("score", "--model", tiny_archive, "--samples", 2, "--out", report) == 0
+        report.write_text(json.dumps(fault(json.loads(report.read_text()))))
+        capsys.readouterr()
+        assert run("plan", "--report", report, "--budget", 1, "--mode", mode,
+                   "--out", tmp_path / "plan.json") == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {report}: not a score report: {message}\n"
+        assert not (tmp_path / "plan.json").exists()
 
 
 class TestCost:

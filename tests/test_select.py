@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from dwdropin import vit
 from dwdropin.select import (
     GateParams,
+    ScoreResult,
     SelectionPlan,
     WelfordState,
     anneal_tau,
@@ -16,18 +20,21 @@ from dwdropin.select import (
     gumbel_topk_relax,
     hard_topk_gate,
     kernel_energy,
+    plan_from_file,
+    plan_to_file,
     read_off_kernel,
     score_model,
+    scores_from_file,
     select,
     sigma_block,
     sigma_head,
     welford_finalize,
     welford_update,
 )
-from dwdropin.tensor import ConfigError, seeded_fill, softmax_rows
+from dwdropin.tensor import ConfigError, FormatError, seeded_fill, softmax_rows
 from dwdropin.vit import init_model
 
-from conftest import TINY, make_inputs
+from conftest import PLAN_FAULTS, REPORT_FAULTS, TINY, make_inputs
 
 
 def two_pass_std(samples):
@@ -271,12 +278,38 @@ class TestSelect:
             select([1.0, 2.0], 3)
 
     def test_plan_json_roundtrip(self, tmp_path):
-        from dwdropin.select import plan_from_file, plan_to_file
         plan = SelectionPlan(mode="scattered", order="highest", budget=2,
                              targets=((0, 1), (1, 0)))
         p = tmp_path / "plan.json"
         plan_to_file(plan, p)
         assert plan_from_file(p) == plan
+
+    def test_plan_without_order_reads_lowest(self):
+        plan = SelectionPlan.from_json({"mode": "blockwise", "budget": 1, "targets": [1]})
+        assert plan == SelectionPlan("blockwise", "lowest", 1, (1,))
+
+    @pytest.mark.parametrize("doc, message", [f[1:] for f in PLAN_FAULTS],
+                             ids=[f[0] for f in PLAN_FAULTS])
+    def test_malformed_plan_refused(self, tmp_path, doc, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SelectionPlan.from_json(doc)
+        p = tmp_path / "plan.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=re.escape(f"{p}: not a plan file: ")):
+            plan_from_file(p)
+
+    @pytest.mark.parametrize("mode, fault, message", [f[1:] for f in REPORT_FAULTS],
+                             ids=[f[0] for f in REPORT_FAULTS])
+    def test_malformed_score_report_refused(self, tmp_path, mode, fault, message):
+        report = ScoreResult(sigma_h=np.arange(4.0).reshape(2, 2), sigma_b=np.array([0.5, 2.5]),
+                             n_samples=2).to_report()
+        p = tmp_path / "report.json"
+        p.write_text(json.dumps(report))
+        np.testing.assert_array_equal(scores_from_file(p, mode),
+                                      report["sigma_b" if mode == "blockwise" else "sigma_h"])
+        p.write_text(json.dumps(fault(report)))
+        with pytest.raises(FormatError, match=re.escape(f"{p}: not a score report: {message}")):
+            scores_from_file(p, mode)
 
 
 class TestHardTopK:

@@ -8,6 +8,7 @@ from dwdropin.tensor import (
     ConfigError,
     NonFiniteError,
     ShapeError,
+    _zero_pad,
     conv2d,
     dwconv2d,
     matmul,
@@ -113,6 +114,17 @@ def direct_conv_oracle(x, w):
                     if 0 <= u < m and 0 <= v < m:
                         out[i, j] += w[r + half, s + half].T.astype(np.float64) @ x[u, v]
     return out.astype(np.float32)
+
+
+class TestZeroPad:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m, c, half", [(8, 16, 1), (4, 1, 2), (3, 5, 0)])
+    def test_equals_np_pad_bitwise(self, rng, m, c, half, dtype):
+        x = rng.standard_normal((m, m, c)).astype(dtype)
+        got = _zero_pad(x, half)
+        want = np.pad(x, ((half, half), (half, half), (0, 0)))
+        assert got.dtype == want.dtype and got.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(got, want)
 
 
 class TestConv2d:

@@ -43,6 +43,13 @@ class TestConfig:
     def test_roundtrip(self):
         assert ModelConfig.from_dict(TINY.to_dict()) == TINY
 
+    @pytest.mark.parametrize("key", list(TINY.to_dict()))
+    def test_missing_key_refused(self, key):
+        d = TINY.to_dict()
+        del d[key]
+        with pytest.raises(ConfigError, match=f"config field '{key}' is missing"):
+            ModelConfig.from_dict(d)
+
 
 class TestQkvProject:
     def test_zero_input(self, tiny_model):
