@@ -5,6 +5,10 @@ entries, so each channel reduces to a k^2 x k^2 normal system solved in
 closed form. No gradient descent required, though the analytic gradient
 exists for checking. The reported objective comes from the same normal
 equations, t^T t - 2 k^T r + k^T G k, with no second pass over the samples.
+
+A replaced block is fitted as one group: one value GEMM over the replaced
+heads' stacked value columns, their exact outputs side by side as
+targets, and one set of normal equations for the whole block.
 """
 
 import numpy as np
@@ -12,8 +16,8 @@ import numpy as np
 from dwdropin import dropin, vit
 from dwdropin.dropin import (
     attention_inputs,
+    fit_block,
     fit_depthwise_kernel,
-    fit_kernels,
     fit_loss_and_grad,
 )
 from dwdropin.tensor import dwconv2d, seed_stream, seeded_fill
@@ -42,22 +46,26 @@ samples = [seeded_fill((cfg.n, cfg.d), next(seeds), "gaussian") for _ in range(8
 # A freshly initialized head is nowhere near convolution-like (that is
 # what the variance score is for), so the fit only captures a slice of it;
 # the point here is the mechanics and that fitting always helps. One
-# capture pass over the samples serves every head and block fitted from it.
+# capture pass over the samples serves every block fitted from it, and one
+# block fit serves all of the block's replaced heads.
 inputs = attention_inputs(model, samples)
-target = (0, 2)  # block 0, head 2
-kern, rep = fit_kernels(model, target, inputs, variant="dw")
-print(f"\nhead {target}: fitted depthwise kernel {kern.shape}")
-print(f"  residual {rep.objective:.4f} vs zero-kernel baseline {rep.zero_objective:.4f} "
-      f"({100 * (1 - rep.objective / rep.zero_objective):.1f}% explained)")
+heads = (1, 2)  # block 0, heads 1 and 2
+fits = fit_block(model, 0, "dw", heads, None, inputs)
+for h, (kern, rep) in zip(heads, fits):
+    print(f"\nhead (0, {h}): fitted depthwise kernel {kern.shape}")
+    print(f"  residual {rep.objective:.4f} vs zero-kernel baseline {rep.zero_objective:.4f} "
+          f"({100 * (1 - rep.objective / rep.zero_objective):.1f}% explained)")
 
-# Swap the head in, fitted vs randomly initialized.
+# Swap both heads in, fitted vs randomly initialized kernels.
 from dwdropin.select import SelectionPlan
 
-plan = SelectionPlan(mode="scattered", order="lowest", budget=1, targets=(target,))
+plan = SelectionPlan(mode="scattered", order="lowest", budget=len(heads),
+                     targets=tuple((0, h) for h in heads))
 x = samples[0]
 base = vit.model_forward(x, model)
-for label, kernel in (("fitted", kern), ("random", dropin.init_kernel("dw", cfg, 55))):
-    hm = dropin.replace_heads(model, plan, {target[0]: dropin.BlockDropin(
-        variant="dw", head_kernels={target[1]: kernel})})
+random = [dropin.init_kernel("dw", cfg, 55 + h) for h in heads]
+for label, kernels in (("fitted", [kern for kern, _ in fits]), ("random", random)):
+    hm = dropin.replace_heads(model, plan, {0: dropin.BlockDropin(
+        variant="dw", head_kernels=dict(zip(heads, kernels)))})
     gap = np.abs(dropin.hybrid_forward(hm, x) - base).max()
-    print(f"  model-output gap with {label} kernel: {gap:.4f}")
+    print(f"  model-output gap with {label} kernels: {gap:.4f}")

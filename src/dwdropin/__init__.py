@@ -20,14 +20,15 @@ from .archive import Archive, ArchiveError, load_archive, save_archive, save_mod
 from .cost import bench, budget_sweep, flops_params, model_cost_report, variant_table
 from .dropin import (
     BlockDropin,
+    BlockSublayer,
     HybridModel,
     attention_inputs,
     attn_conv_full,
     attn_dw,
     build_dropins,
     ensemble_weights,
+    fit_block,
     fit_depthwise_kernel,
-    fit_kernels,
     fit_loss_and_grad,
     fold_full_kernel,
     hybrid_forward,

@@ -115,13 +115,14 @@ def get_samples(args, cfg: ModelConfig) -> tuple:
 
 
 def load_forward(path):
-    """Load an archive as (config, forward callable, archive, model-or-None)."""
+    """Load an archive as (config, forward callable, model), or (config,
+    None, None) when it is config-only."""
     ar = load_archive(path)
     if not ar.tensors:
-        return ar.config, None, ar, None
+        return ar.config, None, None
     model = model_from_archive(ar)
     hm = dropin.hybrid_from_archive(ar, model)
-    return ar.config, (lambda x: dropin.hybrid_forward(hm, x)), ar, model
+    return ar.config, (lambda x: dropin.hybrid_forward(hm, x)), model
 
 
 @contextlib.contextmanager
@@ -154,7 +155,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_score(args) -> int:
-    _, _, ar, model = load_forward(args.model)
+    _, _, model = load_forward(args.model)
     if model is None:
         raise ArchiveError(f"{args.model} is config-only; scoring needs weights")
     samples, source = get_samples(args, model.config)
@@ -178,7 +179,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_replace(args) -> int:
-    _, _, ar, model = load_forward(args.model)
+    _, _, model = load_forward(args.model)
     if model is None:
         raise ArchiveError(f"{args.model} is config-only; surgery needs weights")
     plan = select.plan_from_file(args.plan)
@@ -216,8 +217,8 @@ def _max_diff_located(ref: list, got: list):
 def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
                         tol: float) -> list:
     """The equivalence and invariant suite behind cmd_verify."""
-    cfg_a, fwd_a, _, model_a = load_forward(path_a)
-    cfg_b, fwd_b, _, _ = load_forward(path_b)
+    cfg_a, fwd_a, model_a = load_forward(path_a)
+    cfg_b, fwd_b, _ = load_forward(path_b)
     if cfg_a.to_dict() != cfg_b.to_dict():
         raise ConfigError("archives have different configurations")
     if fwd_a is None or fwd_b is None:
@@ -342,7 +343,7 @@ def single_block_bench_fns(cfg: ModelConfig, seed: int) -> dict:
     fns = {"mhsa": functools.partial(vit.mhsa_forward, block=block)}
     for v in dropin.VARIANTS:
         hm, _ = dropin.build_dropins(model, plan, v, seed)
-        fns[v] = functools.partial(dropin._block_mhsa_fn(hm.dropins[0], one), block=block)
+        fns[v] = functools.partial(hm.sublayers[0], block=block)
     return fns
 
 
@@ -350,7 +351,7 @@ def cmd_bench(args) -> int:
     results = {}
     if args.plan:
         # whole-model comparison: baseline forward vs the planned hybrid
-        _, _, ar, model = load_forward(args.model) if args.model else (None,) * 4
+        model = load_forward(args.model)[2] if args.model else None
         if model is None:
             raise ConfigError("--plan benching needs --model with weights")
         cfg = model.config
@@ -359,8 +360,9 @@ def cmd_bench(args) -> int:
         x = seeded_fill((cfg.n, cfg.d), args.seed + 1, "gaussian", 0.0, 1.0)
         pairs = {"baseline": lambda inp: vit.model_forward(inp, model),
                  f"hybrid[{args.variant}]": lambda inp: dropin.hybrid_forward(hm, inp)}
-        for name, fn in pairs.items():
-            results[name] = cost.bench(fn, x, warmup=args.warmup, reps=args.reps)
+        with overflow_is_file_fault(args.model):
+            for name, fn in pairs.items():
+                results[name] = cost.bench(fn, x, warmup=args.warmup, reps=args.reps)
     else:
         cfg = load_archive(args.model).config if args.model else config_from_args(args)
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]

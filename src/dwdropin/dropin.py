@@ -12,12 +12,15 @@ Four formulations:
 
 Unensembled variants replace any subset of heads; ensembled variants
 collapse whole blocks and take only blockwise plans (`planned_heads`).
-Kernel fitting is exact per-channel linear least squares against the
-attention outputs the kernels stand in for.
+A replaced block is one group: `replace_heads` resolves its sublayer once
+(`BlockSublayer`), and `fit_block` fits all its kernels from one set of
+per-channel least-squares normal equations against the attention outputs
+the kernels stand in for.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,10 +131,7 @@ class HybridModel:
     base: Model
     dropins: dict  # block index -> BlockDropin
     plan: object | None = None
-
-    @property
-    def config(self):
-        return self.base.config
+    sublayers: dict = field(default_factory=dict)  # block index -> BlockSublayer
 
 
 def kernel_shape(variant: str, cfg) -> tuple:
@@ -175,7 +175,7 @@ def replace_heads(model: Model, plan, params: dict) -> HybridModel:
     """
     cfg = model.config
     by_block = planned_heads(plan, cfg, *(dp.variant for dp in params.values()))
-    dropins = {}
+    dropins, sublayers = {}, {}
     for b, heads in by_block.items():
         if b not in params:
             raise ConfigError(f"no replacement parameters for block {b}")
@@ -196,63 +196,75 @@ def replace_heads(model: Model, plan, params: dict) -> HybridModel:
             for kern in dp.head_kernels.values():
                 _check_kernel_shape(dp.variant, kern, cfg)
         dropins[b] = dp
-    return HybridModel(base=model, dropins=dropins, plan=plan)
+        sublayers[b] = BlockSublayer.build(dp, model.blocks[b], tuple(sorted(heads)), cfg.m)
+    return HybridModel(base=model, dropins=dropins, plan=plan, sublayers=sublayers)
 
 
-def _value_cols(w_v: np.ndarray, heads: tuple, d_h: int) -> np.ndarray:
-    """The value-projection columns of `heads` (sorted), stacked in head
-    order: a view when the heads are contiguous, one gather otherwise."""
+def _block_values(variant: str, block, heads: tuple, gamma) -> tuple:
+    """What a replaced block convolves after its one value GEMM, for both
+    its sublayer and its fit: the value columns of `heads` (sorted) stacked
+    in head order (a view when contiguous, one gather otherwise), or an
+    ensembled block's softmax(gamma)-merged w_ve. Returns (value
+    projection, merged output projection or None)."""
+    if variant in ENSEMBLED:
+        return ensemble_weights(gamma, block.w_v, block.w_o, block.n_h, block.d_h)
+    d_h = block.d_h
     if heads[-1] - heads[0] + 1 == len(heads):
-        return w_v[:, heads[0] * d_h : (heads[-1] + 1) * d_h]
+        return block.w_v[:, heads[0] * d_h : (heads[-1] + 1) * d_h], None
     cols = np.concatenate([np.arange(h * d_h, (h + 1) * d_h) for h in heads])
-    return np.take(w_v, cols, axis=1)
+    return np.take(block.w_v, cols, axis=1), None
 
 
-def _block_mhsa_fn(dp: BlockDropin, cfg):
-    """Attention-sublayer substitute implementing this block's replacement.
+@dataclass(frozen=True)
+class BlockSublayer:
+    """A replaced block's attention sublayer (x, block) -> (n, d), built
+    once by `replace_heads`. The replaced heads run fused: one value GEMM
+    (`_block_values`) and one convolution over the dw kernels stacked along
+    channels, the convfull kernels folded per call (held, the folds would
+    cost k^2 d d_h floats per head), or the ensembled block kernel.
+    Untouched heads keep the exact attention path."""
 
-    An unensembled block's replaced heads run fused: one value GEMM over
-    their stacked value columns and one convolution over their stacked
-    kernels (dw) or their folded kernels concatenated along the output
-    channel (convfull). Untouched heads keep the exact attention path, and
-    the output projection runs once over all heads.
-    """
-    m = cfg.m
+    variant: str
+    heads: tuple
+    w_val: np.ndarray
+    w_out: np.ndarray | None
+    kernel: object
+    m: int
 
-    if dp.variant in ENSEMBLED:
-        def ens_fn(x, block):
-            w_ve, w_oe = ensemble_weights(dp.gamma, block.w_v, block.w_o,
-                                          block.n_h, block.d_h)
-            if dp.variant == "ens-dw":
-                return mhsa_dw_ensembled(x, w_ve, dp.kernel, w_oe, m)
-            return mhsa_convfull_ensembled(x, w_ve, dp.kernel, w_oe, m)
-        return ens_fn
-
-    heads = dp.heads()
-    if dp.variant == "dw":
-        kern = np.concatenate([dp.head_kernels[h] for h in heads], axis=2)
-
-    def swapped_fn(x, block):
-        if dp.variant == "dw":
-            y = attn_dw(grid(x, m), _value_cols(block.w_v, heads, block.d_h), kern)
+    @classmethod
+    def build(cls, dp: BlockDropin, block, heads: tuple, m: int) -> "BlockSublayer":
+        w_val, w_out = _block_values(dp.variant, block, heads, dp.gamma)
+        if dp.variant in ENSEMBLED:
+            kernel = dp.kernel
+        elif dp.variant == "dw":
+            kernel = np.concatenate([dp.head_kernels[h] for h in heads], axis=2)
         else:
-            folded = [fold_full_kernel(dp.head_kernels[h], head_cols(block.w_v, h, block.d_h))
-                      for h in heads]
-            y = attn_conv_full(grid(x, m), np.concatenate(folded, axis=3))
-        fused = dict(zip(heads, np.split(flat(y), len(heads), axis=1)))
+            kernel = [dp.head_kernels[h] for h in heads]
+        return cls(dp.variant, heads, w_val, w_out, kernel, m)
+
+    def __call__(self, x: np.ndarray, block) -> np.ndarray:
+        if self.variant == "ens-dw":
+            return mhsa_dw_ensembled(x, self.w_val, self.kernel, self.w_out, self.m)
+        if self.variant == "ens-convfull":
+            return mhsa_convfull_ensembled(x, self.w_val, self.kernel, self.w_out, self.m)
+        if self.variant == "dw":
+            y = attn_dw(grid(x, self.m), self.w_val, self.kernel)
+        else:
+            w_vs = np.split(self.w_val, len(self.heads), axis=1)
+            y = attn_conv_full(grid(x, self.m), np.concatenate(
+                [fold_full_kernel(kern, w_v) for kern, w_v in zip(self.kernel, w_vs)], axis=3))
+        fused = dict(zip(self.heads, np.split(flat(y), len(self.heads), axis=1)))
         outs = [fused[h] if h in fused else vit.head_attention(x, block, h)
                 for h in range(block.n_h)]
         return vit.project_heads(outs, block)
-    return swapped_fn
 
 
 def hybrid_forward(hm: HybridModel, x: np.ndarray) -> np.ndarray:
-    """Forward pass with replacements live; untouched blocks run the exact
-    baseline code path, so an empty plan reproduces the baseline bitwise.
-    Within a replaced block the replaced heads run fused (see
-    `_block_mhsa_fn`): one value GEMM and one convolution per block."""
-    fns = {b: _block_mhsa_fn(dp, hm.config) for b, dp in hm.dropins.items()}
-    return vit.model_forward(x, hm.base, mhsa_fns=fns)
+    """Forward pass with replacements live: each replaced block runs the
+    sublayer `replace_heads` built for it, and untouched blocks run the
+    exact baseline code path, so an empty plan reproduces the baseline
+    bitwise."""
+    return vit.model_forward(x, hm.base, mhsa_fns=hm.sublayers)
 
 
 def init_kernel(variant: str, cfg, seed: int) -> np.ndarray:
@@ -264,10 +276,10 @@ def build_dropins(model: Model, plan, variant: str, seed: int = 0, samples=None)
     """Build the plan's replacements and swap them in: the one surgery step.
 
     The plan is checked (`planned_heads`) before any kernel is made.
-    Covered heads (or, for ensembled variants, covered blocks) are then
-    built in sorted order: with `samples`, the attention inputs are
-    captured once and each kernel is least-squares fitted against the exact
-    attention; without them, kernels are drawn by `init_kernel` from
+    Covered blocks are then built in sorted order, each block's kernels in
+    head order (an ensembled block has one): with `samples`, the attention
+    inputs are captured once and `fit_block` fits each block against the
+    exact attention; without them, kernels are drawn by `init_kernel` from
     `seed_stream(seed)` in that order. Ensembled blocks start from zero
     gamma logits. Returns (HybridModel, reports), where `reports` maps
     (block, head) or, for ensembled variants, block -> FitReport.
@@ -278,21 +290,17 @@ def build_dropins(model: Model, plan, variant: str, seed: int = 0, samples=None)
     inputs = attention_inputs(model, samples) if samples is not None and by_block else None
     params, reports = {}, {}
     for b in sorted(by_block):
-        if variant in ENSEMBLED:
-            gamma = np.zeros(cfg.n_h, dtype=F32)
-            if inputs is None:
-                kern = init_kernel(variant, cfg, next(seeds))
-            else:
-                kern, reports[b] = fit_ensembled_kernel(model, b, gamma, inputs, variant)
-            params[b] = BlockDropin(variant=variant, gamma=gamma, kernel=kern)
-            continue
-        kernels = {}
-        for h in sorted(by_block[b]):
-            if inputs is None:
-                kernels[h] = init_kernel(variant, cfg, next(seeds))
-            else:
-                kernels[h], reports[b, h] = fit_kernels(model, (b, h), inputs, variant)
-        params[b] = BlockDropin(variant=variant, head_kernels=kernels)
+        heads = tuple(sorted(by_block[b]))
+        gamma = np.zeros(cfg.n_h, dtype=F32) if variant in ENSEMBLED else None
+        keys = [b] if gamma is not None else [(b, h) for h in heads]
+        if inputs is None:
+            kernels = [init_kernel(variant, cfg, next(seeds)) for _ in keys]
+        else:
+            fits = fit_block(model, b, variant, heads, gamma, inputs)
+            kernels = [kern for kern, _ in fits]
+            reports.update((key, rep) for key, (_, rep) in zip(keys, fits))
+        params[b] = (BlockDropin(variant, gamma=gamma, kernel=kernels[0]) if gamma is not None
+                     else BlockDropin(variant, head_kernels=dict(zip(heads, kernels))))
     return replace_heads(model, plan, params), reports
 
 
@@ -389,27 +397,30 @@ class FitReport:
     ridge_channels: tuple   # channels whose normal matrix needed ridge
 
 
-def _normal_equations(v_samples: list, target_samples: list, k: int):
+def _normal_equations(v_samples, target_samples, k: int):
     """Per-channel normal equations of targets ~ dwconv2d(v, kernel).
 
-    Accumulated in float64 one sample at a time, so only one sample's
-    shifts are ever held: gram (c, k^2, k^2), rhs (c, k^2), t^T t (c,).
+    Accumulated in float64 one (value, target) pair at a time, so when the
+    samples are lazy iterables only one sample's values, targets and shifts
+    are ever held: gram (c, k^2, k^2), rhs (c, k^2), t^T t (c,).
     """
-    if not v_samples:
-        raise ConfigError("kernel fitting needs at least one sample")
-    if len(v_samples) != len(target_samples):
-        raise ShapeError("value/target sample counts differ")
-    c = v_samples[0].shape[2]
     kk = k * k
-    gram, rhs, tt = np.zeros((c, kk, kk)), np.zeros((c, kk)), np.zeros(c)
-    for v, t in zip(v_samples, target_samples):
+    gram = rhs = tt = None
+    for v, t in itertools.zip_longest(v_samples, target_samples):
+        if v is None or t is None:
+            raise ShapeError("value/target sample counts differ")
         if v.shape != t.shape:
             raise ShapeError(f"value {v.shape} and target {t.shape} shapes differ")
+        if gram is None:
+            c = v.shape[2]
+            gram, rhs, tt = np.zeros((c, kk, kk)), np.zeros((c, kk)), np.zeros(c)
         shifts = _shift_stack(v, k)                      # (kk, m, m, c)
         t64 = np.asarray(t, dtype=np.float64)
         gram += np.einsum("qijc,pijc->cqp", shifts, shifts)
         rhs += np.einsum("qijc,ijc->cq", shifts, t64)
         tt += np.einsum("ijc,ijc->c", t64, t64)
+    if gram is None:
+        raise ConfigError("kernel fitting needs at least one sample")
     return gram, rhs, tt
 
 
@@ -436,28 +447,30 @@ def _fit_report(kern: np.ndarray, gram, rhs, tt, ridge: tuple) -> FitReport:
                      zero_objective=float(tt.sum()), ridge_channels=ridge)
 
 
-def fit_depthwise_kernel(v_samples: list, target_samples: list, k: int):
+def fit_depthwise_kernel(v_samples, target_samples, k: int, heads=None, shared=False):
     """Least-squares depthwise kernel for targets ~ dwconv2d(v, kernel).
 
     The objective is linear in the kernel entries, so each channel solves
-    its own k^2 x k^2 normal equations exactly. A singular normal matrix
-    falls back to ridge regularization (eps 1e-6) and is reported.
-    Returns (kernel (k, k, c) float32, FitReport).
+    its own k^2 x k^2 normal equations exactly; with `shared`, a head's
+    channels sum theirs into one system for one (k, k) kernel. A singular
+    normal matrix falls back to ridge regularization (eps 1e-6) and is
+    reported. The samples may be lazy iterables. Returns (kernel float32
+    (k, k, c) or shared (k, k), FitReport) for all channels as one head,
+    or with `heads` a list of such pairs, one per equal run of channels.
     """
     gram, rhs, tt = _normal_equations(v_samples, target_samples, k)
-    solved = [_solve_ridge(g, r) for g, r in zip(gram, rhs)]
-    kern = np.stack([x for x, _ in solved], axis=1).reshape(k, k, -1).astype(F32)
-    ridge = tuple(ch for ch, (_, used) in enumerate(solved) if used)
-    return kern, _fit_report(kern, gram, rhs, tt, ridge)
-
-
-def fit_shared_kernel(v_samples: list, target_samples: list, k: int):
-    """Least-squares shared spatial kernel (k, k), one weight per offset
-    across all channels: the channel-summed system of the fit above."""
-    gram, rhs, tt = _normal_equations(v_samples, target_samples, k)
-    coeff, used = _solve_ridge(gram.sum(axis=0), rhs.sum(axis=0))
-    kern = coeff.reshape(k, k).astype(F32)
-    return kern, _fit_report(kern, gram, rhs, tt, (0,) if used else ())
+    width = len(tt) // (heads or 1)
+    fits = []
+    for part in (slice(lo, lo + width) for lo in range(0, len(tt), width)):
+        if shared:
+            coeff, used = _solve_ridge(gram[part].sum(axis=0), rhs[part].sum(axis=0))
+            kern, ridge = coeff.reshape(k, k).astype(F32), ((0,) if used else ())
+        else:
+            solved = [_solve_ridge(g, r) for g, r in zip(gram[part], rhs[part])]
+            kern = np.stack([x for x, _ in solved], axis=1).reshape(k, k, -1).astype(F32)
+            ridge = tuple(ch for ch, (_, used) in enumerate(solved) if used)
+        fits.append((kern, _fit_report(kern, gram[part], rhs[part], tt[part], ridge)))
+    return fits if heads else fits[0]
 
 
 def fit_loss_and_grad(kern: np.ndarray, v_samples: list, target_samples: list):
@@ -491,49 +504,31 @@ def attention_inputs(model: Model, samples: list) -> list:
     return captured
 
 
-def fit_kernels(model: Model, target, inputs: list, variant: str = "dw"):
-    """Fit one head's replacement kernel against its exact attention output.
+def fit_block(model: Model, b: int, variant: str, heads: tuple, gamma, inputs: list):
+    """Least-squares fit of block b's kernels from `attention_inputs`' capture.
 
-    `target` is a (block, head) pair; `inputs` is what `attention_inputs`
-    captured for the fitting samples. The head's values are the regressors,
-    its exact attention outputs the regression targets, and the kernel is
-    the exact least-squares minimizer. Returns (kernel, FitReport).
-    """
-    b, h = target
-    cfg = model.config
-    block = model.blocks[b]
-    w_v_slice = head_cols(block.w_v, h, block.d_h)
-    v_list = [grid(matmul(per_block[b], w_v_slice), cfg.m) for per_block in inputs]
-    t_list = [grid(vit.head_attention(per_block[b], block, h), cfg.m) for per_block in inputs]
-    if variant == "dw":
-        return fit_depthwise_kernel(v_list, t_list, cfg.k)
-    if variant == "convfull":
-        return fit_shared_kernel(v_list, t_list, cfg.k)
-    raise ConfigError(f"per-head fitting applies to 'dw' or 'convfull', not {variant!r}")
-
-
-def fit_ensembled_kernel(model: Model, b: int, gamma: np.ndarray,
-                         inputs: list, variant: str = "ens-dw"):
-    """Fit a block's ensembled kernel from `attention_inputs`' capture.
-
-    The regression target is the softmax(gamma)-weighted mix of the block's
-    exact head attentions (the quantity the ensembled convolution replaces
-    ahead of the merged output projection); inputs are the ensembled values.
+    The regressors are what the block's sublayer convolves (`_block_values`);
+    the targets are the exact outputs of `heads` side by side, or for an
+    ensembled block the softmax(gamma) mix of all head outputs. One
+    normal-equation system, fed one sample at a time, serves the block.
+    Returns [(kernel, FitReport)]: one per head of `heads`, or one for an
+    ensembled block.
     """
     cfg = model.config
     block = model.blocks[b]
-    w_ve, _ = ensemble_weights(gamma, block.w_v, block.w_o, block.n_h, block.d_h)
-    sig = softmax64(np.asarray(gamma, dtype=np.float64).ravel())
-    v_list, t_list = [], []
-    for per_block in inputs:
-        a_in = per_block[b]
-        v_list.append(grid(matmul(a_in, w_ve), cfg.m))
+    w_val, _ = _block_values(variant, block, heads, gamma)
+    ensembled = variant in ENSEMBLED
+    sig = softmax64(np.asarray(gamma, dtype=np.float64).ravel()) if ensembled else None
+
+    def target(a_in):
+        if not ensembled:
+            return np.concatenate([vit.head_attention(a_in, block, h) for h in heads], axis=1)
         mix = np.zeros((cfg.n, cfg.d_h), dtype=np.float64)
         for h in range(cfg.n_h):
             mix += sig[h] * vit.head_attention(a_in, block, h)
-        t_list.append(grid(mix.astype(F32), cfg.m))
-    if variant == "ens-dw":
-        return fit_depthwise_kernel(v_list, t_list, cfg.k)
-    if variant == "ens-convfull":
-        return fit_shared_kernel(v_list, t_list, cfg.k)
-    raise ConfigError(f"ensembled fitting applies to 'ens-dw' or 'ens-convfull', not {variant!r}")
+        return mix.astype(F32)
+
+    values = (grid(matmul(per_block[b], w_val), cfg.m) for per_block in inputs)
+    targets = (grid(target(per_block[b]), cfg.m) for per_block in inputs)
+    return fit_depthwise_kernel(values, targets, cfg.k, heads=1 if ensembled else len(heads),
+                                shared=len(kernel_shape(variant, cfg)) == 2)

@@ -455,17 +455,19 @@ class TestMalformedArchives:
         assert err_lines == (1 if code == 3 else 0) or (code == 1 and err_lines == 1)
 
     def test_replace_fit_overflowing_weights(self, tmp_path, tiny_archive, capsys):
+        """replace --fit and bench --plan refuse the archive, exit 3, one line."""
         ar = load_archive(tiny_archive)
         ar.tensors["block0.w_q"] = np.full_like(ar.tensors["block0.w_q"], 3e38)
         save_archive(tiny_archive, ar.config, ar.tensors, ar.meta)
         plan = tmp_path / "plan.json"
         plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
-        capsys.readouterr()
-        assert run("replace", "--model", tiny_archive, "--plan", plan, "--fit",
-                   "--samples", 2, "--out", tmp_path / "h.bin") == 3
-        err = capsys.readouterr().err
-        assert err == (f"error: {tiny_archive}: the model's forward pass overflows "
-                       "(non-finite values in matmul result)\n")
+        for argv in (("replace", "--fit", "--samples", 2, "--out", tmp_path / "h.bin"),
+                     ("bench", "--reps", 1, "--warmup", 0)):
+            capsys.readouterr()
+            assert run(*argv, "--model", tiny_archive, "--plan", plan) == 3, argv[0]
+            err = capsys.readouterr().err
+            assert err == (f"error: {tiny_archive}: the model's forward pass overflows "
+                           "(non-finite values in matmul result)\n"), argv[0]
 
 
 class TestMalformedPlans:

@@ -4,6 +4,7 @@ import pytest
 
 from dwdropin import vit
 from dwdropin.cost import (
+    VARIANTS,
     activation_bytes,
     bench,
     budget_sweep,
@@ -69,11 +70,31 @@ class TestFlopsParams:
         # value + output projections, plus the k=1 depthwise pass: exactly 2nd
         assert f_dw - 4 * cfg.n * cfg.d * cfg.d == 2 * cfg.n * cfg.d
 
+    @staticmethod
+    def closed_forms(cfg):
+        """Block (FLOPs, params) of each attention choice, written out in
+        d = n_h * d_h: projections, the attention or convolution, and for
+        the ensembled choices one merged head plus its n_h logits."""
+        n, d, d_h, n_h, k = cfg.n, cfg.d, cfg.d_h, cfg.n_h, cfg.k
+        return {
+            "mhsa": (8 * n * d * d + 4 * n * n * d, 4 * d * d),
+            "convfull": (2 * n * k * k * d * d + 2 * n * d * d, 2 * d * d + n_h * k * k),
+            "dw": (4 * n * d * d + 2 * n * k * k * d, 2 * d * d + k * k * d),
+            "ens-convfull": (2 * n * k * k * d * d_h + 2 * n * d_h * d,
+                             2 * d * d + k * k + n_h),
+            "ens-dw": (4 * n * d * d_h + 2 * n * k * k * d_h, 2 * d * d + k * k * d_h + n_h),
+        }
+
     def test_per_head_sums_to_block(self):
-        for variant in ("mhsa", "convfull", "dw"):
-            f_blk, p_blk = flops_params(variant, VITL)
-            assert VITL.n_h * per_head_flops(variant, VITL) == f_blk
-            assert VITL.n_h * per_head_params(variant, VITL) == p_blk
+        odd = ModelConfig(n_b=1, n_h=3, d=24, d_h=8, m=5, k=5)
+        for cfg in (vit.DESK, VITL, odd):
+            want = self.closed_forms(cfg)
+            assert set(want) == set(VARIANTS)
+            for variant, (flops, params) in want.items():
+                assert flops_params(variant, cfg) == (flops, params), (cfg, variant)
+            for variant in ("mhsa", "convfull", "dw"):
+                assert cfg.n_h * per_head_flops(variant, cfg) == want[variant][0]
+                assert cfg.n_h * per_head_params(variant, cfg) == want[variant][1]
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):

@@ -9,11 +9,9 @@ from dwdropin.dropin import (
     attn_dw,
     build_dropins,
     ensemble_weights,
+    fit_block,
     fit_depthwise_kernel,
-    fit_ensembled_kernel,
-    fit_kernels,
     fit_loss_and_grad,
-    fit_shared_kernel,
     fold_full_kernel,
     hybrid_forward,
     init_kernel,
@@ -22,7 +20,15 @@ from dwdropin.dropin import (
     replace_heads,
 )
 from dwdropin.select import SelectionPlan, kernel_energy, read_off_kernel
-from dwdropin.tensor import ConfigError, dwconv2d, seed_stream, seeded_fill
+from dwdropin.tensor import (
+    ConfigError,
+    ShapeError,
+    dwconv2d,
+    matmul,
+    seed_stream,
+    seeded_fill,
+    softmax64,
+)
 from dwdropin.vit import ModelConfig, grid, head_cols, head_rows, init_model
 
 from conftest import TINY, make_inputs
@@ -33,6 +39,14 @@ def delta_kernel(k, channels=None):
     kern = np.zeros(shape, dtype=np.float32)
     kern[k // 2, k // 2] = 1.0
     return kern
+
+
+def one_head_sublayer(model, b, h, kern):
+    """The sublayer `replace_heads` builds for block b with only head h
+    replaced by a dw kernel."""
+    plan = SelectionPlan(mode="scattered", order="lowest", budget=1, targets=((b, h),))
+    hm = replace_heads(model, plan, {b: BlockDropin(variant="dw", head_kernels={h: kern})})
+    return hm.sublayers[b]
 
 
 class TestFoldFullKernel:
@@ -224,8 +238,7 @@ class TestReplaceHeads:
         x = make_inputs(cfg, 1, 54)[0]
         a_in = vit.layer_norm(x + tiny_model.pos_enc, blk.norm1_scale, blk.norm1_shift)
         kern = init_kernel("dw", cfg, 80)
-        fn = dropin._block_mhsa_fn(BlockDropin(variant="dw", head_kernels={1: kern}), cfg)
-        swapped = fn(a_in, blk)
+        swapped = one_head_sublayer(tiny_model, 0, 1, kern)(a_in, blk)
         baseline = vit.mhsa_forward(a_in, blk)
         repl_out = vit.flat(attn_dw(grid(a_in, cfg.m), head_cols(blk.w_v, 1, cfg.d_h), kern))
         base_head = vit.head_attention(a_in, blk, 1)
@@ -239,9 +252,7 @@ class TestReplaceHeads:
         x = make_inputs(cfg, 1, 55)[0]
         a_in = vit.layer_norm(x + tiny_model.pos_enc, blk.norm1_scale, blk.norm1_shift)
         before = vit.head_attention(a_in, blk, 0)
-        fn = dropin._block_mhsa_fn(
-            BlockDropin(variant="dw", head_kernels={1: init_kernel("dw", cfg, 81)}), cfg)
-        fn(a_in, blk)
+        one_head_sublayer(tiny_model, 0, 1, init_kernel("dw", cfg, 81))(a_in, blk)
         np.testing.assert_array_equal(vit.head_attention(a_in, blk, 0), before)
 
 
@@ -347,7 +358,7 @@ class TestKernelFitting:
         model = init_model(vit.DESK, 303)
         model.blocks[2].w_q[:] = 0  # uniform attention: global mean, not local
         samples = make_inputs(vit.DESK, 2, 107)
-        kern, rep = fit_kernels(model, (2, 0), attention_inputs(model, samples), variant="dw")
+        [(kern, rep)] = fit_block(model, 2, "dw", (0,), None, attention_inputs(model, samples))
         assert np.isfinite(kern).all()
         assert rep.objective > 1e-6
         assert rep.objective <= rep.zero_objective
@@ -366,13 +377,13 @@ class TestKernelFitting:
         planted = np.repeat(shared[:, :, None], c, axis=2)
         v_list = [seeded_fill((8, 8, c), 121 + i, "gaussian") for i in range(2)]
         t_list = [dwconv2d(v, planted) for v in v_list]
-        fitted, _ = fit_shared_kernel(v_list, t_list, k)
+        fitted, _ = fit_depthwise_kernel(v_list, t_list, k, shared=True)
         np.testing.assert_allclose(fitted, shared, atol=1e-4)
 
     def test_fit_kernels_roundtrip_through_model(self, tiny_model):
         samples = make_inputs(TINY, 3, 130)
-        kern, rep = fit_kernels(tiny_model, (0, 1), attention_inputs(tiny_model, samples),
-                                variant="dw")
+        [(kern, rep)] = fit_block(tiny_model, 0, "dw", (1,), None,
+                                  attention_inputs(tiny_model, samples))
         assert kern.shape == (TINY.k, TINY.k, TINY.d_h)
         assert rep.objective <= rep.zero_objective
 
@@ -380,10 +391,40 @@ class TestKernelFitting:
         with pytest.raises(ConfigError):
             fit_depthwise_kernel([], [], 3)
 
+    def test_lazy_samples_match_lists(self):
+        v_list = [seeded_fill((6, 6, 4), 230 + i, "gaussian") for i in range(3)]
+        t_list = [seeded_fill((6, 6, 4), 240 + i, "gaussian") for i in range(3)]
+        kern, rep = fit_depthwise_kernel(v_list, t_list, 3)
+        lazy, lazy_rep = fit_depthwise_kernel(iter(v_list), (t for t in t_list), 3)
+        np.testing.assert_array_equal(lazy, kern)
+        assert lazy_rep == rep
+
+    @pytest.mark.parametrize("n_v, n_t", [(2, 3), (3, 2)])
+    def test_sample_count_mismatch_refused(self, n_v, n_t):
+        v = [seeded_fill((6, 6, 2), 250 + i, "gaussian") for i in range(n_v)]
+        t = [seeded_fill((6, 6, 2), 260 + i, "gaussian") for i in range(n_t)]
+        with pytest.raises(ShapeError, match="counts differ"):
+            fit_depthwise_kernel(iter(v), iter(t), 3)
+
+    def test_heads_split_matches_separate_fits(self):
+        """Fitting a block's channels as `heads` equal runs equals fitting
+        each run alone, for per-channel and shared kernels."""
+        v_list = [seeded_fill((6, 6, 6), 270 + i, "gaussian") for i in range(2)]
+        t_list = [seeded_fill((6, 6, 6), 280 + i, "gaussian") for i in range(2)]
+        for shared in (False, True):
+            fits = fit_depthwise_kernel(v_list, t_list, 3, heads=3, shared=shared)
+            for h, (kern, rep) in enumerate(fits):
+                cols = slice(2 * h, 2 * h + 2)
+                want, want_rep = fit_depthwise_kernel([v[..., cols] for v in v_list],
+                                                      [t[..., cols] for t in t_list], 3,
+                                                      shared=shared)
+                np.testing.assert_array_equal(kern, want)
+                assert rep == want_rep
+
 
 def _fit_sets(desk_model):
     """(v_list, t_list, k) regression sets: planted, random, all-zero, and
-    desk heads built from one capture the way `fit_kernels` builds them."""
+    desk heads' values and exact outputs from one capture."""
     planted = seeded_fill((3, 3, 4), 210, "gaussian", 0.0, 0.5)
     v = [seeded_fill((8, 8, 4), 211 + i, "gaussian") for i in range(3)]
     sets = [(v, [dwconv2d(x, planted) for x in v], 3),
@@ -405,7 +446,7 @@ class TestClosedFormObjective:
         for v, t, k in _fit_sets(desk_model):
             c = v[0].shape[2]
             kern, rep = fit_depthwise_kernel(v, t, k)
-            shared, shared_rep = fit_shared_kernel(v, t, k)
+            shared, shared_rep = fit_depthwise_kernel(v, t, k, shared=True)
             for got, oracle_kern in ((rep, kern),
                                      (shared_rep, np.repeat(shared[:, :, None], c, axis=2))):
                 want, _ = fit_loss_and_grad(oracle_kern, v, t)
@@ -453,11 +494,97 @@ class TestLossAndGrad:
 class TestEnsembledFitting:
     def test_fit_reduces_objective(self, tiny_model):
         samples = make_inputs(TINY, 3, 200)
-        kern, rep = dropin.fit_ensembled_kernel(tiny_model, 0, np.zeros(TINY.n_h),
-                                                attention_inputs(tiny_model, samples),
-                                                variant="ens-dw")
+        [(kern, rep)] = fit_block(tiny_model, 0, "ens-dw", tuple(range(TINY.n_h)),
+                                  np.zeros(TINY.n_h), attention_inputs(tiny_model, samples))
         assert kern.shape == (TINY.k, TINY.k, TINY.d_h)
         assert rep.objective <= rep.zero_objective
+
+
+def per_head_fit(model, b, h, inputs, variant):
+    """Reference fit of one head alone: its own value columns against its
+    own exact attention output, one normal-equation system per head."""
+    cfg, block = model.config, model.blocks[b]
+    v = [grid(matmul(per_block[b], head_cols(block.w_v, h, cfg.d_h)), cfg.m)
+         for per_block in inputs]
+    t = [grid(vit.head_attention(per_block[b], block, h), cfg.m) for per_block in inputs]
+    return fit_depthwise_kernel(v, t, cfg.k, shared=variant == "convfull")
+
+
+def sigma_mix_fit(model, b, gamma, inputs, variant):
+    """Reference fit of an ensembled block: the softmax(gamma)-merged values
+    against the softmax(gamma) mix of the exact head outputs."""
+    cfg, block = model.config, model.blocks[b]
+    w_ve, _ = ensemble_weights(gamma, block.w_v, block.w_o, cfg.n_h, cfg.d_h)
+    sig = softmax64(np.asarray(gamma, dtype=np.float64))
+    v, t = [], []
+    for per_block in inputs:
+        mix = np.zeros((cfg.n, cfg.d_h), dtype=np.float64)
+        for h in range(cfg.n_h):
+            mix += sig[h] * vit.head_attention(per_block[b], block, h)
+        v.append(grid(matmul(per_block[b], w_ve), cfg.m))
+        t.append(grid(mix.astype(np.float32), cfg.m))
+    return fit_depthwise_kernel(v, t, cfg.k, shared=variant == "ens-convfull")
+
+
+class TestFitBlock:
+    """One block fit equals fitting each replaced head alone, bitwise."""
+
+    @pytest.mark.parametrize("heads", [(0, 1, 2, 3), (1,), (1, 2), (0, 2, 3)],
+                             ids=["blockwise", "single", "contiguous", "non-contiguous"])
+    @pytest.mark.parametrize("variant", ["dw", "convfull"])
+    def test_matches_per_head_reference(self, variant, heads):
+        model = init_model(FOUR_HEADS, 304)
+        inputs = attention_inputs(model, make_inputs(FOUR_HEADS, 3, 94))
+        for b in range(FOUR_HEADS.n_b):
+            fits = fit_block(model, b, variant, heads, None, inputs)
+            assert len(fits) == len(heads)
+            for h, (kern, rep) in zip(heads, fits):
+                want, want_rep = per_head_fit(model, b, h, inputs, variant)
+                assert kern.shape == kernel_shape(variant, FOUR_HEADS)
+                np.testing.assert_array_equal(kern, want)
+                assert rep == want_rep
+
+    @pytest.mark.parametrize("gamma_seed", [None, 95], ids=["zero-gamma", "seeded-gamma"])
+    @pytest.mark.parametrize("variant", ["ens-dw", "ens-convfull"])
+    def test_ensembled_matches_sigma_mix_reference(self, variant, gamma_seed):
+        model = init_model(FOUR_HEADS, 305)
+        inputs = attention_inputs(model, make_inputs(FOUR_HEADS, 3, 96))
+        gamma = (np.zeros(FOUR_HEADS.n_h, np.float32) if gamma_seed is None
+                 else seeded_fill((FOUR_HEADS.n_h,), gamma_seed))
+        for b in range(FOUR_HEADS.n_b):
+            [(kern, rep)] = fit_block(model, b, variant, tuple(range(FOUR_HEADS.n_h)),
+                                      gamma, inputs)
+            want, want_rep = sigma_mix_fit(model, b, gamma, inputs, variant)
+            assert kern.shape == kernel_shape(variant, FOUR_HEADS)
+            np.testing.assert_array_equal(kern, want)
+            assert rep == want_rep
+
+
+class TestBuiltOnce:
+    """A hybrid's sublayers are built at surgery, not per forward call."""
+
+    def test_ensemble_weights_once_per_block(self, tiny_model, monkeypatch):
+        merge, calls = dropin.ensemble_weights, []
+        monkeypatch.setattr(dropin, "ensemble_weights",
+                            lambda *a: calls.append(1) or merge(*a))
+        plan = SelectionPlan("blockwise", "lowest", 2, (0, 1))
+        hm, _ = build_dropins(tiny_model, plan, "ens-dw", seed=4)
+        for x in make_inputs(TINY, 3, 97):
+            hybrid_forward(hm, x)
+        assert len(calls) == TINY.n_b
+
+    @pytest.mark.parametrize("variant", dropin.VARIANTS)
+    def test_values_resolved_at_surgery_only(self, tiny_model, monkeypatch, variant):
+        """The value gather or merge runs once per replaced block when the
+        hybrid is built and never in a forward call."""
+        resolve, calls = dropin._block_values, []
+        monkeypatch.setattr(dropin, "_block_values", lambda *a: calls.append(1) or resolve(*a))
+        plan = SelectionPlan("blockwise", "lowest", 2, (0, 1))
+        hm, _ = build_dropins(tiny_model, plan, variant, seed=5)
+        assert len(calls) == TINY.n_b and set(hm.sublayers) == {0, 1}
+        for x in make_inputs(TINY, 3, 98):
+            hybrid_forward(hm, x)
+        assert len(calls) == TINY.n_b
 
 
 class TestBuildDropins:
@@ -469,7 +596,7 @@ class TestBuildDropins:
         assert list(reports) == [(0, 1), (1, 0), (1, 1)]
         inputs = attention_inputs(tiny_model, samples)
         for (b, h), rep in reports.items():
-            kern, want = fit_kernels(tiny_model, (b, h), inputs, variant=variant)
+            kern, want = per_head_fit(tiny_model, b, h, inputs, variant)
             np.testing.assert_array_equal(hm.dropins[b].head_kernels[h], kern)
             assert rep == want
 
@@ -482,7 +609,7 @@ class TestBuildDropins:
         gamma = np.zeros(TINY.n_h, dtype=np.float32)
         inputs = attention_inputs(tiny_model, samples)
         for b, rep in reports.items():
-            kern, want = fit_ensembled_kernel(tiny_model, b, gamma, inputs, variant=variant)
+            kern, want = sigma_mix_fit(tiny_model, b, gamma, inputs, variant)
             np.testing.assert_array_equal(hm.dropins[b].kernel, kern)
             np.testing.assert_array_equal(hm.dropins[b].gamma, gamma)
             assert rep == want
