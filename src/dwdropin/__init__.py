@@ -68,6 +68,7 @@ from .vit import (
     BlockParams,
     Model,
     ModelConfig,
+    attention,
     block_forward,
     explicit_attention,
     head_attention,

@@ -227,8 +227,10 @@ def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
     checks = []
     xs = synthetic_samples(cfg, samples_n, seed)
 
-    outs_a = [fwd_a(x) for x in xs]
-    outs_b = [fwd_b(x) for x in xs]
+    with overflow_is_file_fault(path_a):
+        outs_a = [fwd_a(x) for x in xs]
+    with overflow_is_file_fault(path_b):
+        outs_b = [fwd_b(x) for x in xs]
     dmax, where = _max_diff_located(outs_a, outs_b)
     checks.append({"name": "forward_equivalence", "passed": dmax <= tol,
                    "max_diff": dmax, "tol": tol,

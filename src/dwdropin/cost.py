@@ -18,8 +18,9 @@ Per-block attention-path FLOPs:
   ens-convfull   2 n k^2 d d_h + 2 n d_h d
   ens-dw         2 n d d_h + 2 n k^2 d_h + 2 n d_h d
 
-Activation estimates are a coarse sum of live intermediate tensors and are
-reported, never asserted: real peak memory depends on runtime buffer reuse.
+Activation estimates sum the tensors one attention sublayer call holds at
+its peak. They are coarse (numpy's own buffers are not counted), and tests
+keep them within a factor of 2 of the traced peak of a real call.
 """
 
 from __future__ import annotations
@@ -87,14 +88,16 @@ def ffn_flops_params(cfg: ModelConfig) -> tuple:
 
 
 def activation_bytes(variant: str, cfg: ModelConfig) -> int:
-    """Coarse per-block activation footprint (float32 bytes), reported only."""
-    n, d, d_h, k = cfg.n, cfg.d, cfg.d_h, cfg.k
+    """Per-block activation footprint (float32 bytes) of one attention
+    sublayer call, input included: what its implementation holds at once."""
+    n, d, d_h, k, n_h = cfg.n, cfg.d, cfg.d_h, cfg.k, cfg.n_h
+    padded = (cfg.m + k - 1) ** 2  # tokens of a grid zero-padded for a k x k kernel
     counts = {
-        "mhsa": 6 * n * d + n * n,                    # x, q, k, v, heads, out; one weight matrix live
-        "convfull": 3 * n * d + k * k * d * d_h,      # x, head outs, out; one folded kernel live
-        "dw": 4 * n * d,                              # x, values, conv out, out
-        "ens-convfull": 2 * n * d + n * d_h + k * k * d * d_h,
-        "ens-dw": 2 * n * d + 2 * n * d_h,
+        "mhsa": 6 * n * d + n_h * n * n,              # x, q, k, v, heads, out; every head's weights
+        "convfull": 4 * n * d + 2 * k * k * d * d,    # x, padded x, conv out, out; all folds, concatenated
+        "dw": 5 * n * d + padded * d,                 # x, values, conv out, shifted product, out; padded values
+        "ens-convfull": 2 * n * d + padded * d + 2 * n * d_h + k * k * d * d_h,
+        "ens-dw": 2 * n * d + 3 * n * d_h + padded * d_h,
     }
     if variant not in counts:
         raise ConfigError(f"unknown attention variant {variant!r}")

@@ -202,17 +202,12 @@ def replace_heads(model: Model, plan, params: dict) -> HybridModel:
 
 def _block_values(variant: str, block, heads: tuple, gamma) -> tuple:
     """What a replaced block convolves after its one value GEMM, for both
-    its sublayer and its fit: the value columns of `heads` (sorted) stacked
-    in head order (a view when contiguous, one gather otherwise), or an
-    ensembled block's softmax(gamma)-merged w_ve. Returns (value
-    projection, merged output projection or None)."""
+    its sublayer and its fit: the value columns of `heads` (sorted) side by
+    side (`vit.head_columns`), or an ensembled block's softmax(gamma)-merged
+    w_ve. Returns (value projection, merged output projection or None)."""
     if variant in ENSEMBLED:
         return ensemble_weights(gamma, block.w_v, block.w_o, block.n_h, block.d_h)
-    d_h = block.d_h
-    if heads[-1] - heads[0] + 1 == len(heads):
-        return block.w_v[:, heads[0] * d_h : (heads[-1] + 1) * d_h], None
-    cols = np.concatenate([np.arange(h * d_h, (h + 1) * d_h) for h in heads])
-    return np.take(block.w_v, cols, axis=1), None
+    return vit.head_columns(block.w_v, heads, block.d_h), None
 
 
 @dataclass(frozen=True)
@@ -222,7 +217,8 @@ class BlockSublayer:
     (`_block_values`) and one convolution over the dw kernels stacked along
     channels, the convfull kernels folded per call (held, the folds would
     cost k^2 d d_h floats per head), or the ensembled block kernel.
-    Untouched heads keep the exact attention path."""
+    Untouched heads run batched exact attention (`vit.attention`) over
+    their query/key/value columns, gathered here once."""
 
     variant: str
     heads: tuple
@@ -230,6 +226,8 @@ class BlockSublayer:
     w_out: np.ndarray | None
     kernel: object
     m: int
+    kept: tuple = ()
+    exact: tuple = ()
 
     @classmethod
     def build(cls, dp: BlockDropin, block, heads: tuple, m: int) -> "BlockSublayer":
@@ -240,7 +238,10 @@ class BlockSublayer:
             kernel = np.concatenate([dp.head_kernels[h] for h in heads], axis=2)
         else:
             kernel = [dp.head_kernels[h] for h in heads]
-        return cls(dp.variant, heads, w_val, w_out, kernel, m)
+        kept = tuple(h for h in range(block.n_h) if h not in heads)
+        exact = tuple(vit.head_columns(w, kept, block.d_h)
+                      for w in (block.w_q, block.w_k, block.w_v)) if kept else ()
+        return cls(dp.variant, heads, w_val, w_out, kernel, m, kept, exact)
 
     def __call__(self, x: np.ndarray, block) -> np.ndarray:
         if self.variant == "ens-dw":
@@ -253,10 +254,10 @@ class BlockSublayer:
             w_vs = np.split(self.w_val, len(self.heads), axis=1)
             y = attn_conv_full(grid(x, self.m), np.concatenate(
                 [fold_full_kernel(kern, w_v) for kern, w_v in zip(self.kernel, w_vs)], axis=3))
-        fused = dict(zip(self.heads, np.split(flat(y), len(self.heads), axis=1)))
-        outs = [fused[h] if h in fused else vit.head_attention(x, block, h)
-                for h in range(block.n_h)]
-        return vit.project_heads(outs, block)
+        outs = dict(zip(self.heads, np.split(flat(y), len(self.heads), axis=1)))
+        if self.kept:
+            outs.update(zip(self.kept, vit.attention(x, *self.exact, block.d_h)))
+        return vit.project_heads([outs[h] for h in range(block.n_h)], block)
 
 
 def hybrid_forward(hm: HybridModel, x: np.ndarray) -> np.ndarray:
@@ -517,15 +518,17 @@ def fit_block(model: Model, b: int, variant: str, heads: tuple, gamma, inputs: l
     cfg = model.config
     block = model.blocks[b]
     w_val, _ = _block_values(variant, block, heads, gamma)
+    exact = [vit.head_columns(w, heads, cfg.d_h) for w in (block.w_q, block.w_k, block.w_v)]
     ensembled = variant in ENSEMBLED
     sig = softmax64(np.asarray(gamma, dtype=np.float64).ravel()) if ensembled else None
 
     def target(a_in):
+        outs = vit.attention(a_in, *exact, cfg.d_h)
         if not ensembled:
-            return np.concatenate([vit.head_attention(a_in, block, h) for h in heads], axis=1)
+            return np.concatenate(outs, axis=1)
         mix = np.zeros((cfg.n, cfg.d_h), dtype=np.float64)
-        for h in range(cfg.n_h):
-            mix += sig[h] * vit.head_attention(a_in, block, h)
+        for s, out in zip(sig, outs):
+            mix += s * out
         return mix.astype(F32)
 
     values = (grid(matmul(per_block[b], w_val), cfg.m) for per_block in inputs)

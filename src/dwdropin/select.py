@@ -36,7 +36,7 @@ POPULATION = "population"  # sigma = sqrt(M2 / N); documented convention
 
 @dataclass
 class WelfordState:
-    """Streaming mean/M2 accumulator (float64), one per head."""
+    """Streaming pointwise mean/M2 accumulator (float64)."""
 
     count: int
     mean: np.ndarray
@@ -51,14 +51,17 @@ class WelfordState:
 
 def welford_update(state: WelfordState, sample: np.ndarray) -> WelfordState:
     """Fold one sample in: count+=1; delta=x-mean; mean+=delta/count;
-    m2+=delta*(x-mean). Mutates and returns the state."""
-    x = np.asarray(sample, dtype=np.float64)
+    m2+=delta*(x-mean), in place on a float64 copy of the sample. Mutates
+    and returns the state."""
+    x = np.array(sample, dtype=np.float64)
     if x.shape != state.mean.shape:
         raise ShapeError(f"sample shape {x.shape} != state shape {state.mean.shape}")
     state.count += 1
     delta = x - state.mean
     state.mean += delta / state.count
-    state.m2 += delta * (x - state.mean)
+    x -= state.mean
+    delta *= x
+    state.m2 += delta
     # mathematically >= 0; clamp float dust so the invariant holds exactly
     np.maximum(state.m2, 0.0, out=state.m2)
     return state
@@ -117,30 +120,25 @@ class ScoreResult:
 def score_model(model: Model, samples) -> ScoreResult:
     """Score every head over an iterable of (n, d) inputs, one pass.
 
-    Each sample's forward run streams every head's weight matrix straight
-    into its accumulator; nothing is kept per sample, so memory stays at
-    two float64 n x n buffers per head regardless of the sample count.
+    Each block's attention runs batched with a tap that folds the
+    (n_h, n, n) weights the forward itself computes into the block's one
+    accumulator, so nothing is recomputed and nothing is kept per sample:
+    memory stays at two float64 n x n buffers per head regardless of the
+    sample count.
     """
     cfg = model.config
-    states = [[WelfordState.new((cfg.n, cfg.n)) for _ in range(cfg.n_h)]
-              for _ in range(cfg.n_b)]
+    states = [WelfordState.new((cfg.n_h, cfg.n, cfg.n)) for _ in range(cfg.n_b)]
+    fns = {b: lambda x, block, s=state: vit.mhsa_forward(
+               x, block, energy_tap=lambda e: welford_update(s, e))
+           for b, state in enumerate(states)}
     n_samples = 0
-
-    def tap(b, attn_in):
-        block = model.blocks[b]
-        for h in range(cfg.n_h):
-            q, k, _ = vit.qkv_project(attn_in, block, h)
-            welford_update(states[b][h], vit.head_energy(q, k))
-
     for x in samples:
         n_samples += 1
-        vit.model_forward(x, model, attn_tap=tap)
+        vit.model_forward(x, model, mhsa_fns=fns)
     if n_samples == 0:
         raise ConfigError("scoring needs at least one sample")
-    sig_h = np.array(
-        [[sigma_head(welford_finalize(states[b][h])) for h in range(cfg.n_h)]
-         for b in range(cfg.n_b)]
-    )
+    sig_h = np.array([[sigma_head(sigma) for sigma in welford_finalize(state)]
+                      for state in states])
     sig_b = np.array([sigma_block(sig_h[b]) for b in range(cfg.n_b)])
     return ScoreResult(sigma_h=sig_h, sigma_b=sig_b, n_samples=n_samples)
 

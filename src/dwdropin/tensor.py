@@ -34,7 +34,7 @@ class NonFiniteError(ArithmeticError):
 
 
 def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteError(f"non-finite values in {what}")
     return a
 

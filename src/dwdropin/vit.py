@@ -1,9 +1,10 @@
-"""Exact ViT forward path: per-head attention, MhSA, pre-norm blocks.
+"""Exact ViT forward path: batched multi-head attention, pre-norm blocks.
 
 This is both the baseline model and the ground-truth oracle that every
-convolutional replacement is measured against. Inputs are token grids
-(n = m*m tokens, no class token); a learned positional table is added
-once at the input.
+convolutional replacement is measured against. Exact attention runs a
+block's heads at once (`attention`); the per-head functions are its
+oracles. Inputs are token grids (n = m*m tokens, no class token); a
+learned positional table is added once at the input.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .tensor import (
     F32,
     ConfigError,
     ShapeError,
+    _check_finite,
     as_f32,
     matmul,
     seed_stream,
@@ -121,6 +123,13 @@ def head_cols(w: np.ndarray, h: int, d_h: int) -> np.ndarray:
     return w[:, h * d_h : (h + 1) * d_h]
 
 
+def head_columns(w: np.ndarray, heads: tuple, d_h: int) -> np.ndarray:
+    """The columns of `heads` (sorted) side by side, gathered into one
+    C-contiguous array; w itself when they are all of them."""
+    cols = np.concatenate([np.arange(h * d_h, (h + 1) * d_h) for h in heads])
+    return w if len(cols) == w.shape[1] else np.take(w, cols, axis=1)
+
+
 def head_rows(w: np.ndarray, h: int, d_h: int) -> np.ndarray:
     """Row group of the output projection belonging to head h."""
     return w[h * d_h : (h + 1) * d_h, :]
@@ -170,10 +179,10 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 
 
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    # x.var would recompute the mean; this is its arithmetic, bit for bit
     x = as_f32(x)
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + LN_EPS) * scale + shift
+    x = x - x.mean(axis=-1, keepdims=True)
+    return x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + LN_EPS) * scale + shift
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -229,16 +238,37 @@ def explicit_attention(e: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out.astype(F32)
 
 
-def project_heads(head_outputs: list, block: BlockParams) -> np.ndarray:
-    """Concatenate per-head outputs (n, d_h) and apply the output projection."""
+def attention(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
+              d_h: int, energy_tap=None) -> np.ndarray:
+    """Attention of the heads whose q/k/v columns w_q, w_k, w_v (d, c)
+    hold, all at once: three GEMMs, one stacked energy matmul, softmax in
+    place, one stacked matmul with the values. Returns the head outputs
+    (c / d_h, n, d_h), each `head_attention`'s; `energy_tap` sees the
+    weights (c / d_h, n, n)."""
+    n = x.shape[0]
+    q, k, v = (matmul(x, w).reshape(n, -1, d_h).transpose(1, 0, 2) for w in (w_q, w_k, w_v))
+    e = _check_finite(np.matmul(q, k.transpose(0, 2, 1)), "matmul result")
+    e *= F32(1.0 / math.sqrt(d_h))
+    e -= e.max(axis=2, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=2, keepdims=True)
+    _check_finite(e, "softmax_rows result")
+    if energy_tap is not None:
+        energy_tap(e)
+    return _check_finite(np.matmul(e, v), "matmul result")
+
+
+def project_heads(head_outputs, block: BlockParams) -> np.ndarray:
+    """Concatenate per-head outputs (n, d_h), a list or `attention`'s stack,
+    and apply the output projection."""
     return matmul(np.concatenate(head_outputs, axis=1), block.w_o)
 
 
-def mhsa_forward(x: np.ndarray, block: BlockParams) -> np.ndarray:
-    """Multi-head self-attention of one block, (n, d) -> (n, d)."""
-    return project_heads(
-        [head_attention(x, block, h) for h in range(block.n_h)], block
-    )
+def mhsa_forward(x: np.ndarray, block: BlockParams, energy_tap=None) -> np.ndarray:
+    """Multi-head self-attention of one block, (n, d) -> (n, d), all heads
+    batched; `energy_tap` goes to `attention`."""
+    return project_heads(attention(x, block.w_q, block.w_k, block.w_v, block.d_h,
+                                   energy_tap), block)
 
 
 def mhsa_forward_headsum(x: np.ndarray, block: BlockParams) -> np.ndarray:

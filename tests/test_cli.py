@@ -470,6 +470,34 @@ class TestMalformedArchives:
                            "(non-finite values in matmul result)\n"), argv[0]
 
 
+    def test_overflowing_energies(self, tmp_path, tiny_archive, capsys):
+        """Projections that stay finite but whose energies overflow: score,
+        replace --fit and verify each exit 3 with one line naming the archive."""
+        ar = load_archive(tiny_archive)
+        for name in ("block0.w_q", "block0.w_k"):
+            ar.tensors[name] = ar.tensors[name] * np.float32(1e20)
+        save_archive(tiny_archive, ar.config, ar.tensors, ar.meta)
+        blk = model_from_archive(load_archive(tiny_archive)).blocks[0]
+        a_in = vit.layer_norm(make_inputs(TINY, 1, 3)[0], blk.norm1_scale, blk.norm1_shift)
+        q, k = a_in @ blk.w_q, a_in @ blk.w_k
+        assert np.isfinite(q).all() and np.isfinite(k).all()
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(q @ k.T).all()
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (1,)), plan)
+        hybrid = tmp_path / "h.bin"
+        assert run("replace", "--model", tiny_archive, "--plan", plan, "--out", hybrid) == 0
+        for argv in (("score", "--samples", 2, "--out", tmp_path / "r.json"),
+                     ("replace", "--plan", plan, "--fit", "--samples", 2,
+                      "--out", tmp_path / "f.bin"),
+                     ("verify", "--hybrid", hybrid, "--samples", 2)):
+            capsys.readouterr()
+            assert run(*argv, "--model", tiny_archive) == 3, argv[0]
+            assert capsys.readouterr().err == (
+                f"error: {tiny_archive}: the model's forward pass overflows "
+                "(non-finite values in matmul result)\n"), argv[0]
+
+
 class TestMalformedPlans:
     """A plan file or score report that is not one exits 3 with one error
     line naming the file, in every command that reads it."""

@@ -1,8 +1,10 @@
 import time
+import tracemalloc
 
 import pytest
 
 from dwdropin import vit
+from dwdropin.dropin import build_dropins
 from dwdropin.cost import (
     VARIANTS,
     activation_bytes,
@@ -18,9 +20,9 @@ from dwdropin.cost import (
 )
 from dwdropin.select import SelectionPlan
 from dwdropin.tensor import ConfigError
-from dwdropin.vit import VITL, ModelConfig
+from dwdropin.vit import DESK, VITL, ModelConfig
 
-from conftest import TINY
+from conftest import TINY, make_inputs
 
 # Reference single-block table at the ViT-Large-like shape
 # (d=1024, n_h=16, d_h=64, m=24 -> n=576, k=3), GFLOPs / Mparams.
@@ -190,6 +192,33 @@ class TestVariantTable:
     def test_activation_estimate_positive(self):
         for v in ("mhsa", "convfull", "dw", "ens-convfull", "ens-dw"):
             assert activation_bytes(v, VITL) > 0
+
+
+class TestActivationBytes:
+    """The estimate prices what one attention sublayer call holds: within a
+    factor of 2 of the traced peak of a real call, its input included."""
+
+    @pytest.mark.parametrize("cfg", [DESK, ModelConfig(n_b=1, n_h=3, d=24, d_h=8, m=5, k=5)],
+                             ids=["desk", "odd"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_traced_peak(self, cfg, variant):
+        model = vit.init_model(ModelConfig(**{**cfg.to_dict(), "n_b": 1}), 7)
+        block = model.blocks[0]
+        if variant == "mhsa":
+            sublayer = vit.mhsa_forward
+        else:
+            plan = SelectionPlan("blockwise", "lowest", 1, (0,))
+            sublayer = build_dropins(model, plan, variant, seed=8)[0].sublayers[0]
+        x = make_inputs(cfg, 1, 9)[0]
+        sublayer(x, block)  # warm caches
+        tracemalloc.start()
+        try:
+            sublayer(x, block)
+            peak = tracemalloc.get_traced_memory()[1] + x.nbytes
+        finally:
+            tracemalloc.stop()
+        estimate = activation_bytes(variant, cfg)
+        assert estimate / 2 <= peak <= 2 * estimate, (peak, estimate)
 
 
 class TestBench:

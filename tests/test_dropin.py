@@ -305,6 +305,24 @@ class TestFusedDropins:
         assert len(calls) == cfg.n_b
 
 
+    @pytest.mark.parametrize("variant", ["dw", "convfull"])
+    def test_non_contiguous_untouched_heads_bitwise(self, variant):
+        """Heads 1 and 3 of 4 replaced: the untouched heads 0 and 2 run
+        batched, and the hybrid equals the per-head assembly bitwise."""
+        cfg = FOUR_HEADS
+        model = init_model(cfg, 306)
+        seeds = seed_stream(19)
+        plan = SelectionPlan("scattered", "lowest", 2 * cfg.n_b,
+                             tuple((b, h) for b in range(cfg.n_b) for h in (1, 3)))
+        params = {b: BlockDropin(variant, head_kernels={
+            h: init_kernel(variant, cfg, next(seeds)) for h in (1, 3)}) for b in range(cfg.n_b)}
+        hm = replace_heads(model, plan, params)
+        for x in make_inputs(cfg, 3, 20):
+            want = vit.model_forward(x, model, mhsa_fns={
+                b: _per_head_sublayer(dp, cfg) for b, dp in params.items()})
+            np.testing.assert_array_equal(hybrid_forward(hm, x), want)
+
+
 class TestConstructedEquivalence:
     def test_kernel_like_head_replacement_matches(self, tiny_model):
         """A head driven by an ideal kernel-like weight matrix is replaced

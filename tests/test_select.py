@@ -70,6 +70,24 @@ class TestWelford:
         oracle = two_pass_std(samples)
         np.testing.assert_allclose(online, oracle, rtol=1e-10, atol=1e-13)
 
+    def test_matches_textbook_update_bitwise(self, rng):
+        """The in-place update does the textbook arithmetic and leaves the
+        caller's sample untouched, float64 or float32."""
+        samples = [rng.standard_normal((3, 5)) for _ in range(20)]
+        samples.append(samples[0].astype(np.float32))
+        st_ = WelfordState.new((3, 5))
+        mean, m2 = np.zeros((3, 5)), np.zeros((3, 5))
+        for count, s in enumerate(samples, start=1):
+            before = s.copy()
+            welford_update(st_, s)
+            np.testing.assert_array_equal(s, before)
+            x = np.asarray(s, dtype=np.float64)
+            delta = x - mean
+            mean = mean + delta / count
+            m2 = np.maximum(m2 + delta * (x - mean), 0.0)
+        np.testing.assert_array_equal(st_.mean, mean)
+        np.testing.assert_array_equal(st_.m2, m2)
+
     def test_high_mean_stress(self, rng):
         # mean 1e6, unit variance: the catastrophic-cancellation guard
         samples = [1e6 + rng.standard_normal((2, 2)) for _ in range(10_000)]
@@ -139,6 +157,35 @@ class TestScoreModel:
         assert res.sigma_b.argmin() == 3
         others = [res.sigma_b[b] for b in range(vit.DESK.n_b) if b != 3]
         assert min(others) > 1e-3
+
+    def test_matches_per_head_reference_bitwise(self, monkeypatch):
+        """The batched scorer gives the sigmas of one accumulator per head fed
+        by the per-head oracles, and folds each block in one update."""
+        cfg = vit.DESK
+        model = init_model(cfg, 405)
+        model.blocks[2].w_q[:] = 0                      # a uniform-attention block
+        for b, h in ((0, 1), (3, 0), (3, 2), (5, 3)):   # and scattered uniform heads
+            vit.head_cols(model.blocks[b].w_q, h, cfg.d_h)[:] = 0
+        samples = make_inputs(cfg, 17, 31)
+        states = [[WelfordState.new((cfg.n, cfg.n)) for _ in range(cfg.n_h)]
+                  for _ in range(cfg.n_b)]
+        for x in samples:
+            per_block = [None] * cfg.n_b
+            vit.model_forward(x, model, attn_tap=lambda b, a: per_block.__setitem__(b, a))
+            for b, a_in in enumerate(per_block):
+                for h in range(cfg.n_h):
+                    q, k, _ = vit.qkv_project(a_in, model.blocks[b], h)
+                    welford_update(states[b][h], vit.head_energy(q, k))
+        sigma_h = np.array([[sigma_head(welford_finalize(st_)) for st_ in row] for row in states])
+
+        calls = []
+        monkeypatch.setattr("dwdropin.select.welford_update",
+                            lambda st_, e: calls.append(1) or welford_update(st_, e))
+        res = score_model(model, samples)
+        np.testing.assert_array_equal(res.sigma_h, sigma_h)
+        np.testing.assert_array_equal(res.sigma_b, [sigma_block(row) for row in sigma_h])
+        assert not res.sigma_h[2].any() and not res.sigma_h[3, 0] and not res.sigma_h[5, 3]
+        assert len(calls) == cfg.n_b * len(samples)
 
     def test_deterministic(self, tiny_model):
         r1 = score_model(tiny_model, make_inputs(TINY, 4, 13))

@@ -1,15 +1,23 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dwdropin.tensor import ConfigError, matmul, seeded_fill, softmax_rows
+from dwdropin.tensor import ConfigError, NonFiniteError, matmul, seeded_fill, softmax_rows
 from dwdropin.vit import (
+    DESK,
+    LN_EPS,
+    VITL,
     BlockParams,
     ModelConfig,
+    attention,
     block_forward,
     explicit_attention,
     grid,
     head_attention,
     head_cols,
+    head_columns,
     head_energy,
     head_rows,
     init_model,
@@ -251,3 +259,89 @@ class TestExplicitVsHeadAttention:
             e = head_energy(q, k)
             np.testing.assert_allclose(explicit_attention(e, grid(v, cfg.m)),
                                        grid(head_attention(x, blk, h), cfg.m), atol=1e-6)
+
+
+class TestLayerNorm:
+    def test_matches_var_formula_bitwise(self, rng):
+        """One mean per row, then np.var's arithmetic on the centred rows."""
+        for shape, loc, spread in (((64, 64), 0.0, 1.0), ((25, 24), 30.0, 0.01),
+                                   ((576, 1024), -2.0, 50.0)):
+            x = (loc + spread * rng.standard_normal(shape)).astype(np.float32)
+            scale, shift = (rng.standard_normal(shape[1]).astype(np.float32) for _ in range(2))
+            want = ((x - x.mean(axis=-1, keepdims=True))
+                    / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS) * scale + shift)
+            np.testing.assert_array_equal(layer_norm(x, scale, shift), want)
+
+
+class TestBatchedAttention:
+    """`attention` runs a group of heads at once; each of its outputs equals
+    that head's `head_attention`, bitwise."""
+
+    @staticmethod
+    def assert_matches_per_head(x, blk, heads):
+        cols = [head_columns(w, heads, blk.d_h) for w in (blk.w_q, blk.w_k, blk.w_v)]
+        seen = []
+        outs = attention(x, *cols, blk.d_h, energy_tap=lambda e: seen.append(e.copy()))
+        assert outs.shape == (len(heads), x.shape[0], blk.d_h)
+        for i, h in enumerate(heads):
+            np.testing.assert_array_equal(outs[i], head_attention(x, blk, h))
+            q, k, _ = qkv_project(x, blk, h)
+            np.testing.assert_array_equal(seen[0][i], head_energy(q, k))
+
+    @pytest.mark.parametrize("heads", [(0, 1, 2, 3), (2,), (1, 3)],
+                             ids=["all", "one", "non-contiguous"])
+    def test_desk(self, desk_model, heads):
+        for b, x in enumerate(make_inputs(DESK, 2, 61)):
+            blk = desk_model.blocks[b]
+            a_in = layer_norm(x, blk.norm1_scale, blk.norm1_shift)
+            self.assert_matches_per_head(a_in, blk, heads)
+
+    def test_vitl_head_groups(self):
+        cfg = ModelConfig(**{**VITL.to_dict(), "n_b": 1})
+        blk = init_model(cfg, 62).blocks[0]
+        x = layer_norm(make_inputs(cfg, 1, 63)[0], blk.norm1_scale, blk.norm1_shift)
+        for heads in ((5,), (4, 5, 6, 7), tuple(range(cfg.n_h))):
+            self.assert_matches_per_head(x, blk, heads)
+
+    def test_head_columns(self, desk_model):
+        w = desk_model.blocks[0].w_q
+        assert head_columns(w, (0, 1, 2, 3), DESK.d_h) is w
+        got = head_columns(w, (1, 3), DESK.d_h)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, np.concatenate(
+            [head_cols(w, 1, DESK.d_h), head_cols(w, 3, DESK.d_h)], axis=1))
+
+    def test_overflowing_energies_refused(self, tiny_model):
+        """Finite projections whose energies overflow raise at the energy matmul."""
+        blk = tiny_model.blocks[0]
+        x = layer_norm(make_inputs(TINY, 1, 65)[0], blk.norm1_scale, blk.norm1_shift)
+        w_q, w_k = blk.w_q * np.float32(1e20), blk.w_k * np.float32(1e20)
+        assert np.isfinite(x @ w_q).all() and np.isfinite(x @ w_k).all()
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match="non-finite values in matmul result"):
+            attention(x, w_q, w_k, blk.w_v, blk.d_h)
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+
+
+def load_reference_forward():
+    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.reference_forward
+
+
+class TestFrozenReference:
+    """model_forward equals the benchmark's frozen plain-numpy forward
+    (perfbench/reference.py), which runs one head at a time, bitwise."""
+
+    @pytest.mark.parametrize("cfg, seed", [
+        (DESK, 0), (DESK, 1), (DESK, 2),
+        (ModelConfig(n_b=2, n_h=3, d=24, d_h=8, m=5, k=5), 3),
+    ], ids=["desk-0", "desk-1", "desk-2", "odd"])
+    def test_model_forward_bitwise(self, cfg, seed):
+        reference_forward = load_reference_forward()
+        model = init_model(cfg, seed)
+        for x in make_inputs(cfg, 3, 70 + seed):
+            np.testing.assert_array_equal(model_forward(x, model), reference_forward(x, model))
