@@ -95,7 +95,7 @@ def activation_bytes(variant: str, cfg: ModelConfig) -> int:
     counts = {
         "mhsa": 6 * n * d + n_h * n * n,              # x, q, k, v, heads, out; every head's weights
         "convfull": 4 * n * d + 2 * k * k * d * d,    # x, padded x, conv out, out; all folds, concatenated
-        "dw": 5 * n * d + padded * d,                 # x, values, conv out, shifted product, out; padded values
+        "dw": 4 * n * d + padded * d,                 # x, values, conv out, shifted product; padded values
         "ens-convfull": 2 * n * d + padded * d + 2 * n * d_h + k * k * d * d_h,
         "ens-dw": 2 * n * d + 3 * n * d_h + padded * d_h,
     }

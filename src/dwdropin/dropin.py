@@ -72,8 +72,7 @@ def attn_dw(x: np.ndarray, w_v_slice: np.ndarray, kern: np.ndarray) -> np.ndarra
     """
     if x.ndim != 3:
         raise ShapeError(f"input must be (m, m, d), got {x.shape}")
-    v = np.tensordot(as_f32(x), as_f32(w_v_slice), axes=([2], [0]))
-    return dwconv2d(v, kern)
+    return dwconv2d(grid(matmul(flat(x), w_v_slice), x.shape[0]), kern)
 
 
 def ensemble_weights(gamma: np.ndarray, w_v: np.ndarray, w_o: np.ndarray,
@@ -218,7 +217,10 @@ class BlockSublayer:
     channels, the convfull kernels folded per call (held, the folds would
     cost k^2 d d_h floats per head), or the ensembled block kernel.
     Untouched heads run batched exact attention (`vit.attention`) over
-    their query/key/value columns, gathered here once."""
+    their query/key/value columns, gathered here once. The output
+    projection takes one head-ordered (n, d) array: the convolution's
+    output when every head is replaced, else one buffer that the replaced
+    and the untouched heads fill."""
 
     variant: str
     heads: tuple
@@ -249,15 +251,18 @@ class BlockSublayer:
         if self.variant == "ens-convfull":
             return mhsa_convfull_ensembled(x, self.w_val, self.kernel, self.w_out, self.m)
         if self.variant == "dw":
-            y = attn_dw(grid(x, self.m), self.w_val, self.kernel)
+            y = flat(attn_dw(grid(x, self.m), self.w_val, self.kernel))
         else:
             w_vs = np.split(self.w_val, len(self.heads), axis=1)
-            y = attn_conv_full(grid(x, self.m), np.concatenate(
-                [fold_full_kernel(kern, w_v) for kern, w_v in zip(self.kernel, w_vs)], axis=3))
-        outs = dict(zip(self.heads, np.split(flat(y), len(self.heads), axis=1)))
+            y = flat(attn_conv_full(grid(x, self.m), np.concatenate(
+                [fold_full_kernel(kern, w_v) for kern, w_v in zip(self.kernel, w_vs)], axis=3)))
         if self.kept:
-            outs.update(zip(self.kept, vit.attention(x, *self.exact, block.d_h)))
-        return vit.project_heads([outs[h] for h in range(block.n_h)], block)
+            n = x.shape[0]
+            heads = np.empty((n, block.n_h, block.d_h), dtype=F32)
+            heads[:, list(self.heads)] = y.reshape(n, len(self.heads), block.d_h)
+            heads[:, list(self.kept)] = vit.attention(x, *self.exact, block.d_h).transpose(1, 0, 2)
+            y = heads.reshape(n, -1)
+        return vit.project_heads(y, block)
 
 
 def hybrid_forward(hm: HybridModel, x: np.ndarray) -> np.ndarray:

@@ -100,11 +100,11 @@ def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     m = x.shape[0]
     half = k // 2
     xp = _zero_pad(x, half)
-    out = np.zeros((m, m, w.shape[3]), dtype=F32)
+    out = np.zeros((m * m, w.shape[3]), dtype=F32)
     for a in range(k):
         for b in range(k):
-            out += np.tensordot(xp[a : a + m, b : b + m], w[a, b], axes=([2], [0]))
-    return _check_finite(out, "conv2d result")
+            out += xp[a : a + m, b : b + m].reshape(m * m, -1) @ w[a, b]
+    return _check_finite(out.reshape(m, m, -1), "conv2d result")
 
 
 def dwconv2d(x: np.ndarray, kern: np.ndarray) -> np.ndarray:

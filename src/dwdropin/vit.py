@@ -179,10 +179,15 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 
 
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    # x.var would recompute the mean; this is its arithmetic, bit for bit
+    # the arithmetic of x.mean and x.var, bit for bit, without their Python
+    # wrappers or x.var's second mean; then normalise, scale and shift in place
     x = as_f32(x)
-    x = x - x.mean(axis=-1, keepdims=True)
-    return x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + LN_EPS) * scale + shift
+    n = x.shape[-1]
+    x = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    x /= np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / n + LN_EPS)
+    x *= scale
+    x += shift
+    return x
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -259,9 +264,15 @@ def attention(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
 
 
 def project_heads(head_outputs, block: BlockParams) -> np.ndarray:
-    """Concatenate per-head outputs (n, d_h), a list or `attention`'s stack,
-    and apply the output projection."""
-    return matmul(np.concatenate(head_outputs, axis=1), block.w_o)
+    """Apply the output projection to the head outputs side by side: an
+    (n, d) array in head order, `attention`'s (n_h, n, d_h) stack, or a
+    list of per-head (n, d_h) outputs."""
+    if not isinstance(head_outputs, np.ndarray):
+        head_outputs = np.concatenate(head_outputs, axis=1)
+    elif head_outputs.ndim == 3:
+        n_h, n, d_h = head_outputs.shape
+        head_outputs = head_outputs.transpose(1, 0, 2).reshape(n, n_h * d_h)
+    return matmul(head_outputs, block.w_o)
 
 
 def mhsa_forward(x: np.ndarray, block: BlockParams, energy_tap=None) -> np.ndarray:

@@ -22,6 +22,7 @@ from dwdropin.dropin import (
 from dwdropin.select import SelectionPlan, kernel_energy, read_off_kernel
 from dwdropin.tensor import (
     ConfigError,
+    NonFiniteError,
     ShapeError,
     dwconv2d,
     matmul,
@@ -29,7 +30,7 @@ from dwdropin.tensor import (
     seeded_fill,
     softmax64,
 )
-from dwdropin.vit import ModelConfig, grid, head_cols, head_rows, init_model
+from dwdropin.vit import DESK, ModelConfig, grid, head_cols, head_rows, init_model
 
 from conftest import TINY, make_inputs
 
@@ -127,6 +128,19 @@ class TestAttnDw:
         out = attn_dw(np.zeros((4, 4, 6), np.float32),
                       np.ones((6, 3), np.float32), delta_kernel(3, 3))
         assert not out.any()
+
+    def test_value_gemm_goes_through_matmul(self, monkeypatch, rng):
+        """The value GEMM is `tensor.matmul` on (n, d), the binding the
+        tracer meters, and its overflow is refused where it happens."""
+        x = rng.standard_normal((5, 5, 6)).astype(np.float32)
+        w_v = rng.standard_normal((6, 3)).astype(np.float32)
+        shapes = []
+        monkeypatch.setattr(dropin, "matmul", lambda a, b: shapes.append(a.shape) or matmul(a, b))
+        attn_dw(x, w_v, delta_kernel(3, 3))
+        assert shapes == [(25, 6)]
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match="non-finite values in matmul result"):
+            attn_dw(x * np.float32(1e30), w_v * np.float32(1e30), delta_kernel(3, 3))
 
 
 class TestEnsembleWeights:
@@ -321,6 +335,55 @@ class TestFusedDropins:
             want = vit.model_forward(x, model, mhsa_fns={
                 b: _per_head_sublayer(dp, cfg) for b, dp in params.items()})
             np.testing.assert_array_equal(hybrid_forward(hm, x), want)
+
+
+class TestDwSublayerAssembly:
+    """A dw block's sublayer projects one head-ordered (n, d) array: the
+    conv output itself when every head is replaced, else a buffer that the
+    replaced and the kept heads fill. It equals the per-head assembly: one
+    `attn_dw` per replaced head on its own value columns, `head_attention`
+    per kept head, `project_heads` on the list in head order. That is
+    bitwise at desk; at n_h=5/d_h=7 the BLAS build may round the block's one
+    value GEMM (and the kept heads' batched projections) differently from
+    per-head GEMMs in the last bits, so there the per-head path is held to
+    float32 rounding and the bitwise check assembles the same per-head
+    pieces from the block's own GEMMs."""
+
+    SHAPES = {"desk": DESK, "odd": ModelConfig(n_b=1, n_h=5, d=35, d_h=7, m=5, k=3)}
+    HEADS = {"all": None, "contiguous": (1, 2), "non-contiguous": (0, 2, 3)}
+
+    @pytest.mark.parametrize("heads", list(HEADS))
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_matches_per_head_assembly(self, shape, heads):
+        cfg = self.SHAPES[shape]
+        heads = self.HEADS[heads] or tuple(range(cfg.n_h))
+        kept = tuple(h for h in range(cfg.n_h) if h not in heads)
+        model = init_model(cfg, 311)
+        blk = model.blocks[0]
+        seeds = seed_stream(23)
+        kerns = {h: init_kernel("dw", cfg, next(seeds)) for h in heads}
+        plan = SelectionPlan("scattered", "lowest", len(heads), tuple((0, h) for h in heads))
+        sublayer = replace_heads(model, plan, {0: BlockDropin("dw", head_kernels=kerns)}).sublayers[0]
+        for x in make_inputs(cfg, 2, 24):
+            a_in = vit.layer_norm(x, blk.norm1_scale, blk.norm1_shift)
+            got = sublayer(a_in, blk)
+            per_head = vit.project_heads([
+                vit.flat(attn_dw(grid(a_in, cfg.m), head_cols(blk.w_v, h, cfg.d_h), kerns[h]))
+                if h in kerns else vit.head_attention(a_in, blk, h) for h in range(cfg.n_h)], blk)
+            if shape == "desk":
+                np.testing.assert_array_equal(got, per_head)
+            assert np.abs(got - per_head).max() <= 1e-6 * np.abs(per_head).max()
+
+            values = matmul(a_in, vit.head_columns(blk.w_v, heads, cfg.d_h))
+            outs = dict(zip(heads, (
+                vit.flat(dwconv2d(grid(values[:, i * cfg.d_h:(i + 1) * cfg.d_h], cfg.m), kerns[h]))
+                for i, h in enumerate(heads))))
+            if kept:
+                outs.update(zip(kept, vit.attention(a_in, *(
+                    vit.head_columns(w, kept, cfg.d_h) for w in (blk.w_q, blk.w_k, blk.w_v)),
+                    cfg.d_h)))
+            np.testing.assert_array_equal(
+                got, vit.project_heads([outs[h] for h in range(cfg.n_h)], blk))
 
 
 class TestConstructedEquivalence:

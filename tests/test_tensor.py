@@ -148,6 +148,20 @@ class TestConv2d:
         w = rng.standard_normal((3, 3, 2, 4)).astype(np.float32)
         np.testing.assert_allclose(conv2d(x, w), direct_conv_oracle(x, w), atol=1e-6)
 
+    @pytest.mark.parametrize("m, c_i, c_o, k", [(8, 64, 16, 3), (8, 64, 64, 3), (5, 24, 8, 5),
+                                                (7, 35, 7, 3)])
+    def test_matches_tensordot_sum_bitwise(self, rng, m, c_i, c_o, k):
+        """One GEMM per offset on the window's (m*m, c_i) copy, as the
+        formula stood with np.tensordot, in the same offset order."""
+        x = rng.standard_normal((m, m, c_i)).astype(np.float32)
+        w = rng.standard_normal((k, k, c_i, c_o)).astype(np.float32)
+        xp = np.pad(x, ((k // 2, k // 2), (k // 2, k // 2), (0, 0)))
+        want = np.zeros((m, m, c_o), dtype=np.float32)
+        for a in range(k):
+            for b in range(k):
+                want += np.tensordot(xp[a : a + m, b : b + m], w[a, b], axes=([2], [0]))
+        np.testing.assert_array_equal(conv2d(x, w), want)
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
             conv2d(np.zeros((4, 4, 1), np.float32), np.zeros((2, 2, 1, 1), np.float32))

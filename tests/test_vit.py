@@ -25,6 +25,7 @@ from dwdropin.vit import (
     mhsa_forward,
     mhsa_forward_headsum,
     model_forward,
+    project_heads,
     qkv_project,
 )
 
@@ -272,6 +273,20 @@ class TestLayerNorm:
                     / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS) * scale + shift)
             np.testing.assert_array_equal(layer_norm(x, scale, shift), want)
 
+    @pytest.mark.parametrize("d", [64, 1024, 35])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_mean_formula_bitwise(self, rng, d, dtype):
+        """The row mean and variance through `.mean`, as the formula stood
+        before it reduced with np.add.reduce and worked in place."""
+        x = (3.0 + 7.0 * rng.standard_normal((49, d))).astype(dtype)
+        scale, shift = (rng.standard_normal(d).astype(np.float32) for _ in range(2))
+        c = x.astype(np.float32)
+        c = c - c.mean(axis=-1, keepdims=True)
+        want = c / np.sqrt((c * c).mean(axis=-1, keepdims=True) + LN_EPS) * scale + shift
+        got = layer_norm(x, scale, shift)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
 
 class TestBatchedAttention:
     """`attention` runs a group of heads at once; each of its outputs equals
@@ -302,6 +317,15 @@ class TestBatchedAttention:
         x = layer_norm(make_inputs(cfg, 1, 63)[0], blk.norm1_scale, blk.norm1_shift)
         for heads in ((5,), (4, 5, 6, 7), tuple(range(cfg.n_h))):
             self.assert_matches_per_head(x, blk, heads)
+
+    def test_project_heads_forms_agree(self, desk_model):
+        """The stack, the (n, d) array and the list of heads project alike."""
+        blk = desk_model.blocks[0]
+        x = layer_norm(make_inputs(DESK, 1, 64)[0], blk.norm1_scale, blk.norm1_shift)
+        stack = attention(x, blk.w_q, blk.w_k, blk.w_v, blk.d_h)
+        want = project_heads(list(stack), blk)
+        np.testing.assert_array_equal(project_heads(stack, blk), want)
+        np.testing.assert_array_equal(project_heads(np.concatenate(stack, axis=1), blk), want)
 
     def test_head_columns(self, desk_model):
         w = desk_model.blocks[0].w_q
@@ -339,7 +363,8 @@ class TestFrozenReference:
     @pytest.mark.parametrize("cfg, seed", [
         (DESK, 0), (DESK, 1), (DESK, 2),
         (ModelConfig(n_b=2, n_h=3, d=24, d_h=8, m=5, k=5), 3),
-    ], ids=["desk-0", "desk-1", "desk-2", "odd"])
+        (ModelConfig(**{**VITL.to_dict(), "n_b": 1}), 4),
+    ], ids=["desk-0", "desk-1", "desk-2", "odd", "vitl-block"])
     def test_model_forward_bitwise(self, cfg, seed):
         reference_forward = load_reference_forward()
         model = init_model(cfg, seed)
