@@ -217,6 +217,8 @@ def _max_diff_located(ref: list, got: list):
 def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
                         tol: float) -> list:
     """The equivalence and invariant suite behind cmd_verify."""
+    if not tol >= 0:  # false for NaN too
+        raise ConfigError(f"tolerance must be >= 0, got {tol}")
     cfg_a, fwd_a, model_a = load_forward(path_a)
     cfg_b, fwd_b, _ = load_forward(path_b)
     if cfg_a.to_dict() != cfg_b.to_dict():
@@ -368,6 +370,8 @@ def cmd_bench(args) -> int:
     else:
         cfg = load_archive(args.model).config if args.model else config_from_args(args)
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+        if not variants:
+            raise ConfigError(f"--variants {args.variants!r} names no variant")
         fns = single_block_bench_fns(cfg, args.seed)
         for v in variants:
             if v not in fns:

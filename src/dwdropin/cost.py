@@ -25,6 +25,7 @@ keep them within a factor of 2 of the traced peak of a real call.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -56,28 +57,23 @@ def per_head_params(variant: str, cfg: ModelConfig) -> int:
     An attention head owns its Q/K/V column slices and output row group;
     a replaced head drops Q/K and adds its kernel.
     """
-    d, d_h, k = cfg.d, cfg.d_h, cfg.k
     if variant == "mhsa":
-        return 4 * d * d_h
-    if variant == "convfull":
-        return 2 * d * d_h + k * k
-    if variant == "dw":
-        return 2 * d * d_h + k * k * d_h
+        return 4 * cfg.d * cfg.d_h
+    if variant in ("convfull", "dw"):
+        return 2 * cfg.d * cfg.d_h + math.prod(dropin.kernel_shape(variant, cfg))
     raise ConfigError(f"per-head cost undefined for variant {variant!r}")
 
 
 def flops_params(variant: str, cfg: ModelConfig) -> tuple:
     """Closed-form (flops, params) of one block's attention path: n_h times
     the per-head cost, except for the ensembled variants, which run one
-    effective head for the whole block."""
-    n, d, d_h, n_h, k = cfg.n, cfg.d, cfg.d_h, cfg.n_h, cfg.k
-    if variant == "ens-convfull":
-        return 2 * n * k * k * d * d_h + 2 * n * d_h * d, 2 * d * d + k * k + n_h
-    if variant == "ens-dw":
-        flops = 2 * n * d * d_h + 2 * n * k * k * d_h + 2 * n * d_h * d
-        return flops, 2 * d * d + k * k * d_h + n_h
+    effective head of their base formulation for the whole block and store
+    every head's value and output projections, one kernel and n_h logits."""
+    if variant in dropin.ENSEMBLED:
+        return (per_head_flops(variant.removeprefix("ens-"), cfg),
+                2 * cfg.d * cfg.d + math.prod(dropin.kernel_shape(variant, cfg)) + cfg.n_h)
     if variant in VARIANTS:
-        return n_h * per_head_flops(variant, cfg), n_h * per_head_params(variant, cfg)
+        return cfg.n_h * per_head_flops(variant, cfg), cfg.n_h * per_head_params(variant, cfg)
     raise ConfigError(f"unknown attention variant {variant!r}")
 
 

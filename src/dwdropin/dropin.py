@@ -283,17 +283,19 @@ def build_dropins(model: Model, plan, variant: str, seed: int = 0, samples=None)
 
     The plan is checked (`planned_heads`) before any kernel is made.
     Covered blocks are then built in sorted order, each block's kernels in
-    head order (an ensembled block has one): with `samples`, the attention
-    inputs are captured once and `fit_block` fits each block against the
-    exact attention; without them, kernels are drawn by `init_kernel` from
-    `seed_stream(seed)` in that order. Ensembled blocks start from zero
-    gamma logits. Returns (HybridModel, reports), where `reports` maps
-    (block, head) or, for ensembled variants, block -> FitReport.
+    head order (an ensembled block has one): with `samples`, one capture
+    (`attention_inputs`) records the planned blocks' inputs and exact head
+    outputs, and `fit_block` fits each block from it; without them,
+    kernels are drawn by `init_kernel` from `seed_stream(seed)` in that
+    order. Ensembled blocks start from zero gamma logits. Returns
+    (HybridModel, reports), where `reports` maps (block, head) or, for
+    ensembled variants, block -> FitReport.
     """
     cfg = model.config
     by_block = planned_heads(plan, cfg, variant)
     seeds = seed_stream(seed)
-    inputs = attention_inputs(model, samples) if samples is not None and by_block else None
+    fitting = samples is not None and by_block
+    inputs = attention_inputs(model, samples, by_block) if fitting else None
     params, reports = {}, {}
     for b in sorted(by_block):
         heads = tuple(sorted(by_block[b]))
@@ -499,44 +501,53 @@ def fit_loss_and_grad(kern: np.ndarray, v_samples: list, target_samples: list):
     return loss, gradient
 
 
-def attention_inputs(model: Model, samples: list) -> list:
-    """Normed attention inputs per block for each sample: list over samples
-    of lists over blocks of (n, d) arrays, captured in one forward pass each."""
-    captured = []
+def attention_inputs(model: Model, samples, blocks) -> dict:
+    """The fit's capture: one forward pass per sample in which each of
+    `blocks` runs a `mhsa_fns` sublayer that calls `vit.attention` once,
+    records (normed input (n, d), head stack (n_h, n, d_h)) and projects
+    that same stack, so the pass is `model_forward`'s bit for bit. Returns
+    {block: [(input, stack) for each sample]}."""
+    captured = {b: [] for b in blocks}
+
+    def capture(record):
+        def sublayer(a_in, block):
+            stack = vit.attention(a_in, block.w_q, block.w_k, block.w_v, block.d_h)
+            # a copy fills the heap space attention's temporaries just freed;
+            # holding `stack` itself raised pipeline-desk peak RSS by 1.4 MiB
+            record.append((a_in, stack.copy()))
+            return vit.project_heads(stack, block)
+        return sublayer
+
+    fns = {b: capture(record) for b, record in captured.items()}
     for x in samples:
-        per_block = [None] * model.config.n_b
-        vit.model_forward(x, model, attn_tap=lambda b, a: per_block.__setitem__(b, a))
-        captured.append(per_block)
+        vit.model_forward(x, model, mhsa_fns=fns)
     return captured
 
 
-def fit_block(model: Model, b: int, variant: str, heads: tuple, gamma, inputs: list):
+def fit_block(model: Model, b: int, variant: str, heads: tuple, gamma, inputs: dict):
     """Least-squares fit of block b's kernels from `attention_inputs`' capture.
 
-    The regressors are what the block's sublayer convolves (`_block_values`);
-    the targets are the exact outputs of `heads` side by side, or for an
-    ensembled block the softmax(gamma) mix of all head outputs. One
-    normal-equation system, fed one sample at a time, serves the block.
-    Returns [(kernel, FitReport)]: one per head of `heads`, or one for an
-    ensembled block.
+    The regressors are what the block's sublayer convolves (`_block_values`)
+    of the recorded inputs; the targets come from the recorded head stacks:
+    the slices of `heads` side by side, or for an ensembled block the
+    softmax(gamma) mix of all heads. One normal-equation system, fed one
+    sample at a time, serves the block. Returns [(kernel, FitReport)]: one
+    per head of `heads`, or one for an ensembled block.
     """
     cfg = model.config
-    block = model.blocks[b]
-    w_val, _ = _block_values(variant, block, heads, gamma)
-    exact = [vit.head_columns(w, heads, cfg.d_h) for w in (block.w_q, block.w_k, block.w_v)]
+    w_val, _ = _block_values(variant, model.blocks[b], heads, gamma)
     ensembled = variant in ENSEMBLED
     sig = softmax64(np.asarray(gamma, dtype=np.float64).ravel()) if ensembled else None
 
-    def target(a_in):
-        outs = vit.attention(a_in, *exact, cfg.d_h)
+    def target(stack):
         if not ensembled:
-            return np.concatenate(outs, axis=1)
+            return np.concatenate(stack[list(heads)], axis=1)
         mix = np.zeros((cfg.n, cfg.d_h), dtype=np.float64)
-        for s, out in zip(sig, outs):
+        for s, out in zip(sig, stack):
             mix += s * out
         return mix.astype(F32)
 
-    values = (grid(matmul(per_block[b], w_val), cfg.m) for per_block in inputs)
-    targets = (grid(target(per_block[b]), cfg.m) for per_block in inputs)
+    values = (grid(matmul(a_in, w_val), cfg.m) for a_in, _ in inputs[b])
+    targets = (grid(target(stack), cfg.m) for _, stack in inputs[b])
     return fit_depthwise_kernel(values, targets, cfg.k, heads=1 if ensembled else len(heads),
                                 shared=len(kernel_shape(variant, cfg)) == 2)

@@ -389,6 +389,12 @@ def scores_from_file(path, mode: str) -> np.ndarray:
 # Differentiable gating (relaxed top-k)
 # ---------------------------------------------------------------------------
 
+def _check_temperatures(*taus) -> None:
+    for tau in taus:
+        if not 0 < tau < math.inf:  # false for NaN too
+            raise ConfigError(f"temperatures must be positive and finite, got {tau}")
+
+
 @dataclass(frozen=True)
 class GateParams:
     logits: np.ndarray
@@ -401,8 +407,7 @@ class GateParams:
         n = np.asarray(self.logits).shape[0]
         if not 0 < self.budget <= n:
             raise ConfigError(f"budget must be in (0, {n}], got {self.budget}")
-        if self.tau0 <= 0 or self.tau_end <= 0:
-            raise ConfigError("temperatures must be positive")
+        _check_temperatures(self.tau0, self.tau_end)
 
 
 def hard_topk_gate(w, p: int) -> np.ndarray:
@@ -436,8 +441,7 @@ def gumbel_topk_relax(w, p: int, tau: float, seed: int) -> np.ndarray:
     the hard mask over the same perturbed logits.
     """
     w = np.asarray(w, dtype=np.float64).ravel()
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
+    _check_temperatures(tau)
     if not 0 < p <= w.shape[0]:
         raise ConfigError(f"p must be in (0, {w.shape[0]}], got {p}")
     z = w + gumbel_noise(w.shape[0], seed)
@@ -477,8 +481,7 @@ def anneal_tau(step: int, total_steps: int, tau0: float, tau_end: float) -> floa
         raise ConfigError("total_steps must be >= 1")
     if not 0 <= step <= total_steps:
         raise ConfigError(f"step {step} outside [0, {total_steps}]")
-    if tau0 <= 0 or tau_end <= 0:
-        raise ConfigError("temperatures must be positive")
+    _check_temperatures(tau0, tau_end)
     if step == 0:
         return float(tau0)
     if step == total_steps:
@@ -493,6 +496,8 @@ def gate_trace(params: GateParams, steps: int) -> list:
     compares against the same hard mask and the trace isolates the pure
     effect of the temperature.
     """
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
     w = np.asarray(params.logits, dtype=np.float64).ravel()
     z = w + gumbel_noise(w.shape[0], params.seed)
     mask = hard_topk_gate(z, params.budget)

@@ -263,13 +263,10 @@ def attention(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     return _check_finite(np.matmul(e, v), "matmul result")
 
 
-def project_heads(head_outputs, block: BlockParams) -> np.ndarray:
+def project_heads(head_outputs: np.ndarray, block: BlockParams) -> np.ndarray:
     """Apply the output projection to the head outputs side by side: an
-    (n, d) array in head order, `attention`'s (n_h, n, d_h) stack, or a
-    list of per-head (n, d_h) outputs."""
-    if not isinstance(head_outputs, np.ndarray):
-        head_outputs = np.concatenate(head_outputs, axis=1)
-    elif head_outputs.ndim == 3:
+    (n, d) array in head order, or `attention`'s (n_h, n, d_h) stack."""
+    if head_outputs.ndim == 3:
         n_h, n, d_h = head_outputs.shape
         head_outputs = head_outputs.transpose(1, 0, 2).reshape(n, n_h * d_h)
     return matmul(head_outputs, block.w_o)
@@ -294,29 +291,23 @@ def mhsa_forward_headsum(x: np.ndarray, block: BlockParams) -> np.ndarray:
     return out
 
 
-def block_forward(x: np.ndarray, block: BlockParams, mhsa_fn=None,
-                  attn_tap=None) -> np.ndarray:
+def block_forward(x: np.ndarray, block: BlockParams, mhsa_fn=None) -> np.ndarray:
     """Pre-norm residual block: x + MhSA(norm(x)), then x + FFN(norm(x)).
 
-    `mhsa_fn(attn_in, block)` substitutes the attention sublayer (used for
-    drop-in surgery and gating); `attn_tap(attn_in)` observes the normed
-    attention input without altering the computation.
+    `mhsa_fn(attn_in, block)` substitutes the attention sublayer: drop-in
+    surgery, gating and the fit's capture all go through it.
     """
     attn_in = layer_norm(x, block.norm1_scale, block.norm1_shift)
-    if attn_tap is not None:
-        attn_tap(attn_in)
     fn = mhsa_forward if mhsa_fn is None else mhsa_fn
     x = x + fn(attn_in, block)
     x = x + ffn_forward(layer_norm(x, block.norm2_scale, block.norm2_shift), block)
     return x
 
 
-def model_forward(x: np.ndarray, model: Model, mhsa_fns=None,
-                  attn_tap=None) -> np.ndarray:
+def model_forward(x: np.ndarray, model: Model, mhsa_fns=None) -> np.ndarray:
     """Full forward pass over all blocks; adds the positional table once.
 
-    `mhsa_fns` maps block index -> substitute attention sublayer;
-    `attn_tap(b, attn_in)` observes each block's attention input.
+    `mhsa_fns` maps block index -> substitute attention sublayer.
     """
     if x.shape != (model.config.n, model.config.d):
         raise ShapeError(
@@ -324,9 +315,7 @@ def model_forward(x: np.ndarray, model: Model, mhsa_fns=None,
         )
     h = as_f32(x) + model.pos_enc
     for b, block in enumerate(model.blocks):
-        fn = mhsa_fns.get(b) if mhsa_fns else None
-        tap = (lambda a, _b=b: attn_tap(_b, a)) if attn_tap else None
-        h = block_forward(h, block, mhsa_fn=fn, attn_tap=tap)
+        h = block_forward(h, block, mhsa_fn=mhsa_fns.get(b) if mhsa_fns else None)
     return h
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dwdropin import vit
-from dwdropin.tensor import seed_stream, seeded_fill
+from dwdropin.tensor import as_f32, seed_stream, seeded_fill
 
 TINY = vit.ModelConfig(n_b=2, n_h=2, d=8, d_h=4, m=4, k=3, ffn_mult=2)
 
@@ -29,6 +29,18 @@ def make_inputs(cfg, count, seed):
     seeds = seed_stream(seed)
     return [seeded_fill((cfg.n, cfg.d), next(seeds), "gaussian", 0.0, 1.0)
             for _ in range(count)]
+
+
+def block_inputs(model, x):
+    """Every block's normed attention input for one sample, walked block by
+    block with `layer_norm` and `block_forward`: an oracle for the forward's
+    own inputs that shares no code with the fit's capture."""
+    h = as_f32(x) + model.pos_enc
+    inputs = []
+    for block in model.blocks:
+        inputs.append(vit.layer_norm(h, block.norm1_scale, block.norm1_shift))
+        h = vit.block_forward(h, block)
+    return inputs
 
 
 def read_manifest(path):

@@ -38,7 +38,7 @@ from dwdropin.select import (
 from dwdropin.tensor import dwconv2d, seed_stream, seeded_fill
 from dwdropin.vit import DESK, VITL, ModelConfig, grid, init_model
 
-from conftest import make_inputs
+from conftest import block_inputs, make_inputs
 
 
 def criterion(line):
@@ -171,10 +171,7 @@ def test_criterion_06_welford():
             energies = []
             for x in samples:
                 blk = model.blocks[b]
-                per_block = {}
-                vit.model_forward(x, model,
-                                  attn_tap=lambda bb, a: per_block.__setitem__(bb, a))
-                q, kq, _ = vit.qkv_project(per_block[b], blk, h)
+                q, kq, _ = vit.qkv_project(block_inputs(model, x)[b], blk, h)
                 energies.append(np.asarray(vit.head_energy(q, kq), dtype=np.float64))
             stack = np.stack(energies)
             mean = stack.sum(axis=0) / n_s

@@ -322,6 +322,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL forward_equivalence" in out and "sample" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "-1e-6", "-inf"])
+    def test_bad_tolerance_is_usage_error(self, tiny_archive, capsys, tol):
+        """A tolerance no difference can meet is refused (exit 2), not
+        reported as a failing hybrid (exit 1)."""
+        capsys.readouterr()
+        assert run("verify", "--model", tiny_archive, "--hybrid", tiny_archive,
+                   "--samples", 2, f"--tol={tol}") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: tolerance must be >= 0, got {float(tol)}\n"
+
+    def test_zero_tolerance_accepted(self, tiny_archive):
+        assert run("verify", "--model", tiny_archive, "--hybrid", tiny_archive,
+                   "--samples", 2, "--tol", 0) == 0
+
     def test_shared_kernel_dw_matches_convfull_hybrid(self, tmp_path, tiny_archive):
         """The channel-shared depthwise hybrid and the folded full-conv
         hybrid are the same operator."""
@@ -597,6 +611,16 @@ class TestBench:
             r = doc["results"][v]
             assert r["p10"] <= r["median"] <= r["p90"]
 
+    @pytest.mark.parametrize("variants", [",", " , ,", ""])
+    def test_empty_variant_list_is_usage_error(self, tmp_path, capsys, variants):
+        out = tmp_path / "bench.json"
+        capsys.readouterr()
+        assert run("bench", *TINY_FLAGS, "--variants", variants, "--reps", 1,
+                   "--warmup", 0, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --variants {variants!r} names no variant\n"
+        assert not out.exists()
+
     def test_single_block_fns_cover_every_variant(self):
         fns = single_block_bench_fns(TINY, seed=3)
         assert set(fns) == {"mhsa", *dropin.VARIANTS}
@@ -638,6 +662,23 @@ class TestGate:
 
     def test_needs_size(self):
         assert run("gate", "--budget", 2) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--steps", 0), "steps must be >= 1, got 0"),
+        (("--steps", -3), "steps must be >= 1, got -3"),
+        (("--tau0", "nan"), "temperatures must be positive and finite, got nan"),
+        (("--tau0", "inf"), "temperatures must be positive and finite, got inf"),
+        (("--tau-end", "inf"), "temperatures must be positive and finite, got inf"),
+        (("--tau-end", "-0.5"), "temperatures must be positive and finite, got -0.5"),
+    ])
+    def test_bad_schedule_is_usage_error(self, tmp_path, capsys, flags, message):
+        """A schedule with no steps or a non-finite temperature exits 2 with
+        one error line and writes no trace."""
+        out = tmp_path / "gate.json"
+        capsys.readouterr()
+        assert run("gate", "--blocks", 6, "--budget", 2, *flags, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestEntryPoint:

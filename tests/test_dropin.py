@@ -32,7 +32,7 @@ from dwdropin.tensor import (
 )
 from dwdropin.vit import DESK, ModelConfig, grid, head_cols, head_rows, init_model
 
-from conftest import TINY, make_inputs
+from conftest import TINY, block_inputs, make_inputs
 
 
 def delta_kernel(k, channels=None):
@@ -288,7 +288,7 @@ def _per_head_sublayer(dp, cfg):
             else:
                 y = attn_conv_full(grid(x, cfg.m), fold_full_kernel(dp.head_kernels[h], w_v_slice))
             outs.append(vit.flat(y))
-        return vit.project_heads(outs, block)
+        return vit.project_heads(np.concatenate(outs, axis=1), block)
     return fn
 
 
@@ -367,9 +367,10 @@ class TestDwSublayerAssembly:
         for x in make_inputs(cfg, 2, 24):
             a_in = vit.layer_norm(x, blk.norm1_scale, blk.norm1_shift)
             got = sublayer(a_in, blk)
-            per_head = vit.project_heads([
+            per_head = vit.project_heads(np.concatenate([
                 vit.flat(attn_dw(grid(a_in, cfg.m), head_cols(blk.w_v, h, cfg.d_h), kerns[h]))
-                if h in kerns else vit.head_attention(a_in, blk, h) for h in range(cfg.n_h)], blk)
+                if h in kerns else vit.head_attention(a_in, blk, h) for h in range(cfg.n_h)],
+                axis=1), blk)
             if shape == "desk":
                 np.testing.assert_array_equal(got, per_head)
             assert np.abs(got - per_head).max() <= 1e-6 * np.abs(per_head).max()
@@ -382,8 +383,8 @@ class TestDwSublayerAssembly:
                 outs.update(zip(kept, vit.attention(a_in, *(
                     vit.head_columns(w, kept, cfg.d_h) for w in (blk.w_q, blk.w_k, blk.w_v)),
                     cfg.d_h)))
-            np.testing.assert_array_equal(
-                got, vit.project_heads([outs[h] for h in range(cfg.n_h)], blk))
+            np.testing.assert_array_equal(got, vit.project_heads(
+                np.concatenate([outs[h] for h in range(cfg.n_h)], axis=1), blk))
 
 
 class TestConstructedEquivalence:
@@ -404,7 +405,7 @@ class TestConstructedEquivalence:
                     outs.append(vit.flat(vit.explicit_attention(e_synth, grid(v, cfg.m))))
                 else:
                     outs.append(vit.head_attention(a_in, block, hh))
-            return vit.project_heads(outs, block)
+            return vit.project_heads(np.concatenate(outs, axis=1), block)
 
         read = read_off_kernel(e_synth, cfg.m, cfg.k)
         np.testing.assert_allclose(read, kern2d, atol=1e-7)
@@ -439,7 +440,8 @@ class TestKernelFitting:
         model = init_model(vit.DESK, 303)
         model.blocks[2].w_q[:] = 0  # uniform attention: global mean, not local
         samples = make_inputs(vit.DESK, 2, 107)
-        [(kern, rep)] = fit_block(model, 2, "dw", (0,), None, attention_inputs(model, samples))
+        [(kern, rep)] = fit_block(model, 2, "dw", (0,), None,
+                                  attention_inputs(model, samples, [2]))
         assert np.isfinite(kern).all()
         assert rep.objective > 1e-6
         assert rep.objective <= rep.zero_objective
@@ -464,7 +466,7 @@ class TestKernelFitting:
     def test_fit_kernels_roundtrip_through_model(self, tiny_model):
         samples = make_inputs(TINY, 3, 130)
         [(kern, rep)] = fit_block(tiny_model, 0, "dw", (1,), None,
-                                  attention_inputs(tiny_model, samples))
+                                  attention_inputs(tiny_model, samples, [0]))
         assert kern.shape == (TINY.k, TINY.k, TINY.d_h)
         assert rep.objective <= rep.zero_objective
 
@@ -505,14 +507,14 @@ class TestKernelFitting:
 
 def _fit_sets(desk_model):
     """(v_list, t_list, k) regression sets: planted, random, all-zero, and
-    desk heads' values and exact outputs from one capture."""
+    desk heads' values and exact outputs."""
     planted = seeded_fill((3, 3, 4), 210, "gaussian", 0.0, 0.5)
     v = [seeded_fill((8, 8, 4), 211 + i, "gaussian") for i in range(3)]
     sets = [(v, [dwconv2d(x, planted) for x in v], 3),
             (v, [seeded_fill((8, 8, 4), 215 + i, "gaussian") for i in range(3)], 3),
             ([np.zeros((6, 6, 2), np.float32)], [np.zeros((6, 6, 2), np.float32)], 3)]
     cfg = vit.DESK
-    inputs = attention_inputs(desk_model, make_inputs(cfg, 4, 220))
+    inputs = [block_inputs(desk_model, x) for x in make_inputs(cfg, 4, 220)]
     for b, h in ((0, 1), (4, 3)):
         block = desk_model.blocks[b]
         w_v = head_cols(block.w_v, h, cfg.d_h)
@@ -576,33 +578,34 @@ class TestEnsembledFitting:
     def test_fit_reduces_objective(self, tiny_model):
         samples = make_inputs(TINY, 3, 200)
         [(kern, rep)] = fit_block(tiny_model, 0, "ens-dw", tuple(range(TINY.n_h)),
-                                  np.zeros(TINY.n_h), attention_inputs(tiny_model, samples))
+                                  np.zeros(TINY.n_h), attention_inputs(tiny_model, samples, [0]))
         assert kern.shape == (TINY.k, TINY.k, TINY.d_h)
         assert rep.objective <= rep.zero_objective
 
 
-def per_head_fit(model, b, h, inputs, variant):
+def per_head_fit(model, b, h, samples, variant):
     """Reference fit of one head alone: its own value columns against its
     own exact attention output, one normal-equation system per head."""
     cfg, block = model.config, model.blocks[b]
-    v = [grid(matmul(per_block[b], head_cols(block.w_v, h, cfg.d_h)), cfg.m)
-         for per_block in inputs]
-    t = [grid(vit.head_attention(per_block[b], block, h), cfg.m) for per_block in inputs]
+    inputs = [block_inputs(model, x)[b] for x in samples]
+    v = [grid(matmul(a_in, head_cols(block.w_v, h, cfg.d_h)), cfg.m) for a_in in inputs]
+    t = [grid(vit.head_attention(a_in, block, h), cfg.m) for a_in in inputs]
     return fit_depthwise_kernel(v, t, cfg.k, shared=variant == "convfull")
 
 
-def sigma_mix_fit(model, b, gamma, inputs, variant):
+def sigma_mix_fit(model, b, gamma, samples, variant):
     """Reference fit of an ensembled block: the softmax(gamma)-merged values
     against the softmax(gamma) mix of the exact head outputs."""
     cfg, block = model.config, model.blocks[b]
     w_ve, _ = ensemble_weights(gamma, block.w_v, block.w_o, cfg.n_h, cfg.d_h)
     sig = softmax64(np.asarray(gamma, dtype=np.float64))
     v, t = [], []
-    for per_block in inputs:
+    for x in samples:
+        a_in = block_inputs(model, x)[b]
         mix = np.zeros((cfg.n, cfg.d_h), dtype=np.float64)
         for h in range(cfg.n_h):
-            mix += sig[h] * vit.head_attention(per_block[b], block, h)
-        v.append(grid(matmul(per_block[b], w_ve), cfg.m))
+            mix += sig[h] * vit.head_attention(a_in, block, h)
+        v.append(grid(matmul(a_in, w_ve), cfg.m))
         t.append(grid(mix.astype(np.float32), cfg.m))
     return fit_depthwise_kernel(v, t, cfg.k, shared=variant == "ens-convfull")
 
@@ -615,12 +618,13 @@ class TestFitBlock:
     @pytest.mark.parametrize("variant", ["dw", "convfull"])
     def test_matches_per_head_reference(self, variant, heads):
         model = init_model(FOUR_HEADS, 304)
-        inputs = attention_inputs(model, make_inputs(FOUR_HEADS, 3, 94))
+        samples = make_inputs(FOUR_HEADS, 3, 94)
+        inputs = attention_inputs(model, samples, range(FOUR_HEADS.n_b))
         for b in range(FOUR_HEADS.n_b):
             fits = fit_block(model, b, variant, heads, None, inputs)
             assert len(fits) == len(heads)
             for h, (kern, rep) in zip(heads, fits):
-                want, want_rep = per_head_fit(model, b, h, inputs, variant)
+                want, want_rep = per_head_fit(model, b, h, samples, variant)
                 assert kern.shape == kernel_shape(variant, FOUR_HEADS)
                 np.testing.assert_array_equal(kern, want)
                 assert rep == want_rep
@@ -629,13 +633,14 @@ class TestFitBlock:
     @pytest.mark.parametrize("variant", ["ens-dw", "ens-convfull"])
     def test_ensembled_matches_sigma_mix_reference(self, variant, gamma_seed):
         model = init_model(FOUR_HEADS, 305)
-        inputs = attention_inputs(model, make_inputs(FOUR_HEADS, 3, 96))
+        samples = make_inputs(FOUR_HEADS, 3, 96)
+        inputs = attention_inputs(model, samples, range(FOUR_HEADS.n_b))
         gamma = (np.zeros(FOUR_HEADS.n_h, np.float32) if gamma_seed is None
                  else seeded_fill((FOUR_HEADS.n_h,), gamma_seed))
         for b in range(FOUR_HEADS.n_b):
             [(kern, rep)] = fit_block(model, b, variant, tuple(range(FOUR_HEADS.n_h)),
                                       gamma, inputs)
-            want, want_rep = sigma_mix_fit(model, b, gamma, inputs, variant)
+            want, want_rep = sigma_mix_fit(model, b, gamma, samples, variant)
             assert kern.shape == kernel_shape(variant, FOUR_HEADS)
             np.testing.assert_array_equal(kern, want)
             assert rep == want_rep
@@ -668,6 +673,47 @@ class TestBuiltOnce:
         assert len(calls) == TINY.n_b
 
 
+class TestCapture:
+    """The fit's capture: one forward per sample, each planned block's exact
+    attention run once and recorded."""
+
+    def test_records_planned_blocks_bitwise(self, desk_model, monkeypatch):
+        samples = make_inputs(DESK, 3, 231)
+        want = [vit.model_forward(x, desk_model) for x in samples]
+        forward, outputs = vit.model_forward, []
+        monkeypatch.setattr(vit, "model_forward",
+                            lambda *a, **kw: outputs.append(forward(*a, **kw)) or outputs[-1])
+        captured = attention_inputs(desk_model, samples, (4, 1))
+        assert sorted(captured) == [1, 4]
+        for x, out, ref in zip(samples, outputs, want):
+            np.testing.assert_array_equal(out, ref)
+        for b, records in captured.items():
+            blk = desk_model.blocks[b]
+            assert len(records) == len(samples)
+            for x, (a_in, stack) in zip(samples, records):
+                np.testing.assert_array_equal(a_in, block_inputs(desk_model, x)[b])
+                assert stack.shape == (DESK.n_h, DESK.n, DESK.d_h)
+                np.testing.assert_array_equal(
+                    stack, vit.attention(a_in, blk.w_q, blk.w_k, blk.w_v, blk.d_h))
+
+    @pytest.mark.parametrize("variant, mode, targets", [
+        *((v, "blockwise", (3, 0)) for v in dropin.VARIANTS),
+        ("dw", "scattered", ((0, 1), (0, 3), (2, 0), (5, 2))),
+        ("convfull", "scattered", ((1, 2), (4, 0), (4, 1))),
+    ])
+    def test_fitting_runs_attention_once_per_block_and_sample(self, desk_model, monkeypatch,
+                                                              variant, mode, targets):
+        """`vit.attention` runs len(samples) x n_b times: in the capture
+        forwards only, never again in `fit_block`."""
+        attend, calls = vit.attention, []
+        monkeypatch.setattr(vit, "attention", lambda *a, **kw: calls.append(1) or attend(*a, **kw))
+        samples = make_inputs(DESK, 3, 232)
+        plan = SelectionPlan(mode, "lowest", len(targets), targets)
+        _, reports = build_dropins(desk_model, plan, variant, samples=samples)
+        assert reports
+        assert len(calls) == len(samples) * DESK.n_b
+
+
 class TestBuildDropins:
     @pytest.mark.parametrize("variant", ["dw", "convfull"])
     def test_fit_matches_per_head_fitting_bitwise(self, tiny_model, variant):
@@ -675,9 +721,8 @@ class TestBuildDropins:
         plan = SelectionPlan("scattered", "lowest", 3, ((1, 0), (0, 1), (1, 1)))
         hm, reports = build_dropins(tiny_model, plan, variant, samples=samples)
         assert list(reports) == [(0, 1), (1, 0), (1, 1)]
-        inputs = attention_inputs(tiny_model, samples)
         for (b, h), rep in reports.items():
-            kern, want = per_head_fit(tiny_model, b, h, inputs, variant)
+            kern, want = per_head_fit(tiny_model, b, h, samples, variant)
             np.testing.assert_array_equal(hm.dropins[b].head_kernels[h], kern)
             assert rep == want
 
@@ -688,9 +733,8 @@ class TestBuildDropins:
         hm, reports = build_dropins(tiny_model, plan, variant, samples=samples)
         assert list(reports) == [0, 1]
         gamma = np.zeros(TINY.n_h, dtype=np.float32)
-        inputs = attention_inputs(tiny_model, samples)
         for b, rep in reports.items():
-            kern, want = sigma_mix_fit(tiny_model, b, gamma, inputs, variant)
+            kern, want = sigma_mix_fit(tiny_model, b, gamma, samples, variant)
             np.testing.assert_array_equal(hm.dropins[b].kernel, kern)
             np.testing.assert_array_equal(hm.dropins[b].gamma, gamma)
             assert rep == want
@@ -699,13 +743,13 @@ class TestBuildDropins:
     def test_fit_captures_attention_inputs_once(self, tiny_model, monkeypatch, variant):
         capture, calls = dropin.attention_inputs, []
 
-        def counted(model, samples):
-            calls.append(len(samples))
-            return capture(model, samples)
+        def counted(model, samples, blocks):
+            calls.append((len(samples), sorted(blocks)))
+            return capture(model, samples, blocks)
         monkeypatch.setattr(dropin, "attention_inputs", counted)
         plan = SelectionPlan("blockwise", "lowest", 2, (1, 0))  # 2 blocks x 2 heads
         _, reports = build_dropins(tiny_model, plan, variant, samples=make_inputs(TINY, 3, 93))
-        assert calls == [3]
+        assert calls == [(3, [0, 1])]
         assert len(reports) == (2 if variant in dropin.ENSEMBLED else 4)
 
     @pytest.mark.parametrize("variant", dropin.VARIANTS)

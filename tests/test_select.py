@@ -34,7 +34,7 @@ from dwdropin.select import (
 from dwdropin.tensor import ConfigError, FormatError, seeded_fill, softmax_rows
 from dwdropin.vit import init_model
 
-from conftest import PLAN_FAULTS, REPORT_FAULTS, TINY, make_inputs
+from conftest import PLAN_FAULTS, REPORT_FAULTS, TINY, block_inputs, make_inputs
 
 
 def two_pass_std(samples):
@@ -170,9 +170,7 @@ class TestScoreModel:
         states = [[WelfordState.new((cfg.n, cfg.n)) for _ in range(cfg.n_h)]
                   for _ in range(cfg.n_b)]
         for x in samples:
-            per_block = [None] * cfg.n_b
-            vit.model_forward(x, model, attn_tap=lambda b, a: per_block.__setitem__(b, a))
-            for b, a_in in enumerate(per_block):
+            for b, a_in in enumerate(block_inputs(model, x)):
                 for h in range(cfg.n_h):
                     q, k, _ = vit.qkv_project(a_in, model.blocks[b], h)
                     welford_update(states[b][h], vit.head_energy(q, k))
@@ -409,6 +407,9 @@ class TestGumbelTopK:
     def test_temperature_must_be_positive(self):
         with pytest.raises(ConfigError):
             gumbel_topk_relax(np.zeros(4), 2, 0.0, seed=1)
+        for tau in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                gumbel_topk_relax(np.zeros(4), 2, tau, seed=1)
 
     def test_annealing_shrinks_l1_on_average(self):
         n_b, p, steps, seeds = 8, 3, 6, 120
@@ -463,6 +464,12 @@ class TestAnnealTau:
         with pytest.raises(ConfigError):
             anneal_tau(1, 2, -4.0, 0.05)
 
+    @pytest.mark.parametrize("tau0, tau_end", [(np.nan, 0.05), (4.0, np.nan),
+                                               (np.inf, 0.05), (4.0, np.inf)])
+    def test_non_finite_temperatures_refused(self, tau0, tau_end):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            anneal_tau(1, 2, tau0, tau_end)
+
 
 class TestGateTrace:
     def test_trace_structure(self):
@@ -477,3 +484,15 @@ class TestGateTrace:
     def test_budget_validation(self):
         with pytest.raises(ConfigError):
             GateParams(logits=np.zeros(4), budget=5)
+
+    @pytest.mark.parametrize("taus", [{"tau0": np.nan}, {"tau_end": np.nan},
+                                      {"tau0": np.inf}, {"tau_end": np.inf},
+                                      {"tau0": 0.0}, {"tau_end": -1.0}])
+    def test_temperatures_must_be_positive_and_finite(self, taus):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            GateParams(logits=np.zeros(4), budget=2, **taus)
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_needs_a_step(self, steps):
+        with pytest.raises(ConfigError, match="steps must be >= 1"):
+            gate_trace(GateParams(logits=np.zeros(4), budget=2), steps)

@@ -243,12 +243,6 @@ class TestBlockAndModelForward:
             np.testing.assert_array_equal(ba.w_q, bb.w_q)
             np.testing.assert_array_equal(ba.ffn_w2, bb.ffn_w2)
 
-    def test_attn_tap_sees_every_block(self, tiny_model):
-        seen = []
-        x = make_inputs(TINY, 1, 5)[0]
-        model_forward(x, tiny_model, attn_tap=lambda b, a: seen.append((b, a.shape)))
-        assert seen == [(0, (TINY.n, TINY.d)), (1, (TINY.n, TINY.d))]
-
 
 class TestExplicitVsHeadAttention:
     def test_agreement_on_model(self, desk_model, rng):
@@ -319,13 +313,30 @@ class TestBatchedAttention:
             self.assert_matches_per_head(x, blk, heads)
 
     def test_project_heads_forms_agree(self, desk_model):
-        """The stack, the (n, d) array and the list of heads project alike."""
+        """The stack and the (n, d) array of its heads side by side project alike."""
         blk = desk_model.blocks[0]
         x = layer_norm(make_inputs(DESK, 1, 64)[0], blk.norm1_scale, blk.norm1_shift)
         stack = attention(x, blk.w_q, blk.w_k, blk.w_v, blk.d_h)
-        want = project_heads(list(stack), blk)
-        np.testing.assert_array_equal(project_heads(stack, blk), want)
-        np.testing.assert_array_equal(project_heads(np.concatenate(stack, axis=1), blk), want)
+        np.testing.assert_array_equal(project_heads(stack, blk),
+                                      project_heads(np.concatenate(stack, axis=1), blk))
+
+    @pytest.mark.parametrize("shape", ["desk", "vitl-block"])
+    def test_stack_slices_match_gathered_columns(self, desk_model, shape):
+        """Slicing a head group out of the full-width stack equals running
+        `attention` on that group's gathered columns, bitwise: the fit takes
+        its targets from the capture's stack."""
+        if shape == "desk":
+            cfg, blk = DESK, desk_model.blocks[3]
+            groups = ((0,), (3,), (1, 3), (0, 2, 3), (0, 1, 2, 3))
+        else:
+            cfg = ModelConfig(**{**VITL.to_dict(), "n_b": 1})
+            blk = init_model(cfg, 65).blocks[0]
+            groups = ((7,), (0, 15), (1, 4, 9), tuple(range(0, 16, 2)), tuple(range(16)))
+        x = layer_norm(make_inputs(cfg, 1, 66)[0], blk.norm1_scale, blk.norm1_shift)
+        stack = attention(x, blk.w_q, blk.w_k, blk.w_v, blk.d_h)
+        for heads in groups:
+            cols = [head_columns(w, heads, blk.d_h) for w in (blk.w_q, blk.w_k, blk.w_v)]
+            np.testing.assert_array_equal(stack[list(heads)], attention(x, *cols, blk.d_h))
 
     def test_head_columns(self, desk_model):
         w = desk_model.blocks[0].w_q
