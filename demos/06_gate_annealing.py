@@ -17,6 +17,7 @@ from dwdropin.select import (
     gumbel_topk_relax,
     hard_topk_gate,
 )
+from dwdropin.tensor import seeded_generator
 
 n_b, budget = 24, 12
 logits = np.zeros(n_b)
@@ -38,7 +39,7 @@ for tau in (4.0, 0.5, 0.05):
     print(f"tau={tau:5}: sum={wt.sum():.6f}  max={wt.max():.4f}  min={wt.min():.6f}")
 
 # With well-separated logits the cold limit reproduces the hard mask.
-sep = np.random.Generator(np.random.PCG64(3)).permutation(10.0 * np.arange(n_b))
+sep = seeded_generator(3).permutation(10.0 * np.arange(n_b))
 z = sep + gumbel_noise(n_b, seed=17)
 cold = gumbel_topk_relax(sep, budget, 0.01, seed=17)
 print(f"well-separated logits at tau=0.01: max gap to hard mask "

@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -395,6 +396,8 @@ def cmd_gate(args) -> int:
         n_b = args.blocks
     if n_b is None:
         raise ConfigError("need --model or --blocks to size the gate")
+    if n_b < 1:
+        raise ConfigError(f"--blocks must be >= 1, got {n_b}")
     params = select.GateParams(logits=np.zeros(n_b), budget=args.budget,
                                tau0=args.tau0, tau_end=args.tau_end, seed=args.seed)
     trace = select.gate_trace(params, args.steps)
@@ -416,6 +419,22 @@ def cmd_gate(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+class Parser(argparse.ArgumentParser):
+    """argparse takes `-1e-6` or `-inf` after a flag for an option and
+    stops with "expected one argument"; this parser reads every negative
+    number `float` accepts as a value, so it reaches the command's own
+    check. It replaces argparse's private `_negative_number_matcher`
+    (an instance attribute in Python 3.10 to 3.13); subcommand parsers are
+    made of the same class."""
+
+    NEGATIVE_NUMBER = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self.NEGATIVE_NUMBER
+
+
 def _add_config_flags(p):
     p.add_argument("--config", choices=sorted(PRESETS), default="desk")
     p.add_argument("--blocks", type=int, help="override block count")
@@ -428,7 +447,7 @@ def _add_config_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog=TOOL, description=__doc__)
+    ap = Parser(prog=TOOL, description=__doc__)
     ap.add_argument("--version", action="version", version=f"{TOOL} {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 

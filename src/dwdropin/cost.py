@@ -34,7 +34,7 @@ import numpy as np
 from . import dropin
 from .select import SelectionPlan
 from .tensor import ConfigError
-from .vit import ModelConfig
+from .vit import ModelConfig, group_size
 
 VARIANTS = ("mhsa",) + dropin.VARIANTS
 
@@ -86,10 +86,11 @@ def ffn_flops_params(cfg: ModelConfig) -> tuple:
 def activation_bytes(variant: str, cfg: ModelConfig) -> int:
     """Per-block activation footprint (float32 bytes) of one attention
     sublayer call, input included: what its implementation holds at once."""
-    n, d, d_h, k, n_h = cfg.n, cfg.d, cfg.d_h, cfg.k, cfg.n_h
+    n, d, d_h, k = cfg.n, cfg.d, cfg.d_h, cfg.k
     padded = (cfg.m + k - 1) ** 2  # tokens of a grid zero-padded for a k x k kernel
+    g = min(cfg.n_h, group_size(n))  # heads whose weights exact attention holds at once
     counts = {
-        "mhsa": 6 * n * d + n_h * n * n,              # x, q, k, v, heads, out; every head's weights
+        "mhsa": 6 * n * d + g * n * n,                # x, q, k, v, heads, out; one head group's weights
         "convfull": 4 * n * d + 2 * k * k * d * d,    # x, padded x, conv out, out; all folds, concatenated
         "dw": 4 * n * d + padded * d,                 # x, values, conv out, shifted product; padded values
         "ens-convfull": 2 * n * d + padded * d + 2 * n * d_h + k * k * d * d_h,
@@ -255,6 +256,8 @@ def bench(fn, arg, warmup: int = 5, reps: int = 30) -> dict:
     """
     if reps < 1:
         raise ConfigError("reps must be >= 1")
+    if warmup < 0:
+        raise ConfigError(f"warmup must be >= 0, got {warmup}")
     for _ in range(warmup):
         fn(arg)
     times = np.empty(reps, dtype=np.float64)

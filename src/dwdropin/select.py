@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vit
-from .tensor import ConfigError, FormatError, ShapeError, softmax64
+from .tensor import ConfigError, FormatError, ShapeError, seeded_generator, softmax64
 from .vit import Model
 
 POPULATION = "population"  # sigma = sqrt(M2 / N); documented convention
@@ -120,16 +120,18 @@ class ScoreResult:
 def score_model(model: Model, samples) -> ScoreResult:
     """Score every head over an iterable of (n, d) inputs, one pass.
 
-    Each block's attention runs batched with a tap that folds the
-    (n_h, n, n) weights the forward itself computes into the block's one
-    accumulator, so nothing is recomputed and nothing is kept per sample:
-    memory stays at two float64 n x n buffers per head regardless of the
-    sample count.
+    Each block's attention runs with a tap that folds the (g, n, n)
+    weights of each head group (`vit.head_groups`) the forward itself
+    computes into that group's one accumulator, so nothing is recomputed
+    and nothing is kept per sample: memory stays at two float64 n x n
+    buffers per head regardless of the sample count.
     """
     cfg = model.config
-    states = [WelfordState.new((cfg.n_h, cfg.n, cfg.n)) for _ in range(cfg.n_b)]
+    groups = vit.head_groups(cfg.n_h, cfg.n)
+    states = [{h0: WelfordState.new((h1 - h0, cfg.n, cfg.n)) for h0, h1 in groups}
+              for _ in range(cfg.n_b)]
     fns = {b: lambda x, block, s=state: vit.mhsa_forward(
-               x, block, energy_tap=lambda e: welford_update(s, e))
+               x, block, energy_tap=lambda e, h0: welford_update(s[h0], e))
            for b, state in enumerate(states)}
     n_samples = 0
     for x in samples:
@@ -137,8 +139,8 @@ def score_model(model: Model, samples) -> ScoreResult:
         vit.model_forward(x, model, mhsa_fns=fns)
     if n_samples == 0:
         raise ConfigError("scoring needs at least one sample")
-    sig_h = np.array([[sigma_head(sigma) for sigma in welford_finalize(state)]
-                      for state in states])
+    sig_h = np.array([[sigma_head(sigma) for h0, _ in groups
+                       for sigma in welford_finalize(state[h0])] for state in states])
     sig_b = np.array([sigma_block(sig_h[b]) for b in range(cfg.n_b)])
     return ScoreResult(sigma_h=sig_h, sigma_b=sig_b, n_samples=n_samples)
 
@@ -423,8 +425,7 @@ def hard_topk_gate(w, p: int) -> np.ndarray:
 
 def gumbel_noise(n: int, seed: int) -> np.ndarray:
     """Seeded standard Gumbel draws g = -log(-log(u))."""
-    gen = np.random.Generator(np.random.PCG64(seed))
-    u = gen.random(n, dtype=np.float64)
+    u = seeded_generator(seed).random(n, dtype=np.float64)
     return -np.log(-np.log(u))
 
 

@@ -12,6 +12,8 @@ delegated to BLAS, whose reduction order is fixed for a given build.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 F32 = np.float32
@@ -133,6 +135,14 @@ def dwconv2d(x: np.ndarray, kern: np.ndarray) -> np.ndarray:
     return _check_finite(out, "dwconv2d result")
 
 
+def seeded_generator(seed: int) -> np.random.Generator:
+    """numpy's PCG64 generator for `seed`, which must be >= 0: every seeded
+    draw of the package starts here."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def seeded_fill(shape, seed: int, dist: str = "gaussian",
                 mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
     """Deterministically fill a tensor from a seed.
@@ -141,7 +151,7 @@ def seeded_fill(shape, seed: int, dist: str = "gaussian",
     arguments reproduce the same bits on any platform running the same
     numpy version. "uniform" draws from [0, 1); "gaussian" from N(mu, sigma^2).
     """
-    gen = np.random.Generator(np.random.PCG64(seed))
+    gen = seeded_generator(seed)
     if dist == "uniform":
         out = gen.random(size=shape, dtype=F32)
     elif dist == "gaussian":
@@ -157,7 +167,7 @@ def seed_stream(seed: int):
 
     Consuming seeds in a fixed documented order is how composite objects
     (models, sample batches) stay reproducible from a single master seed.
+    The seed is checked here, not at the first draw.
     """
-    gen = np.random.Generator(np.random.PCG64(seed))
-    while True:
-        yield int(gen.integers(0, 2**63 - 1))
+    gen = seeded_generator(seed)
+    return (int(gen.integers(0, 2**63 - 1)) for _ in itertools.count())

@@ -2,9 +2,10 @@
 
 This is both the baseline model and the ground-truth oracle that every
 convolutional replacement is measured against. Exact attention runs a
-block's heads at once (`attention`); the per-head functions are its
-oracles. Inputs are token grids (n = m*m tokens, no class token); a
-learned positional table is added once at the input.
+block's heads batched, in head groups sized to stay in cache
+(`attention`); the per-head functions are its oracles. Inputs are token
+grids (n = m*m tokens, no class token); a learned positional table is
+added once at the input.
 """
 
 from __future__ import annotations
@@ -243,24 +244,58 @@ def explicit_attention(e: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out.astype(F32)
 
 
-def attention(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
-              d_h: int, energy_tap=None) -> np.ndarray:
-    """Attention of the heads whose q/k/v columns w_q, w_k, w_v (d, c)
-    hold, all at once: three GEMMs, one stacked energy matmul, softmax in
-    place, one stacked matmul with the values. Returns the head outputs
-    (c / d_h, n, d_h), each `head_attention`'s; `energy_tap` sees the
-    weights (c / d_h, n, n)."""
-    n = x.shape[0]
-    q, k, v = (matmul(x, w).reshape(n, -1, d_h).transpose(1, 0, 2) for w in (w_q, w_k, w_v))
+# Bytes of float32 attention weights one head group may hold. Exact
+# attention runs energies, softmax and EV over consecutive heads whose
+# (g, n, n) weights fit it, so those passes stay in a core's 2 MiB L2
+# cache: all four heads of a desk block form one group, a vitl block runs
+# one head at a time.
+GROUP_BYTES = 2 * 1024 * 1024
+
+
+def group_size(n: int) -> int:
+    """Heads per group over n tokens: as many as fit GROUP_BYTES, at least one."""
+    return max(1, GROUP_BYTES // (4 * n * n))
+
+
+def head_groups(c: int, n: int) -> list:
+    """The [h0, h1) ranges of c heads that `attention` runs together over
+    n tokens: consecutive, in head order."""
+    g = group_size(n)
+    return [(h0, min(h0 + g, c)) for h0 in range(0, c, g)]
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, energy_tap, h0: int,
+            out=None) -> np.ndarray:
+    """One head group's energies, softmax in place and EV, each checked finite."""
     e = _check_finite(np.matmul(q, k.transpose(0, 2, 1)), "matmul result")
-    e *= F32(1.0 / math.sqrt(d_h))
+    e *= F32(1.0 / math.sqrt(q.shape[2]))
     e -= e.max(axis=2, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=2, keepdims=True)
     _check_finite(e, "softmax_rows result")
     if energy_tap is not None:
-        energy_tap(e)
-    return _check_finite(np.matmul(e, v), "matmul result")
+        energy_tap(e, h0)
+    return _check_finite(np.matmul(e, v, out=out), "matmul result")
+
+
+def attention(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
+              d_h: int, energy_tap=None) -> np.ndarray:
+    """Attention of the heads whose q/k/v columns w_q, w_k, w_v (d, c)
+    hold: three full-width GEMMs, then each of `head_groups` in turn, one
+    stacked energy matmul, softmax in place, one stacked matmul with the
+    values. Returns the head outputs (c / d_h, n, d_h), each
+    `head_attention`'s. `energy_tap(e, h0)` sees each group's weights
+    (g, n, n), heads h0 .. h0 + g - 1 of the stack, once, in head order."""
+    n = x.shape[0]
+    q, k, v = (matmul(x, w).reshape(n, -1, d_h).transpose(1, 0, 2) for w in (w_q, w_k, w_v))
+    heads, g = q.shape[0], group_size(n)
+    if g >= heads:  # one group: no loop and no output buffer, so desk pays nothing
+        return _attend(q, k, v, energy_tap, 0)
+    out = np.empty(v.shape, dtype=F32)
+    for h0 in range(0, heads, g):
+        s = slice(h0, h0 + g)
+        _attend(q[s], k[s], v[s], energy_tap, h0, out[s])
+    return out
 
 
 def project_heads(head_outputs: np.ndarray, block: BlockParams) -> np.ndarray:
@@ -273,8 +308,8 @@ def project_heads(head_outputs: np.ndarray, block: BlockParams) -> np.ndarray:
 
 
 def mhsa_forward(x: np.ndarray, block: BlockParams, energy_tap=None) -> np.ndarray:
-    """Multi-head self-attention of one block, (n, d) -> (n, d), all heads
-    batched; `energy_tap` goes to `attention`."""
+    """Multi-head self-attention of one block, (n, d) -> (n, d), every head
+    through `attention`, which also takes `energy_tap`."""
     return project_heads(attention(x, block.w_q, block.w_k, block.w_v, block.d_h,
                                    energy_tap), block)
 

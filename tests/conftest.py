@@ -8,6 +8,8 @@ from dwdropin import vit
 from dwdropin.tensor import as_f32, seed_stream, seeded_fill
 
 TINY = vit.ModelConfig(n_b=2, n_h=2, d=8, d_h=4, m=4, k=3, ffn_mult=2)
+# exact attention over its 256 tokens runs at most 8 of its 12 heads at once
+GROUPED = vit.ModelConfig(n_b=1, n_h=12, d=192, d_h=16, m=16, k=3, ffn_mult=2)
 
 
 @pytest.fixture(scope="session")

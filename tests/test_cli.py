@@ -325,12 +325,14 @@ class TestVerify:
     @pytest.mark.parametrize("tol", ["nan", "-1e-6", "-inf"])
     def test_bad_tolerance_is_usage_error(self, tiny_archive, capsys, tol):
         """A tolerance no difference can meet is refused (exit 2), not
-        reported as a failing hybrid (exit 1)."""
-        capsys.readouterr()
-        assert run("verify", "--model", tiny_archive, "--hybrid", tiny_archive,
-                   "--samples", 2, f"--tol={tol}") == 2
-        err = capsys.readouterr().err
-        assert err == f"error: tolerance must be >= 0, got {float(tol)}\n"
+        reported as a failing hybrid (exit 1), whether the value is joined
+        to its flag or follows it."""
+        for flag in ([f"--tol={tol}"], ["--tol", tol]):
+            capsys.readouterr()
+            assert run("verify", "--model", tiny_archive, "--hybrid", tiny_archive,
+                       "--samples", 2, *flag) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: tolerance must be >= 0, got {float(tol)}\n"
 
     def test_zero_tolerance_accepted(self, tiny_archive):
         assert run("verify", "--model", tiny_archive, "--hybrid", tiny_archive,
@@ -639,6 +641,44 @@ class TestBench:
         doc = json.loads(out.read_text())
         assert set(doc["results"]) == {"baseline", "hybrid[dw]"}
 
+    @pytest.mark.parametrize("plan_mode", [False, True], ids=["single-block", "plan"])
+    def test_negative_warmup_is_usage_error(self, tmp_path, tiny_archive, capsys, plan_mode):
+        out = tmp_path / "bench.json"
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        source = ("--model", tiny_archive, "--plan", plan) if plan_mode else TINY_FLAGS
+        capsys.readouterr()
+        assert run("bench", *source, "--reps", 1, "--warmup", -2, "--out", out) == 2
+        assert capsys.readouterr().err == "error: warmup must be >= 0, got -2\n"
+        assert not out.exists()
+
+
+class TestNegativeSeed:
+    """Every seeded command refuses a negative seed before it draws: exit 2,
+    one error line, no output file."""
+
+    @pytest.mark.parametrize("command", [
+        "gen", "score", "replace-fit", "replace-init", "verify", "bench", "gate"])
+    def test_refused(self, tmp_path, tiny_archive, capsys, command):
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        model, out = ("--model", tiny_archive), tmp_path / "out"
+        argv = {
+            "gen": ("gen", *TINY_FLAGS, "--seed", -1),
+            "score": ("score", *model, "--samples", 2, "--seed", -1),
+            "replace-fit": ("replace", *model, "--plan", plan, "--fit", "--samples", 2,
+                            "--seed", -1),
+            "replace-init": ("replace", *model, "--plan", plan, "--init-seed", -1),
+            "verify": ("verify", *model, "--hybrid", tiny_archive, "--samples", 2,
+                       "--seed", -1),
+            "bench": ("bench", *TINY_FLAGS, "--reps", 1, "--warmup", 0, "--seed", -1),
+            "gate": ("gate", "--blocks", 4, "--budget", 2, "--seed", -1),
+        }[command]
+        capsys.readouterr()
+        assert run(*argv, "--out", out) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestGate:
     def test_trace_endpoints_and_mask(self, tmp_path):
@@ -670,10 +710,15 @@ class TestGate:
         (("--tau0", "inf"), "temperatures must be positive and finite, got inf"),
         (("--tau-end", "inf"), "temperatures must be positive and finite, got inf"),
         (("--tau-end", "-0.5"), "temperatures must be positive and finite, got -0.5"),
+        (("--tau0", "-inf"), "temperatures must be positive and finite, got -inf"),
+        (("--tau-end", "-1e-3"), "temperatures must be positive and finite, got -0.001"),
+        (("--blocks", -1), "--blocks must be >= 1, got -1"),
+        (("--blocks", 0), "--blocks must be >= 1, got 0"),
     ])
     def test_bad_schedule_is_usage_error(self, tmp_path, capsys, flags, message):
-        """A schedule with no steps or a non-finite temperature exits 2 with
-        one error line and writes no trace."""
+        """A schedule with no steps, a temperature that is not positive and
+        finite, or a gate over no blocks exits 2 with one error line and
+        writes no trace."""
         out = tmp_path / "gate.json"
         capsys.readouterr()
         assert run("gate", "--blocks", 6, "--budget", 2, *flags, "--out", out) == 2

@@ -198,8 +198,10 @@ class TestActivationBytes:
     """The estimate prices what one attention sublayer call holds: within a
     factor of 2 of the traced peak of a real call, its input included."""
 
-    @pytest.mark.parametrize("cfg", [DESK, ModelConfig(n_b=1, n_h=3, d=24, d_h=8, m=5, k=5)],
-                             ids=["desk", "odd"])
+    @pytest.mark.parametrize("cfg", [
+        DESK, ModelConfig(n_b=1, n_h=3, d=24, d_h=8, m=5, k=5),
+        ModelConfig(n_b=1, n_h=4, d=64, d_h=16, m=24, k=3),  # exact attention in 4 head groups
+    ], ids=["desk", "odd", "grouped"])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_matches_traced_peak(self, cfg, variant):
         model = vit.init_model(ModelConfig(**{**cfg.to_dict(), "n_b": 1}), 7)

@@ -32,7 +32,7 @@ from dwdropin.tensor import (
 )
 from dwdropin.vit import DESK, ModelConfig, grid, head_cols, head_rows, init_model
 
-from conftest import TINY, block_inputs, make_inputs
+from conftest import GROUPED, TINY, block_inputs, make_inputs
 
 
 def delta_kernel(k, channels=None):
@@ -334,6 +334,22 @@ class TestFusedDropins:
         for x in make_inputs(cfg, 3, 20):
             want = vit.model_forward(x, model, mhsa_fns={
                 b: _per_head_sublayer(dp, cfg) for b, dp in params.items()})
+            np.testing.assert_array_equal(hybrid_forward(hm, x), want)
+
+    def test_kept_heads_in_groups_bitwise(self):
+        """Two of 12 heads replaced over n = 256 tokens: the 10 kept heads run
+        in two head groups (8 and 2), and the hybrid still equals the
+        per-head assembly bitwise."""
+        cfg = GROUPED
+        model = init_model(cfg, 307)
+        assert len(vit.head_groups(cfg.n_h - 2, cfg.n)) == 2
+        plan = SelectionPlan("scattered", "lowest", 2, ((0, 3), (0, 10)))
+        seeds = seed_stream(21)
+        params = {0: BlockDropin("dw", head_kernels={
+            h: init_kernel("dw", cfg, next(seeds)) for h in (3, 10)})}
+        hm = replace_heads(model, plan, params)
+        for x in make_inputs(cfg, 2, 22):
+            want = vit.model_forward(x, model, mhsa_fns={0: _per_head_sublayer(params[0], cfg)})
             np.testing.assert_array_equal(hybrid_forward(hm, x), want)
 
 
@@ -695,6 +711,15 @@ class TestCapture:
                 assert stack.shape == (DESK.n_h, DESK.n, DESK.d_h)
                 np.testing.assert_array_equal(
                     stack, vit.attention(a_in, blk.w_q, blk.w_k, blk.w_v, blk.d_h))
+
+    def test_head_groups_recorded_bitwise(self):
+        """Where attention runs in head groups, the recorded stack holds every
+        head's `head_attention`, bitwise."""
+        model = init_model(GROUPED, 233)
+        blk = model.blocks[0]
+        for a_in, stack in attention_inputs(model, make_inputs(GROUPED, 2, 234), (0,))[0]:
+            for h in range(GROUPED.n_h):
+                np.testing.assert_array_equal(stack[h], vit.head_attention(a_in, blk, h))
 
     @pytest.mark.parametrize("variant, mode, targets", [
         *((v, "blockwise", (3, 0)) for v in dropin.VARIANTS),

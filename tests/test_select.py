@@ -34,7 +34,7 @@ from dwdropin.select import (
 from dwdropin.tensor import ConfigError, FormatError, seeded_fill, softmax_rows
 from dwdropin.vit import init_model
 
-from conftest import PLAN_FAULTS, REPORT_FAULTS, TINY, block_inputs, make_inputs
+from conftest import GROUPED, PLAN_FAULTS, REPORT_FAULTS, TINY, block_inputs, make_inputs
 
 
 def two_pass_std(samples):
@@ -158,6 +158,19 @@ class TestScoreModel:
         others = [res.sigma_b[b] for b in range(vit.DESK.n_b) if b != 3]
         assert min(others) > 1e-3
 
+    @staticmethod
+    def per_head_sigmas(model, samples):
+        """One accumulator per head fed by the per-head oracles."""
+        cfg = model.config
+        states = [[WelfordState.new((cfg.n, cfg.n)) for _ in range(cfg.n_h)]
+                  for _ in range(cfg.n_b)]
+        for x in samples:
+            for b, a_in in enumerate(block_inputs(model, x)):
+                for h in range(cfg.n_h):
+                    q, k, _ = vit.qkv_project(a_in, model.blocks[b], h)
+                    welford_update(states[b][h], vit.head_energy(q, k))
+        return np.array([[sigma_head(welford_finalize(st_)) for st_ in row] for row in states])
+
     def test_matches_per_head_reference_bitwise(self, monkeypatch):
         """The batched scorer gives the sigmas of one accumulator per head fed
         by the per-head oracles, and folds each block in one update."""
@@ -167,14 +180,7 @@ class TestScoreModel:
         for b, h in ((0, 1), (3, 0), (3, 2), (5, 3)):   # and scattered uniform heads
             vit.head_cols(model.blocks[b].w_q, h, cfg.d_h)[:] = 0
         samples = make_inputs(cfg, 17, 31)
-        states = [[WelfordState.new((cfg.n, cfg.n)) for _ in range(cfg.n_h)]
-                  for _ in range(cfg.n_b)]
-        for x in samples:
-            for b, a_in in enumerate(block_inputs(model, x)):
-                for h in range(cfg.n_h):
-                    q, k, _ = vit.qkv_project(a_in, model.blocks[b], h)
-                    welford_update(states[b][h], vit.head_energy(q, k))
-        sigma_h = np.array([[sigma_head(welford_finalize(st_)) for st_ in row] for row in states])
+        sigma_h = self.per_head_sigmas(model, samples)
 
         calls = []
         monkeypatch.setattr("dwdropin.select.welford_update",
@@ -184,6 +190,26 @@ class TestScoreModel:
         np.testing.assert_array_equal(res.sigma_b, [sigma_block(row) for row in sigma_h])
         assert not res.sigma_h[2].any() and not res.sigma_h[3, 0] and not res.sigma_h[5, 3]
         assert len(calls) == cfg.n_b * len(samples)
+
+    def test_head_groups_match_per_head_reference_bitwise(self, monkeypatch):
+        """Where a block's attention runs in several head groups (here 8 and
+        4 heads over n = 256 tokens), each group folds into its own
+        accumulator and the sigmas stay the per-head reference's, bitwise."""
+        cfg = vit.ModelConfig(**{**GROUPED.to_dict(), "n_b": 2})
+        assert len(vit.head_groups(cfg.n_h, cfg.n)) == 2
+        model = init_model(cfg, 406)
+        vit.head_cols(model.blocks[1].w_q, 9, cfg.d_h)[:] = 0   # a uniform head
+        samples = make_inputs(cfg, 5, 32)
+        sigma_h = self.per_head_sigmas(model, samples)
+
+        calls = []
+        monkeypatch.setattr("dwdropin.select.welford_update",
+                            lambda st_, e: calls.append(e.shape[0]) or welford_update(st_, e))
+        res = score_model(model, samples)
+        np.testing.assert_array_equal(res.sigma_h, sigma_h)
+        np.testing.assert_array_equal(res.sigma_b, [sigma_block(row) for row in sigma_h])
+        assert not res.sigma_h[1, 9] and res.sigma_h.all(axis=1).sum() == 1
+        assert calls == [8, 4] * cfg.n_b * len(samples)
 
     def test_deterministic(self, tiny_model):
         r1 = score_model(tiny_model, make_inputs(TINY, 4, 13))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwdropin.select import check_properties
+from dwdropin.select import check_properties, gumbel_noise
 from dwdropin.tensor import (
     ConfigError,
     NonFiniteError,
@@ -12,6 +12,7 @@ from dwdropin.tensor import (
     conv2d,
     dwconv2d,
     matmul,
+    seed_stream,
     seeded_fill,
 )
 from dwdropin.tensor import softmax_rows
@@ -238,3 +239,12 @@ class TestSeededFill:
 
     def test_float32_output(self):
         assert seeded_fill((3,), 0, "gaussian").dtype == np.float32
+
+    @pytest.mark.parametrize("draw", [
+        lambda: seeded_fill((2,), -1), lambda: seed_stream(-1), lambda: gumbel_noise(2, -1)],
+        ids=["seeded_fill", "seed_stream", "gumbel_noise"])
+    def test_negative_seed_refused(self, draw):
+        """Refused before any draw (`seed_stream` at the call, not at the
+        first seed), as a ConfigError rather than numpy's ValueError."""
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            draw()

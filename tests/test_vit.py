@@ -7,6 +7,7 @@ import pytest
 from dwdropin.tensor import ConfigError, NonFiniteError, matmul, seeded_fill, softmax_rows
 from dwdropin.vit import (
     DESK,
+    GROUP_BYTES,
     LN_EPS,
     VITL,
     BlockParams,
@@ -19,6 +20,7 @@ from dwdropin.vit import (
     head_cols,
     head_columns,
     head_energy,
+    head_groups,
     head_rows,
     init_model,
     layer_norm,
@@ -29,7 +31,11 @@ from dwdropin.vit import (
     qkv_project,
 )
 
-from conftest import TINY, make_inputs
+from conftest import GROUPED, TINY, make_inputs
+
+
+# exact attention over its 576 tokens runs one head at a time
+ONE_HEAD_GROUPS = ModelConfig(n_b=1, n_h=4, d=64, d_h=16, m=24, k=3, ffn_mult=2)
 
 
 def random_block(cfg, seed):
@@ -288,14 +294,21 @@ class TestBatchedAttention:
 
     @staticmethod
     def assert_matches_per_head(x, blk, heads):
+        """Outputs and tapped weights equal the per-head oracles bitwise; the
+        tap sees each of `head_groups` once, in head order. Returns the taps."""
         cols = [head_columns(w, heads, blk.d_h) for w in (blk.w_q, blk.w_k, blk.w_v)]
         seen = []
-        outs = attention(x, *cols, blk.d_h, energy_tap=lambda e: seen.append(e.copy()))
+        outs = attention(x, *cols, blk.d_h,
+                         energy_tap=lambda e, h0: seen.append((h0, e.copy())))
         assert outs.shape == (len(heads), x.shape[0], blk.d_h)
+        assert [(h0, h0 + len(e)) for h0, e in seen] == head_groups(len(heads), x.shape[0])
+        weights = np.concatenate([e for _, e in seen])
+        assert len(weights) == len(heads)
         for i, h in enumerate(heads):
             np.testing.assert_array_equal(outs[i], head_attention(x, blk, h))
             q, k, _ = qkv_project(x, blk, h)
-            np.testing.assert_array_equal(seen[0][i], head_energy(q, k))
+            np.testing.assert_array_equal(weights[i], head_energy(q, k))
+        return seen
 
     @pytest.mark.parametrize("heads", [(0, 1, 2, 3), (2,), (1, 3)],
                              ids=["all", "one", "non-contiguous"])
@@ -303,14 +316,36 @@ class TestBatchedAttention:
         for b, x in enumerate(make_inputs(DESK, 2, 61)):
             blk = desk_model.blocks[b]
             a_in = layer_norm(x, blk.norm1_scale, blk.norm1_shift)
-            self.assert_matches_per_head(a_in, blk, heads)
+            assert len(self.assert_matches_per_head(a_in, blk, heads)) == 1
 
     def test_vitl_head_groups(self):
+        """At vitl each head is a group of its own: the tap runs once per head."""
         cfg = ModelConfig(**{**VITL.to_dict(), "n_b": 1})
         blk = init_model(cfg, 62).blocks[0]
         x = layer_norm(make_inputs(cfg, 1, 63)[0], blk.norm1_scale, blk.norm1_shift)
         for heads in ((5,), (4, 5, 6, 7), tuple(range(cfg.n_h))):
+            assert len(self.assert_matches_per_head(x, blk, heads)) == len(heads)
+
+    @pytest.mark.parametrize("cfg", [ONE_HEAD_GROUPS, GROUPED],
+                             ids=["one-head-groups", "uneven-groups"])
+    def test_multi_group(self, cfg):
+        blk = init_model(cfg, 67).blocks[0]
+        x = layer_norm(make_inputs(cfg, 1, 68)[0], blk.norm1_scale, blk.norm1_shift)
+        every = tuple(range(cfg.n_h))
+        for heads in (every, every[1::2], every[:1]):
             self.assert_matches_per_head(x, blk, heads)
+
+    @pytest.mark.parametrize("cfg, n_groups", [
+        (DESK, 1), (ONE_HEAD_GROUPS, 4), (GROUPED, 2), (VITL, 16),
+    ], ids=["desk", "one-head-groups", "uneven-groups", "vitl"])
+    def test_head_groups_fit_the_budget(self, cfg, n_groups):
+        """Consecutive ranges covering every head once; a group holds more
+        than one head only when its (g, n, n) float32 weights fit GROUP_BYTES."""
+        groups = head_groups(cfg.n_h, cfg.n)
+        assert len(groups) == n_groups
+        assert [h for h0, h1 in groups for h in range(h0, h1)] == list(range(cfg.n_h))
+        for h0, h1 in groups:
+            assert h1 - h0 == 1 or 4 * (h1 - h0) * cfg.n ** 2 <= GROUP_BYTES
 
     def test_project_heads_forms_agree(self, desk_model):
         """The stack and the (n, d) array of its heads side by side project alike."""
