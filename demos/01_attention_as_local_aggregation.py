@@ -10,6 +10,7 @@ it against the grid-form evaluator.
 import numpy as np
 
 from dwdropin import vit
+from dwdropin.select import kernel_energy
 from dwdropin.tensor import seeded_fill
 
 cfg = vit.DESK
@@ -34,14 +35,9 @@ print(f"grid-form evaluator vs matmul path: max|diff| = {gap:.2e}")
 # How concentrated is the mixing? Weight mass within the 3x3 neighborhood
 # of each query, averaged over queries (a convolution-like head would put
 # all of it there).
-m = cfg.m
-rows = np.arange(cfg.n)
-ri, rj = rows // m, rows % m
-local = np.zeros(cfg.n)
-for idx in range(cfg.n):
-    ui, uj = rows // m, rows % m
-    near = (np.abs(ui - ri[idx]) <= 1) & (np.abs(uj - rj[idx]) <= 1)
-    local[idx] = e[idx, near].sum()
+# The 3x3 window of every query is the support of an all-ones kernel head.
+near = kernel_energy(np.ones((3, 3)), cfg.m) > 0
+local = np.where(near, e, 0).sum(axis=1)
 print(f"freshly initialized head: mean 3x3-local weight mass = {local.mean():.3f} "
       f"(1.0 would be a perfectly local head)")
 

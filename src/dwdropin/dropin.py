@@ -32,13 +32,13 @@ from .tensor import (
     F32,
     ConfigError,
     ShapeError,
-    _zero_pad,
     as_f32,
     conv2d,
     dwconv2d,
     matmul,
     seed_stream,
     seeded_fill,
+    shifted_windows,
     softmax64,
 )
 from .vit import Model, flat, grid, head_cols, head_rows
@@ -384,20 +384,6 @@ def hybrid_from_archive(ar, model: Model) -> HybridModel:
 RIDGE_EPS = 1e-6
 
 
-def _shift_stack(v: np.ndarray, k: int) -> np.ndarray:
-    """Stack the k*k zero-padded shifts of v (m, m, c) as (k*k, m, m, c).
-
-    Row q = offset (r, s) in row-major order; entry [q, i, j, c] is
-    v[i+r, j+s, c] with off-grid reads as zero. These are the per-offset
-    predictors of the depthwise-convolution output.
-    """
-    m = v.shape[0]
-    half = k // 2
-    vp = _zero_pad(np.asarray(v, dtype=np.float64), half)
-    rows = [vp[a : a + m, b : b + m] for a in range(k) for b in range(k)]
-    return np.stack(rows, axis=0)
-
-
 @dataclass
 class FitReport:
     objective: float        # sum of squared errors at the fitted kernel
@@ -422,7 +408,7 @@ def _normal_equations(v_samples, target_samples, k: int):
         if gram is None:
             c = v.shape[2]
             gram, rhs, tt = np.zeros((c, kk, kk)), np.zeros((c, kk)), np.zeros(c)
-        shifts = _shift_stack(v, k)                      # (kk, m, m, c)
+        shifts = np.stack(shifted_windows(np.asarray(v, dtype=np.float64), k))
         t64 = np.asarray(t, dtype=np.float64)
         gram += np.einsum("qijc,pijc->cqp", shifts, shifts)
         rhs += np.einsum("qijc,ijc->cq", shifts, t64)
@@ -493,7 +479,7 @@ def fit_loss_and_grad(kern: np.ndarray, v_samples: list, target_samples: list):
     loss = 0.0
     gradient = np.zeros_like(kern64)
     for v, t in zip(v_samples, target_samples):
-        shifts = _shift_stack(v, k)                      # (kk, m, m, c)
+        shifts = np.stack(shifted_windows(np.asarray(v, dtype=np.float64), k))
         pred = np.einsum("qijc,qc->ijc", shifts, kern64.reshape(k * k, -1))
         resid = pred - np.asarray(t, dtype=np.float64)
         loss += float((resid ** 2).sum())

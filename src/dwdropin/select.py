@@ -16,7 +16,6 @@ behavior can be verified.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vit
-from .tensor import ConfigError, FormatError, ShapeError, seeded_generator, softmax64
+from .tensor import (
+    ConfigError,
+    FormatError,
+    ShapeError,
+    seeded_generator,
+    shifted_windows,
+    softmax64,
+)
 from .vit import Model
 
 POPULATION = "population"  # sigma = sqrt(M2 / N); documented convention
@@ -149,6 +155,14 @@ def score_model(model: Model, samples) -> ScoreResult:
 # Structural diagnostics
 # ---------------------------------------------------------------------------
 
+def _key_table(m: int, k: int) -> np.ndarray:
+    """(k*k, n) token indices: entry [q, p] is the key that query p reads at
+    kernel offset q (row-major), or -1 off the grid. These are the
+    `shifted_windows` of the m x m token-index grid."""
+    ids = np.arange(1, m * m + 1).reshape(m, m, 1)
+    return np.stack(shifted_windows(ids, k)).reshape(k * k, m * m) - 1
+
+
 def check_properties(e_samples: list, k: int, tol: float) -> dict:
     """Test attention-weight matrices for the three kernel-like properties.
 
@@ -171,27 +185,16 @@ def check_properties(e_samples: list, k: int, tol: float) -> dict:
 
     ii = float((stack.max(axis=0) - stack.min(axis=0)).max()) <= tol
 
-    rows = np.arange(n)
-    ii_coord, jj_coord = rows // m, rows % m
-    cols = np.arange(n)
-    uu, vv = cols // m, cols % m
-    off_r = uu[None, :] - ii_coord[:, None]
-    off_s = vv[None, :] - jj_coord[:, None]
-    half = k // 2
-    local_mask = (np.abs(off_r) <= half) & (np.abs(off_s) <= half)
+    local_mask = kernel_energy(np.ones((k, k)), m) > 0
     loc = float(np.abs(stack[:, ~local_mask]).max()) <= tol if (~local_mask).any() else True
 
     # TI holds per matrix: the offset's weight must be constant across
     # query positions within each sample (samples may differ; that is II's
     # business, not TI's).
     ti = True
-    for r, s in itertools.product(range(-half, half + 1), repeat=2):
-        valid_i = ii_coord + r
-        valid_j = jj_coord + s
-        on_grid = (valid_i >= 0) & (valid_i < m) & (valid_j >= 0) & (valid_j < m)
-        src = np.where(on_grid)[0]
-        dst = (valid_i[src] * m + valid_j[src])
-        vals = stack[:, src, dst]
+    for keys in _key_table(m, k):
+        on = keys >= 0
+        vals = stack[:, on, keys[on]]
         if vals.size and float((vals.max(axis=1) - vals.min(axis=1)).max()) > tol:
             ti = False
             break
@@ -210,16 +213,10 @@ def kernel_energy(kernel: np.ndarray, m: int) -> np.ndarray:
     k = kernel.shape[0]
     if kernel.shape != (k, k) or k % 2 == 0:
         raise ShapeError(f"kernel must be square with odd side, got {kernel.shape}")
-    n = m * m
-    half = k // 2
-    e = np.zeros((n, n), dtype=np.float64)
-    for i in range(m):
-        for j in range(m):
-            for r in range(-half, half + 1):
-                for s in range(-half, half + 1):
-                    u, v = i + r, j + s
-                    if 0 <= u < m and 0 <= v < m:
-                        e[i * m + j, u * m + v] = kernel[r + half, s + half]
+    keys = _key_table(m, k)
+    q, p = np.nonzero(keys >= 0)
+    e = np.zeros((m * m, m * m), dtype=np.float64)
+    e[p, keys[q, p]] = kernel.reshape(k * k)[q]
     return e.astype(np.float32)
 
 
@@ -229,15 +226,10 @@ def read_off_kernel(e: np.ndarray, m: int, k: int) -> np.ndarray:
     Reads the in-set weights around a fully interior query position, the
     inverse of kernel_energy for matrices that satisfy the three properties.
     """
-    half = k // 2
     if m < k:
         raise ConfigError(f"grid side {m} too small to host a {k}x{k} kernel")
-    i = j = m // 2
-    out = np.zeros((k, k), dtype=np.float64)
-    for r in range(-half, half + 1):
-        for s in range(-half, half + 1):
-            out[r + half, s + half] = e[i * m + j, (i + r) * m + (j + s)]
-    return out.astype(np.float32)
+    p = (m // 2) * m + m // 2
+    return e[p, _key_table(m, k)[:, p]].reshape(k, k).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ error, never returned silently.
 
 Determinism: every operation here is a pure function of its inputs and
 repeated calls give bitwise-identical results. Convolutions accumulate
-over the shift set in row-major offset order; the channel contraction is
-delegated to BLAS, whose reduction order is fixed for a given build.
+over the windows of `shifted_windows` in row-major offset order; the
+channel contraction is delegated to BLAS, whose reduction order is fixed
+for a given build.
 """
 
 from __future__ import annotations
@@ -82,14 +83,22 @@ def _zero_pad(x: np.ndarray, half: int) -> np.ndarray:
     return out
 
 
-def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """2-D convolution of x (m, m, c_i) with w (k, k, c_i, c_o), stride 1.
+def shifted_windows(x: np.ndarray, k: int) -> list:
+    """The k*k windows of x (m, m, c) zero-padded by k // 2, one per kernel
+    offset (r, s) in row-major order: window [i, j] holds x[i+r, j+s], or
+    zero off the grid. This is the one place a kernel offset meets the
+    grid; convolutions, the kernel fit and the structural checks all read
+    their windows here."""
+    m = x.shape[0]
+    xp = _zero_pad(x, k // 2)
+    return [xp[a : a + m, b : b + m] for a in range(k) for b in range(k)]
 
-    Out-of-grid inputs count as zero, so the output keeps the m x m grid.
-    out[i, j] = sum over offsets (r, s) of w[r, s]^T . x[i+r, j+s].
-    """
-    if x.ndim != 3 or w.ndim != 4:
-        raise ShapeError(f"conv2d expects (m,m,ci) and (k,k,ci,co), got {x.shape}, {w.shape}")
+
+def _conv_operands(op: str, x: np.ndarray, w: np.ndarray, rank: int, layout: str):
+    """Check a convolution's grid x and kernel w (k, k, c, ...) of `rank`
+    axes; returns both as float32 and the kernel side k."""
+    if x.ndim != 3 or w.ndim != rank:
+        raise ShapeError(f"{op} expects {layout}, got {x.shape}, {w.shape}")
     k = w.shape[0]
     if k != w.shape[1] or k % 2 == 0:
         raise ConfigError(f"kernel must be square with odd side, got {w.shape[:2]}")
@@ -97,15 +106,20 @@ def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
         raise ShapeError(f"input grid must be square, got {x.shape}")
     if w.shape[2] != x.shape[2]:
         raise ShapeError(f"channel mismatch: input {x.shape[2]}, kernel {w.shape[2]}")
-    x = as_f32(x)
-    w = as_f32(w)
+    return as_f32(x), as_f32(w), k
+
+
+def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """2-D convolution of x (m, m, c_i) with w (k, k, c_i, c_o), stride 1.
+
+    Out-of-grid inputs count as zero, so the output keeps the m x m grid.
+    out[i, j] = sum over offsets (r, s) of w[r, s]^T . x[i+r, j+s].
+    """
+    x, w, k = _conv_operands("conv2d", x, w, 4, "(m,m,ci) and (k,k,ci,co)")
     m = x.shape[0]
-    half = k // 2
-    xp = _zero_pad(x, half)
     out = np.zeros((m * m, w.shape[3]), dtype=F32)
-    for a in range(k):
-        for b in range(k):
-            out += xp[a : a + m, b : b + m].reshape(m * m, -1) @ w[a, b]
+    for window, w_rs in zip(shifted_windows(x, k), w.reshape(k * k, *w.shape[2:])):
+        out += window.reshape(m * m, -1) @ w_rs
     return _check_finite(out.reshape(m, m, -1), "conv2d result")
 
 
@@ -114,24 +128,10 @@ def dwconv2d(x: np.ndarray, kern: np.ndarray) -> np.ndarray:
 
     x is (m, m, c), kern is (k, k, c); same zero-padding rule as conv2d.
     """
-    if x.ndim != 3 or kern.ndim != 3:
-        raise ShapeError(f"dwconv2d expects (m,m,c) and (k,k,c), got {x.shape}, {kern.shape}")
-    k = kern.shape[0]
-    if k != kern.shape[1] or k % 2 == 0:
-        raise ConfigError(f"kernel must be square with odd side, got {kern.shape[:2]}")
-    if x.shape[0] != x.shape[1]:
-        raise ShapeError(f"input grid must be square, got {x.shape}")
-    if kern.shape[2] != x.shape[2]:
-        raise ShapeError(f"channel mismatch: input {x.shape[2]}, kernel {kern.shape[2]}")
-    x = as_f32(x)
-    kern = as_f32(kern)
-    m = x.shape[0]
-    half = k // 2
-    xp = _zero_pad(x, half)
+    x, kern, k = _conv_operands("dwconv2d", x, kern, 3, "(m,m,c) and (k,k,c)")
     out = np.zeros_like(x)
-    for a in range(k):
-        for b in range(k):
-            out += xp[a : a + m, b : b + m] * kern[a, b]
+    for window, k_rs in zip(shifted_windows(x, k), kern.reshape(k * k, -1)):
+        out += window * k_rs
     return _check_finite(out, "dwconv2d result")
 
 

@@ -266,13 +266,15 @@ def head_groups(c: int, n: int) -> list:
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, energy_tap, h0: int,
             out=None) -> np.ndarray:
-    """One head group's energies, softmax in place and EV, each checked finite."""
+    """One head group's energies, softmax in place and EV, the first and last
+    checked finite. Finite energies need no softmax check: shifted by their
+    row max (or overflowing to -inf) they exponentiate into [0, 1] with a 1
+    in every row, so each row sum lies in [1, n]."""
     e = _check_finite(np.matmul(q, k.transpose(0, 2, 1)), "matmul result")
     e *= F32(1.0 / math.sqrt(q.shape[2]))
     e -= e.max(axis=2, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=2, keepdims=True)
-    _check_finite(e, "softmax_rows result")
     if energy_tap is not None:
         energy_tap(e, h0)
     return _check_finite(np.matmul(e, v, out=out), "matmul result")
@@ -284,8 +286,11 @@ def attention(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     hold: three full-width GEMMs, then each of `head_groups` in turn, one
     stacked energy matmul, softmax in place, one stacked matmul with the
     values. Returns the head outputs (c / d_h, n, d_h), each
-    `head_attention`'s. `energy_tap(e, h0)` sees each group's weights
-    (g, n, n), heads h0 .. h0 + g - 1 of the stack, once, in head order."""
+    `head_attention`'s: bitwise where BLAS rounds the full-width and the
+    per-head projection GEMMs alike (desk and vitl with OpenBLAS), else
+    within float32 rounding (3.6e-7 at n_h=4, d=32, d_h=8, m=24).
+    `energy_tap(e, h0)` sees each group's weights (g, n, n), heads
+    h0 .. h0 + g - 1 of the stack, once, in head order."""
     n = x.shape[0]
     q, k, v = (matmul(x, w).reshape(n, -1, d_h).transpose(1, 0, 2) for w in (w_q, w_k, w_v))
     heads, g = q.shape[0], group_size(n)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import dwdropin
 from dwdropin import dropin, vit
 from dwdropin.archive import load_archive, model_from_archive, model_tensors, save_archive, save_model
-from dwdropin.cli import main, save_samples, single_block_bench_fns
+from dwdropin.cli import load_samples, main, save_samples, single_block_bench_fns
 from dwdropin.select import SelectionPlan, plan_to_file
 
 from conftest import (
@@ -167,6 +167,34 @@ class TestScore:
         rep = tmp_path / "r.json"
         assert run("score", "--model", tiny_archive, "--data", data, "--out", rep) == 0
         assert json.loads(rep.read_text())["n_samples"] == 3
+
+    def test_data_archive_read_in_index_order(self, tmp_path):
+        samples = make_inputs(TINY, 12, 78)
+        data = tmp_path / "samples.bin"
+        save_samples(data, TINY, samples)
+        for got, want in zip(load_samples(data, TINY), samples, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestSampleNames:
+    """A `--data` archive tensor that starts with "sample" but is not
+    `sample{i}` exits 3 with one error line naming the file and the tensor."""
+
+    @pytest.mark.parametrize("command", ["score", "replace"])
+    @pytest.mark.parametrize("name", ["sample_x", "samples", "sample01", "sample-1",
+                                      "sample+1", "sample 1", "sample"])
+    def test_bad_sample_name_refused(self, tmp_path, tiny_archive, capsys, command, name):
+        x0, x1 = make_inputs(TINY, 2, 79)
+        data = tmp_path / "samples.bin"
+        save_archive(data, TINY, {"sample0": x0, "sample1": x1, name: x1})
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        argv = (("score", "--out", tmp_path / "r.json") if command == "score" else
+                ("replace", "--plan", plan, "--fit", "--out", tmp_path / "h.bin"))
+        capsys.readouterr()
+        assert run(*argv, "--model", tiny_archive, "--data", data) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: tensor {name!r} ") and err.count("\n") == 1
 
 
 class TestPlan:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -307,6 +308,79 @@ class TestReadOffKernel:
         kern = seeded_fill((3, 3), 41, "uniform")
         np.testing.assert_allclose(read_off_kernel(kernel_energy(kern, 6), 6, 3),
                                    kern, atol=1e-7)
+
+
+def kernel_energy_oracle(kernel, m):
+    """Row (i, j), column (u, v) holds kernel[u-i+half, v-j+half] when that
+    offset lies in the kernel, in float32."""
+    k = kernel.shape[0]
+    half = k // 2
+    e = np.zeros((m * m, m * m), dtype=np.float32)
+    for i in range(m):
+        for j in range(m):
+            for u in range(m):
+                for v in range(m):
+                    if abs(u - i) <= half and abs(v - j) <= half:
+                        e[i * m + j, u * m + v] = kernel[u - i + half, v - j + half]
+    return e
+
+
+def check_properties_oracle(es, k, tol):
+    """L, TI and II by brute force over every (sample, query, key) triple."""
+    m = math.isqrt(es[0].shape[0])
+    half = k // 2
+    stack = np.stack([np.asarray(e, dtype=np.float64) for e in es])
+    loc, per_offset = True, {}
+    for i in range(m):
+        for j in range(m):
+            for u in range(m):
+                for v in range(m):
+                    col = stack[:, i * m + j, u * m + v]
+                    if abs(u - i) <= half and abs(v - j) <= half:
+                        per_offset.setdefault((u - i, v - j), []).append(col)
+                    elif np.abs(col).max() > tol:
+                        loc = False
+    ti = all(np.ptp(np.stack(cols), axis=0).max() <= tol for cols in per_offset.values())
+    ii = bool(np.ptp(stack, axis=0).max() <= tol)
+    return {"L": loc, "TI": ti, "II": ii}
+
+
+class TestWindowGeometry:
+    """kernel_energy, read_off_kernel and check_properties against direct
+    offset arithmetic."""
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (3, 1), (3, 3), (4, 3), (5, 5), (6, 3),
+                                      (2, 3), (3, 5), (2, 7)])
+    def test_kernel_energy_matches_oracle_bitwise(self, rng, m, k):
+        kern = rng.standard_normal((k, k)).astype(np.float32)
+        np.testing.assert_array_equal(kernel_energy(kern, m), kernel_energy_oracle(kern, m))
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (3, 3), (4, 3), (5, 5), (8, 5), (7, 7)])
+    def test_read_off_kernel_matches_oracle_bitwise(self, rng, m, k):
+        e = rng.standard_normal((m * m, m * m)).astype(np.float32)
+        i = j = m // 2
+        half = k // 2
+        want = np.array([[e[i * m + j, u * m + v] for v in range(j - half, j + half + 1)]
+                         for u in range(i - half, i + half + 1)], dtype=np.float32)
+        np.testing.assert_array_equal(read_off_kernel(e, m, k), want)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-7, 1e-5, 1e-4, 1e-3, 1e-2, 0.3, 2.0])
+    @pytest.mark.parametrize("m, k", [(3, 1), (3, 3), (4, 3), (5, 3), (5, 5), (3, 5), (4, 7)])
+    def test_check_properties_matches_oracle(self, rng, m, k, tol):
+        """Kernel heads with small per-entry, per-sample and off-window noise
+        at several scales, so the sweep flips each property somewhere."""
+        n = m * m
+        base = kernel_energy(rng.random((k, k)).astype(np.float32), m)
+        outside = kernel_energy(np.ones((k, k)), m) == 0
+        cases = [[base, base],
+                 [base + np.float32(1e-4) * outside, base],
+                 [base + np.float32(1e-6) * rng.standard_normal((n, n)).astype(np.float32)
+                  for _ in range(3)],
+                 [(base + np.float32(s) * rng.random((n, n)).astype(np.float32))
+                  for s in (1e-3, 1e-2)],
+                 [softmax_rows(rng.standard_normal((n, n)).astype(np.float32))]]
+        for es in cases:
+            assert check_properties(es, k, tol) == check_properties_oracle(es, k, tol)
 
 
 class TestSelect:

@@ -14,6 +14,7 @@ from dwdropin.tensor import (
     matmul,
     seed_stream,
     seeded_fill,
+    shifted_windows,
 )
 from dwdropin.tensor import softmax_rows
 
@@ -126,6 +127,23 @@ class TestZeroPad:
         want = np.pad(x, ((half, half), (half, half), (0, 0)))
         assert got.dtype == want.dtype and got.flags["C_CONTIGUOUS"]
         np.testing.assert_array_equal(got, want)
+
+
+class TestShiftedWindows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    @pytest.mark.parametrize("m, c, k", [(8, 16, 3), (5, 1, 5), (4, 3, 1), (2, 2, 5), (1, 1, 3)])
+    def test_equals_np_pad_and_slice(self, rng, m, c, k, dtype):
+        """Window q of offset (r, s) = divmod(q, k) - k // 2 is the np.pad
+        grid sliced at that offset, bitwise, including k > m."""
+        x = (rng.standard_normal((m, m, c)) * 100).astype(dtype)
+        half = k // 2
+        xp = np.pad(x, ((half, half), (half, half), (0, 0)))
+        got = shifted_windows(x, k)
+        assert len(got) == k * k
+        for q, window in enumerate(got):
+            a, b = divmod(q, k)
+            assert window.dtype == x.dtype and window.shape == x.shape
+            np.testing.assert_array_equal(window, xp[a : a + m, b : b + m])
 
 
 class TestConv2d:
