@@ -10,8 +10,8 @@ A replaced block is fitted as one group: one value GEMM over the replaced
 heads' stacked value columns, their exact outputs side by side as
 targets, and one set of normal equations for the whole block. The targets
 come straight from the capture: one forward per sample records each
-planned block's input and the head stack its exact attention computed, so
-no exact attention is run a second time to fit.
+planned block's input and the (n, d) head outputs its exact attention
+computed, so no exact attention is run a second time to fit.
 """
 
 import numpy as np
@@ -52,9 +52,9 @@ samples = [seeded_fill((cfg.n, cfg.d), next(seeds), "gaussian") for _ in range(8
 # capture pass over the samples serves every block fitted from it, and one
 # block fit serves all of the block's replaced heads.
 inputs = attention_inputs(model, samples, blocks=[0])
-a_in, stack = inputs[0][0]
+a_in, heads_out = inputs[0][0]
 print(f"\ncapture of block 0: {len(inputs[0])} samples of input {a_in.shape} "
-      f"and head stack {stack.shape}")
+      f"and head outputs {heads_out.shape}")
 heads = (1, 2)  # block 0, heads 1 and 2
 fits = fit_block(model, 0, "dw", heads, None, inputs)
 for h, (kern, rep) in zip(heads, fits):

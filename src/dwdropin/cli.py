@@ -121,15 +121,14 @@ def get_samples(args, cfg: ModelConfig) -> tuple:
     return synthetic_samples(cfg, n, seed), {"kind": "synthetic", "n": n, "seed": seed}
 
 
-def load_forward(path):
-    """Load an archive as (config, forward callable, model), or (config,
-    None, None) when it is config-only."""
+def load_hybrid(path, purpose: str) -> dropin.HybridModel:
+    """Load an archive with weights as a HybridModel (its `base` is the
+    plain model); a config-only archive is refused as an ArchiveError
+    naming `path` and saying that `purpose` needs weights."""
     ar = load_archive(path)
     if not ar.tensors:
-        return ar.config, None, None
-    model = model_from_archive(ar)
-    hm = dropin.hybrid_from_archive(ar, model)
-    return ar.config, (lambda x: dropin.hybrid_forward(hm, x)), model
+        raise ArchiveError(f"{path} is config-only; {purpose} needs weights")
+    return dropin.hybrid_from_archive(ar, model_from_archive(ar))
 
 
 @contextlib.contextmanager
@@ -162,9 +161,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_score(args) -> int:
-    _, _, model = load_forward(args.model)
-    if model is None:
-        raise ArchiveError(f"{args.model} is config-only; scoring needs weights")
+    model = load_hybrid(args.model, "scoring").base
     samples, source = get_samples(args, model.config)
     with overflow_is_file_fault(args.model):
         result = select.score_model(model, samples)
@@ -186,9 +183,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_replace(args) -> int:
-    _, _, model = load_forward(args.model)
-    if model is None:
-        raise ArchiveError(f"{args.model} is config-only; surgery needs weights")
+    model = load_hybrid(args.model, "surgery").base
     plan = select.plan_from_file(args.plan)
     samples = get_samples(args, model.config)[0] if args.fit else None
     with overflow_is_file_fault(args.model):
@@ -226,20 +221,18 @@ def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
     """The equivalence and invariant suite behind cmd_verify."""
     if not tol >= 0:  # false for NaN too
         raise ConfigError(f"tolerance must be >= 0, got {tol}")
-    cfg_a, fwd_a, model_a = load_forward(path_a)
-    cfg_b, fwd_b, _ = load_forward(path_b)
-    if cfg_a.to_dict() != cfg_b.to_dict():
+    hm_a = load_hybrid(path_a, "verification")
+    hm_b = load_hybrid(path_b, "verification")
+    model_a, cfg = hm_a.base, hm_a.base.config
+    if cfg.to_dict() != hm_b.base.config.to_dict():
         raise ConfigError("archives have different configurations")
-    if fwd_a is None or fwd_b is None:
-        raise ArchiveError("verification needs archives with weights")
-    cfg = cfg_a
     checks = []
     xs = synthetic_samples(cfg, samples_n, seed)
 
     with overflow_is_file_fault(path_a):
-        outs_a = [fwd_a(x) for x in xs]
+        outs_a = [dropin.hybrid_forward(hm_a, x) for x in xs]
     with overflow_is_file_fault(path_b):
-        outs_b = [fwd_b(x) for x in xs]
+        outs_b = [dropin.hybrid_forward(hm_b, x) for x in xs]
     dmax, where = _max_diff_located(outs_a, outs_b)
     checks.append({"name": "forward_equivalence", "passed": dmax <= tol,
                    "max_diff": dmax, "tol": tol,
@@ -362,9 +355,9 @@ def cmd_bench(args) -> int:
     results = {}
     if args.plan:
         # whole-model comparison: baseline forward vs the planned hybrid
-        model = load_forward(args.model)[2] if args.model else None
-        if model is None:
+        if not args.model:
             raise ConfigError("--plan benching needs --model with weights")
+        model = load_hybrid(args.model, "--plan benching").base
         cfg = model.config
         plan = select.plan_from_file(args.plan)
         hm, _ = dropin.build_dropins(model, plan, args.variant, args.seed)

@@ -260,7 +260,8 @@ class BlockSublayer:
             n = x.shape[0]
             heads = np.empty((n, block.n_h, block.d_h), dtype=F32)
             heads[:, list(self.heads)] = y.reshape(n, len(self.heads), block.d_h)
-            heads[:, list(self.kept)] = vit.attention(x, *self.exact, block.d_h).transpose(1, 0, 2)
+            heads[:, list(self.kept)] = vit.attention(x, *self.exact, block.d_h).reshape(
+                n, len(self.kept), block.d_h)
             y = heads.reshape(n, -1)
         return vit.project_heads(y, block)
 
@@ -490,18 +491,18 @@ def fit_loss_and_grad(kern: np.ndarray, v_samples: list, target_samples: list):
 def attention_inputs(model: Model, samples, blocks) -> dict:
     """The fit's capture: one forward pass per sample in which each of
     `blocks` runs a `mhsa_fns` sublayer that calls `vit.attention` once,
-    records (normed input (n, d), head stack (n_h, n, d_h)) and projects
-    that same stack, so the pass is `model_forward`'s bit for bit. Returns
-    {block: [(input, stack) for each sample]}."""
+    records (normed input (n, d), head outputs (n, d)) and projects those
+    same outputs, so the pass is `model_forward`'s bit for bit. Returns
+    {block: [(input, head outputs) for each sample]}."""
     captured = {b: [] for b in blocks}
 
     def capture(record):
         def sublayer(a_in, block):
-            stack = vit.attention(a_in, block.w_q, block.w_k, block.w_v, block.d_h)
+            out = vit.attention(a_in, block.w_q, block.w_k, block.w_v, block.d_h)
             # a copy fills the heap space attention's temporaries just freed;
-            # holding `stack` itself raised pipeline-desk peak RSS by 1.4 MiB
-            record.append((a_in, stack.copy()))
-            return vit.project_heads(stack, block)
+            # holding `out` itself raised pipeline-desk peak RSS by 1.4 MiB
+            record.append((a_in, out.copy()))
+            return vit.project_heads(out, block)
         return sublayer
 
     fns = {b: capture(record) for b, record in captured.items()}
@@ -514,10 +515,10 @@ def fit_block(model: Model, b: int, variant: str, heads: tuple, gamma, inputs: d
     """Least-squares fit of block b's kernels from `attention_inputs`' capture.
 
     The regressors are what the block's sublayer convolves (`_block_values`)
-    of the recorded inputs; the targets come from the recorded head stacks:
-    the slices of `heads` side by side, or for an ensembled block the
-    softmax(gamma) mix of all heads. One normal-equation system, fed one
-    sample at a time, serves the block. Returns [(kernel, FitReport)]: one
+    of the recorded inputs; the targets come from the recorded head outputs:
+    the columns of `heads` (`vit.head_columns`, the regressors' gather), or
+    for an ensembled block the softmax(gamma) mix of all heads. One
+    normal-equation system, fed one sample at a time, serves the block. Returns [(kernel, FitReport)]: one
     per head of `heads`, or one for an ensembled block.
     """
     cfg = model.config
@@ -525,15 +526,15 @@ def fit_block(model: Model, b: int, variant: str, heads: tuple, gamma, inputs: d
     ensembled = variant in ENSEMBLED
     sig = softmax64(np.asarray(gamma, dtype=np.float64).ravel()) if ensembled else None
 
-    def target(stack):
+    def target(out):
         if not ensembled:
-            return np.concatenate(stack[list(heads)], axis=1)
+            return vit.head_columns(out, heads, cfg.d_h)
         mix = np.zeros((cfg.n, cfg.d_h), dtype=np.float64)
-        for s, out in zip(sig, stack):
-            mix += s * out
+        for h, s in enumerate(sig):
+            mix += s * vit.head_cols(out, h, cfg.d_h)
         return mix.astype(F32)
 
     values = (grid(matmul(a_in, w_val), cfg.m) for a_in, _ in inputs[b])
-    targets = (grid(target(stack), cfg.m) for _, stack in inputs[b])
+    targets = (grid(target(out), cfg.m) for _, out in inputs[b])
     return fit_depthwise_kernel(values, targets, cfg.k, heads=1 if ensembled else len(heads),
                                 shared=len(kernel_shape(variant, cfg)) == 2)

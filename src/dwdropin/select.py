@@ -95,6 +95,13 @@ def sigma_block(head_scores) -> float:
     return math.fsum(scores) / len(scores)
 
 
+def _ranked(scores, sign: float = 1.0) -> list:
+    """Flat indices of `scores` by ascending sign * score, ties toward the
+    lower index: the one ranking rule of score reports, plans and gates."""
+    flat = np.asarray(scores, dtype=np.float64).ravel()
+    return sorted(range(flat.size), key=lambda i: (sign * float(flat[i]), i))
+
+
 @dataclass
 class ScoreResult:
     sigma_h: np.ndarray   # (n_b, n_h) float64
@@ -103,20 +110,15 @@ class ScoreResult:
     convention: str = POPULATION
 
     def to_report(self, meta: dict | None = None) -> dict:
-        n_b, n_h = self.sigma_h.shape
-        head_rank = sorted(
-            ((b, h) for b in range(n_b) for h in range(n_h)),
-            key=lambda bh: (self.sigma_h[bh[0], bh[1]], bh[0] * n_h + bh[1]),
-        )
-        block_rank = sorted(range(n_b), key=lambda b: (self.sigma_b[b], b))
+        n_h = self.sigma_h.shape[1]
         report = {
             "criterion": "summed pointwise std of attention weights",
             "convention": self.convention,
             "n_samples": self.n_samples,
             "sigma_h": [[float(v) for v in row] for row in self.sigma_h],
             "sigma_b": [float(v) for v in self.sigma_b],
-            "ranking_heads": [[b, h] for b, h in head_rank],
-            "ranking_blocks": block_rank,
+            "ranking_heads": [list(divmod(i, n_h)) for i in _ranked(self.sigma_h)],
+            "ranking_blocks": _ranked(self.sigma_b),
         }
         if meta:
             report["meta"] = meta
@@ -319,22 +321,15 @@ def select(scores, budget: int, mode: str = "blockwise",
     if mode == "blockwise":
         if arr.ndim != 1:
             raise ShapeError("blockwise selection expects one score per block")
-        units = list(range(arr.shape[0]))
-        keyed = [(float(arr[b]), b) for b in units]
-    else:
-        if arr.ndim != 2:
-            raise ShapeError("scattered selection expects an (n_b, n_h) score array")
-        units = [(b, h) for b in range(arr.shape[0]) for h in range(arr.shape[1])]
-        keyed = [(float(arr[b, h]), i) for i, (b, h) in enumerate(units)]
-    if not 0 <= budget <= len(units):
-        raise ConfigError(f"budget {budget} out of range [0, {len(units)}]")
-    sign = 1.0 if order == "lowest" else -1.0
-    ranked = sorted(range(len(units)), key=lambda i: (sign * keyed[i][0], i))
-    chosen = sorted(ranked[:budget])
+    elif arr.ndim != 2:
+        raise ShapeError("scattered selection expects an (n_b, n_h) score array")
+    if not 0 <= budget <= arr.size:
+        raise ConfigError(f"budget {budget} out of range [0, {arr.size}]")
+    chosen = sorted(_ranked(arr, 1.0 if order == "lowest" else -1.0)[:budget])
     if mode == "blockwise":
         targets = tuple(chosen)
     else:
-        targets = tuple(units[i] for i in chosen)
+        targets = tuple(divmod(i, arr.shape[1]) for i in chosen)
     return SelectionPlan(mode=mode, order=order, budget=budget, targets=targets)
 
 
@@ -409,9 +404,8 @@ def hard_topk_gate(w, p: int) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64).ravel()
     if not 0 < p <= w.shape[0]:
         raise ConfigError(f"p must be in (0, {w.shape[0]}], got {p}")
-    ranked = sorted(range(w.shape[0]), key=lambda i: (-w[i], i))
     mask = np.zeros(w.shape[0], dtype=np.float64)
-    mask[ranked[:p]] = 1.0
+    mask[_ranked(w, -1.0)[:p]] = 1.0
     return mask
 
 

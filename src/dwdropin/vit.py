@@ -264,51 +264,45 @@ def head_groups(c: int, n: int) -> list:
     return [(h0, min(h0 + g, c)) for h0 in range(0, c, g)]
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, energy_tap, h0: int,
-            out=None) -> np.ndarray:
-    """One head group's energies, softmax in place and EV, the first and last
-    checked finite. Finite energies need no softmax check: shifted by their
-    row max (or overflowing to -inf) they exponentiate into [0, 1] with a 1
-    in every row, so each row sum lies in [1, n]."""
-    e = _check_finite(np.matmul(q, k.transpose(0, 2, 1)), "matmul result")
-    e *= F32(1.0 / math.sqrt(q.shape[2]))
-    e -= e.max(axis=2, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=2, keepdims=True)
-    if energy_tap is not None:
-        energy_tap(e, h0)
-    return _check_finite(np.matmul(e, v, out=out), "matmul result")
-
-
 def attention(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
               d_h: int, energy_tap=None) -> np.ndarray:
     """Attention of the heads whose q/k/v columns w_q, w_k, w_v (d, c)
-    hold: three full-width GEMMs, then each of `head_groups` in turn, one
-    stacked energy matmul, softmax in place, one stacked matmul with the
-    values. Returns the head outputs (c / d_h, n, d_h), each
+    hold, returned side by side: one (n, c) C-contiguous array in head
+    order, the layout `project_heads` and the drop-ins share. Three
+    full-width GEMMs, then for each of `head_groups` in turn one stacked
+    energy matmul, softmax in place and one stacked EV matmul that writes
+    the group's columns of the output. Each head's columns are
     `head_attention`'s: bitwise where BLAS rounds the full-width and the
     per-head projection GEMMs alike (desk and vitl with OpenBLAS), else
     within float32 rounding (3.6e-7 at n_h=4, d=32, d_h=8, m=24).
     `energy_tap(e, h0)` sees each group's weights (g, n, n), heads
-    h0 .. h0 + g - 1 of the stack, once, in head order."""
+    h0 .. h0 + g - 1, once, in head order.
+
+    Energies and EV are checked finite. Finite energies need no softmax
+    check: shifted by their row max (or overflowing to -inf) they
+    exponentiate into [0, 1] with a 1 in every row, so each row sum lies
+    in [1, n]."""
     n = x.shape[0]
     q, k, v = (matmul(x, w).reshape(n, -1, d_h).transpose(1, 0, 2) for w in (w_q, w_k, w_v))
-    heads, g = q.shape[0], group_size(n)
-    if g >= heads:  # one group: no loop and no output buffer, so desk pays nothing
-        return _attend(q, k, v, energy_tap, 0)
-    out = np.empty(v.shape, dtype=F32)
-    for h0 in range(0, heads, g):
-        s = slice(h0, h0 + g)
-        _attend(q[s], k[s], v[s], energy_tap, h0, out[s])
+    out = np.empty((n, w_v.shape[1]), dtype=F32)
+    heads = out.reshape(n, -1, d_h).transpose(1, 0, 2)
+    for h0, h1 in head_groups(heads.shape[0], n):
+        s = slice(h0, h1)
+        e = _check_finite(np.matmul(q[s], k[s].transpose(0, 2, 1)), "matmul result")
+        e *= F32(1.0 / math.sqrt(d_h))
+        with np.errstate(over="ignore"):  # a shift past -max overflows to -inf: weight 0
+            e -= e.max(axis=2, keepdims=True)
+        np.exp(e, out=e)
+        e /= e.sum(axis=2, keepdims=True)
+        if energy_tap is not None:
+            energy_tap(e, h0)
+        _check_finite(np.matmul(e, v[s], out=heads[s]), "matmul result")
     return out
 
 
 def project_heads(head_outputs: np.ndarray, block: BlockParams) -> np.ndarray:
-    """Apply the output projection to the head outputs side by side: an
-    (n, d) array in head order, or `attention`'s (n_h, n, d_h) stack."""
-    if head_outputs.ndim == 3:
-        n_h, n, d_h = head_outputs.shape
-        head_outputs = head_outputs.transpose(1, 0, 2).reshape(n, n_h * d_h)
+    """Apply the output projection to the head outputs side by side, an
+    (n, d) array in head order."""
     return matmul(head_outputs, block.w_o)
 
 

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,17 @@ from dwdropin.tensor import as_f32, seed_stream, seeded_fill
 TINY = vit.ModelConfig(n_b=2, n_h=2, d=8, d_h=4, m=4, k=3, ffn_mult=2)
 # exact attention over its 256 tokens runs at most 8 of its 12 heads at once
 GROUPED = vit.ModelConfig(n_b=1, n_h=12, d=192, d_h=16, m=16, k=3, ffn_mult=2)
+
+
+def pytest_collection_modifyitems(items):
+    """A RuntimeWarning fails every test of this suite: the library checks
+    finiteness itself (NonFiniteError), so a numpy floating-point warning
+    reaching a caller is a stray stderr line. Other suites collected in the
+    same run keep pytest's default."""
+    here = Path(__file__).resolve().parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
 
 
 @pytest.fixture(scope="session")

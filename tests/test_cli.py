@@ -467,6 +467,33 @@ class TestMalformedArchives:
             err = self.score_error(tiny_archive, capsys)
         assert "the model's forward pass overflows" in err
 
+    @pytest.mark.parametrize("command", ["score", "replace", "verify-model", "verify-hybrid",
+                                         "bench"])
+    def test_config_only_archive(self, tmp_path, tiny_archive, capsys, command):
+        """Every command that runs the model refuses a config-only archive:
+        exit 3 and one error line naming the file."""
+        config_only = tmp_path / "config.bin"
+        assert run("gen", "--config-only", "--out", config_only, *TINY_FLAGS) == 0
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        argv = {
+            "score": ("score", "--model", config_only, "--samples", 2,
+                      "--out", tmp_path / "r.json"),
+            "replace": ("replace", "--model", config_only, "--plan", plan,
+                        "--out", tmp_path / "h.bin"),
+            "verify-model": ("verify", "--model", config_only, "--hybrid", tiny_archive,
+                             "--samples", 2),
+            "verify-hybrid": ("verify", "--model", tiny_archive, "--hybrid", config_only,
+                              "--samples", 2),
+            "bench": ("bench", "--model", config_only, "--plan", plan,
+                      "--reps", 1, "--warmup", 0),
+        }[command]
+        capsys.readouterr()
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_only} is config-only; ")
+        assert err.endswith(" needs weights\n") and err.count("\n") == 1
+
     @settings(max_examples=40, deadline=None)
     @given(region=st.sampled_from(["manifest", "blob"]), writes=BYTE_WRITES)
     def test_mutated_bytes_exit_cleanly(self, fuzz_archive, region, writes):

@@ -396,9 +396,10 @@ class TestDwSublayerAssembly:
                 vit.flat(dwconv2d(grid(values[:, i * cfg.d_h:(i + 1) * cfg.d_h], cfg.m), kerns[h]))
                 for i, h in enumerate(heads))))
             if kept:
-                outs.update(zip(kept, vit.attention(a_in, *(
+                exact = vit.attention(a_in, *(
                     vit.head_columns(w, kept, cfg.d_h) for w in (blk.w_q, blk.w_k, blk.w_v)),
-                    cfg.d_h)))
+                    cfg.d_h)
+                outs.update((h, head_cols(exact, i, cfg.d_h)) for i, h in enumerate(kept))
             np.testing.assert_array_equal(got, vit.project_heads(
                 np.concatenate([outs[h] for h in range(cfg.n_h)], axis=1), blk))
 
@@ -706,20 +707,21 @@ class TestCapture:
         for b, records in captured.items():
             blk = desk_model.blocks[b]
             assert len(records) == len(samples)
-            for x, (a_in, stack) in zip(samples, records):
+            for x, (a_in, heads) in zip(samples, records):
                 np.testing.assert_array_equal(a_in, block_inputs(desk_model, x)[b])
-                assert stack.shape == (DESK.n_h, DESK.n, DESK.d_h)
+                assert heads.shape == (DESK.n, DESK.d)
                 np.testing.assert_array_equal(
-                    stack, vit.attention(a_in, blk.w_q, blk.w_k, blk.w_v, blk.d_h))
+                    heads, vit.attention(a_in, blk.w_q, blk.w_k, blk.w_v, blk.d_h))
 
     def test_head_groups_recorded_bitwise(self):
-        """Where attention runs in head groups, the recorded stack holds every
-        head's `head_attention`, bitwise."""
+        """Where attention runs in head groups, the recorded head outputs hold
+        every head's `head_attention` in its columns, bitwise."""
         model = init_model(GROUPED, 233)
         blk = model.blocks[0]
-        for a_in, stack in attention_inputs(model, make_inputs(GROUPED, 2, 234), (0,))[0]:
+        for a_in, heads in attention_inputs(model, make_inputs(GROUPED, 2, 234), (0,))[0]:
             for h in range(GROUPED.n_h):
-                np.testing.assert_array_equal(stack[h], vit.head_attention(a_in, blk, h))
+                np.testing.assert_array_equal(head_cols(heads, h, GROUPED.d_h),
+                                              vit.head_attention(a_in, blk, h))
 
     @pytest.mark.parametrize("variant, mode, targets", [
         *((v, "blockwise", (3, 0)) for v in dropin.VARIANTS),

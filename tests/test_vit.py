@@ -1,4 +1,5 @@
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from dwdropin.vit import (
     mhsa_forward,
     mhsa_forward_headsum,
     model_forward,
-    project_heads,
     qkv_project,
 )
 
@@ -296,13 +296,15 @@ ROUNDING_DIFFERS = ModelConfig(n_b=1, n_h=4, d=32, d_h=8, m=24, k=3, ffn_mult=2)
 
 
 class TestBatchedAttention:
-    """`attention` runs a group of heads at once; each of its outputs equals
-    that head's `head_attention` up to how BLAS rounds the full-width and the
-    per-head projection GEMMs: bitwise at the desk and vitl shapes below."""
+    """`attention` runs a group of heads at once and returns them side by
+    side; each head's columns equal its `head_attention` up to how BLAS
+    rounds the full-width and the per-head projection GEMMs: bitwise at the
+    desk and vitl shapes below."""
 
     @staticmethod
     def assert_matches_per_head(x, blk, heads, atol=0.0):
-        """Outputs and tapped weights equal the per-head oracles bitwise, or
+        """The output is one C-contiguous (n, c) array whose head columns,
+        and the tapped weights, equal the per-head oracles bitwise, or
         within `atol` when given; the tap sees each of `head_groups` once, in
         head order. Returns the taps."""
         if atol:
@@ -314,12 +316,13 @@ class TestBatchedAttention:
         seen = []
         outs = attention(x, *cols, blk.d_h,
                          energy_tap=lambda e, h0: seen.append((h0, e.copy())))
-        assert outs.shape == (len(heads), x.shape[0], blk.d_h)
+        assert outs.shape == (x.shape[0], len(heads) * blk.d_h)
+        assert outs.flags.c_contiguous
         assert [(h0, h0 + len(e)) for h0, e in seen] == head_groups(len(heads), x.shape[0])
         weights = np.concatenate([e for _, e in seen])
         assert len(weights) == len(heads)
         for i, h in enumerate(heads):
-            same(outs[i], head_attention(x, blk, h))
+            same(head_cols(outs, i, blk.d_h), head_attention(x, blk, h))
             q, k, _ = qkv_project(x, blk, h)
             same(weights[i], head_energy(q, k))
         return seen
@@ -371,19 +374,11 @@ class TestBatchedAttention:
         for h0, h1 in groups:
             assert h1 - h0 == 1 or 4 * (h1 - h0) * cfg.n ** 2 <= GROUP_BYTES
 
-    def test_project_heads_forms_agree(self, desk_model):
-        """The stack and the (n, d) array of its heads side by side project alike."""
-        blk = desk_model.blocks[0]
-        x = layer_norm(make_inputs(DESK, 1, 64)[0], blk.norm1_scale, blk.norm1_shift)
-        stack = attention(x, blk.w_q, blk.w_k, blk.w_v, blk.d_h)
-        np.testing.assert_array_equal(project_heads(stack, blk),
-                                      project_heads(np.concatenate(stack, axis=1), blk))
-
     @pytest.mark.parametrize("shape", ["desk", "vitl-block"])
     def test_stack_slices_match_gathered_columns(self, desk_model, shape):
-        """Slicing a head group out of the full-width stack equals running
-        `attention` on that group's gathered columns, bitwise: the fit takes
-        its targets from the capture's stack."""
+        """Gathering a head group's columns out of the full-width output
+        equals running `attention` on that group's gathered weight columns,
+        bitwise: the fit takes its targets from the capture that way."""
         if shape == "desk":
             cfg, blk = DESK, desk_model.blocks[3]
             groups = ((0,), (3,), (1, 3), (0, 2, 3), (0, 1, 2, 3))
@@ -392,10 +387,11 @@ class TestBatchedAttention:
             blk = init_model(cfg, 65).blocks[0]
             groups = ((7,), (0, 15), (1, 4, 9), tuple(range(0, 16, 2)), tuple(range(16)))
         x = layer_norm(make_inputs(cfg, 1, 66)[0], blk.norm1_scale, blk.norm1_shift)
-        stack = attention(x, blk.w_q, blk.w_k, blk.w_v, blk.d_h)
+        out = attention(x, blk.w_q, blk.w_k, blk.w_v, blk.d_h)
         for heads in groups:
             cols = [head_columns(w, heads, blk.d_h) for w in (blk.w_q, blk.w_k, blk.w_v)]
-            np.testing.assert_array_equal(stack[list(heads)], attention(x, *cols, blk.d_h))
+            np.testing.assert_array_equal(head_columns(out, heads, blk.d_h),
+                                          attention(x, *cols, blk.d_h))
 
     def test_head_columns(self, desk_model):
         w = desk_model.blocks[0].w_q
@@ -426,9 +422,7 @@ class TestSoftmaxOfFiniteEnergies:
         energies are the outer product t t^T."""
         w = np.ones((1, 1), dtype=np.float32)
         seen = []
-        with np.errstate(over="ignore"):
-            attention(t.reshape(-1, 1), w, w, w, 1,
-                      energy_tap=lambda e, h0: seen.append(e.copy()))
+        attention(t.reshape(-1, 1), w, w, w, 1, energy_tap=lambda e, h0: seen.append(e.copy()))
         return seen[0][0]
 
     @staticmethod
@@ -447,6 +441,16 @@ class TestSoftmaxOfFiniteEnergies:
         with np.errstate(over="ignore"):
             assert np.isneginf(e - e.max(axis=1, keepdims=True)).any()
         self.assert_stochastic(self.weights(t))
+
+    def test_overflowing_shift_is_silent(self):
+        """Energies spanning more than float32's range overflow the max shift
+        to -inf, which is weight 0: no RuntimeWarning reaches the caller."""
+        t = np.array([1.7e19, -1.7e19, 1.0], dtype=np.float32)
+        w = np.ones((1, 1), dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = attention(t.reshape(-1, 1), w, w, w, 1)
+        assert np.isfinite(out).all()
 
     # |t| up to 1.8e19 keeps t t^T (up to 3.2e38) below float32's max
     T_MAX = float(np.float32(1.8e19))
