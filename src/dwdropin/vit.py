@@ -286,10 +286,11 @@ def attention(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     q, k, v = (matmul(x, w).reshape(n, -1, d_h).transpose(1, 0, 2) for w in (w_q, w_k, w_v))
     out = np.empty((n, w_v.shape[1]), dtype=F32)
     heads = out.reshape(n, -1, d_h).transpose(1, 0, 2)
+    scale = F32(1.0 / math.sqrt(d_h))
     for h0, h1 in head_groups(heads.shape[0], n):
         s = slice(h0, h1)
         e = _check_finite(np.matmul(q[s], k[s].transpose(0, 2, 1)), "matmul result")
-        e *= F32(1.0 / math.sqrt(d_h))
+        e *= scale
         with np.errstate(over="ignore"):  # a shift past -max overflows to -inf: weight 0
             e -= e.max(axis=2, keepdims=True)
         np.exp(e, out=e)
