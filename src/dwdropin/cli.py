@@ -61,18 +61,28 @@ def write_json(path, doc: dict) -> None:
         f.write("\n")
 
 
+# The flags that override a --config preset, by the config field each sets.
+CONFIG_FLAGS = {"blocks": "n_b", "heads": "n_h", "dim": "d", "head_dim": "d_h",
+                "grid": "m", "kernel": "k", "ffn_mult": "ffn_mult"}
+
+
+def refuse_next_to_model(args, flags) -> None:
+    """Refuse any of `flags` given next to --model, whose archive fixes the config."""
+    given = [f for f in flags if getattr(args, f, None) is not None]
+    if given and getattr(args, "model", None):
+        raise ConfigError(f"--{given[0].replace('_', '-')} cannot be given with --model: "
+                          "the archive fixes the config")
+
+
 def config_from_args(args) -> ModelConfig:
-    cfg = PRESETS[args.config]
-    overrides = {}
-    for flag, field in (("blocks", "n_b"), ("heads", "n_h"), ("dim", "d"),
-                        ("head_dim", "d_h"), ("grid", "m"), ("kernel", "k"),
-                        ("ffn_mult", "ffn_mult")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            overrides[field] = v
-    if overrides:
-        cfg = ModelConfig(**{**cfg.to_dict(), **overrides})
-    return cfg
+    """The --model archive's config, next to which no override flag may be
+    given, else the --config preset with the override flags applied."""
+    refuse_next_to_model(args, CONFIG_FLAGS)
+    if getattr(args, "model", None):
+        return load_archive(args.model).config
+    overrides = {field: getattr(args, flag) for flag, field in CONFIG_FLAGS.items()
+                 if getattr(args, flag, None) is not None}
+    return ModelConfig(**{**PRESETS[args.config].to_dict(), **overrides})
 
 
 def synthetic_samples(cfg: ModelConfig, count: int, seed: int) -> list:
@@ -183,6 +193,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_replace(args) -> int:
+    unread = [f"--{f}" for f in ("samples", "data") if getattr(args, f) is not None]
+    if unread and not args.fit:
+        raise ConfigError(f"{unread[0]} is read only by --fit")
     model = load_hybrid(args.model, "surgery").base
     plan = select.plan_from_file(args.plan)
     samples = get_samples(args, model.config)[0] if args.fit else None
@@ -308,11 +321,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    if args.model:
-        ar = load_archive(args.model)
-        cfg = ar.config
-    else:
-        cfg = config_from_args(args)
+    cfg = config_from_args(args)
     plan = select.plan_from_file(args.plan) if args.plan else None
     doc = {"variant_table": cost.variant_table(cfg),
            "manifest": run_manifest("cost", args)}
@@ -357,6 +366,7 @@ def cmd_bench(args) -> int:
         # whole-model comparison: baseline forward vs the planned hybrid
         if not args.model:
             raise ConfigError("--plan benching needs --model with weights")
+        refuse_next_to_model(args, CONFIG_FLAGS)
         model = load_hybrid(args.model, "--plan benching").base
         cfg = model.config
         plan = select.plan_from_file(args.plan)
@@ -368,7 +378,7 @@ def cmd_bench(args) -> int:
             for name, fn in pairs.items():
                 results[name] = cost.bench(fn, x, warmup=args.warmup, reps=args.reps)
     else:
-        cfg = load_archive(args.model).config if args.model else config_from_args(args)
+        cfg = config_from_args(args)
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
         if not variants:
             raise ConfigError(f"--variants {args.variants!r} names no variant")
@@ -389,10 +399,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gate(args) -> int:
-    if args.model:
-        n_b = load_archive(args.model).config.n_b
-    else:
-        n_b = args.blocks
+    refuse_next_to_model(args, ["blocks"])
+    n_b = load_archive(args.model).config.n_b if args.model else args.blocks
     if n_b is None:
         raise ConfigError("need --model or --blocks to size the gate")
     if n_b < 1:

@@ -70,7 +70,7 @@ def flops_params(variant: str, cfg: ModelConfig) -> tuple:
     effective head of their base formulation for the whole block and store
     every head's value and output projections, one kernel and n_h logits."""
     if variant in dropin.ENSEMBLED:
-        return (per_head_flops(variant.removeprefix("ens-"), cfg),
+        return (per_head_flops("dw" if variant in dropin.DEPTHWISE else "convfull", cfg),
                 2 * cfg.d * cfg.d + math.prod(dropin.kernel_shape(variant, cfg)) + cfg.n_h)
     if variant in VARIANTS:
         return cfg.n_h * per_head_flops(variant, cfg), cfg.n_h * per_head_params(variant, cfg)
@@ -91,7 +91,7 @@ def activation_bytes(variant: str, cfg: ModelConfig) -> int:
     g = min(cfg.n_h, group_size(n))  # heads whose weights exact attention holds at once
     counts = {
         "mhsa": 6 * n * d + g * n * n,                # x, q, k, v, heads, out; one head group's weights
-        "convfull": 4 * n * d + 2 * k * k * d * d,    # x, padded x, conv out, out; all folds, concatenated
+        "convfull": 4 * n * d + k * k * d * d,        # x, padded x, conv out, out; the block's one fold
         "dw": 4 * n * d + padded * d,                 # x, values, conv out, shifted product; padded values
         "ens-convfull": 2 * n * d + padded * d + 2 * n * d_h + k * k * d * d_h,
         "ens-dw": 2 * n * d + 3 * n * d_h + padded * d_h,

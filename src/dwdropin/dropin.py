@@ -10,12 +10,13 @@ Four formulations:
                 projections into a single effective head, full convolution
   ens-dw        the same ensembling with the depthwise formulation
 
-Unensembled variants replace any subset of heads; ensembled variants
-collapse whole blocks and take only blockwise plans (`planned_heads`).
-A replaced block is one group: `replace_heads` resolves its sublayer once
-(`BlockSublayer`), and `fit_block` fits all its kernels from one set of
-per-channel least-squares normal equations against the attention outputs
-the kernels stand in for.
+Every replaced block is one shape (`BlockSublayer`): a value projection,
+one per-channel (k, k, c) kernel and an output projection; `DEPTHWISE`
+decides where the kernel meets the values. Unensembled variants replace
+any subset of heads; ensembled variants collapse whole blocks and take
+only blockwise plans (`planned_heads`). `fit_block` fits a block's
+kernels from one set of per-channel least-squares normal equations
+against the attention outputs the kernels stand in for.
 """
 
 from __future__ import annotations
@@ -45,19 +46,25 @@ from .vit import Model, flat, grid, head_cols, head_rows
 
 VARIANTS = ("convfull", "dw", "ens-convfull", "ens-dw")
 ENSEMBLED = ("ens-convfull", "ens-dw")
+# The formulations whose kernel convolves the values after the value GEMM;
+# the others fold it into the value projection (`fold_full_kernel`).
+DEPTHWISE = ("dw", "ens-dw")
 
 
-def fold_full_kernel(k_h: np.ndarray, w_v_slice: np.ndarray) -> np.ndarray:
-    """Fold a shared spatial kernel (k, k) into a value projection (d, d_h).
+def fold_full_kernel(kern: np.ndarray, w_val: np.ndarray) -> np.ndarray:
+    """Fold a spatial kernel into a value projection w_val (d, c): a (k, k)
+    kernel shared by every channel, or a (k, k, c) kernel, one per channel.
 
-    Every spatial slice of the result is k_h[r, s] * w_v_slice, giving the
-    (k, k, d, d_h) kernel of the full-convolution formulation.
+    Slice [r, s] of the result is w_val with column j scaled by
+    kern[r, s] (or kern[r, s, j]), giving the (k, k, d, c) kernel of the
+    full-convolution formulation.
     """
-    if k_h.ndim != 2 or k_h.shape[0] != k_h.shape[1]:
-        raise ShapeError(f"shared kernel must be (k, k), got {k_h.shape}")
-    if w_v_slice.ndim != 2:
-        raise ShapeError(f"value slice must be (d, d_h), got {w_v_slice.shape}")
-    return as_f32(k_h)[:, :, None, None] * as_f32(w_v_slice)[None, None, :, :]
+    if (kern.ndim not in (2, 3) or kern.shape[0] != kern.shape[1] or w_val.ndim != 2
+            or kern.shape[2:] not in ((), w_val.shape[1:])):
+        raise ShapeError(f"kernel {kern.shape} must be (k, k) or (k, k, c) for values (d, c), "
+                         f"got values {w_val.shape}")
+    k = kern.shape[0]
+    return as_f32(kern).reshape(k, k, 1, -1) * as_f32(w_val)
 
 
 def attn_conv_full(x: np.ndarray, w_vh: np.ndarray) -> np.ndarray:
@@ -96,14 +103,14 @@ def ensemble_weights(gamma: np.ndarray, w_v: np.ndarray, w_o: np.ndarray,
 
 def mhsa_dw_ensembled(x: np.ndarray, w_ve: np.ndarray, kern_e: np.ndarray,
                       w_oe: np.ndarray, m: int) -> np.ndarray:
-    """Whole-block ensembled depthwise attention, (n, d) -> (n, d)."""
+    """Reference form of an ens-dw block's sublayer, (n, d) -> (n, d)."""
     v_e = grid(matmul(x, w_ve), m)
     return matmul(flat(dwconv2d(v_e, kern_e)), w_oe)
 
 
 def mhsa_convfull_ensembled(x: np.ndarray, w_ve: np.ndarray, k_e: np.ndarray,
                             w_oe: np.ndarray, m: int) -> np.ndarray:
-    """Whole-block ensembled full-convolution attention, (n, d) -> (n, d)."""
+    """Reference form of an ens-convfull block's sublayer, (n, d) -> (n, d)."""
     folded = fold_full_kernel(k_e, w_ve)
     return matmul(flat(conv2d(grid(x, m), folded)), w_oe)
 
@@ -121,9 +128,6 @@ class BlockDropin:
     gamma: np.ndarray | None = None
     kernel: np.ndarray | None = None
 
-    def heads(self) -> tuple:
-        return tuple(sorted(self.head_kernels))
-
 
 @dataclass
 class HybridModel:
@@ -134,17 +138,9 @@ class HybridModel:
 
 
 def kernel_shape(variant: str, cfg) -> tuple:
-    """Kernel shape of a variant: (k, k) shared spatial kernel for the
-    full-convolution variants, (k, k, d_h) per-channel for the depthwise ones."""
-    if variant in ("convfull", "ens-convfull"):
-        return (cfg.k, cfg.k)
-    return (cfg.k, cfg.k, cfg.d_h)
-
-
-def _check_kernel_shape(variant: str, kern: np.ndarray, cfg) -> None:
-    want = kernel_shape(variant, cfg)
-    if tuple(kern.shape) != want:
-        raise ShapeError(f"{variant} kernel must be {want}, got {tuple(kern.shape)}")
+    """Kernel shape of a variant: (k, k, d_h) per-channel for the depthwise
+    ones, a (k, k) spatial kernel shared by the channels for the others."""
+    return (cfg.k, cfg.k, cfg.d_h) if variant in DEPTHWISE else (cfg.k, cfg.k)
 
 
 def planned_heads(plan, cfg, *variants) -> dict:
@@ -185,77 +181,70 @@ def replace_heads(model: Model, plan, params: dict) -> HybridModel:
             if np.shape(dp.gamma) != (cfg.n_h,):
                 raise ShapeError(f"block {b}: gamma must be ({cfg.n_h},), "
                                  f"got {np.shape(dp.gamma)}")
-            _check_kernel_shape(dp.variant, dp.kernel, cfg)
-        else:
-            if set(dp.head_kernels) != heads:
-                raise ConfigError(
-                    f"block {b}: kernels given for heads {sorted(dp.head_kernels)} "
-                    f"but plan covers {sorted(heads)}"
-                )
-            for kern in dp.head_kernels.values():
-                _check_kernel_shape(dp.variant, kern, cfg)
+        elif set(dp.head_kernels) != heads:
+            raise ConfigError(f"block {b}: kernels given for heads {sorted(dp.head_kernels)} "
+                              f"but plan covers {sorted(heads)}")
         dropins[b] = dp
-        sublayers[b] = BlockSublayer.build(dp, model.blocks[b], tuple(sorted(heads)), cfg.m)
+        sublayers[b] = BlockSublayer.build(dp, model.blocks[b], tuple(sorted(heads)), cfg)
     return HybridModel(base=model, dropins=dropins, plan=plan, sublayers=sublayers)
 
 
 def _block_values(variant: str, block, heads: tuple, gamma) -> tuple:
-    """What a replaced block convolves after its one value GEMM, for both
-    its sublayer and its fit: the value columns of `heads` (sorted) side by
-    side (`vit.head_columns`), or an ensembled block's softmax(gamma)-merged
-    w_ve. Returns (value projection, merged output projection or None)."""
+    """The value and output projections of a replaced block, for both its
+    sublayer and its fit: the value columns of `heads` (sorted) side by side
+    (`vit.head_columns`) and block.w_o, or an ensembled block's
+    softmax(gamma)-merged (w_ve, w_oe)."""
     if variant in ENSEMBLED:
         return ensemble_weights(gamma, block.w_v, block.w_o, block.n_h, block.d_h)
-    return vit.head_columns(block.w_v, heads, block.d_h), None
+    return vit.head_columns(block.w_v, heads, block.d_h), block.w_o
 
 
 @dataclass(frozen=True)
 class BlockSublayer:
     """A replaced block's attention sublayer (x, block) -> (n, d), built
-    once by `replace_heads`. The replaced heads run fused: one value GEMM
-    (`_block_values`) and one convolution over the dw kernels stacked along
-    channels, the convfull kernels folded per call (held, the folds would
-    cost k^2 d d_h floats per head), or the ensembled block kernel.
-    Untouched heads run batched exact attention (`vit.attention`) over
-    their query/key/value columns, gathered here once. The output
-    projection takes one head-ordered (n, d) array: the convolution's
-    output when every head is replaced, else one buffer that the replaced
-    and the untouched heads fill."""
+    once by `replace_heads`: a value projection `w_val` (d, c) and an
+    output projection `w_out` (`_block_values`), and one per-channel
+    `kernel` (k, k, c): the block's kernels side by side, each (k, k) one
+    repeated over its head's d_h channels. A depthwise formulation
+    convolves the value GEMM's output (`attn_dw`); the others fold the
+    kernel into w_val once per call (`fold_full_kernel`; held, the fold
+    would cost k^2 d c floats) and convolve the input. Untouched heads run
+    batched exact attention (`vit.attention`) over their query/key/value
+    columns, gathered here once. The output projection takes one
+    head-ordered array: the convolution's output when every head is
+    replaced, else one (n, d) buffer that replaced and untouched heads
+    fill."""
 
     variant: str
     heads: tuple
     w_val: np.ndarray
-    w_out: np.ndarray | None
-    kernel: object
+    w_out: np.ndarray
+    kernel: np.ndarray
     m: int
     kept: tuple = ()
     exact: tuple = ()
 
     @classmethod
-    def build(cls, dp: BlockDropin, block, heads: tuple, m: int) -> "BlockSublayer":
+    def build(cls, dp: BlockDropin, block, heads: tuple, cfg) -> "BlockSublayer":
+        kernels = [dp.kernel] if dp.variant in ENSEMBLED else [dp.head_kernels[h] for h in heads]
+        want = kernel_shape(dp.variant, cfg)
+        for kern in kernels:
+            if tuple(kern.shape) != want:
+                raise ShapeError(f"{dp.variant} kernel must be {want}, got {tuple(kern.shape)}")
+        side = (cfg.k, cfg.k)
+        kernel = np.concatenate([np.broadcast_to(kern.reshape(*side, -1), (*side, cfg.d_h))
+                                 for kern in kernels], axis=2)
         w_val, w_out = _block_values(dp.variant, block, heads, dp.gamma)
-        if dp.variant in ENSEMBLED:
-            kernel = dp.kernel
-        elif dp.variant == "dw":
-            kernel = np.concatenate([dp.head_kernels[h] for h in heads], axis=2)
-        else:
-            kernel = [dp.head_kernels[h] for h in heads]
         kept = tuple(h for h in range(block.n_h) if h not in heads)
         exact = tuple(vit.head_columns(w, kept, block.d_h)
                       for w in (block.w_q, block.w_k, block.w_v)) if kept else ()
-        return cls(dp.variant, heads, w_val, w_out, kernel, m, kept, exact)
+        return cls(dp.variant, heads, w_val, w_out, kernel, cfg.m, kept, exact)
 
     def __call__(self, x: np.ndarray, block) -> np.ndarray:
-        if self.variant == "ens-dw":
-            return mhsa_dw_ensembled(x, self.w_val, self.kernel, self.w_out, self.m)
-        if self.variant == "ens-convfull":
-            return mhsa_convfull_ensembled(x, self.w_val, self.kernel, self.w_out, self.m)
-        if self.variant == "dw":
+        if self.variant in DEPTHWISE:
             y = flat(attn_dw(grid(x, self.m), self.w_val, self.kernel))
         else:
-            w_vs = np.split(self.w_val, len(self.heads), axis=1)
-            y = flat(attn_conv_full(grid(x, self.m), np.concatenate(
-                [fold_full_kernel(kern, w_v) for kern, w_v in zip(self.kernel, w_vs)], axis=3)))
+            y = flat(attn_conv_full(grid(x, self.m), fold_full_kernel(self.kernel, self.w_val)))
         if self.kept:
             n = x.shape[0]
             heads = np.empty((n, block.n_h, block.d_h), dtype=F32)
@@ -263,7 +252,7 @@ class BlockSublayer:
             heads[:, list(self.kept)] = vit.attention(x, *self.exact, block.d_h).reshape(
                 n, len(self.kept), block.d_h)
             y = heads.reshape(n, -1)
-        return vit.project_heads(y, block)
+        return matmul(y, self.w_out)
 
 
 def hybrid_forward(hm: HybridModel, x: np.ndarray) -> np.ndarray:
@@ -337,7 +326,7 @@ def hybrid_tensors_meta(hm: HybridModel) -> tuple:
             tensors[_gamma_name(b)] = np.asarray(dp.gamma, dtype=F32)
             tensors[_ens_kernel_name(b)] = dp.kernel
         else:
-            for h in dp.heads():
+            for h in sorted(dp.head_kernels):
                 tensors[_head_kernel_name(b, h)] = dp.head_kernels[h]
     meta = {"variants": variants}
     if hm.plan is not None:
@@ -537,4 +526,4 @@ def fit_block(model: Model, b: int, variant: str, heads: tuple, gamma, inputs: d
     values = (grid(matmul(a_in, w_val), cfg.m) for a_in, _ in inputs[b])
     targets = (grid(target(out), cfg.m) for _, out in inputs[b])
     return fit_depthwise_kernel(values, targets, cfg.k, heads=1 if ensembled else len(heads),
-                                shared=len(kernel_shape(variant, cfg)) == 2)
+                                shared=variant not in DEPTHWISE)

@@ -301,6 +301,23 @@ class TestReplace:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, flag", [
+        (("--samples", 4), "--samples"), (("--data", "does-not-exist.bin"), "--data"),
+        (("--samples", 4, "--data", "does-not-exist.bin"), "--samples")],
+        ids=["samples", "data", "both"])
+    def test_sample_source_without_fit_refused(self, tmp_path, tiny_archive, capsys,
+                                               flags, flag):
+        """Only --fit reads samples: without it, --samples or --data exits 2
+        with one line rather than writing seeded kernels."""
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        out = tmp_path / "h.bin"
+        capsys.readouterr()
+        assert run("replace", "--model", tiny_archive, "--plan", plan, *flags,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {flag} is read only by --fit\n"
+        assert not out.exists()
+
     def test_ensembled_blockwise_accepted(self, tmp_path, tiny_archive):
         plan = tmp_path / "plan.json"
         plan_to_file(SelectionPlan("blockwise", "lowest", 1, (1,)), plan)
@@ -639,6 +656,19 @@ class TestCost:
         doc = json.loads(capsys.readouterr().out)
         assert doc["variant_table"][0]["gflops"] == 6.19
 
+    @pytest.mark.parametrize("flags", [("--blocks", 3), ("--heads", 2), ("--dim", 16),
+                                       ("--head-dim", 2), ("--grid", 6), ("--kernel", 1),
+                                       ("--ffn-mult", 3)], ids=lambda f: f[0])
+    def test_override_next_to_model_refused(self, tmp_path, tiny_archive, capsys, flags):
+        """The archive fixes the config: an override flag next to --model
+        exits 2 with one line instead of being silently dropped."""
+        out = tmp_path / "cost.json"
+        capsys.readouterr()
+        assert run("cost", "--model", tiny_archive, *flags, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flags[0]} cannot be given with --model: the archive fixes the config\n")
+        assert not out.exists()
+
     def test_sweep_monotone(self, tmp_path):
         out = tmp_path / "cost.json"
         assert run("cost", "--config", "vitl", "--sweep", "--variant", "dw",
@@ -695,6 +725,19 @@ class TestBench:
                    "--variant", "dw", "--reps", 2, "--warmup", 1, "--out", out) == 0
         doc = json.loads(out.read_text())
         assert set(doc["results"]) == {"baseline", "hybrid[dw]"}
+
+    @pytest.mark.parametrize("plan_mode", [False, True], ids=["single-block", "plan"])
+    def test_override_next_to_model_refused(self, tmp_path, tiny_archive, capsys, plan_mode):
+        out = tmp_path / "bench.json"
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        extra = ("--plan", plan) if plan_mode else ()
+        capsys.readouterr()
+        assert run("bench", "--model", tiny_archive, *extra, "--heads", 4, "--reps", 1,
+                   "--warmup", 0, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: --heads cannot be given with --model: the archive fixes the config\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("plan_mode", [False, True], ids=["single-block", "plan"])
     def test_negative_warmup_is_usage_error(self, tmp_path, tiny_archive, capsys, plan_mode):
@@ -757,6 +800,21 @@ class TestGate:
 
     def test_needs_size(self):
         assert run("gate", "--budget", 2) == 2
+
+    def test_blocks_next_to_model_refused(self, tmp_path, tiny_archive, capsys):
+        out = tmp_path / "gate.json"
+        capsys.readouterr()
+        assert run("gate", "--model", tiny_archive, "--blocks", 2, "--budget", 1,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: --blocks cannot be given with --model: the archive fixes the config\n")
+        assert not out.exists()
+
+    def test_model_sizes_the_gate(self, tmp_path, tiny_archive):
+        out = tmp_path / "gate.json"
+        assert run("gate", "--model", tiny_archive, "--budget", 1, "--steps", 3,
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["n_b"] == TINY.n_b
 
     @pytest.mark.parametrize("flags, message", [
         (("--steps", 0), "steps must be >= 1, got 0"),

@@ -16,6 +16,7 @@ from dwdropin.dropin import (
     hybrid_forward,
     init_kernel,
     kernel_shape,
+    mhsa_convfull_ensembled,
     mhsa_dw_ensembled,
     replace_heads,
 )
@@ -69,6 +70,23 @@ class TestFoldFullKernel:
         for r in range(3):
             for s in range(3):
                 np.testing.assert_allclose(folded[r, s], k_h[r, s] * w_v, atol=1e-7)
+
+    def test_per_channel_kernel_equals_per_head_folds(self, rng):
+        """A (k, k, c) kernel holding each head's (k, k) kernel over its d_h
+        channels folds to the per-head folds side by side, bitwise."""
+        d, d_h, n_h = 6, 3, 4
+        w_v = rng.standard_normal((d, n_h * d_h)).astype(np.float32)
+        k_hs = [rng.standard_normal((3, 3)).astype(np.float32) for _ in range(n_h)]
+        kern = np.concatenate([np.repeat(k_h[:, :, None], d_h, axis=2) for k_h in k_hs], axis=2)
+        per_head = np.concatenate([fold_full_kernel(k_h, head_cols(w_v, h, d_h))
+                                   for h, k_h in enumerate(k_hs)], axis=3)
+        np.testing.assert_array_equal(fold_full_kernel(kern, w_v), per_head)
+
+    @pytest.mark.parametrize("channels", [2, 4])
+    def test_channel_count_must_match_values(self, rng, channels):
+        w_v = rng.standard_normal((6, 3)).astype(np.float32)
+        with pytest.raises(ShapeError, match=r"must be \(k, k\) or \(k, k, c\)"):
+            fold_full_kernel(np.ones((3, 3, channels), np.float32), w_v)
 
 
 class TestAttnConvFull:
@@ -197,6 +215,37 @@ class TestEnsembledForward:
         kern = rng.standard_normal((cfg.k, cfg.k, cfg.d_h)).astype(np.float32)
         out = mhsa_dw_ensembled(np.zeros((cfg.n, cfg.d), np.float32), w_ve, kern, w_oe, cfg.m)
         assert not out.any()
+
+    def test_convfull_delta_kernel_degenerates_to_projections(self, rng):
+        cfg = TINY
+        x = rng.standard_normal((cfg.n, cfg.d)).astype(np.float32)
+        w_ve = rng.standard_normal((cfg.d, cfg.d_h)).astype(np.float32)
+        w_oe = rng.standard_normal((cfg.d_h, cfg.d)).astype(np.float32)
+        out = mhsa_convfull_ensembled(x, w_ve, delta_kernel(cfg.k), w_oe, cfg.m)
+        np.testing.assert_allclose(out, (x @ w_ve) @ w_oe, atol=1e-5)
+
+    @pytest.mark.parametrize("variant, reference", [
+        ("ens-dw", mhsa_dw_ensembled), ("ens-convfull", mhsa_convfull_ensembled)])
+    @pytest.mark.parametrize("cfg", [TINY, DESK], ids=["tiny", "desk"])
+    def test_sublayer_equals_reference_form(self, variant, reference, cfg):
+        """An ensembled block's sublayer, the same value GEMM, kernel and
+        output GEMM as every other variant, equals its reference form
+        bitwise under seeded non-zero gamma."""
+        model = init_model(cfg, 43)
+        seeds = seed_stream(44)
+        plan = SelectionPlan("blockwise", "lowest", cfg.n_b, tuple(range(cfg.n_b)))
+        params = {b: BlockDropin(variant, gamma=seeded_fill((cfg.n_h,), next(seeds)),
+                                 kernel=init_kernel(variant, cfg, next(seeds)))
+                  for b in range(cfg.n_b)}
+        assert all(dp.gamma.any() for dp in params.values())
+        hm = replace_heads(model, plan, params)
+        for x in make_inputs(cfg, 2, 45):
+            for b, a_in in enumerate(block_inputs(model, x)):
+                blk = model.blocks[b]
+                w_ve, w_oe = ensemble_weights(params[b].gamma, blk.w_v, blk.w_o, cfg.n_h, cfg.d_h)
+                np.testing.assert_array_equal(
+                    hm.sublayers[b](a_in, blk),
+                    reference(a_in, w_ve, params[b].kernel, w_oe, cfg.m))
 
 
 class TestReplaceHeads:
@@ -688,6 +737,38 @@ class TestBuiltOnce:
         for x in make_inputs(TINY, 3, 98):
             hybrid_forward(hm, x)
         assert len(calls) == TINY.n_b
+
+
+class TestBlockShape:
+    """Every replaced block is a value projection, one (k, k, c) kernel and
+    an output projection; only a full-convolution block folds, once a call."""
+
+    @pytest.mark.parametrize("variant, mode", [
+        *((v, "blockwise") for v in dropin.VARIANTS), ("convfull", "scattered"),
+        ("dw", "scattered")])
+    def test_one_kernel_and_one_fold(self, monkeypatch, variant, mode):
+        cfg = FOUR_HEADS
+        model = init_model(cfg, 308)
+        heads = tuple(range(cfg.n_h)) if mode == "blockwise" else (1, 3)
+        plan = (SelectionPlan("blockwise", "lowest", 1, (0,)) if mode == "blockwise" else
+                SelectionPlan("scattered", "lowest", len(heads), tuple((0, h) for h in heads)))
+        seeds = seed_stream(25)
+        if variant in dropin.ENSEMBLED:
+            dp = BlockDropin(variant, gamma=seeded_fill((cfg.n_h,), next(seeds)),
+                             kernel=init_kernel(variant, cfg, next(seeds)))
+        else:
+            dp = BlockDropin(variant, head_kernels={
+                h: init_kernel(variant, cfg, next(seeds)) for h in heads})
+        sublayer = replace_heads(model, plan, {0: dp}).sublayers[0]
+        c = sublayer.w_val.shape[1]
+        assert c == (cfg.d_h if variant in dropin.ENSEMBLED else len(heads) * cfg.d_h)
+        assert sublayer.kernel.shape == (cfg.k, cfg.k, c)
+        assert sublayer.w_out.shape == ((c if variant in dropin.ENSEMBLED else cfg.d), cfg.d)
+
+        fold, calls = dropin.fold_full_kernel, []
+        monkeypatch.setattr(dropin, "fold_full_kernel", lambda *a: calls.append(1) or fold(*a))
+        sublayer(make_inputs(cfg, 1, 26)[0], model.blocks[0])
+        assert len(calls) == (0 if variant in dropin.DEPTHWISE else 1)
 
 
 class TestCapture:

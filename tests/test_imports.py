@@ -1,6 +1,9 @@
-"""Every module-level import of a package module is used by that module.
+"""Every module-level import of a package module is used by that module,
+and every private module-level name (`_name`) a module defines is read
+in that module.
 
-`__init__.py` is exempt: its imports are the package's re-exports.
+`__init__.py` is exempt from the import check: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -10,6 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dwdropin"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -25,6 +29,24 @@ def unused_imports(source: str) -> list:
     return [name for name in bound if name not in read]
 
 
+def unread_private_names(source: str) -> list:
+    """Private names (one leading underscore, not a dunder) that the
+    module's top-level definitions or assignments bind and nothing in the
+    module reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in bound
+            if name.startswith("_") and not name.endswith("__") and name not in read]
+
+
 def test_detects_an_unused_import():
     assert unused_imports("import os\nimport re\nfrom a import b, c as d\nre.x(d)\n") == \
         ["os", "b"]
@@ -34,3 +56,16 @@ def test_detects_an_unused_import():
 def test_no_unused_imports(path):
     assert MODULES
     assert unused_imports(path.read_text()) == []
+
+
+def test_detects_an_unread_private_name():
+    source = ("def _used():\n    pass\n\ndef _dead():\n    pass\n\nclass _Gone:\n    pass\n"
+              "_TABLE, _SEEN = 1, 2\n__all__ = []\n_x: int = 3\n"
+              "def public():\n    _dead = 0\n    return _used(_SEEN)\n")
+    assert unread_private_names(source) == ["_dead", "_Gone", "_TABLE", "_x"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+def test_no_unread_private_names(path):
+    assert ALL_MODULES
+    assert unread_private_names(path.read_text()) == []
