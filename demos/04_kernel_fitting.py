@@ -12,6 +12,12 @@ targets, and one set of normal equations for the whole block. The targets
 come straight from the capture: one forward per sample records each
 planned block's input and the (n, d) head outputs its exact attention
 computed, so no exact attention is run a second time to fit.
+
+The normal equations are sums over samples, so the fit never needs the
+samples together: `build_dropins` folds each sample's capture into them
+as soon as that sample's forward returns and keeps nothing else, which
+holds fit memory flat however many samples are drawn (GPTQ accumulates
+its calibration Gram matrices the same way).
 """
 
 import numpy as np
@@ -62,16 +68,24 @@ for h, (kern, rep) in zip(heads, fits):
     print(f"  residual {rep.objective:.4f} vs zero-kernel baseline {rep.zero_objective:.4f} "
           f"({100 * (1 - rep.objective / rep.zero_objective):.1f}% explained)")
 
-# Swap both heads in, fitted vs randomly initialized kernels.
+# The same fit, streamed: `build_dropins` takes the samples as a one-pass
+# iterator and folds each into the block's normal equations as soon as its
+# forward returns. The sums and their order are the recorded fit's, so the
+# kernels and reports agree bit for bit.
 from dwdropin.select import SelectionPlan
 
 plan = SelectionPlan(mode="scattered", order="lowest", budget=len(heads),
                      targets=tuple((0, h) for h in heads))
+fitted, reports = dropin.build_dropins(model, plan, "dw", samples=iter(samples))
+same = all(np.array_equal(fitted.dropins[0].head_kernels[h], kern) and reports[(0, h)] == rep
+           for h, (kern, rep) in zip(heads, fits))
+print(f"\nstreamed fit over a one-pass iterator matches the recorded fit bitwise: {same}")
+
+# Swap both heads in, fitted vs randomly initialized kernels.
 x = samples[0]
 base = vit.model_forward(x, model)
-random = [dropin.init_kernel("dw", cfg, 55 + h) for h in heads]
-for label, kernels in (("fitted", [kern for kern, _ in fits]), ("random", random)):
-    hm = dropin.replace_heads(model, plan, {0: dropin.BlockDropin(
-        variant="dw", head_kernels=dict(zip(heads, kernels)))})
+random = dropin.replace_heads(model, plan, {0: dropin.BlockDropin(
+    variant="dw", head_kernels={h: dropin.init_kernel("dw", cfg, 55 + h) for h in heads})})
+for label, hm in (("fitted", fitted), ("random", random)):
     gap = np.abs(dropin.hybrid_forward(hm, x) - base).max()
     print(f"  model-output gap with {label} kernels: {gap:.4f}")

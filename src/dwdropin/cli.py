@@ -16,6 +16,7 @@ import functools
 import json
 import re
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -85,13 +86,15 @@ def config_from_args(args) -> ModelConfig:
     return ModelConfig(**{**PRESETS[args.config].to_dict(), **overrides})
 
 
-def synthetic_samples(cfg: ModelConfig, count: int, seed: int) -> list:
-    """Seeded gaussian token grids, one derived seed per sample."""
+def synthetic_samples(cfg: ModelConfig, count: int, seed: int) -> Iterator[np.ndarray]:
+    """Seeded gaussian token grids, one derived seed per sample, drawn
+    lazily: one pass over the iterator holds one grid at a time. The
+    count and the seed are checked here, before the first draw."""
     if count < 1:
         raise ConfigError(f"sample count must be >= 1, got {count}")
     seeds = seed_stream(seed)
-    return [seeded_fill((cfg.n, cfg.d), next(seeds), "gaussian", 0.0, 1.0)
-            for _ in range(count)]
+    return (seeded_fill((cfg.n, cfg.d), next(seeds), "gaussian", 0.0, 1.0)
+            for _ in range(count))
 
 
 def save_samples(path, cfg: ModelConfig, samples: list, meta=None) -> None:
@@ -121,7 +124,9 @@ def load_samples(path, cfg: ModelConfig) -> list:
 
 
 def get_samples(args, cfg: ModelConfig) -> tuple:
-    """Resolve the sample source; returns (samples, source description)."""
+    """Resolve the sample source; returns (samples, source description).
+    Archive samples come as a list, synthetic ones as `synthetic_samples`'
+    one-pass iterator."""
     if getattr(args, "data", None):
         return load_samples(args.data, cfg), {"kind": "archive", "path": args.data}
     n = getattr(args, "samples", None)
@@ -193,9 +198,11 @@ def cmd_plan(args) -> int:
 
 
 def cmd_replace(args) -> int:
-    unread = [f"--{f}" for f in ("samples", "data") if getattr(args, f) is not None]
+    unread = [f"--{f}" for f in ("samples", "data", "seed") if getattr(args, f) is not None]
     if unread and not args.fit:
         raise ConfigError(f"{unread[0]} is read only by --fit")
+    if args.seed is None:
+        args.seed = 0  # an omitted seed is recorded in the run manifest as 0
     model = load_hybrid(args.model, "surgery").base
     plan = select.plan_from_file(args.plan)
     samples = get_samples(args, model.config)[0] if args.fit else None
@@ -240,7 +247,7 @@ def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
     if cfg.to_dict() != hm_b.base.config.to_dict():
         raise ConfigError("archives have different configurations")
     checks = []
-    xs = synthetic_samples(cfg, samples_n, seed)
+    xs = list(synthetic_samples(cfg, samples_n, seed))
 
     with overflow_is_file_fault(path_a):
         outs_a = [dropin.hybrid_forward(hm_a, x) for x in xs]
@@ -251,11 +258,14 @@ def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
                    "max_diff": dmax, "tol": tol,
                    "where": {"sample": where[0], "token": where[1], "channel": where[2]}})
 
-    # grid-form attention evaluator vs the flattened matmul path
+    # the oracle checks read block 0's normed input for up to 3 samples
     block = model_a.blocks[0]
+    a_ins = [vit.layer_norm(x + model_a.pos_enc, block.norm1_scale, block.norm1_shift)
+             for x in xs[:3]]
+
+    # grid-form attention evaluator vs the flattened matmul path
     worst = 0.0
-    for x in xs[: min(3, len(xs))]:
-        a_in = vit.layer_norm(x + model_a.pos_enc, block.norm1_scale, block.norm1_shift)
+    for a_in in a_ins:
         for h in range(cfg.n_h):
             q, k, v = vit.qkv_project(a_in, block, h)
             e = vit.head_energy(q, k)
@@ -267,8 +277,7 @@ def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
 
     # concatenated and head-sum attention forms agree
     worst = 0.0
-    for x in xs[: min(3, len(xs))]:
-        a_in = vit.layer_norm(x + model_a.pos_enc, block.norm1_scale, block.norm1_shift)
+    for a_in in a_ins:
         worst = max(worst, float(np.abs(
             vit.mhsa_forward(a_in, block) - vit.mhsa_forward_headsum(a_in, block)
         ).max()))
@@ -489,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", action="store_true",
                    help="least-squares fit kernels against the exact heads")
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--data")
     p.add_argument("--init-seed", dest="init_seed", type=int, default=0)
     p.add_argument("--out", required=True)

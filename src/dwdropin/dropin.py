@@ -14,9 +14,10 @@ Every replaced block is one shape (`BlockSublayer`): a value projection,
 one per-channel (k, k, c) kernel and an output projection; `DEPTHWISE`
 decides where the kernel meets the values. Unensembled variants replace
 any subset of heads; ensembled variants collapse whole blocks and take
-only blockwise plans (`planned_heads`). `fit_block` fits a block's
-kernels from one set of per-channel least-squares normal equations
-against the attention outputs the kernels stand in for.
+only blockwise plans (`planned_heads`). A block's kernels are fitted from
+one set of per-channel least-squares normal equations against the
+attention outputs the kernels stand in for, folded in one sample at a
+time.
 """
 
 from __future__ import annotations
@@ -273,32 +274,37 @@ def build_dropins(model: Model, plan, variant: str, seed: int = 0, samples=None)
 
     The plan is checked (`planned_heads`) before any kernel is made.
     Covered blocks are then built in sorted order, each block's kernels in
-    head order (an ensembled block has one): with `samples`, one capture
-    (`attention_inputs`) records the planned blocks' inputs and exact head
-    outputs, and `fit_block` fits each block from it; without them,
-    kernels are drawn by `init_kernel` from `seed_stream(seed)` in that
-    order. Ensembled blocks start from zero gamma logits. Returns
-    (HybridModel, reports), where `reports` maps (block, head) or, for
-    ensembled variants, block -> FitReport.
+    head order (an ensembled block has one): with `samples`, which may be
+    a lazy iterable, one streamed capture (`attention_inputs`) folds each
+    sample's planned-block inputs and exact head outputs into each block's
+    fit as soon as that sample's forward returns, so fit memory does not
+    grow with the sample count; without them, kernels are drawn by
+    `init_kernel` from `seed_stream(seed)` in that order. Ensembled blocks
+    start from zero gamma logits. Returns (HybridModel, reports), where
+    `reports` maps (block, head) or, for ensembled variants, block ->
+    FitReport.
     """
     cfg = model.config
     by_block = planned_heads(plan, cfg, variant)
     seeds = seed_stream(seed)
-    fitting = samples is not None and by_block
-    inputs = attention_inputs(model, samples, by_block) if fitting else None
+    heads = {b: tuple(sorted(by_block[b])) for b in sorted(by_block)}
+    gammas = {b: np.zeros(cfg.n_h, dtype=F32) if variant in ENSEMBLED else None for b in heads}
+    fits = None
+    if samples is not None and heads:
+        fits = {b: _BlockFit(model, b, variant, hs, gammas[b]) for b, hs in heads.items()}
+        attention_inputs(model, samples, {b: fit.add for b, fit in fits.items()})
     params, reports = {}, {}
-    for b in sorted(by_block):
-        heads = tuple(sorted(by_block[b]))
-        gamma = np.zeros(cfg.n_h, dtype=F32) if variant in ENSEMBLED else None
-        keys = [b] if gamma is not None else [(b, h) for h in heads]
-        if inputs is None:
+    for b, hs in heads.items():
+        gamma = gammas[b]
+        keys = [b] if gamma is not None else [(b, h) for h in hs]
+        if fits is None:
             kernels = [init_kernel(variant, cfg, next(seeds)) for _ in keys]
         else:
-            fits = fit_block(model, b, variant, heads, gamma, inputs)
-            kernels = [kern for kern, _ in fits]
-            reports.update((key, rep) for key, (_, rep) in zip(keys, fits))
+            solved = fits[b].solve()
+            kernels = [kern for kern, _ in solved]
+            reports.update((key, rep) for key, (_, rep) in zip(keys, solved))
         params[b] = (BlockDropin(variant, gamma=gamma, kernel=kernels[0]) if gamma is not None
-                     else BlockDropin(variant, head_kernels=dict(zip(heads, kernels))))
+                     else BlockDropin(variant, head_kernels=dict(zip(hs, kernels))))
     return replace_heads(model, plan, params), reports
 
 
@@ -381,31 +387,47 @@ class FitReport:
     ridge_channels: tuple   # channels whose normal matrix needed ridge
 
 
-def _normal_equations(v_samples, target_samples, k: int):
-    """Per-channel normal equations of targets ~ dwconv2d(v, kernel).
+class _NormalEquations:
+    """Per-channel normal equations of targets ~ dwconv2d(v, kernel): gram
+    (c, k^2, k^2), rhs (c, k^2) and t^T t (c,), accumulated in float64 one
+    (value, target) pair at a time, so only that pair and its shifts are
+    ever held. The one accumulator of every fit: `fit_depthwise_kernel`
+    pulls pairs from iterables, a block's streamed fit (`_BlockFit`) pushes
+    one per capture forward."""
 
-    Accumulated in float64 one (value, target) pair at a time, so when the
-    samples are lazy iterables only one sample's values, targets and shifts
-    are ever held: gram (c, k^2, k^2), rhs (c, k^2), t^T t (c,).
-    """
-    kk = k * k
-    gram = rhs = tt = None
-    for v, t in itertools.zip_longest(v_samples, target_samples):
-        if v is None or t is None:
-            raise ShapeError("value/target sample counts differ")
+    def __init__(self, k: int):
+        self.k = k
+        self.gram = self.rhs = self.tt = None
+
+    def add(self, v: np.ndarray, t: np.ndarray) -> None:
         if v.shape != t.shape:
             raise ShapeError(f"value {v.shape} and target {t.shape} shapes differ")
-        if gram is None:
-            c = v.shape[2]
-            gram, rhs, tt = np.zeros((c, kk, kk)), np.zeros((c, kk)), np.zeros(c)
-        shifts = np.stack(shifted_windows(np.asarray(v, dtype=np.float64), k))
+        if self.gram is None:
+            c, kk = v.shape[2], self.k * self.k
+            self.gram, self.rhs, self.tt = np.zeros((c, kk, kk)), np.zeros((c, kk)), np.zeros(c)
+        shifts = np.stack(shifted_windows(np.asarray(v, dtype=np.float64), self.k))
         t64 = np.asarray(t, dtype=np.float64)
-        gram += np.einsum("qijc,pijc->cqp", shifts, shifts)
-        rhs += np.einsum("qijc,ijc->cq", shifts, t64)
-        tt += np.einsum("ijc,ijc->c", t64, t64)
-    if gram is None:
-        raise ConfigError("kernel fitting needs at least one sample")
-    return gram, rhs, tt
+        self.gram += np.einsum("qijc,pijc->cqp", shifts, shifts)
+        self.rhs += np.einsum("qijc,ijc->cq", shifts, t64)
+        self.tt += np.einsum("ijc,ijc->c", t64, t64)
+
+    def solve(self, heads=None, shared=False):
+        """The kernels of `fit_depthwise_kernel` from the pairs added so far."""
+        if self.gram is None:
+            raise ConfigError("kernel fitting needs at least one sample")
+        k, gram, rhs, tt = self.k, self.gram, self.rhs, self.tt
+        width = len(tt) // (heads or 1)
+        fits = []
+        for part in (slice(lo, lo + width) for lo in range(0, len(tt), width)):
+            if shared:
+                coeff, used = _solve_ridge(gram[part].sum(axis=0), rhs[part].sum(axis=0))
+                kern, ridge = coeff.reshape(k, k).astype(F32), ((0,) if used else ())
+            else:
+                solved = [_solve_ridge(g, r) for g, r in zip(gram[part], rhs[part])]
+                kern = np.stack([x for x, _ in solved], axis=1).reshape(k, k, -1).astype(F32)
+                ridge = tuple(ch for ch, (_, used) in enumerate(solved) if used)
+            fits.append((kern, _fit_report(kern, gram[part], rhs[part], tt[part], ridge)))
+        return fits if heads else fits[0]
 
 
 def _solve_ridge(gram: np.ndarray, rhs: np.ndarray):
@@ -442,19 +464,12 @@ def fit_depthwise_kernel(v_samples, target_samples, k: int, heads=None, shared=F
     (k, k, c) or shared (k, k), FitReport) for all channels as one head,
     or with `heads` a list of such pairs, one per equal run of channels.
     """
-    gram, rhs, tt = _normal_equations(v_samples, target_samples, k)
-    width = len(tt) // (heads or 1)
-    fits = []
-    for part in (slice(lo, lo + width) for lo in range(0, len(tt), width)):
-        if shared:
-            coeff, used = _solve_ridge(gram[part].sum(axis=0), rhs[part].sum(axis=0))
-            kern, ridge = coeff.reshape(k, k).astype(F32), ((0,) if used else ())
-        else:
-            solved = [_solve_ridge(g, r) for g, r in zip(gram[part], rhs[part])]
-            kern = np.stack([x for x, _ in solved], axis=1).reshape(k, k, -1).astype(F32)
-            ridge = tuple(ch for ch, (_, used) in enumerate(solved) if used)
-        fits.append((kern, _fit_report(kern, gram[part], rhs[part], tt[part], ridge)))
-    return fits if heads else fits[0]
+    eqs = _NormalEquations(k)
+    for v, t in itertools.zip_longest(v_samples, target_samples):
+        if v is None or t is None:
+            raise ShapeError("value/target sample counts differ")
+        eqs.add(v, t)
+    return eqs.solve(heads, shared)
 
 
 def fit_loss_and_grad(kern: np.ndarray, v_samples: list, target_samples: list):
@@ -482,7 +497,11 @@ def attention_inputs(model: Model, samples, blocks) -> dict:
     `blocks` runs a `mhsa_fns` sublayer that calls `vit.attention` once,
     records (normed input (n, d), head outputs (n, d)) and projects those
     same outputs, so the pass is `model_forward`'s bit for bit. Returns
-    {block: [(input, head outputs) for each sample]}."""
+    {block: [(input, head outputs) for each sample]}. When `blocks` maps
+    each block to a fold, each record is handed to fold(input, head
+    outputs) as soon as its sample's forward returns and is not kept: the
+    pass holds one sample at a time, and the lists come back empty."""
+    folds = blocks if isinstance(blocks, dict) else {}
     captured = {b: [] for b in blocks}
 
     def capture(record):
@@ -497,33 +516,56 @@ def attention_inputs(model: Model, samples, blocks) -> dict:
     fns = {b: capture(record) for b, record in captured.items()}
     for x in samples:
         vit.model_forward(x, model, mhsa_fns=fns)
+        for b, fold in folds.items():
+            fold(*captured[b].pop())
     return captured
 
 
-def fit_block(model: Model, b: int, variant: str, heads: tuple, gamma, inputs: dict):
-    """Least-squares fit of block b's kernels from `attention_inputs`' capture.
+class _BlockFit:
+    """Least-squares fit of one replaced block's kernels, fed one capture
+    record (normed input, head outputs) at a time. The regressors are what
+    the block's sublayer convolves (`_block_values`) of the input; the
+    targets come from the head outputs: the columns of `heads`
+    (`vit.head_columns`, the regressors' gather), or for an ensembled
+    block the softmax(gamma) mix of all heads. One normal-equation system
+    serves the block."""
 
-    The regressors are what the block's sublayer convolves (`_block_values`)
-    of the recorded inputs; the targets come from the recorded head outputs:
-    the columns of `heads` (`vit.head_columns`, the regressors' gather), or
-    for an ensembled block the softmax(gamma) mix of all heads. One
-    normal-equation system, fed one sample at a time, serves the block. Returns [(kernel, FitReport)]: one
-    per head of `heads`, or one for an ensembled block.
-    """
-    cfg = model.config
-    w_val, _ = _block_values(variant, model.blocks[b], heads, gamma)
-    ensembled = variant in ENSEMBLED
-    sig = softmax64(np.asarray(gamma, dtype=np.float64).ravel()) if ensembled else None
+    def __init__(self, model: Model, b: int, variant: str, heads: tuple, gamma):
+        self.cfg = cfg = model.config
+        self.heads = heads
+        self.w_val, _ = _block_values(variant, model.blocks[b], heads, gamma)
+        ensembled = variant in ENSEMBLED
+        self.sig = softmax64(np.asarray(gamma, dtype=np.float64).ravel()) if ensembled else None
+        self.split = 1 if ensembled else len(heads)
+        self.shared = variant not in DEPTHWISE
+        self.eqs = _NormalEquations(cfg.k)
 
-    def target(out):
-        if not ensembled:
-            return vit.head_columns(out, heads, cfg.d_h)
-        mix = np.zeros((cfg.n, cfg.d_h), dtype=np.float64)
-        for h, s in enumerate(sig):
-            mix += s * vit.head_cols(out, h, cfg.d_h)
+    def _target(self, out: np.ndarray) -> np.ndarray:
+        d_h = self.cfg.d_h
+        if self.sig is None:
+            return vit.head_columns(out, self.heads, d_h)
+        mix = np.zeros((self.cfg.n, d_h), dtype=np.float64)
+        for h, s in enumerate(self.sig):
+            mix += s * vit.head_cols(out, h, d_h)
         return mix.astype(F32)
 
-    values = (grid(matmul(a_in, w_val), cfg.m) for a_in, _ in inputs[b])
-    targets = (grid(target(out), cfg.m) for _, out in inputs[b])
-    return fit_depthwise_kernel(values, targets, cfg.k, heads=1 if ensembled else len(heads),
-                                shared=variant not in DEPTHWISE)
+    def add(self, a_in: np.ndarray, out: np.ndarray) -> None:
+        m = self.cfg.m
+        self.eqs.add(grid(matmul(a_in, self.w_val), m), grid(self._target(out), m))
+
+    def solve(self) -> list:
+        """[(kernel, FitReport)]: one per head of `heads`, or one for an
+        ensembled block."""
+        return self.eqs.solve(self.split, self.shared)
+
+
+def fit_block(model: Model, b: int, variant: str, heads: tuple, gamma, inputs: dict):
+    """Least-squares fit of block b's kernels from the records of
+    `attention_inputs`, as `build_dropins` fits them from its streamed
+    capture. Returns [(kernel, FitReport)]: one per head of `heads`, or
+    one for an ensembled block.
+    """
+    fit = _BlockFit(model, b, variant, heads, gamma)
+    for a_in, out in inputs[b]:
+        fit.add(a_in, out)
+    return fit.solve()

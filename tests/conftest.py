@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,17 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if here in item.path.parents:
             item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees allocated while `fn()` runs, numpy
+    buffers included, above what was allocated before it started."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import dwdropin
 from dwdropin import dropin, vit
 from dwdropin.archive import load_archive, model_from_archive, model_tensors, save_archive, save_model
-from dwdropin.cli import load_samples, main, save_samples, single_block_bench_fns
+from dwdropin.cli import load_samples, main, save_samples, single_block_bench_fns, synthetic_samples
 from dwdropin.select import SelectionPlan, plan_to_file
+from dwdropin.tensor import ConfigError, seed_stream, seeded_fill
 
 from conftest import (
     BAD_CONFIGS,
@@ -26,6 +27,7 @@ from conftest import (
     make_inputs,
     read_manifest,
     rewrite_manifest,
+    traced_peak,
     write_manifest,
 )
 
@@ -176,6 +178,35 @@ class TestScore:
             np.testing.assert_array_equal(got, want)
 
 
+class TestSyntheticSamples:
+    def test_drawn_lazily_from_the_seed_stream(self):
+        samples = synthetic_samples(TINY, 3, 4)
+        assert not isinstance(samples, list)
+        seeds = seed_stream(4)
+        for got in samples:
+            np.testing.assert_array_equal(
+                got, seeded_fill((TINY.n, TINY.d), next(seeds), "gaussian", 0.0, 1.0))
+
+    @pytest.mark.parametrize("count, seed, message", [
+        (0, 0, "sample count must be >= 1, got 0"), (-2, 0, "sample count must be >= 1, got -2"),
+        (2, -1, "seed must be >= 0, got -1")])
+    def test_refused_before_the_first_draw(self, count, seed, message):
+        with pytest.raises(ConfigError, match=message):
+            synthetic_samples(TINY, count, seed)
+
+    def test_score_memory_does_not_grow_with_samples(self, tmp_path):
+        """`score` draws and scores one sample at a time: 256 desk samples
+        peak less than 1 MiB above 64. Drawing them all first grew it by
+        about 3 MiB."""
+        model, rep = tmp_path / "m.bin", tmp_path / "r.json"
+        assert run("gen", "--config", "desk", "--seed", 3, "--out", model) == 0
+        small, large = (traced_peak(lambda n=n: run_quietly(
+            "score", "--model", model, "--samples", n, "--seed", 5, "--out", rep))
+            for n in (64, 256))
+        assert json.loads(rep.read_text())["n_samples"] == 256
+        assert large - small < 2**20, (small, large)
+
+
 class TestSampleNames:
     """A `--data` archive tensor that starts with "sample" but is not
     `sample{i}` exits 3 with one error line naming the file and the tensor."""
@@ -303,12 +334,14 @@ class TestReplace:
 
     @pytest.mark.parametrize("flags, flag", [
         (("--samples", 4), "--samples"), (("--data", "does-not-exist.bin"), "--data"),
-        (("--samples", 4, "--data", "does-not-exist.bin"), "--samples")],
-        ids=["samples", "data", "both"])
+        (("--samples", 4, "--data", "does-not-exist.bin"), "--samples"),
+        (("--seed", 9), "--seed"), (("--seed", 0), "--seed")],
+        ids=["samples", "data", "both", "seed", "seed-zero"])
     def test_sample_source_without_fit_refused(self, tmp_path, tiny_archive, capsys,
                                                flags, flag):
-        """Only --fit reads samples: without it, --samples or --data exits 2
-        with one line rather than writing seeded kernels."""
+        """Only --fit reads samples: without it, --samples, --data or the
+        sample --seed exits 2 with one line rather than writing seeded
+        kernels."""
         plan = tmp_path / "plan.json"
         plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
         out = tmp_path / "h.bin"
@@ -317,6 +350,16 @@ class TestReplace:
                    "--out", out) == 2
         assert capsys.readouterr().err == f"error: {flag} is read only by --fit\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("fit", [(), ("--fit", "--samples", 2)], ids=["init", "fit"])
+    def test_omitted_seed_recorded_as_zero(self, tmp_path, tiny_archive, fit):
+        """A replace without --seed records seed 0 in its run manifest, so
+        unfitted archives keep their bytes."""
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        out = tmp_path / "h.bin"
+        assert run("replace", "--model", tiny_archive, "--plan", plan, *fit, "--out", out) == 0
+        assert read_manifest(out)["meta"]["manifest"]["options"]["seed"] == 0
 
     def test_ensembled_blockwise_accepted(self, tmp_path, tiny_archive):
         plan = tmp_path / "plan.json"
