@@ -201,6 +201,9 @@ def cmd_replace(args) -> int:
     unread = [f"--{f}" for f in ("samples", "data", "seed") if getattr(args, f) is not None]
     if unread and not args.fit:
         raise ConfigError(f"{unread[0]} is read only by --fit")
+    chosen = [f for f in unread if f != "--data"]
+    if args.data is not None and chosen:
+        raise ConfigError(f"{chosen[0]} cannot be given with --data: the archive holds the samples")
     if args.seed is None:
         args.seed = 0  # an omitted seed is recorded in the run manifest as 0
     model = load_hybrid(args.model, "surgery").base
@@ -236,6 +239,18 @@ def _max_diff_located(ref: list, got: list):
     return worst
 
 
+def shared_prefix(hm_a: dropin.HybridModel, hm_b: dropin.HybridModel) -> int:
+    """How many leading blocks two hybrids of one config run bitwise alike:
+    every block before the first that either replaces, when their base
+    tensors (`pos_enc` and every block tensor) are bitwise identical;
+    else 0."""
+    tensors_b = model_tensors(hm_b.base)
+    if not all(np.array_equal(a.view(np.uint32), tensors_b[name].view(np.uint32))
+               for name, a in model_tensors(hm_a.base).items()):
+        return 0
+    return min([*hm_a.sublayers, *hm_b.sublayers, hm_a.base.config.n_b])
+
+
 def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
                         tol: float) -> list:
     """The equivalence and invariant suite behind cmd_verify."""
@@ -249,10 +264,20 @@ def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
     checks = []
     xs = list(synthetic_samples(cfg, samples_n, seed))
 
+    # the --hybrid pass starts from the residuals the --model pass kept at
+    # the end of the prefix both run alike; every --model forward runs
+    # first, so an overflow names the archive it names without sharing
+    shared = shared_prefix(hm_a, hm_b)
+    residuals, outs_a = [], []
     with overflow_is_file_fault(path_a):
-        outs_a = [dropin.hybrid_forward(hm_a, x) for x in xs]
+        for x in xs:
+            residuals.append(vit.model_forward(x, model_a, hm_a.sublayers, stop=shared))
+            outs_a.append(vit.blocks_forward(residuals[-1], model_a, shared,
+                                             mhsa_fns=hm_a.sublayers))
     with overflow_is_file_fault(path_b):
-        outs_b = [dropin.hybrid_forward(hm_b, x) for x in xs]
+        outs_b = ([vit.blocks_forward(h, hm_b.base, shared, mhsa_fns=hm_b.sublayers)
+                   for h in residuals] if shared
+                  else [dropin.hybrid_forward(hm_b, x) for x in xs])
     dmax, where = _max_diff_located(outs_a, outs_b)
     checks.append({"name": "forward_equivalence", "passed": dmax <= tol,
                    "max_diff": dmax, "tol": tol,
@@ -260,8 +285,7 @@ def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
 
     # the oracle checks read block 0's normed input for up to 3 samples
     block = model_a.blocks[0]
-    a_ins = [vit.layer_norm(x + model_a.pos_enc, block.norm1_scale, block.norm1_shift)
-             for x in xs[:3]]
+    a_ins = [vit.attention_input(x + model_a.pos_enc, block) for x in xs[:3]]
 
     # grid-form attention evaluator vs the flattened matmul path
     worst = 0.0

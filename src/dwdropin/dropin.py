@@ -493,16 +493,22 @@ def fit_loss_and_grad(kern: np.ndarray, v_samples: list, target_samples: list):
 
 
 def attention_inputs(model: Model, samples, blocks) -> dict:
-    """The fit's capture: one forward pass per sample in which each of
-    `blocks` runs a `mhsa_fns` sublayer that calls `vit.attention` once,
-    records (normed input (n, d), head outputs (n, d)) and projects those
-    same outputs, so the pass is `model_forward`'s bit for bit. Returns
+    """The fit's capture: one pass per sample that stops at its last read,
+    the last of `blocks`' attention. One `vit.model_forward` runs the
+    blocks before that one, each of `blocks` among them through a
+    `mhsa_fns` sublayer that calls `vit.attention` once, records (normed
+    input (n, d), head outputs (n, d)) and projects those same outputs, so
+    the residual is `model_forward`'s bit for bit; the last block then
+    runs only its normed input and its attention, recorded alike. Returns
     {block: [(input, head outputs) for each sample]}. When `blocks` maps
     each block to a fold, each record is handed to fold(input, head
-    outputs) as soon as its sample's forward returns and is not kept: the
-    pass holds one sample at a time, and the lists come back empty."""
+    outputs) as soon as its sample's pass returns and is not kept: the
+    pass holds one sample at a time, and the lists come back empty. An
+    empty `blocks` runs no forward."""
     folds = blocks if isinstance(blocks, dict) else {}
     captured = {b: [] for b in blocks}
+    if not captured:
+        return captured
 
     def capture(record):
         def sublayer(a_in, block):
@@ -513,9 +519,13 @@ def attention_inputs(model: Model, samples, blocks) -> dict:
             return vit.project_heads(out, block)
         return sublayer
 
-    fns = {b: capture(record) for b, record in captured.items()}
+    last = max(captured)
+    fns = {b: capture(record) for b, record in captured.items() if b != last}
+    block = model.blocks[last]
     for x in samples:
-        vit.model_forward(x, model, mhsa_fns=fns)
+        a_in = vit.attention_input(vit.model_forward(x, model, mhsa_fns=fns, stop=last), block)
+        captured[last].append(
+            (a_in, vit.attention(a_in, block.w_q, block.w_k, block.w_v, block.d_h)))
         for b, fold in folds.items():
             fold(*captured[b].pop())
     return captured

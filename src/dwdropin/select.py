@@ -132,19 +132,25 @@ def score_model(model: Model, samples) -> ScoreResult:
     weights of each head group (`vit.head_groups`) the forward itself
     computes into that group's one accumulator, so nothing is recomputed
     and nothing is kept per sample: memory stays at two float64 n x n
-    buffers per head regardless of the sample count.
+    buffers per head regardless of the sample count. The pass stops at
+    its last read, the last block's attention weights: one
+    `vit.model_forward` per sample runs the blocks before it, then that
+    block runs only its normed input and its tapped attention.
     """
     cfg = model.config
     groups = vit.head_groups(cfg.n_h, cfg.n)
     states = [{h0: WelfordState.new((h1 - h0, cfg.n, cfg.n)) for h0, h1 in groups}
               for _ in range(cfg.n_b)]
-    fns = {b: lambda x, block, s=state: vit.mhsa_forward(
-               x, block, energy_tap=lambda e, h0: welford_update(s[h0], e))
-           for b, state in enumerate(states)}
+    taps = [lambda e, h0, s=state: welford_update(s[h0], e) for state in states]
+    last = cfg.n_b - 1
+    fns = {b: lambda x, block, tap=tap: vit.mhsa_forward(x, block, energy_tap=tap)
+           for b, tap in enumerate(taps[:last])}
+    block = model.blocks[last]
     n_samples = 0
     for x in samples:
         n_samples += 1
-        vit.model_forward(x, model, mhsa_fns=fns)
+        a_in = vit.attention_input(vit.model_forward(x, model, mhsa_fns=fns, stop=last), block)
+        vit.attention(a_in, block.w_q, block.w_k, block.w_v, block.d_h, energy_tap=taps[last])
     if n_samples == 0:
         raise ConfigError("scoring needs at least one sample")
     sig_h = np.array([[sigma_head(sigma) for h0, _ in groups

@@ -180,15 +180,27 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 
 
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Normalise each row, then scale and shift it. A row whose variance
+    overflows float32 (|x| past about 1.8e19) raises NonFiniteError rather
+    than normalising to its shift."""
     # the arithmetic of x.mean and x.var, bit for bit, without their Python
     # wrappers or x.var's second mean; then normalise, scale and shift in place
     x = as_f32(x)
     n = x.shape[-1]
-    x = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-    x /= np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / n + LN_EPS)
+    with np.errstate(over="ignore"):
+        x = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+        var = _check_finite(np.add.reduce(x * x, axis=-1, keepdims=True) / n,
+                            "layer norm variance")
+    x /= np.sqrt(var + LN_EPS)
     x *= scale
     x += shift
     return x
+
+
+def attention_input(x: np.ndarray, block: BlockParams) -> np.ndarray:
+    """What a block's attention sublayer reads: its first layer norm of the
+    residual x."""
+    return layer_norm(x, block.norm1_scale, block.norm1_shift)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -332,15 +344,28 @@ def block_forward(x: np.ndarray, block: BlockParams, mhsa_fn=None) -> np.ndarray
     `mhsa_fn(attn_in, block)` substitutes the attention sublayer: drop-in
     surgery, gating and the fit's capture all go through it.
     """
-    attn_in = layer_norm(x, block.norm1_scale, block.norm1_shift)
     fn = mhsa_forward if mhsa_fn is None else mhsa_fn
-    x = x + fn(attn_in, block)
+    x = x + fn(attention_input(x, block), block)
     x = x + ffn_forward(layer_norm(x, block.norm2_scale, block.norm2_shift), block)
     return x
 
 
-def model_forward(x: np.ndarray, model: Model, mhsa_fns=None) -> np.ndarray:
-    """Full forward pass over all blocks; adds the positional table once.
+def blocks_forward(x: np.ndarray, model: Model, start: int, stop: int | None = None,
+                   mhsa_fns=None) -> np.ndarray:
+    """The one block loop: run the residual x entering block `start`
+    through blocks [start, stop) (stop defaults to n_b) and return the
+    residual entering block `stop`. `mhsa_fns` maps block index ->
+    substitute attention sublayer (`block_forward`)."""
+    for b in range(start, model.config.n_b if stop is None else stop):
+        x = block_forward(x, model.blocks[b], mhsa_fn=mhsa_fns.get(b) if mhsa_fns else None)
+    return x
+
+
+def model_forward(x: np.ndarray, model: Model, mhsa_fns=None,
+                  stop: int | None = None) -> np.ndarray:
+    """Forward pass: the input plus the positional table, then
+    `blocks_forward` over all blocks, or over blocks [0, stop), returning
+    the residual entering block `stop`.
 
     `mhsa_fns` maps block index -> substitute attention sublayer.
     """
@@ -348,10 +373,7 @@ def model_forward(x: np.ndarray, model: Model, mhsa_fns=None) -> np.ndarray:
         raise ShapeError(
             f"input must be (n, d) = ({model.config.n}, {model.config.d}), got {x.shape}"
         )
-    h = as_f32(x) + model.pos_enc
-    for b, block in enumerate(model.blocks):
-        h = block_forward(h, block, mhsa_fn=mhsa_fns.get(b) if mhsa_fns else None)
-    return h
+    return blocks_forward(as_f32(x) + model.pos_enc, model, 0, stop, mhsa_fns)
 
 
 def grid(x: np.ndarray, m: int) -> np.ndarray:

@@ -57,16 +57,25 @@ def make_inputs(cfg, count, seed):
             for _ in range(count)]
 
 
-def block_inputs(model, x):
-    """Every block's normed attention input for one sample, walked block by
-    block with `layer_norm` and `block_forward`: an oracle for the forward's
-    own inputs that shares no code with the fit's capture."""
+def block_residuals(model, x):
+    """The residual entering every block for one sample, walked block by
+    block with `block_forward`: an oracle for the forward's own residual
+    stream that shares no code with `blocks_forward` or the passes that
+    stop early."""
     h = as_f32(x) + model.pos_enc
-    inputs = []
+    residuals = []
     for block in model.blocks:
-        inputs.append(vit.layer_norm(h, block.norm1_scale, block.norm1_shift))
+        residuals.append(h)
         h = vit.block_forward(h, block)
-    return inputs
+    return residuals
+
+
+def block_inputs(model, x):
+    """Every block's normed attention input for one sample: `layer_norm` of
+    the `block_residuals` walk, an oracle for the forward's own inputs
+    that shares no code with the fit's capture."""
+    return [vit.layer_norm(h, block.norm1_scale, block.norm1_shift)
+            for h, block in zip(block_residuals(model, x), model.blocks)]
 
 
 def read_manifest(path):

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import io
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dwdropin
-from dwdropin import dropin, vit
+from dwdropin import cli, dropin, vit
 from dwdropin.archive import load_archive, model_from_archive, model_tensors, save_archive, save_model
 from dwdropin.cli import load_samples, main, save_samples, single_block_bench_fns, synthetic_samples
 from dwdropin.select import SelectionPlan, plan_to_file
@@ -351,6 +352,29 @@ class TestReplace:
         assert capsys.readouterr().err == f"error: {flag} is read only by --fit\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, flag", [
+        (("--samples", 4), "--samples"), (("--seed", 9), "--seed"), (("--seed", 0), "--seed"),
+        (("--seed", 9, "--samples", 4), "--samples")],
+        ids=["samples", "seed", "seed-zero", "both"])
+    def test_sample_choice_next_to_data_refused(self, tmp_path, tiny_archive, capsys,
+                                                flags, flag):
+        """--data fixes the samples, so --samples or --seed next to it
+        exits 2 with one line rather than being recorded as if it had
+        chosen them."""
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        data = tmp_path / "data.bin"
+        save_samples(data, TINY, make_inputs(TINY, 2, 5))
+        out = tmp_path / "h.bin"
+        capsys.readouterr()
+        assert run("replace", "--model", tiny_archive, "--plan", plan, "--fit",
+                   "--data", data, *flags, "--out", out) == 2
+        assert capsys.readouterr().err == (f"error: {flag} cannot be given with --data: "
+                                           "the archive holds the samples\n")
+        assert not out.exists()
+        assert run("replace", "--model", tiny_archive, "--plan", plan, "--fit",
+                   "--data", data, "--out", out) == 0
+
     @pytest.mark.parametrize("fit", [(), ("--fit", "--samples", 2)], ids=["init", "fit"])
     def test_omitted_seed_recorded_as_zero(self, tmp_path, tiny_archive, fit):
         """A replace without --seed records seed 0 in its run manifest, so
@@ -447,6 +471,121 @@ class TestVerify:
             paths.append(p)
         assert run("verify", "--model", paths[0], "--hybrid", paths[1],
                    "--samples", 3, "--tol", 1e-5) == 0
+
+
+DEEP_FLAGS = ("--blocks", 4, *TINY_FLAGS[2:])
+
+
+@pytest.fixture()
+def deep_archives(tmp_path):
+    """A 4-block tiny model, hybrids of it and a model of another seed:
+    {name: path}. `b2` replaces block 2 (dw, fitted), `b13` blocks 1 and 3
+    (ens-dw, fitted), `b0` block 0 (dw, seeded); `other-b2` is `b2`'s plan
+    on the other model."""
+    paths = {name: tmp_path / f"{name}.bin" for name in ("model", "other", "b2", "b13", "b0",
+                                                         "other-b2")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("gen", "--seed", 7, "--out", paths["model"], *DEEP_FLAGS) == 0
+        assert run("gen", "--seed", 8, "--out", paths["other"], *DEEP_FLAGS) == 0
+        for name, base, targets, flags in (
+                ("b2", "model", (2,), ("--fit", "--samples", 3)),
+                ("b13", "model", (1, 3), ("--variant", "ens-dw", "--fit", "--samples", 3)),
+                ("b0", "model", (0,), ()),
+                ("other-b2", "other", (2,), ())):
+            plan = tmp_path / f"plan-{name}.json"
+            plan_to_file(SelectionPlan("blockwise", "lowest", len(targets), targets), plan)
+            assert run("replace", "--model", paths[base], "--plan", plan, *flags,
+                       "--out", paths[name]) == 0
+    return paths
+
+
+def verify_unshared(monkeypatch, capsys, *argv):
+    """Run verify as full forwards, no prefix shared: (exit code, stdout, stderr)."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "shared_prefix", lambda hm_a, hm_b: 0)
+        capsys.readouterr()
+        code = run("verify", *argv)
+        captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestVerifySharedPrefix:
+    """verify runs the blocks before the first replaced one once per sample
+    when both archives hold the same base tensors, and its outputs stay
+    those of full forwards."""
+
+    @pytest.mark.parametrize("model, hybrid, shared", [
+        ("model", "b2", 2), ("b2", "b13", 1), ("b13", "model", 1), ("model", "model", 4),
+        ("model", "b0", 0), ("model", "other-b2", 0)],
+        ids=["model-vs-hybrid", "hybrid-vs-hybrid", "hybrid-vs-model", "model-vs-model",
+             "first-block-replaced", "different-base"])
+    def test_report_matches_full_forwards(self, tmp_path, deep_archives, monkeypatch, capsys,
+                                          model, hybrid, shared):
+        paths = deep_archives
+        hms = [cli.load_hybrid(paths[name], "verification") for name in (model, hybrid)]
+        assert cli.shared_prefix(*hms) == shared
+        out = tmp_path / "verify.json"
+        argv = ("--model", paths[model], "--hybrid", paths[hybrid], "--samples", 3,
+                "--tol", 0.5, "--out", out)
+        want = verify_unshared(monkeypatch, capsys, *argv)
+        want_bytes = out.read_bytes()
+        out.unlink()
+        got = run("verify", *argv)
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == want
+        assert out.read_bytes() == want_bytes
+
+    def test_shared_blocks_run_once_per_sample(self, deep_archives, monkeypatch):
+        """model vs b2: blocks 0 and 1 run once per sample, in the --model
+        pass; blocks 2 and 3 run once per sample in each pass."""
+        forward, blocks = vit.block_forward, []
+
+        def counted(x, block, **kw):
+            blocks.append(id(block))
+            return forward(x, block, **kw)
+        monkeypatch.setattr(vit, "block_forward", counted)
+        assert run("verify", "--model", deep_archives["model"], "--hybrid", deep_archives["b2"],
+                   "--samples", 3, "--tol", 0.5) in (0, 1)
+        # each archive holds its own block objects: 4 of --model's, 2 of --hybrid's
+        counts = collections.Counter(blocks)
+        assert len(counts) == 4 + 2
+        assert set(counts.values()) == {3}
+
+    def test_overflow_in_shared_prefix_names_model(self, tmp_path, deep_archives, monkeypatch,
+                                                   capsys):
+        """Block 0's energies overflow in both archives: the --model pass,
+        which runs the shared prefix, names the --model archive."""
+        model, hybrid = deep_archives["model"], tmp_path / "b2-big.bin"
+        for path in (model, deep_archives["b2"]):
+            ar = load_archive(path)
+            for name in ("block0.w_q", "block0.w_k"):
+                ar.tensors[name] = ar.tensors[name] * np.float32(1e20)
+            save_archive(hybrid if path != model else model, ar.config, ar.tensors, ar.meta)
+        argv = ("--model", model, "--hybrid", hybrid, "--samples", 2)
+        want = verify_unshared(monkeypatch, capsys, *argv)
+        assert run("verify", *argv) == 3
+        captured = capsys.readouterr()
+        assert (3, captured.out, captured.err) == want
+        assert captured.err == (f"error: {model}: the model's forward pass overflows "
+                                "(non-finite values in matmul result)\n")
+
+    def test_overflow_in_hybrid_suffix_names_hybrid(self, tmp_path, deep_archives, monkeypatch,
+                                                    capsys):
+        """The hybrid's own block 2 overflows after the shared prefix: the
+        --hybrid pass names the --hybrid archive."""
+        model, hybrid = deep_archives["model"], tmp_path / "b2-big.bin"
+        ar = load_archive(deep_archives["b2"])
+        for h in range(TINY.n_h):
+            ar.tensors[f"dropin.block2.head{h}.K"] = np.full((TINY.k, TINY.k, TINY.d_h), 3e38,
+                                                             np.float32)
+        save_archive(hybrid, ar.config, ar.tensors, ar.meta)
+        argv = ("--model", model, "--hybrid", hybrid, "--samples", 2)
+        want = verify_unshared(monkeypatch, capsys, *argv)
+        assert run("verify", *argv) == 3
+        captured = capsys.readouterr()
+        assert (3, captured.out, captured.err) == want
+        assert captured.err == (f"error: {hybrid}: the model's forward pass overflows "
+                                "(non-finite values in dwconv2d result)\n")
 
 
 def _unknown_variant(ar):
@@ -627,6 +766,30 @@ class TestMalformedArchives:
             assert capsys.readouterr().err == (
                 f"error: {tiny_archive}: the model's forward pass overflows "
                 "(non-finite values in matmul result)\n"), argv[0]
+
+    def test_overflowing_layer_norm(self, tmp_path, tiny_archive, capsys):
+        """A finite positional table whose rows' variance overflows float32:
+        score, replace --fit and verify each exit 3 with one line naming the
+        archive, where normalising those rows to their shift would rank
+        every head as perfectly convolution-like."""
+        ar = load_archive(tiny_archive)
+        ar.tensors["pos_enc"] = ar.tensors["pos_enc"] * np.float32(1e20)
+        save_archive(tiny_archive, ar.config, ar.tensors, ar.meta)
+        assert np.isfinite(load_archive(tiny_archive).tensors["pos_enc"]).all()
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        hybrid = tmp_path / "h.bin"
+        assert run("replace", "--model", tiny_archive, "--plan", plan, "--out", hybrid) == 0
+        for argv in (("score", "--samples", 2, "--out", tmp_path / "r.json"),
+                     ("replace", "--plan", plan, "--fit", "--samples", 2,
+                      "--out", tmp_path / "f.bin"),
+                     ("verify", "--hybrid", hybrid, "--samples", 2)):
+            capsys.readouterr()
+            assert run(*argv, "--model", tiny_archive) == 3, argv[0]
+            assert capsys.readouterr().err == (
+                f"error: {tiny_archive}: the model's forward pass overflows "
+                "(non-finite values in layer norm variance)\n"), argv[0]
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "f.bin").exists()
 
 
 class TestMalformedPlans:

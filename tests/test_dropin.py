@@ -33,7 +33,7 @@ from dwdropin.tensor import (
 )
 from dwdropin.vit import DESK, ModelConfig, grid, head_cols, head_rows, init_model
 
-from conftest import GROUPED, TINY, block_inputs, make_inputs, traced_peak
+from conftest import GROUPED, TINY, block_inputs, block_residuals, make_inputs, traced_peak
 
 
 def delta_kernel(k, channels=None):
@@ -771,20 +771,51 @@ class TestBlockShape:
         assert len(calls) == (0 if variant in dropin.DEPTHWISE else 1)
 
 
+def full_forward_records(model, samples, blocks):
+    """The capture as one full `model_forward` per sample, every block run:
+    each of `blocks` records (normed input, `vit.attention` output) and
+    projects that output."""
+    records = {b: [] for b in blocks}
+
+    def recorder(record):
+        def sublayer(a_in, block):
+            out = vit.attention(a_in, block.w_q, block.w_k, block.w_v, block.d_h)
+            record.append((a_in, out))
+            return vit.project_heads(out, block)
+        return sublayer
+
+    fns = {b: recorder(record) for b, record in records.items()}
+    for x in samples:
+        vit.model_forward(x, model, mhsa_fns=fns)
+    return records
+
+
+# (variant, mode, targets) of the capture tests: every variant blockwise,
+# and both unensembled ones scattered
+PLANS = [
+    *((v, "blockwise", (3, 0)) for v in dropin.VARIANTS),
+    ("dw", "scattered", ((0, 1), (0, 3), (2, 0), (5, 2))),
+    ("convfull", "scattered", ((1, 2), (4, 0), (4, 1))),
+]
+
+
 class TestCapture:
-    """The fit's capture: one forward per sample, each planned block's exact
-    attention run once and recorded."""
+    """The fit's capture: one pass per sample that stops at the last
+    planned block's attention, each planned block's exact attention run
+    once and recorded."""
 
     def test_records_planned_blocks_bitwise(self, desk_model, monkeypatch):
+        """The capture's `model_forward` returns the residual entering the
+        last captured block, and every record is the forward's own."""
         samples = make_inputs(DESK, 3, 231)
-        want = [vit.model_forward(x, desk_model) for x in samples]
         forward, outputs = vit.model_forward, []
         monkeypatch.setattr(vit, "model_forward",
                             lambda *a, **kw: outputs.append(forward(*a, **kw)) or outputs[-1])
         captured = attention_inputs(desk_model, samples, (4, 1))
         assert sorted(captured) == [1, 4]
-        for x, out, ref in zip(samples, outputs, want):
-            np.testing.assert_array_equal(out, ref)
+        assert len(outputs) == len(samples)
+        for x, out in zip(samples, outputs):
+            np.testing.assert_array_equal(out, block_residuals(desk_model, x)[4])
         for b, records in captured.items():
             blk = desk_model.blocks[b]
             assert len(records) == len(samples)
@@ -793,6 +824,18 @@ class TestCapture:
                 assert heads.shape == (DESK.n, DESK.d)
                 np.testing.assert_array_equal(
                     heads, vit.attention(a_in, blk.w_q, blk.w_k, blk.w_v, blk.d_h))
+
+    @pytest.mark.parametrize("blocks", [(4, 1), (0,), (5,), (2, 0, 3)])
+    def test_records_match_full_forward_capture(self, desk_model, blocks):
+        samples = make_inputs(DESK, 3, 235)
+        want = full_forward_records(desk_model, samples, blocks)
+        got = attention_inputs(desk_model, samples, blocks)
+        assert sorted(got) == sorted(want)
+        for b in blocks:
+            assert len(got[b]) == len(samples)
+            for (a_in, heads), (want_in, want_heads) in zip(got[b], want[b]):
+                np.testing.assert_array_equal(a_in, want_in)
+                np.testing.assert_array_equal(heads, want_heads)
 
     def test_head_groups_recorded_bitwise(self):
         """Where attention runs in head groups, the recorded head outputs hold
@@ -804,22 +847,63 @@ class TestCapture:
                 np.testing.assert_array_equal(head_cols(heads, h, GROUPED.d_h),
                                               vit.head_attention(a_in, blk, h))
 
-    @pytest.mark.parametrize("variant, mode, targets", [
-        *((v, "blockwise", (3, 0)) for v in dropin.VARIANTS),
-        ("dw", "scattered", ((0, 1), (0, 3), (2, 0), (5, 2))),
-        ("convfull", "scattered", ((1, 2), (4, 0), (4, 1))),
-    ])
+    @pytest.mark.parametrize("variant, mode, targets", PLANS)
     def test_fitting_runs_attention_once_per_block_and_sample(self, desk_model, monkeypatch,
                                                               variant, mode, targets):
-        """`vit.attention` runs len(samples) x n_b times: in the capture
-        forwards only, never again in `fit_block`."""
+        """`vit.attention` runs len(samples) x (last planned block + 1)
+        times: in the capture passes only, never again in `fit_block`, and
+        never in the blocks after the last planned one."""
         attend, calls = vit.attention, []
         monkeypatch.setattr(vit, "attention", lambda *a, **kw: calls.append(1) or attend(*a, **kw))
         samples = make_inputs(DESK, 3, 232)
         plan = SelectionPlan(mode, "lowest", len(targets), targets)
         _, reports = build_dropins(desk_model, plan, variant, samples=samples)
         assert reports
-        assert len(calls) == len(samples) * DESK.n_b
+        last = max(plan.blocks())
+        assert len(calls) == len(samples) * (last + 1)
+
+    @pytest.mark.parametrize("blocks", [(4, 1), (0,), (5,)])
+    def test_one_model_forward_per_sample(self, desk_model, monkeypatch, blocks):
+        """Each capture pass is one `model_forward` call, which runs the
+        blocks before the last captured one and no FFN after it."""
+        forward, ffn, calls = vit.model_forward, vit.ffn_forward, []
+        monkeypatch.setattr(vit, "model_forward",
+                            lambda *a, **kw: calls.append("forward") or forward(*a, **kw))
+        monkeypatch.setattr(vit, "ffn_forward",
+                            lambda *a, **kw: calls.append("ffn") or ffn(*a, **kw))
+        samples = make_inputs(DESK, 3, 236)
+        attention_inputs(desk_model, iter(samples), blocks)
+        assert calls.count("forward") == len(samples)
+        assert calls.count("ffn") == len(samples) * max(blocks)
+
+    def test_empty_block_set_runs_no_forward(self, desk_model, monkeypatch):
+        calls = []
+        monkeypatch.setattr(vit, "model_forward", lambda *a, **kw: calls.append(1))
+        assert attention_inputs(desk_model, make_inputs(DESK, 2, 237), ()) == {}
+        assert attention_inputs(desk_model, make_inputs(DESK, 2, 237), {}) == {}
+        assert calls == []
+
+    @pytest.mark.parametrize("variant, mode, targets", PLANS)
+    def test_fit_matches_full_forward_capture(self, desk_model, variant, mode, targets):
+        """Kernels and FitReports of the trimmed streamed capture equal
+        `fit_block` over records of full forwards, bitwise."""
+        samples = make_inputs(DESK, 4, 238)
+        plan = SelectionPlan(mode, "lowest", len(targets), targets)
+        hm, reports = build_dropins(desk_model, plan, variant, samples=iter(samples))
+        by_block = dropin.planned_heads(plan, DESK, variant)
+        records = full_forward_records(desk_model, samples, sorted(by_block))
+        for b, heads in by_block.items():
+            heads = tuple(sorted(heads))
+            dp = hm.dropins[b]
+            fits = fit_block(desk_model, b, variant, heads, dp.gamma, records)
+            if variant in dropin.ENSEMBLED:
+                [(kern, rep)] = fits
+                np.testing.assert_array_equal(dp.kernel, kern)
+                assert reports[b] == rep
+            else:
+                for h, (kern, rep) in zip(heads, fits):
+                    np.testing.assert_array_equal(dp.head_kernels[h], kern)
+                    assert reports[(b, h)] == rep
 
 
 class TestBuildDropins:

@@ -212,6 +212,53 @@ class TestScoreModel:
         assert not res.sigma_h[1, 9] and res.sigma_h.all(axis=1).sum() == 1
         assert calls == [8, 4] * cfg.n_b * len(samples)
 
+    @staticmethod
+    def full_forward_result(model, samples):
+        """The scorer as one full `model_forward` per sample, every block's
+        attention tapped and every block run to its end."""
+        cfg = model.config
+        groups = vit.head_groups(cfg.n_h, cfg.n)
+        states = [{h0: WelfordState.new((h1 - h0, cfg.n, cfg.n)) for h0, h1 in groups}
+                  for _ in range(cfg.n_b)]
+        fns = {b: lambda x, block, s=state: vit.mhsa_forward(
+                   x, block, energy_tap=lambda e, h0: welford_update(s[h0], e))
+               for b, state in enumerate(states)}
+        for x in samples:
+            vit.model_forward(x, model, mhsa_fns=fns)
+        sigma_h = np.array([[sigma_head(sigma) for h0, _ in groups
+                             for sigma in welford_finalize(state[h0])] for state in states])
+        return ScoreResult(sigma_h=sigma_h, sigma_b=np.array([sigma_block(r) for r in sigma_h]),
+                           n_samples=len(samples))
+
+    @pytest.mark.parametrize("n_b", [6, 1], ids=["desk", "one-block"])
+    def test_report_matches_full_forward_scoring(self, n_b):
+        """Stopping at the last block's attention weights leaves the score
+        report byte for byte that of full forwards."""
+        cfg = vit.ModelConfig(**{**vit.DESK.to_dict(), "n_b": n_b})
+        model = init_model(cfg, 407)
+        samples = make_inputs(cfg, 9, 33)
+        want = self.full_forward_result(model, samples).to_report()
+        got = score_model(model, iter(samples)).to_report()
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    @pytest.mark.parametrize("n_b", [6, 1], ids=["desk", "one-block"])
+    def test_pass_stops_at_last_attention(self, monkeypatch, n_b):
+        """Per sample: one `model_forward` call, n_b - 1 FFNs and output
+        projections, and n_b attentions."""
+        cfg = vit.ModelConfig(**{**vit.DESK.to_dict(), "n_b": n_b})
+        model = init_model(cfg, 408)
+        calls = []
+        for name in ("model_forward", "ffn_forward", "project_heads", "attention"):
+            fn = getattr(vit, name)
+            monkeypatch.setattr(vit, name, lambda *a, fn=fn, name=name, **kw:
+                                calls.append(name) or fn(*a, **kw))
+        samples = make_inputs(cfg, 3, 34)
+        score_model(model, iter(samples))
+        assert calls.count("model_forward") == len(samples)
+        assert calls.count("ffn_forward") == len(samples) * (n_b - 1)
+        assert calls.count("project_heads") == len(samples) * (n_b - 1)
+        assert calls.count("attention") == len(samples) * n_b
+
     def test_deterministic(self, tiny_model):
         r1 = score_model(tiny_model, make_inputs(TINY, 4, 13))
         r2 = score_model(tiny_model, make_inputs(TINY, 4, 13))
