@@ -136,6 +136,13 @@ def get_samples(args, cfg: ModelConfig) -> tuple:
     return synthetic_samples(cfg, n, seed), {"kind": "synthetic", "n": n, "seed": seed}
 
 
+def refuse_next_to_data(args) -> None:
+    """Refuse --samples or --seed next to --data, whose archive holds the samples."""
+    chosen = [f"--{f}" for f in ("samples", "seed") if getattr(args, f) is not None]
+    if args.data is not None and chosen:
+        raise ConfigError(f"{chosen[0]} cannot be given with --data: the archive holds the samples")
+
+
 def load_hybrid(path, purpose: str) -> dropin.HybridModel:
     """Load an archive with weights as a HybridModel (its `base` is the
     plain model); a config-only archive is refused as an ArchiveError
@@ -176,6 +183,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_score(args) -> int:
+    refuse_next_to_data(args)
+    if args.data is None:  # omitted, they are recorded in the run manifest as their defaults
+        args.samples = 256 if args.samples is None else args.samples
+        args.seed = 0 if args.seed is None else args.seed
     model = load_hybrid(args.model, "scoring").base
     samples, source = get_samples(args, model.config)
     with overflow_is_file_fault(args.model):
@@ -201,11 +212,12 @@ def cmd_replace(args) -> int:
     unread = [f"--{f}" for f in ("samples", "data", "seed") if getattr(args, f) is not None]
     if unread and not args.fit:
         raise ConfigError(f"{unread[0]} is read only by --fit")
-    chosen = [f for f in unread if f != "--data"]
-    if args.data is not None and chosen:
-        raise ConfigError(f"{chosen[0]} cannot be given with --data: the archive holds the samples")
-    if args.seed is None:
-        args.seed = 0  # an omitted seed is recorded in the run manifest as 0
+    refuse_next_to_data(args)
+    if args.fit and args.init_seed is not None:
+        raise ConfigError("--init-seed cannot be given with --fit: fitted kernels are not drawn")
+    # omitted seeds are recorded in the run manifest as 0
+    args.seed = 0 if args.seed is None else args.seed
+    args.init_seed = 0 if args.init_seed is None else args.init_seed
     model = load_hybrid(args.model, "surgery").base
     plan = select.plan_from_file(args.plan)
     samples = get_samples(args, model.config)[0] if args.fit else None
@@ -501,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="variance-score every head over samples")
     p.add_argument("--model", required=True)
-    p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, help="synthetic sample count (default 256)")
+    p.add_argument("--seed", type=int, help="synthetic sample seed (default 0)")
     p.add_argument("--data", help="sample archive instead of synthetic inputs")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
@@ -524,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--data")
-    p.add_argument("--init-seed", dest="init_seed", type=int, default=0)
+    p.add_argument("--init-seed", dest="init_seed", type=int,
+                   help="seed of unfitted kernels (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_replace)
 

@@ -10,13 +10,18 @@ Counting conventions (documented because they decide every number):
     ensembled projections) are never counted, their sources are;
   * counters are Python integers, so they cannot overflow.
 
-Per-block attention-path FLOPs:
-
-  mhsa           8 n d^2 + 4 n^2 d      (QKV+output projections; QK^T, EV)
-  convfull       2 n k^2 d^2 + 2 n d^2  (folded conv per head; output proj)
-  dw             4 n d^2 + 2 n k^2 d    (value+output proj; depthwise conv)
-  ens-convfull   2 n k^2 d d_h + 2 n d_h d
-  ens-dw         2 n d d_h + 2 n k^2 d_h + 2 n d_h d
+Per-block attention path, as it runs (`dropin.BlockSublayer`): with r of
+n_h heads replaced, the drop-in has c channels (d_h if ensembled, else
+r d_h) and the kept heads c_k = (n_h - r) d_h. FLOPs are the value GEMM
+and depthwise pass 2 n d c + 2 n k^2 c (or the kernel folded into a full
+convolution, 2 n k^2 d c), the kept heads' QKV projections, QK^T and EV
+6 n d c_k + 4 n^2 c_k, and one output projection 2 n (c + c_k) d. Params
+are every head's value/output projections 2 d^2, the kept heads' query/key
+ones 2 d c_k, a kernel per replaced head (one per ensembled block, plus
+its n_h logits). A partly replaced block is this shape at its r, r = 0 is
+exact attention (8 n d^2 + 4 n^2 d), and whole blocks at the vitl shape
+cost 6.19 (mhsa) / 12.08 (convfull) / 2.43 (dw) / 0.75 (ens-convfull) /
+0.15 (ens-dw) GFLOPs.
 
 Activation estimates sum the tensors one attention sublayer call holds at
 its peak. They are coarse (numpy's own buffers are not counted), and tests
@@ -39,42 +44,25 @@ from .vit import ModelConfig, group_size
 VARIANTS = ("mhsa",) + dropin.VARIANTS
 
 
-def per_head_flops(variant: str, cfg: ModelConfig) -> int:
-    """Attention-path FLOPs attributable to a single head."""
-    n, d, d_h, k = cfg.n, cfg.d, cfg.d_h, cfg.k
-    if variant == "mhsa":
-        return 8 * n * d * d_h + 4 * n * n * d_h
-    if variant == "convfull":
-        return 2 * n * k * k * d * d_h + 2 * n * d_h * d
-    if variant == "dw":
-        return 2 * n * d * d_h + 2 * n * k * k * d_h + 2 * n * d_h * d
-    raise ConfigError(f"per-head cost undefined for variant {variant!r}")
-
-
-def per_head_params(variant: str, cfg: ModelConfig) -> int:
-    """Stored parameters attributable to a single head.
-
-    An attention head owns its Q/K/V column slices and output row group;
-    a replaced head drops Q/K and adds its kernel.
-    """
-    if variant == "mhsa":
-        return 4 * cfg.d * cfg.d_h
-    if variant in ("convfull", "dw"):
-        return 2 * cfg.d * cfg.d_h + math.prod(dropin.kernel_shape(variant, cfg))
-    raise ConfigError(f"per-head cost undefined for variant {variant!r}")
-
-
-def flops_params(variant: str, cfg: ModelConfig) -> tuple:
-    """Closed-form (flops, params) of one block's attention path: n_h times
-    the per-head cost, except for the ensembled variants, which run one
-    effective head of their base formulation for the whole block and store
-    every head's value and output projections, one kernel and n_h logits."""
-    if variant in dropin.ENSEMBLED:
-        return (per_head_flops("dw" if variant in dropin.DEPTHWISE else "convfull", cfg),
-                2 * cfg.d * cfg.d + math.prod(dropin.kernel_shape(variant, cfg)) + cfg.n_h)
-    if variant in VARIANTS:
-        return cfg.n_h * per_head_flops(variant, cfg), cfg.n_h * per_head_params(variant, cfg)
-    raise ConfigError(f"unknown attention variant {variant!r}")
+def flops_params(variant: str, cfg: ModelConfig, replaced: int | None = None) -> tuple:
+    """Closed-form (flops, params) of one block's attention path with
+    `replaced` of its heads (default all; none for "mhsa") run as `variant`
+    and the rest as exact attention, priced as the module docstring says.
+    An ensembled variant replaces no head or all of them."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown attention variant {variant!r}")
+    n, d, d_h, k, n_h = cfg.n, cfg.d, cfg.d_h, cfg.k, cfg.n_h
+    replaced = 0 if variant == "mhsa" else n_h if replaced is None else replaced
+    ensembled = variant in dropin.ENSEMBLED and replaced > 0
+    if not 0 <= replaced <= n_h or (ensembled and replaced != n_h):
+        raise ConfigError(f"{variant} cannot replace {replaced} of {n_h} heads")
+    c = d_h if ensembled else replaced * d_h   # the drop-in's channels
+    c_k = (n_h - replaced) * d_h               # the kept heads' channels
+    # the value GEMM and depthwise pass, or the kernel folded into a full convolution
+    conv = 2 * n * c * (d + k * k) if variant in dropin.DEPTHWISE else 2 * n * k * k * d * c
+    flops = conv + 6 * n * d * c_k + 4 * n * n * c_k + 2 * n * (c + c_k) * d
+    kernels = c // d_h * math.prod(dropin.kernel_shape(variant, cfg))
+    return flops, 2 * d * d + 2 * d * c_k + kernels + (n_h if ensembled else 0)
 
 
 def ffn_flops_params(cfg: ModelConfig) -> tuple:
@@ -167,33 +155,17 @@ def variant_table_text(cfg: ModelConfig) -> str:
     return "\n".join(lines)
 
 
-def model_cost_report(cfg: ModelConfig, plan=None, variant: str = "dw") -> CostReport:
-    """Whole-model accounting for a replacement plan.
-
-    The plan must pass `dropin.planned_heads` for the variant. A block
-    whose heads are all replaced is priced at the variant's block cost, a
-    partly replaced one (unensembled variants only) per head: replaced heads
-    at the variant's per-head cost, retained ones at attention's. An empty
-    or missing plan reproduces the baseline.
-    """
-    if plan is None:
-        plan = SelectionPlan(mode="blockwise", order="lowest", budget=0, targets=())
-    by_block = dropin.planned_heads(plan, cfg, variant)
+def _priced(cfg: ModelConfig, by_block: dict, variant: str) -> tuple:
+    """(rows, totals): per block its attention choice and the counts of
+    `flops_params` with its planned heads replaced, and their model sums,
+    the positional table's params included."""
     ffn_f, ffn_p = ffn_flops_params(cfg)
-    base_attn_f, base_attn_p = flops_params("mhsa", cfg)
     rows = []
     for b in range(cfg.n_b):
         replaced = len(by_block.get(b, ()))
-        if replaced in (0, cfg.n_h):
-            att = variant if replaced else "mhsa"
-            att_f, att_p = flops_params(att, cfg)
-        else:
-            att = f"mixed({variant} x{replaced})"
-            kept = cfg.n_h - replaced
-            att_f = (replaced * per_head_flops(variant, cfg)
-                     + kept * per_head_flops("mhsa", cfg))
-            att_p = (replaced * per_head_params(variant, cfg)
-                     + kept * per_head_params("mhsa", cfg))
+        att = ("mhsa" if not replaced else variant if replaced == cfg.n_h
+               else f"mixed({variant} x{replaced})")
+        att_f, att_p = flops_params(variant, cfg, replaced)
         rows.append({
             "block": b,
             "attention": att,
@@ -203,22 +175,29 @@ def model_cost_report(cfg: ModelConfig, plan=None, variant: str = "dw") -> CostR
             "ffn_params": ffn_p,
             "activation_bytes": activation_bytes(att if att in VARIANTS else "mhsa", cfg),
         })
-    pos_params = cfg.n * cfg.d
-    totals = {
+    return rows, {
         "flops": sum(r["attn_flops"] + r["ffn_flops"] for r in rows),
-        "params": sum(r["attn_params"] + r["ffn_params"] for r in rows) + pos_params,
+        "params": sum(r["attn_params"] + r["ffn_params"] for r in rows) + cfg.n * cfg.d,
         "attn_flops": sum(r["attn_flops"] for r in rows),
         "activation_bytes": sum(r["activation_bytes"] for r in rows),
     }
-    baseline = {
-        "flops": cfg.n_b * (base_attn_f + ffn_f),
-        "params": cfg.n_b * (base_attn_p + ffn_p) + pos_params,
-        "attn_flops": cfg.n_b * base_attn_f,
-        "activation_bytes": cfg.n_b * activation_bytes("mhsa", cfg),
-    }
+
+
+def model_cost_report(cfg: ModelConfig, plan=None, variant: str = "dw") -> CostReport:
+    """Whole-model accounting for a replacement plan.
+
+    The plan must pass `dropin.planned_heads` for the variant. The
+    baseline is the same pricing (`_priced`) with no head replaced, so an
+    empty or missing plan reproduces it.
+    """
+    if plan is None:
+        plan = SelectionPlan(mode="blockwise", order="lowest", budget=0, targets=())
+    by_block = dropin.planned_heads(plan, cfg, variant)
+    rows, totals = _priced(cfg, by_block, variant)
+    base_rows, baseline = _priced(cfg, {}, variant)
     if by_block:
-        repl_base = sum(rows[b]["attn_flops"] for b in by_block)
-        attn_red = 100.0 * (1.0 - repl_base / (len(by_block) * base_attn_f))
+        attn_red = 100.0 * (1.0 - sum(rows[b]["attn_flops"] for b in by_block)
+                            / sum(base_rows[b]["attn_flops"] for b in by_block))
     else:
         attn_red = 0.0
     deltas = {

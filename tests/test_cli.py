@@ -171,6 +171,35 @@ class TestScore:
         assert run("score", "--model", tiny_archive, "--data", data, "--out", rep) == 0
         assert json.loads(rep.read_text())["n_samples"] == 3
 
+    @pytest.mark.parametrize("flags, flag", [
+        (("--samples", 5), "--samples"), (("--seed", 9), "--seed"), (("--seed", 0), "--seed"),
+        (("--seed", 9, "--samples", 5), "--samples")],
+        ids=["samples", "seed", "seed-zero", "both"])
+    def test_sample_choice_next_to_data_refused(self, tmp_path, tiny_archive, capsys,
+                                                flags, flag):
+        """--data fixes the samples, so --samples or --seed next to it
+        exits 2 with one line rather than being recorded as if it had
+        chosen them."""
+        data = tmp_path / "data.bin"
+        save_samples(data, TINY, make_inputs(TINY, 2, 5))
+        rep = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run("score", "--model", tiny_archive, "--data", data, *flags, "--out", rep) == 2
+        assert capsys.readouterr().err == (f"error: {flag} cannot be given with --data: "
+                                           "the archive holds the samples\n")
+        assert not rep.exists()
+
+    def test_manifest_records_the_sample_choice(self, tmp_path, tiny_archive):
+        """Omitted, --samples and --seed are recorded as 256 and 0; next to
+        --data, which chooses the samples, as null."""
+        data = tmp_path / "data.bin"
+        save_samples(data, TINY, make_inputs(TINY, 2, 5))
+        for source, want in (((), (256, 0)), (("--data", data), (None, None))):
+            rep = tmp_path / "r.json"
+            assert run("score", "--model", tiny_archive, *source, "--out", rep) == 0
+            options = json.loads(rep.read_text())["meta"]["manifest"]["options"]
+            assert (options["samples"], options["seed"]) == want
+
     def test_data_archive_read_in_index_order(self, tmp_path):
         samples = make_inputs(TINY, 12, 78)
         data = tmp_path / "samples.bin"
@@ -374,6 +403,37 @@ class TestReplace:
         assert not out.exists()
         assert run("replace", "--model", tiny_archive, "--plan", plan, "--fit",
                    "--data", data, "--out", out) == 0
+
+    @pytest.mark.parametrize("seed", [99, 0])
+    @pytest.mark.parametrize("source", [("--samples", 2), ("--data",)], ids=["synthetic", "data"])
+    def test_init_seed_next_to_fit_refused(self, tmp_path, tiny_archive, capsys, seed, source):
+        """A fit draws no kernel, so --init-seed next to --fit exits 2 with
+        one line rather than being recorded as if it had chosen them."""
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        if source == ("--data",):
+            source = ("--data", tmp_path / "data.bin")
+            save_samples(source[1], TINY, make_inputs(TINY, 2, 5))
+        out = tmp_path / "h.bin"
+        capsys.readouterr()
+        assert run("replace", "--model", tiny_archive, "--plan", plan, "--fit", *source,
+                   "--init-seed", seed, "--out", out) == 2
+        assert capsys.readouterr().err == ("error: --init-seed cannot be given with --fit: "
+                                           "fitted kernels are not drawn\n")
+        assert not out.exists()
+
+    def test_omitted_init_seed_recorded_as_zero(self, tmp_path, tiny_archive):
+        """A replace without --init-seed draws and records seed 0, so
+        unfitted archives keep their bytes."""
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        out = tmp_path / "h.bin"
+        assert run("replace", "--model", tiny_archive, "--plan", plan, "--init-seed", 0,
+                   "--out", out) == 0
+        zero = out.read_bytes()
+        assert run("replace", "--model", tiny_archive, "--plan", plan, "--out", out) == 0
+        assert read_manifest(out)["meta"]["manifest"]["options"]["init_seed"] == 0
+        assert out.read_bytes() == zero
 
     @pytest.mark.parametrize("fit", [(), ("--fit", "--samples", 2)], ids=["init", "fit"])
     def test_omitted_seed_recorded_as_zero(self, tmp_path, tiny_archive, fit):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from dwdropin import vit
+from dwdropin import dropin, vit
 from dwdropin.dropin import build_dropins
 from dwdropin.cost import (
     VARIANTS,
@@ -13,8 +13,6 @@ from dwdropin.cost import (
     ffn_flops_params,
     flops_params,
     model_cost_report,
-    per_head_flops,
-    per_head_params,
     variant_table,
     variant_table_text,
 )
@@ -23,6 +21,9 @@ from dwdropin.tensor import ConfigError
 from dwdropin.vit import DESK, VITL, ModelConfig
 
 from conftest import TINY, make_inputs
+
+ODD = ModelConfig(n_b=1, n_h=3, d=24, d_h=8, m=5, k=5)
+UNIT_KERNEL = ModelConfig(n_b=1, n_h=4, d=64, d_h=16, m=8, k=1)
 
 # Reference single-block table at the ViT-Large-like shape
 # (d=1024, n_h=16, d_h=64, m=24 -> n=576, k=3), GFLOPs / Mparams.
@@ -67,18 +68,21 @@ class TestFlopsParams:
         assert p_dw - p_conv == k2 * VITL.d - VITL.n_h * k2
 
     def test_unit_kernel_depthwise_term(self):
-        cfg = ModelConfig(n_b=1, n_h=4, d=64, d_h=16, m=8, k=1)
+        cfg = UNIT_KERNEL
         f_dw, _ = flops_params("dw", cfg)
         # value + output projections, plus the k=1 depthwise pass: exactly 2nd
         assert f_dw - 4 * cfg.n * cfg.d * cfg.d == 2 * cfg.n * cfg.d
 
     @staticmethod
-    def closed_forms(cfg):
+    def closed_forms(cfg, replaced=None):
         """Block (FLOPs, params) of each attention choice, written out in
         d = n_h * d_h: projections, the attention or convolution, and for
-        the ensembled choices one merged head plus its n_h logits."""
+        the ensembled choices one merged head plus its n_h logits. With
+        `replaced` < n_h heads, the unensembled choices keep the other
+        heads' exact attention: whole-block costs in proportion r / n_h
+        and (n_h - r) / n_h, as each head owns a d_h-column share."""
         n, d, d_h, n_h, k = cfg.n, cfg.d, cfg.d_h, cfg.n_h, cfg.k
-        return {
+        whole = {
             "mhsa": (8 * n * d * d + 4 * n * n * d, 4 * d * d),
             "convfull": (2 * n * k * k * d * d + 2 * n * d * d, 2 * d * d + n_h * k * k),
             "dw": (4 * n * d * d + 2 * n * k * k * d, 2 * d * d + k * k * d),
@@ -86,17 +90,32 @@ class TestFlopsParams:
                              2 * d * d + k * k + n_h),
             "ens-dw": (4 * n * d * d_h + 2 * n * k * k * d_h, 2 * d * d + k * k * d_h + n_h),
         }
+        r = n_h if replaced is None else replaced
+        if r == n_h:
+            return whole
+        # exact: with d = n_h * d_h every whole-block count is a multiple of n_h
+        return {v: tuple((r * a + (n_h - r) * b) // n_h for a, b in zip(cost, whole["mhsa"]))
+                for v, cost in whole.items() if v not in dropin.ENSEMBLED}
 
     def test_per_head_sums_to_block(self):
-        odd = ModelConfig(n_b=1, n_h=3, d=24, d_h=8, m=5, k=5)
-        for cfg in (vit.DESK, VITL, odd):
-            want = self.closed_forms(cfg)
-            assert set(want) == set(VARIANTS)
-            for variant, (flops, params) in want.items():
-                assert flops_params(variant, cfg) == (flops, params), (cfg, variant)
-            for variant in ("mhsa", "convfull", "dw"):
-                assert cfg.n_h * per_head_flops(variant, cfg) == want[variant][0]
-                assert cfg.n_h * per_head_params(variant, cfg) == want[variant][1]
+        for cfg in (vit.DESK, VITL, ODD, UNIT_KERNEL):
+            assert set(self.closed_forms(cfg)) == set(VARIANTS)
+            for variant, cost in self.closed_forms(cfg).items():
+                assert flops_params(variant, cfg) == cost, (cfg, variant)
+            for replaced in range(cfg.n_h + 1):
+                for variant, cost in self.closed_forms(cfg, replaced).items():
+                    assert flops_params(variant, cfg, replaced) == cost, (cfg, variant, replaced)
+
+    def test_no_replaced_head_is_attention(self):
+        for cfg in (vit.DESK, VITL, ODD):
+            for variant in VARIANTS:
+                assert flops_params(variant, cfg, 0) == flops_params("mhsa", cfg)
+
+    @pytest.mark.parametrize("variant,replaced", [
+        ("dw", -1), ("convfull", 17), ("ens-dw", 1), ("ens-convfull", 15)])
+    def test_illegal_replaced_count(self, variant, replaced):
+        with pytest.raises(ConfigError):
+            flops_params(variant, VITL, replaced)
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
@@ -107,6 +126,57 @@ class TestFlopsParams:
         f, p = flops_params("mhsa", cfg)
         assert isinstance(f, int) and isinstance(p, int)
         assert f == 2 * cfg.n * cfg.d * (4 * cfg.d + 2 * cfg.n)  # > 2**63 is fine
+
+
+class TestPricesWhatRuns:
+    """flops_params is 2 x the multiply-accumulates of one real attention
+    sublayer call: every GEMM and convolution it runs is metered, and
+    `vit.attention`'s stacked energy and EV matmuls add n^2 c each for its
+    c columns. The kernel fold is elementwise, so it adds none."""
+
+    @staticmethod
+    def metered(monkeypatch, macs):
+        def meter(module, name, count):
+            fn = getattr(module, name)
+
+            def wrapped(*args):
+                macs.append(count(*args))
+                return fn(*args)
+            monkeypatch.setattr(module, name, wrapped)
+
+        def gemm(a, b):
+            return a.shape[0] * a.shape[1] * b.shape[1]
+
+        def conv(x, w):  # every output pixel reads the whole (k, k, ...) kernel
+            return x.shape[0] * x.shape[1] * w.size
+
+        def energy_and_ev(x, w_q, w_k, w_v, d_h, energy_tap=None):
+            return 2 * x.shape[0] ** 2 * w_v.shape[1]
+
+        for module in (dropin, vit):
+            meter(module, "matmul", gemm)
+        meter(dropin, "conv2d", conv)
+        meter(dropin, "dwconv2d", conv)
+        meter(vit, "attention", energy_and_ev)
+
+    @pytest.mark.parametrize("cfg", [TINY, ODD], ids=["tiny", "odd"])
+    @pytest.mark.parametrize("variant", dropin.VARIANTS)
+    def test_two_flops_per_metered_mac(self, monkeypatch, cfg, variant):
+        model = vit.init_model(ModelConfig(**{**cfg.to_dict(), "n_b": 1}), 5)
+        block, n_h = model.blocks[0], cfg.n_h
+        x = make_inputs(cfg, 1, 6)[0]
+        sublayers = {0: vit.mhsa_forward}
+        for replaced in ((n_h,) if variant in dropin.ENSEMBLED else range(1, n_h + 1)):
+            plan = (SelectionPlan("blockwise", "lowest", 1, (0,)) if replaced == n_h else
+                    SelectionPlan("scattered", "lowest", replaced,
+                                  tuple((0, h) for h in range(n_h - replaced, n_h))))
+            sublayers[replaced] = build_dropins(model, plan, variant, seed=7)[0].sublayers[0]
+        macs = []
+        self.metered(monkeypatch, macs)
+        for replaced, sublayer in sublayers.items():
+            macs.clear()
+            sublayer(x, block)
+            assert 2 * sum(macs) == flops_params(variant, cfg, replaced)[0], replaced
 
 
 class TestModelCostReport:
@@ -140,11 +210,14 @@ class TestModelCostReport:
 
     def test_scattered_partial_block_mixes_per_head(self):
         sc = SelectionPlan(mode="scattered", order="lowest", budget=3,
-                           targets=((0, 0), (0, 1), (0, 2)))
-        rep = model_cost_report(VITL, sc, "dw")
-        row = rep.rows[0]
-        expect = 3 * per_head_flops("dw", VITL) + (VITL.n_h - 3) * per_head_flops("mhsa", VITL)
-        assert row["attn_flops"] == expect
+                           targets=((0, 0), (0, 5), (0, 9)))
+        for variant in ("convfull", "dw"):
+            rep = model_cost_report(VITL, sc, variant)
+            row = rep.rows[0]
+            want = TestFlopsParams.closed_forms(VITL, 3)[variant]
+            assert (row["attn_flops"], row["attn_params"]) == want
+            assert row["attention"] == f"mixed({variant} x3)"
+            assert rep.rows[1]["attn_flops"] == flops_params("mhsa", VITL)[0]
 
     def test_ensembled_partial_refused(self):
         sc = SelectionPlan(mode="scattered", order="lowest", budget=1, targets=((0, 0),))
