@@ -24,8 +24,9 @@ cost 6.19 (mhsa) / 12.08 (convfull) / 2.43 (dw) / 0.75 (ens-convfull) /
 0.15 (ens-dw) GFLOPs.
 
 Activation estimates sum the tensors one attention sublayer call holds at
-its peak. They are coarse (numpy's own buffers are not counted), and tests
-keep them within a factor of 2 of the traced peak of a real call.
+its peak. They are coarse (numpy's own buffers are counted only for the
+depthwise conv, whose small bands make them its largest transient), and
+tests keep them within a factor of 2 of the traced peak of a real call.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import dropin
 from .select import SelectionPlan
-from .tensor import ConfigError
+from .tensor import ConfigError, band_rows
 from .vit import ModelConfig, group_size
 
 VARIANTS = ("mhsa",) + dropin.VARIANTS
@@ -74,15 +75,23 @@ def ffn_flops_params(cfg: ModelConfig) -> tuple:
 def activation_bytes(variant: str, cfg: ModelConfig) -> int:
     """Per-block activation footprint (float32 bytes) of one attention
     sublayer call, input included: what its implementation holds at once."""
-    n, d, d_h, k = cfg.n, cfg.d, cfg.d_h, cfg.k
-    padded = (cfg.m + k - 1) ** 2  # tokens of a grid zero-padded for a k x k kernel
+    n, d, d_h, k, m = cfg.n, cfg.d, cfg.d_h, cfg.k, cfg.m
+    padded = (m + k - 1) ** 2  # tokens of a grid zero-padded for a k x k kernel
     g = min(cfg.n_h, group_size(n))  # heads whose weights exact attention holds at once
+
+    def depthwise(c):
+        # dwconv2d over c channels: the padded grid, the tiled taps and one band of
+        # products, plus numpy's ufunc buffers for the strided windows and the
+        # broadcast taps, at most np.getbufsize() values each
+        band = band_rows(k, m, c) * k * k * m * c
+        return padded * c + k * k * m * c + band + 2 * min(np.getbufsize(), band)
+
     counts = {
         "mhsa": 6 * n * d + g * n * n,                # x, q, k, v, heads, out; one head group's weights
         "convfull": 4 * n * d + k * k * d * d,        # x, padded x, conv out, out; the block's one fold
-        "dw": 4 * n * d + padded * d,                 # x, values, conv out, shifted product; padded values
+        "dw": 3 * n * d + depthwise(d),               # x, values, conv out; the conv's buffers
         "ens-convfull": 2 * n * d + padded * d + 2 * n * d_h + k * k * d * d_h,
-        "ens-dw": 2 * n * d + 3 * n * d_h + padded * d_h,
+        "ens-dw": 2 * n * d + 2 * n * d_h + depthwise(d_h),
     }
     if variant not in counts:
         raise ConfigError(f"unknown attention variant {variant!r}")

@@ -405,7 +405,7 @@ class _NormalEquations:
         if self.gram is None:
             c, kk = v.shape[2], self.k * self.k
             self.gram, self.rhs, self.tt = np.zeros((c, kk, kk)), np.zeros((c, kk)), np.zeros(c)
-        shifts = np.stack(shifted_windows(np.asarray(v, dtype=np.float64), self.k))
+        shifts = shifted_windows(np.asarray(v, dtype=np.float64), self.k).reshape(-1, *v.shape)
         t64 = np.asarray(t, dtype=np.float64)
         self.gram += np.einsum("qijc,pijc->cqp", shifts, shifts)
         self.rhs += np.einsum("qijc,ijc->cq", shifts, t64)
@@ -484,7 +484,7 @@ def fit_loss_and_grad(kern: np.ndarray, v_samples: list, target_samples: list):
     loss = 0.0
     gradient = np.zeros_like(kern64)
     for v, t in zip(v_samples, target_samples):
-        shifts = np.stack(shifted_windows(np.asarray(v, dtype=np.float64), k))
+        shifts = shifted_windows(np.asarray(v, dtype=np.float64), k).reshape(-1, *v.shape)
         pred = np.einsum("qijc,qc->ijc", shifts, kern64.reshape(k * k, -1))
         resid = pred - np.asarray(t, dtype=np.float64)
         loss += float((resid ** 2).sum())

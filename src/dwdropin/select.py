@@ -168,7 +168,7 @@ def _key_table(m: int, k: int) -> np.ndarray:
     kernel offset q (row-major), or -1 off the grid. These are the
     `shifted_windows` of the m x m token-index grid."""
     ids = np.arange(1, m * m + 1).reshape(m, m, 1)
-    return np.stack(shifted_windows(ids, k)).reshape(k * k, m * m) - 1
+    return shifted_windows(ids, k).reshape(k * k, m * m) - 1
 
 
 def check_properties(e_samples: list, k: int, tol: float) -> dict:

@@ -6,9 +6,11 @@ error, never returned silently.
 
 Determinism: every operation here is a pure function of its inputs and
 repeated calls give bitwise-identical results. Convolutions accumulate
-over the windows of `shifted_windows` in row-major offset order; the
-channel contraction is delegated to BLAS, whose reduction order is fixed
-for a given build.
+over the windows of `shifted_windows` in row-major offset order from +0:
+`conv2d` one GEMM per offset, whose channel contraction BLAS reduces in
+an order fixed for a given build; `dwconv2d` multiplies a band of grid
+rows by every tap at once and sums the products over the taps in that
+same order, so its bits are those of one multiply-add per offset.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ import itertools
 import numpy as np
 
 F32 = np.float32
+
+# Bytes of float32 temporaries one pass over a block of work may hold, so
+# that it stays in a core's 2 MiB L2 cache: exact attention's head groups
+# (`vit.group_size`) and `dwconv2d`'s bands of products (`band_rows`).
+GROUP_BYTES = 2 * 1024 * 1024
 
 
 class ShapeError(ValueError):
@@ -83,15 +90,20 @@ def _zero_pad(x: np.ndarray, half: int) -> np.ndarray:
     return out
 
 
-def shifted_windows(x: np.ndarray, k: int) -> list:
-    """The k*k windows of x (m, m, c) zero-padded by k // 2, one per kernel
-    offset (r, s) in row-major order: window [i, j] holds x[i+r, j+s], or
-    zero off the grid. This is the one place a kernel offset meets the
+def shifted_windows(x: np.ndarray, k: int) -> np.ndarray:
+    """The k*k windows of x (m, m, c) zero-padded by k // 2, as one
+    read-only (k, k, m, m, c) strided view of the padded grid: window
+    [r, s] is the one of kernel offset (r, s), and its [i, j] holds
+    x[i+r, j+s], or zero off the grid. A window row [r, s, i] is m*c
+    contiguous values. This is the one place a kernel offset meets the
     grid; convolutions, the kernel fit and the structural checks all read
-    their windows here."""
+    their windows here, in row-major offset order."""
     m = x.shape[0]
     xp = _zero_pad(x, k // 2)
-    return [xp[a : a + m, b : b + m] for a in range(k) for b in range(k)]
+    row, col, ch = xp.strides
+    windows = np.ndarray((k, k, m, m, x.shape[2]), xp.dtype, xp, 0, (row, col, row, col, ch))
+    windows.flags.writeable = False
+    return windows
 
 
 def _conv_operands(op: str, x: np.ndarray, w: np.ndarray, rank: int, layout: str):
@@ -118,21 +130,40 @@ def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     x, w, k = _conv_operands("conv2d", x, w, 4, "(m,m,ci) and (k,k,ci,co)")
     m = x.shape[0]
     out = np.zeros((m * m, w.shape[3]), dtype=F32)
-    for window, w_rs in zip(shifted_windows(x, k), w.reshape(k * k, *w.shape[2:])):
+    windows = itertools.chain.from_iterable(shifted_windows(x, k))
+    for window, w_rs in zip(windows, w.reshape(k * k, *w.shape[2:])):
         out += window.reshape(m * m, -1) @ w_rs
     return _check_finite(out.reshape(m, m, -1), "conv2d result")
+
+
+def band_rows(k: int, m: int, c: int) -> int:
+    """Grid rows `dwconv2d` multiplies at once for a k x k kernel over an
+    (m, m, c) grid: as many as keep their k*k*m*c float32 products within
+    GROUP_BYTES, at least one and at most m."""
+    return max(1, min(m, GROUP_BYTES // (4 * k * k * m * c)))
 
 
 def dwconv2d(x: np.ndarray, kern: np.ndarray) -> np.ndarray:
     """Depthwise 2-D convolution: one (k, k) filter per channel.
 
     x is (m, m, c), kern is (k, k, c); same zero-padding rule as conv2d.
+    The kernel is tiled along a grid row, so each band of `band_rows` rows
+    takes one multiply of its windows by every tap into one reused product
+    buffer, and one sum over the taps, in row-major offset order from +0:
+    bitwise the sum of window * kern[r, s] over the offsets.
     """
     x, kern, k = _conv_operands("dwconv2d", x, kern, 3, "(m,m,c) and (k,k,c)")
-    out = np.zeros_like(x)
-    for window, k_rs in zip(shifted_windows(x, k), kern.reshape(k * k, -1)):
-        out += window * k_rs
-    return _check_finite(out, "dwconv2d result")
+    m, row = x.shape[0], x.shape[1] * x.shape[2]
+    windows = shifted_windows(x, k).reshape(k, k, m, row)
+    taps = np.tile(kern, (1, 1, m)).reshape(k, k, 1, row)
+    band = band_rows(k, m, x.shape[2])
+    products = np.empty((k * k, band, row), dtype=F32)
+    out = np.empty((m, row), dtype=F32)
+    for i in range(0, m, band):
+        p = products[:, : min(band, m - i)]
+        np.multiply(windows[:, :, i : i + band], taps, out=p.reshape(k, k, -1, row))
+        np.add.reduce(p, axis=0, out=out[i : i + band], initial=0)
+    return _check_finite(out.reshape(x.shape), "dwconv2d result")
 
 
 def seeded_generator(seed: int) -> np.random.Generator:

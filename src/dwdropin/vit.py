@@ -18,6 +18,7 @@ from scipy.special import erf
 
 from .tensor import (
     F32,
+    GROUP_BYTES,
     ConfigError,
     ShapeError,
     _check_finite,
@@ -256,16 +257,12 @@ def explicit_attention(e: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out.astype(F32)
 
 
-# Bytes of float32 attention weights one head group may hold. Exact
-# attention runs energies, softmax and EV over consecutive heads whose
-# (g, n, n) weights fit it, so those passes stay in a core's 2 MiB L2
-# cache: all four heads of a desk block form one group, a vitl block runs
-# one head at a time.
-GROUP_BYTES = 2 * 1024 * 1024
-
-
 def group_size(n: int) -> int:
-    """Heads per group over n tokens: as many as fit GROUP_BYTES, at least one."""
+    """Heads per group over n tokens: as many as fit their (g, n, n)
+    float32 weights in GROUP_BYTES, at least one. Exact attention runs
+    energies, softmax and EV over one group at a time, so those passes stay
+    in cache: all four heads of a desk block form one group, a vitl block
+    runs one head at a time."""
     return max(1, GROUP_BYTES // (4 * n * n))
 
 
@@ -304,7 +301,8 @@ def attention(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
         e = _check_finite(np.matmul(q[s], k[s].transpose(0, 2, 1)), "matmul result")
         e *= scale
         with np.errstate(over="ignore"):  # a shift past -max overflows to -inf: weight 0
-            e -= e.max(axis=2, keepdims=True)
+            # max with an identity: numpy's reduce without one takes a slow path on short rows
+            e -= np.maximum.reduce(e, axis=2, keepdims=True, initial=F32(-np.inf))
         np.exp(e, out=e)
         e /= e.sum(axis=2, keepdims=True)
         if energy_tap is not None:

@@ -9,6 +9,7 @@ from dwdropin.tensor import (
     NonFiniteError,
     ShapeError,
     _zero_pad,
+    band_rows,
     conv2d,
     dwconv2d,
     matmul,
@@ -17,6 +18,8 @@ from dwdropin.tensor import (
     shifted_windows,
 )
 from dwdropin.tensor import softmax_rows
+
+from conftest import traced_peak
 
 
 class TestShiftSet:
@@ -133,17 +136,18 @@ class TestShiftedWindows:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
     @pytest.mark.parametrize("m, c, k", [(8, 16, 3), (5, 1, 5), (4, 3, 1), (2, 2, 5), (1, 1, 3)])
     def test_equals_np_pad_and_slice(self, rng, m, c, k, dtype):
-        """Window q of offset (r, s) = divmod(q, k) - k // 2 is the np.pad
-        grid sliced at that offset, bitwise, including k > m."""
+        """Window [a, b], of offset (a, b) - k // 2, is the np.pad grid
+        sliced at that offset, bitwise, including k > m; the windows are
+        one read-only view."""
         x = (rng.standard_normal((m, m, c)) * 100).astype(dtype)
         half = k // 2
         xp = np.pad(x, ((half, half), (half, half), (0, 0)))
         got = shifted_windows(x, k)
-        assert len(got) == k * k
-        for q, window in enumerate(got):
-            a, b = divmod(q, k)
-            assert window.dtype == x.dtype and window.shape == x.shape
-            np.testing.assert_array_equal(window, xp[a : a + m, b : b + m])
+        assert got.shape == (k, k, m, m, c) and got.dtype == x.dtype
+        assert not got.flags.writeable
+        for a in range(k):
+            for b in range(k):
+                np.testing.assert_array_equal(got[a, b], xp[a : a + m, b : b + m])
 
 
 class TestConv2d:
@@ -230,6 +234,53 @@ class TestDwconv2d:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             dwconv2d(np.zeros((4, 4, 2), np.float32), np.zeros((3, 3, 5), np.float32))
+
+    @staticmethod
+    def per_offset_loop(x, kern):
+        """dwconv2d as one broadcast multiply-add per offset, in row-major
+        offset order from +0."""
+        k, m = kern.shape[0], x.shape[0]
+        half = k // 2
+        xp = np.pad(x, ((half, half), (half, half), (0, 0)))
+        out = np.zeros_like(x)
+        for a in range(k):
+            for b in range(k):
+                out += xp[a : a + m, b : b + m] * kern[a, b]
+        return out
+
+    @pytest.mark.parametrize("m", list(range(1, 12)) + [24])
+    def test_matches_per_offset_loop_bitwise(self, rng, m):
+        """Bands summed over their taps give the per-offset loop's bits,
+        signed zeros included: k > m, zero rows, -0.0 inputs and taps, and
+        an all -0.0 grid under non-negative taps, whose products are all
+        -0.0 away from the border: their sum is +0.0 from the +0 seed."""
+        for k in (1, 3, 5, 7):
+            for c in (1, 2, 7, 16, 64) + ((1024,) if m == 24 else ()):
+                x = rng.standard_normal((m, m, c)).astype(np.float32)
+                kern = rng.standard_normal((k, k, c)).astype(np.float32)
+                x[::3] = 0.0
+                x[rng.random(x.shape) < 0.2] = -0.0
+                kern[rng.random(kern.shape) < 0.2] = -0.0
+                for grid, taps in ((x, kern), (np.full_like(x, -0.0), np.abs(kern))):
+                    got, want = dwconv2d(grid, taps), self.per_offset_loop(grid, taps)
+                    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32),
+                                                  err_msg=f"m={m} k={k} c={c}")
+
+    def test_holds_one_band(self, rng):
+        """At the vitl shape the conv holds the padded grid, the output, the
+        tiled taps, one band of products and the finiteness check's boolean
+        mask, never all k*k products."""
+        m, c, k = 24, 1024, 3
+        x = rng.standard_normal((m, m, c)).astype(np.float32)
+        kern = rng.standard_normal((k, k, c)).astype(np.float32)
+        dwconv2d(x, kern)
+        peak = traced_peak(lambda: dwconv2d(x, kern))
+        band = band_rows(k, m, c)
+        assert band < m
+        held = 4 * ((m + k - 1) ** 2 * c + m * m * c + k * k * m * c + band * k * k * m * c)
+        held += m * m * c
+        assert peak <= held + 64 * 1024, (peak, held)  # 64 KiB for numpy's small objects
+        assert peak < 4 * k * k * m * m * c
 
 
 class TestSeededFill:

@@ -461,6 +461,32 @@ class TestSoftmaxOfFiniteEnergies:
         self.assert_stochastic(self.weights(np.array(tokens, dtype=np.float32)))
 
 
+class TestRowMax:
+    """`attention` shifts each energy row by a max seeded from -inf; a max
+    is exact, so its weights are `head_energy`'s bit for bit."""
+
+    @staticmethod
+    def assert_weights_match(t, key_sign):
+        """One d_h = 1 head over tokens t (n,) whose energies are
+        key_sign * t t^T, single products that every path rounds alike."""
+        q = t.reshape(-1, 1)
+        w_q = np.ones((1, 1), dtype=np.float32)
+        seen = []
+        attention(q, w_q, key_sign * w_q, w_q, 1, energy_tap=lambda e, h0: seen.append(e.copy()))
+        want = head_energy(q, key_sign * q)
+        np.testing.assert_array_equal(seen[0][0].view(np.uint32), want.view(np.uint32))
+
+    def test_tied_row_max(self):
+        # every row's maximum is tied: three keys (t_j = 3 or t_j = -2), or all for t_i = 0
+        t = np.array([3.0, -2.0, 3.0, 1.0, -2.0, 0.5, 3.0, -2.0, 0.0], dtype=np.float32)
+        self.assert_weights_match(t, np.float32(1))
+
+    def test_large_negative_rows(self):
+        # energies -t_i t_j all lie in [-1.2e4, -9.9e3]: every entry of every row is negative
+        t = np.linspace(99.5, 109.5, 24, dtype=np.float32)
+        self.assert_weights_match(t, np.float32(-1))
+
+
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
 
 
