@@ -452,6 +452,10 @@ def cmd_gate(args) -> int:
         raise ConfigError(f"--blocks must be >= 1, got {n_b}")
     params = select.GateParams(logits=np.zeros(n_b), budget=args.budget,
                                tau0=args.tau0, tau_end=args.tau_end, seed=args.seed)
+    ratio = args.tau_end / args.tau0  # the steps between the endpoints anneal by it
+    if args.steps > 1 and not 0 < ratio < np.inf:
+        raise ConfigError(f"--tau-end / --tau0 ({args.tau_end!r} / {args.tau0!r}) "
+                          f"{'over' if ratio else 'under'}flows float64")
     trace = select.gate_trace(params, args.steps)
     final = trace[-1]
     doc = {"n_b": n_b, "budget": args.budget, "trace": trace,

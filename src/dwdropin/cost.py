@@ -24,9 +24,10 @@ cost 6.19 (mhsa) / 12.08 (convfull) / 2.43 (dw) / 0.75 (ens-convfull) /
 0.15 (ens-dw) GFLOPs.
 
 Activation estimates sum the tensors one attention sublayer call holds at
-its peak. They are coarse (numpy's own buffers are counted only for the
-depthwise conv, whose small bands make them its largest transient), and
-tests keep them within a factor of 2 of the traced peak of a real call.
+its peak, from the same c and c_k. They are coarse (numpy's own buffers
+are counted only for the depthwise conv, whose small bands make them its
+largest transient), and tests keep them within a factor of 2 of the
+traced peak of a real call.
 """
 
 from __future__ import annotations
@@ -45,20 +46,24 @@ from .vit import ModelConfig, group_size
 VARIANTS = ("mhsa",) + dropin.VARIANTS
 
 
-def flops_params(variant: str, cfg: ModelConfig, replaced: int | None = None) -> tuple:
-    """Closed-form (flops, params) of one block's attention path with
-    `replaced` of its heads (default all; none for "mhsa") run as `variant`
-    and the rest as exact attention, priced as the module docstring says.
-    An ensembled variant replaces no head or all of them."""
+def _channels(variant: str, cfg: ModelConfig, replaced: int | None) -> tuple:
+    """(c, c_k, ensembled) of a block with `replaced` heads (default all; none
+    for "mhsa") run as `variant`; an ensembled variant replaces 0 or n_h."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown attention variant {variant!r}")
-    n, d, d_h, k, n_h = cfg.n, cfg.d, cfg.d_h, cfg.k, cfg.n_h
+    d_h, n_h = cfg.d_h, cfg.n_h
     replaced = 0 if variant == "mhsa" else n_h if replaced is None else replaced
     ensembled = variant in dropin.ENSEMBLED and replaced > 0
     if not 0 <= replaced <= n_h or (ensembled and replaced != n_h):
         raise ConfigError(f"{variant} cannot replace {replaced} of {n_h} heads")
-    c = d_h if ensembled else replaced * d_h   # the drop-in's channels
-    c_k = (n_h - replaced) * d_h               # the kept heads' channels
+    return (d_h if ensembled else replaced * d_h), (n_h - replaced) * d_h, ensembled
+
+
+def flops_params(variant: str, cfg: ModelConfig, replaced: int | None = None) -> tuple:
+    """Closed-form (flops, params) of one block's attention path with
+    `replaced` heads run as `variant` (`_channels`), as the module prices it."""
+    n, d, d_h, k, n_h = cfg.n, cfg.d, cfg.d_h, cfg.k, cfg.n_h
+    c, c_k, ensembled = _channels(variant, cfg, replaced)
     # the value GEMM and depthwise pass, or the kernel folded into a full convolution
     conv = 2 * n * c * (d + k * k) if variant in dropin.DEPTHWISE else 2 * n * k * k * d * c
     flops = conv + 6 * n * d * c_k + 4 * n * n * c_k + 2 * n * (c + c_k) * d
@@ -72,12 +77,13 @@ def ffn_flops_params(cfg: ModelConfig) -> tuple:
     return 4 * cfg.n * cfg.d * hidden, 2 * cfg.d * hidden
 
 
-def activation_bytes(variant: str, cfg: ModelConfig) -> int:
+def activation_bytes(variant: str, cfg: ModelConfig, replaced: int | None = None) -> int:
     """Per-block activation footprint (float32 bytes) of one attention
-    sublayer call, input included: what its implementation holds at once."""
+    sublayer call with `replaced` of its heads run as `variant`
+    (`_channels`), input included: what its implementation holds at once."""
     n, d, d_h, k, m = cfg.n, cfg.d, cfg.d_h, cfg.k, cfg.m
+    c, c_k, _ = _channels(variant, cfg, replaced)
     padded = (m + k - 1) ** 2  # tokens of a grid zero-padded for a k x k kernel
-    g = min(cfg.n_h, group_size(n))  # heads whose weights exact attention holds at once
 
     def depthwise(c):
         # dwconv2d over c channels: the padded grid, the tiled taps and one band of
@@ -86,16 +92,17 @@ def activation_bytes(variant: str, cfg: ModelConfig) -> int:
         band = band_rows(k, m, c) * k * k * m * c
         return padded * c + k * k * m * c + band + 2 * min(np.getbufsize(), band)
 
-    counts = {
-        "mhsa": 6 * n * d + g * n * n,                # x, q, k, v, heads, out; one head group's weights
-        "convfull": 4 * n * d + k * k * d * d,        # x, padded x, conv out, out; the block's one fold
-        "dw": 3 * n * d + depthwise(d),               # x, values, conv out; the conv's buffers
-        "ens-convfull": 2 * n * d + padded * d + 2 * n * d_h + k * k * d * d_h,
-        "ens-dw": 2 * n * d + 2 * n * d_h + depthwise(d_h),
-    }
-    if variant not in counts:
-        raise ConfigError(f"unknown attention variant {variant!r}")
-    return 4 * counts[variant]
+    drop_in = {  # over its c channels, if any
+        "convfull": lambda: n * d + n * c + k * k * d * c,  # padded x, conv out; the fold
+        "dw": lambda: n * c + depthwise(c),                 # values; the conv's buffers
+        "ens-convfull": lambda: padded * d + 2 * n * c + k * k * d * c,
+        "ens-dw": lambda: 2 * n * c + depthwise(c),
+    }[variant]() if c else 0
+    # the kept heads' q, k, v and outputs; one head group's weights
+    exact = 4 * n * c_k + min(c_k // d_h, group_size(n)) * n * n
+    # x and out, and the (n, d) buffer both kinds of head fill in a partly replaced block
+    held = (3 if 0 < c_k < d else 2) * n * d
+    return 4 * (held + drop_in + exact)
 
 
 @dataclass
@@ -182,7 +189,7 @@ def _priced(cfg: ModelConfig, by_block: dict, variant: str) -> tuple:
             "attn_params": att_p,
             "ffn_flops": ffn_f,
             "ffn_params": ffn_p,
-            "activation_bytes": activation_bytes(att if att in VARIANTS else "mhsa", cfg),
+            "activation_bytes": activation_bytes(variant, cfg, replaced),
         })
     return rows, {
         "flops": sum(r["attn_flops"] + r["ffn_flops"] for r in rows),

@@ -493,39 +493,28 @@ def fit_loss_and_grad(kern: np.ndarray, v_samples: list, target_samples: list):
 
 
 def attention_inputs(model: Model, samples, blocks) -> dict:
-    """The fit's capture: one pass per sample that stops at its last read,
-    the last of `blocks`' attention. One `vit.model_forward` runs the
-    blocks before that one, each of `blocks` among them through a
-    `mhsa_fns` sublayer that calls `vit.attention` once, records (normed
-    input (n, d), head outputs (n, d)) and projects those same outputs, so
-    the residual is `model_forward`'s bit for bit; the last block then
-    runs only its normed input and its attention, recorded alike. Returns
-    {block: [(input, head outputs) for each sample]}. When `blocks` maps
-    each block to a fold, each record is handed to fold(input, head
-    outputs) as soon as its sample's pass returns and is not kept: the
-    pass holds one sample at a time, and the lists come back empty. An
-    empty `blocks` runs no forward."""
+    """The fit's capture: one `vit.attention_reads` pass per sample, each
+    of `blocks` read once and recorded as (normed input, head outputs),
+    both (n, d). Returns {block: [record per sample]}. When `blocks` maps
+    each block to a fold, each record goes to fold(*record) once its
+    sample's pass returns and is not kept, and the lists come back empty.
+    An empty `blocks` runs no forward."""
     folds = blocks if isinstance(blocks, dict) else {}
     captured = {b: [] for b in blocks}
     if not captured:
         return captured
 
-    def capture(record):
-        def sublayer(a_in, block):
-            out = vit.attention(a_in, block.w_q, block.w_k, block.w_v, block.d_h)
-            # a copy fills the heap space attention's temporaries just freed;
-            # holding `out` itself raised pipeline-desk peak RSS by 1.4 MiB
-            record.append((a_in, out.copy()))
-            return vit.project_heads(out, block)
-        return sublayer
+    def read(a_in, block, record):
+        out = vit.attention(a_in, block.w_q, block.w_k, block.w_v, block.d_h)
+        # a copy fills the heap space attention's temporaries just freed;
+        # holding `out` itself raised pipeline-desk peak RSS by 1.4 MiB
+        record.append((a_in, out.copy()))
+        return out
 
-    last = max(captured)
-    fns = {b: capture(record) for b, record in captured.items() if b != last}
-    block = model.blocks[last]
+    reads = {b: lambda a_in, block, r=record: read(a_in, block, r)
+             for b, record in captured.items()}
     for x in samples:
-        a_in = vit.attention_input(vit.model_forward(x, model, mhsa_fns=fns, stop=last), block)
-        captured[last].append(
-            (a_in, vit.attention(a_in, block.w_q, block.w_k, block.w_v, block.d_h)))
+        vit.attention_reads(x, model, reads)
         for b, fold in folds.items():
             fold(*captured[b].pop())
     return captured

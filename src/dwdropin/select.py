@@ -126,31 +126,23 @@ class ScoreResult:
 
 
 def score_model(model: Model, samples) -> ScoreResult:
-    """Score every head over an iterable of (n, d) inputs, one pass.
-
-    Each block's attention runs with a tap that folds the (g, n, n)
-    weights of each head group (`vit.head_groups`) the forward itself
-    computes into that group's one accumulator, so nothing is recomputed
-    and nothing is kept per sample: memory stays at two float64 n x n
-    buffers per head regardless of the sample count. The pass stops at
-    its last read, the last block's attention weights: one
-    `vit.model_forward` per sample runs the blocks before it, then that
-    block runs only its normed input and its tapped attention.
-    """
+    """Score every head over an iterable of (n, d) inputs, one
+    `vit.attention_reads` pass per sample whose reads tap each head group's
+    (g, n, n) weights (`vit.head_groups`) into its one accumulator: nothing
+    is recomputed or kept per sample, so memory stays at two float64 n x n
+    buffers per head whatever the sample count."""
     cfg = model.config
     groups = vit.head_groups(cfg.n_h, cfg.n)
     states = [{h0: WelfordState.new((h1 - h0, cfg.n, cfg.n)) for h0, h1 in groups}
               for _ in range(cfg.n_b)]
-    taps = [lambda e, h0, s=state: welford_update(s[h0], e) for state in states]
-    last = cfg.n_b - 1
-    fns = {b: lambda x, block, tap=tap: vit.mhsa_forward(x, block, energy_tap=tap)
-           for b, tap in enumerate(taps[:last])}
-    block = model.blocks[last]
+    reads = {b: lambda a_in, block, s=state: vit.attention(
+                 a_in, block.w_q, block.w_k, block.w_v, block.d_h,
+                 energy_tap=lambda e, h0: welford_update(s[h0], e))
+             for b, state in enumerate(states)}
     n_samples = 0
     for x in samples:
         n_samples += 1
-        a_in = vit.attention_input(vit.model_forward(x, model, mhsa_fns=fns, stop=last), block)
-        vit.attention(a_in, block.w_q, block.w_k, block.w_v, block.d_h, energy_tap=taps[last])
+        vit.attention_reads(x, model, reads)
     if n_samples == 0:
         raise ConfigError("scoring needs at least one sample")
     sig_h = np.array([[sigma_head(sigma) for h0, _ in groups

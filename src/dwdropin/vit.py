@@ -317,11 +317,9 @@ def project_heads(head_outputs: np.ndarray, block: BlockParams) -> np.ndarray:
     return matmul(head_outputs, block.w_o)
 
 
-def mhsa_forward(x: np.ndarray, block: BlockParams, energy_tap=None) -> np.ndarray:
-    """Multi-head self-attention of one block, (n, d) -> (n, d), every head
-    through `attention`, which also takes `energy_tap`."""
-    return project_heads(attention(x, block.w_q, block.w_k, block.w_v, block.d_h,
-                                   energy_tap), block)
+def mhsa_forward(x: np.ndarray, block: BlockParams) -> np.ndarray:
+    """Multi-head self-attention of one block, (n, d) -> (n, d)."""
+    return project_heads(attention(x, block.w_q, block.w_k, block.w_v, block.d_h), block)
 
 
 def mhsa_forward_headsum(x: np.ndarray, block: BlockParams) -> np.ndarray:
@@ -340,7 +338,7 @@ def block_forward(x: np.ndarray, block: BlockParams, mhsa_fn=None) -> np.ndarray
     """Pre-norm residual block: x + MhSA(norm(x)), then x + FFN(norm(x)).
 
     `mhsa_fn(attn_in, block)` substitutes the attention sublayer: drop-in
-    surgery, gating and the fit's capture all go through it.
+    surgery and the sample passes' reads (`attention_reads`) go through it.
     """
     fn = mhsa_forward if mhsa_fn is None else mhsa_fn
     x = x + fn(attention_input(x, block), block)
@@ -362,16 +360,26 @@ def blocks_forward(x: np.ndarray, model: Model, start: int, stop: int | None = N
 def model_forward(x: np.ndarray, model: Model, mhsa_fns=None,
                   stop: int | None = None) -> np.ndarray:
     """Forward pass: the input plus the positional table, then
-    `blocks_forward` over all blocks, or over blocks [0, stop), returning
-    the residual entering block `stop`.
-
-    `mhsa_fns` maps block index -> substitute attention sublayer.
-    """
+    `blocks_forward` (with its `mhsa_fns`) over all blocks, or over blocks
+    [0, stop), returning the residual entering block `stop`."""
     if x.shape != (model.config.n, model.config.d):
         raise ShapeError(
             f"input must be (n, d) = ({model.config.n}, {model.config.d}), got {x.shape}"
         )
     return blocks_forward(as_f32(x) + model.pos_enc, model, 0, stop, mhsa_fns)
+
+
+def attention_reads(x: np.ndarray, model: Model, reads: dict) -> None:
+    """The one sample pass of scoring and the fit's capture. `reads` maps
+    block b -> read(a_in, block), run in block order on b's normed input;
+    it returns b's (n, d) head outputs, which blocks before the last read
+    project and carry on, so the residual is `model_forward`'s bit for bit.
+    The pass ends after the last read; blocks with no read run `mhsa_forward`."""
+    last = max(reads)
+    fns = {b: lambda a_in, block, read=read: project_heads(read(a_in, block), block)
+           for b, read in reads.items() if b != last}
+    block = model.blocks[last]
+    reads[last](attention_input(model_forward(x, model, fns, stop=last), block), block)
 
 
 def grid(x: np.ndarray, m: int) -> np.ndarray:

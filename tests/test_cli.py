@@ -1093,16 +1093,27 @@ class TestGate:
         (("--tau-end", "-1e-3"), "temperatures must be positive and finite, got -0.001"),
         (("--blocks", -1), "--blocks must be >= 1, got -1"),
         (("--blocks", 0), "--blocks must be >= 1, got 0"),
+        (("--tau0", "1e300", "--tau-end", "1e-300"),
+         "--tau-end / --tau0 (1e-300 / 1e+300) underflows float64"),
+        (("--tau0", "1e-320"), "--tau-end / --tau0 (0.05 / 1e-320) overflows float64"),
     ])
     def test_bad_schedule_is_usage_error(self, tmp_path, capsys, flags, message):
         """A schedule with no steps, a temperature that is not positive and
-        finite, or a gate over no blocks exits 2 with one error line and
-        writes no trace."""
+        finite, a pair of temperatures whose ratio leaves float64, or a gate
+        over no blocks exits 2 with one error line and writes no trace."""
         out = tmp_path / "gate.json"
         capsys.readouterr()
         assert run("gate", "--blocks", 6, "--budget", 2, *flags, "--out", out) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_far_apart_temperatures_run_without_interior_steps(self, tmp_path):
+        """Only the steps between the endpoints read tau_end / tau0, so a
+        one-step schedule runs whatever that ratio is."""
+        out = tmp_path / "gate.json"
+        assert run("gate", "--blocks", 6, "--budget", 2, "--steps", 1, "--tau0", "1e300",
+                   "--tau-end", "1e-300", "--out", out) == 0
+        assert [r["tau"] for r in json.loads(out.read_text())["trace"]] == [1e300, 1e-300]
 
 
 class TestEntryPoint:

@@ -1,5 +1,4 @@
 import time
-import tracemalloc
 
 import pytest
 
@@ -20,7 +19,7 @@ from dwdropin.select import SelectionPlan
 from dwdropin.tensor import ConfigError
 from dwdropin.vit import DESK, VITL, ModelConfig
 
-from conftest import TINY, make_inputs
+from conftest import TINY, make_inputs, traced_peak
 
 ODD = ModelConfig(n_b=1, n_h=3, d=24, d_h=8, m=5, k=5)
 UNIT_KERNEL = ModelConfig(n_b=1, n_h=4, d=64, d_h=16, m=8, k=1)
@@ -267,33 +266,61 @@ class TestVariantTable:
             assert activation_bytes(v, VITL) > 0
 
 
+ACTIVATION_CONFIGS = {
+    "desk": DESK,
+    "odd": ODD,
+    # exact attention in 4 head groups
+    "grouped": ModelConfig(n_b=1, n_h=4, d=64, d_h=16, m=24, k=3),
+}
+
+
 class TestActivationBytes:
     """The estimate prices what one attention sublayer call holds: within a
     factor of 2 of the traced peak of a real call, its input included."""
 
-    @pytest.mark.parametrize("cfg", [
-        DESK, ModelConfig(n_b=1, n_h=3, d=24, d_h=8, m=5, k=5),
-        ModelConfig(n_b=1, n_h=4, d=64, d_h=16, m=24, k=3),  # exact attention in 4 head groups
-    ], ids=["desk", "odd", "grouped"])
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_matches_traced_peak(self, cfg, variant):
+    @staticmethod
+    def assert_matches_traced_peak(cfg, variant, replaced=None):
         model = vit.init_model(ModelConfig(**{**cfg.to_dict(), "n_b": 1}), 7)
         block = model.blocks[0]
         if variant == "mhsa":
             sublayer = vit.mhsa_forward
         else:
-            plan = SelectionPlan("blockwise", "lowest", 1, (0,))
+            plan = (SelectionPlan("blockwise", "lowest", 1, (0,)) if replaced is None else
+                    SelectionPlan("scattered", "lowest", replaced,
+                                  tuple((0, h) for h in range(replaced))))
             sublayer = build_dropins(model, plan, variant, seed=8)[0].sublayers[0]
         x = make_inputs(cfg, 1, 9)[0]
         sublayer(x, block)  # warm caches
-        tracemalloc.start()
-        try:
-            sublayer(x, block)
-            peak = tracemalloc.get_traced_memory()[1] + x.nbytes
-        finally:
-            tracemalloc.stop()
-        estimate = activation_bytes(variant, cfg)
+        peak = traced_peak(lambda: sublayer(x, block)) + x.nbytes
+        estimate = activation_bytes(variant, cfg, replaced)
         assert estimate / 2 <= peak <= 2 * estimate, (peak, estimate)
+
+    @pytest.mark.parametrize("cfg", ACTIVATION_CONFIGS.values(), ids=ACTIVATION_CONFIGS.keys())
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_traced_peak(self, cfg, variant):
+        self.assert_matches_traced_peak(cfg, variant)
+
+    @pytest.mark.parametrize("variant, name, replaced", [
+        (variant, name, r) for variant in ("dw", "convfull")
+        for name, cfg in ACTIVATION_CONFIGS.items() for r in range(1, cfg.n_h)])
+    def test_partly_replaced_block_matches_traced_peak(self, variant, name, replaced):
+        """A block with some of its heads replaced holds its drop-in and its
+        kept heads' exact attention: priced as exact attention, the odd
+        config's traced peak is 2.8-5.7x the estimate."""
+        self.assert_matches_traced_peak(ACTIVATION_CONFIGS[name], variant, replaced)
+
+    @pytest.mark.parametrize("variant", dropin.VARIANTS)
+    def test_prices_the_heads_flops_params_does(self, variant):
+        """No head replaced is exact attention, all of them the whole
+        block, and a count `flops_params` refuses is refused."""
+        for cfg in ACTIVATION_CONFIGS.values():
+            assert activation_bytes(variant, cfg, 0) == activation_bytes("mhsa", cfg)
+            assert activation_bytes(variant, cfg, cfg.n_h) == activation_bytes(variant, cfg)
+            for bad in (-1, cfg.n_h + 1) + ((1,) if variant in dropin.ENSEMBLED else ()):
+                with pytest.raises(ConfigError):
+                    flops_params(variant, cfg, bad)
+                with pytest.raises(ConfigError):
+                    activation_bytes(variant, cfg, bad)
 
 
 class TestBench:

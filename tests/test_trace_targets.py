@@ -1,14 +1,16 @@
 """What the benchmark calls in the package exists there.
 
 `perfbench/spans.py` wraps package functions by (module, attribute), and
-the benchmark's workloads call package functions by module attribute; a
-renamed or deleted function would otherwise surface only when the
-benchmark's own, much slower, self-test runs.
+the benchmark's workloads call package functions by module attribute,
+some with keyword arguments; a renamed or deleted function or keyword
+would otherwise surface only when the benchmark's own, much slower,
+self-test runs.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -54,7 +56,46 @@ def test_every_package_attribute_the_benchmark_reads_exists(path):
         assert hasattr(importlib.import_module(module), attr), f"{path.name}: {module}.{attr}"
 
 
+def package_keyword_calls(path: Path) -> set:
+    """(module name, attribute, keyword) for every keyword argument of a
+    call, in `path`, of a package callable read as `<module>.<attribute>`
+    or imported `from dwdropin...`."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name: (node.module, alias.name)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "dwdropin"
+                for alias in node.names}
+    calls = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in MODULES):
+            target = (f"dwdropin.{func.value.id}", func.attr)
+        elif isinstance(func, ast.Name) and func.id in imported:
+            target = imported[func.id]
+        else:
+            continue
+        calls.update((*target, kw.arg) for kw in node.keywords if kw.arg is not None)
+    return calls
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_every_keyword_the_benchmark_passes_is_a_parameter(path):
+    for module, attr, keyword in sorted(package_keyword_calls(path)):
+        signature = inspect.signature(getattr(importlib.import_module(module), attr))
+        try:
+            signature.bind_partial(**{keyword: None})
+        except TypeError:
+            pytest.fail(f"{path.name}: {module}.{attr} takes no keyword {keyword!r}")
+
+
 def test_workloads_read_the_package():
     """The scan sees the workloads' calls, so it can catch a rename."""
     assert {("dwdropin.cli", "main"), ("dwdropin.dropin", "replace_heads"),
             ("dwdropin.vit", "model_forward")} <= package_reads(PERFBENCH / "workloads.py")
+    assert {("dwdropin.dropin", "BlockDropin", "head_kernels"),
+            ("dwdropin.dropin", "BlockDropin", "gamma")} <= package_keyword_calls(
+                PERFBENCH / "workloads.py")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwdropin import vit
 from dwdropin.tensor import ConfigError, NonFiniteError, matmul, seeded_fill, softmax_rows
 from dwdropin.vit import (
     DESK,
@@ -16,6 +17,8 @@ from dwdropin.vit import (
     BlockParams,
     ModelConfig,
     attention,
+    attention_input,
+    attention_reads,
     block_forward,
     explicit_attention,
     grid,
@@ -33,7 +36,7 @@ from dwdropin.vit import (
     qkv_project,
 )
 
-from conftest import GROUPED, TINY, make_inputs
+from conftest import GROUPED, TINY, block_residuals, make_inputs
 
 
 # exact attention over its 576 tokens runs one head at a time
@@ -250,6 +253,38 @@ class TestBlockAndModelForward:
         for ba, bb in zip(a.blocks, b.blocks):
             np.testing.assert_array_equal(ba.w_q, bb.w_q)
             np.testing.assert_array_equal(ba.ffn_w2, bb.ffn_w2)
+
+
+class TestAttentionReads:
+    """The one pass rule of scoring and the fit's capture: the reads run in
+    block order on the forward's own normed inputs, and the pass stops at
+    the last read's attention."""
+
+    @pytest.mark.parametrize("blocks", [(4, 1), (0,), (DESK.n_b - 1,), (3, 2),
+                                        tuple(range(DESK.n_b))],
+                             ids=["1-4", "0", "last", "2-3", "all"])
+    def test_reads_in_block_order_and_stop_at_the_last(self, desk_model, monkeypatch, blocks):
+        x = make_inputs(DESK, 1, 241)[0]
+        want = [attention_input(h, blk)
+                for h, blk in zip(block_residuals(desk_model, x), desk_model.blocks)]
+        index = {id(blk): b for b, blk in enumerate(desk_model.blocks)}
+        ran = []
+        for name in ("project_heads", "ffn_forward"):
+            fn = getattr(vit, name)
+            monkeypatch.setattr(vit, name, lambda y, blk, fn=fn, name=name:
+                                ran.append((name, index[id(blk)])) or fn(y, blk))
+        reads = []
+
+        def read(a_in, blk):
+            reads.append((index[id(blk)], a_in))
+            return attention(a_in, blk.w_q, blk.w_k, blk.w_v, blk.d_h)
+
+        attention_reads(x, desk_model, dict.fromkeys(blocks, read))
+        assert [b for b, _ in reads] == sorted(blocks)
+        for b, a_in in reads:
+            np.testing.assert_array_equal(a_in, want[b])
+        last = max(blocks)
+        assert ran == [(name, b) for b in range(last) for name in ("project_heads", "ffn_forward")]
 
 
 class TestExplicitVsHeadAttention:
