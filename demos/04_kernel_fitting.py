@@ -9,13 +9,13 @@ equations, t^T t - 2 k^T r + k^T G k, with no second pass over the samples.
 A replaced block is fitted as one group: one value GEMM over the replaced
 heads' stacked value columns, their exact outputs side by side as
 targets, and one set of normal equations for the whole block. The targets
-come straight from the capture: one forward per sample records each
-planned block's input and the (n, d) head outputs its exact attention
-computed, so no exact attention is run a second time to fit.
+come straight from the capture: one forward per sample hands each planned
+block's input and the (n, d) head outputs its exact attention computed to
+that block's fold, so no exact attention is run a second time to fit.
 
 The normal equations are sums over samples, so the fit never needs the
-samples together: `build_dropins` folds each sample's capture into them
-as soon as that sample's forward returns and keeps nothing else, which
+samples together: `build_dropins` folds each block's capture into them as
+soon as the sample's pass reads that block and keeps nothing else, which
 holds fit memory flat however many samples are drawn (GPTQ accumulates
 its calibration Gram matrices the same way).
 """
@@ -23,13 +23,9 @@ its calibration Gram matrices the same way).
 import numpy as np
 
 from dwdropin import dropin, vit
-from dwdropin.dropin import (
-    attention_inputs,
-    fit_block,
-    fit_depthwise_kernel,
-    fit_loss_and_grad,
-)
-from dwdropin.tensor import dwconv2d, seed_stream, seeded_fill
+from dwdropin.dropin import attention_inputs, fit_depthwise_kernel, fit_loss_and_grad
+from dwdropin.select import SelectionPlan
+from dwdropin.tensor import dwconv2d, matmul, seed_stream, seeded_fill
 
 # --- planted-kernel sanity: targets generated by a known kernel ---------
 k, c = 3, 8
@@ -55,31 +51,38 @@ samples = [seeded_fill((cfg.n, cfg.d), next(seeds), "gaussian") for _ in range(8
 # A freshly initialized head is nowhere near convolution-like (that is
 # what the variance score is for), so the fit only captures a slice of it;
 # the point here is the mechanics and that fitting always helps. One
-# capture pass over the samples serves every block fitted from it, and one
-# block fit serves all of the block's replaced heads.
-inputs = attention_inputs(model, samples, blocks=[0])
-a_in, heads_out = inputs[0][0]
-print(f"\ncapture of block 0: {len(inputs[0])} samples of input {a_in.shape} "
-      f"and head outputs {heads_out.shape}")
+# capture pass per sample serves every block fitted from it, and one
+# block fit serves all of the block's replaced heads. `build_dropins`
+# takes the samples as a one-pass iterator and folds each into the
+# block's normal equations as soon as the pass reads the block.
 heads = (1, 2)  # block 0, heads 1 and 2
-fits = fit_block(model, 0, "dw", heads, None, inputs)
-for h, (kern, rep) in zip(heads, fits):
-    print(f"\nhead (0, {h}): fitted depthwise kernel {kern.shape}")
-    print(f"  residual {rep.objective:.4f} vs zero-kernel baseline {rep.zero_objective:.4f} "
-          f"({100 * (1 - rep.objective / rep.zero_objective):.1f}% explained)")
-
-# The same fit, streamed: `build_dropins` takes the samples as a one-pass
-# iterator and folds each into the block's normal equations as soon as its
-# forward returns. The sums and their order are the recorded fit's, so the
-# kernels and reports agree bit for bit.
-from dwdropin.select import SelectionPlan
-
 plan = SelectionPlan(mode="scattered", order="lowest", budget=len(heads),
                      targets=tuple((0, h) for h in heads))
 fitted, reports = dropin.build_dropins(model, plan, "dw", samples=iter(samples))
+for h in heads:
+    rep = reports[(0, h)]
+    print(f"\nhead (0, {h}): fitted depthwise kernel {fitted.dropins[0].head_kernels[h].shape}")
+    print(f"  residual {rep.objective:.4f} vs zero-kernel baseline {rep.zero_objective:.4f} "
+          f"({100 * (1 - rep.objective / rep.zero_objective):.1f}% explained)")
+
+# The same heads fitted one at a time: a fold on the capture collects each
+# head's values and exact output per sample, and `fit_depthwise_kernel`
+# solves each head's own normal equations. The block fit's sums are the
+# per-head sums side by side, so kernels and reports agree bit for bit.
+block, pairs = model.blocks[0], {h: ([], []) for h in heads}
+
+
+def keep_heads(a_in, out):
+    for h, (values, targets) in pairs.items():
+        values.append(vit.grid(matmul(a_in, vit.head_cols(block.w_v, h, cfg.d_h)), cfg.m))
+        targets.append(vit.grid(vit.head_cols(out, h, cfg.d_h), cfg.m))
+
+
+attention_inputs(model, samples, {0: keep_heads})
+fits = {h: fit_depthwise_kernel(values, targets, cfg.k) for h, (values, targets) in pairs.items()}
 same = all(np.array_equal(fitted.dropins[0].head_kernels[h], kern) and reports[(0, h)] == rep
-           for h, (kern, rep) in zip(heads, fits))
-print(f"\nstreamed fit over a one-pass iterator matches the recorded fit bitwise: {same}")
+           for h, (kern, rep) in fits.items())
+print(f"\nstreamed block fit matches the per-head fits bitwise: {same}")
 
 # Swap both heads in, fitted vs randomly initialized kernels.
 x = samples[0]

@@ -27,7 +27,6 @@ from .dropin import (
     attn_dw,
     build_dropins,
     ensemble_weights,
-    fit_block,
     fit_depthwise_kernel,
     fit_loss_and_grad,
     fold_full_kernel,

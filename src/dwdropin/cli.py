@@ -136,6 +136,13 @@ def get_samples(args, cfg: ModelConfig) -> tuple:
     return synthetic_samples(cfg, n, seed), {"kind": "synthetic", "n": n, "seed": seed}
 
 
+def record_defaults(args, **defaults) -> None:
+    """Set each omitted flag of `defaults` to its default, for the run manifest."""
+    for flag, value in defaults.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, value)
+
+
 def refuse_next_to_data(args) -> None:
     """Refuse --samples or --seed next to --data, whose archive holds the samples."""
     chosen = [f"--{f}" for f in ("samples", "seed") if getattr(args, f) is not None]
@@ -169,8 +176,11 @@ def overflow_is_file_fault(path):
 
 def cmd_gen(args) -> int:
     cfg = config_from_args(args)
-    meta = {"manifest": run_manifest("gen", args)}
     config_only = args.config_only or args.config == "vitl"
+    if config_only and args.seed is not None:
+        raise ConfigError("--seed cannot be given for a config-only archive: it has no weights")
+    record_defaults(args, seed=0)
+    meta = {"manifest": run_manifest("gen", args)}
     if config_only:
         save_archive(args.out, cfg, {}, meta)
         print(f"wrote config-only archive {args.out} ({cfg.to_dict()})")
@@ -184,9 +194,8 @@ def cmd_gen(args) -> int:
 
 def cmd_score(args) -> int:
     refuse_next_to_data(args)
-    if args.data is None:  # omitted, they are recorded in the run manifest as their defaults
-        args.samples = 256 if args.samples is None else args.samples
-        args.seed = 0 if args.seed is None else args.seed
+    if args.data is None:
+        record_defaults(args, samples=256, seed=0)
     model = load_hybrid(args.model, "scoring").base
     samples, source = get_samples(args, model.config)
     with overflow_is_file_fault(args.model):
@@ -215,9 +224,7 @@ def cmd_replace(args) -> int:
     refuse_next_to_data(args)
     if args.fit and args.init_seed is not None:
         raise ConfigError("--init-seed cannot be given with --fit: fitted kernels are not drawn")
-    # omitted seeds are recorded in the run manifest as 0
-    args.seed = 0 if args.seed is None else args.seed
-    args.init_seed = 0 if args.init_seed is None else args.init_seed
+    record_defaults(args, seed=0, init_seed=0)
     model = load_hybrid(args.model, "surgery").base
     plan = select.plan_from_file(args.plan)
     samples = get_samples(args, model.config)[0] if args.fit else None
@@ -406,6 +413,11 @@ def single_block_bench_fns(cfg: ModelConfig, seed: int) -> dict:
 
 
 def cmd_bench(args) -> int:
+    if args.plan and args.variants is not None:
+        raise ConfigError("--variants cannot be given with --plan, which times --variant")
+    if not args.plan and args.variant is not None:
+        raise ConfigError("--variant is read only by --plan")
+    record_defaults(args, variant="dw", variants="mhsa,dw,ens-dw")
     results = {}
     if args.plan:
         # whole-model comparison: baseline forward vs the planned hybrid
@@ -452,10 +464,6 @@ def cmd_gate(args) -> int:
         raise ConfigError(f"--blocks must be >= 1, got {n_b}")
     params = select.GateParams(logits=np.zeros(n_b), budget=args.budget,
                                tau0=args.tau0, tau_end=args.tau_end, seed=args.seed)
-    ratio = args.tau_end / args.tau0  # the steps between the endpoints anneal by it
-    if args.steps > 1 and not 0 < ratio < np.inf:
-        raise ConfigError(f"--tau-end / --tau0 ({args.tau_end!r} / {args.tau0!r}) "
-                          f"{'over' if ratio else 'under'}flows float64")
     trace = select.gate_trace(params, args.steps)
     final = trace[-1]
     doc = {"n_b": n_b, "budget": args.budget, "trace": trace,
@@ -509,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded model archive")
     _add_config_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="weight seed (default 0)")
     p.add_argument("--config-only", action="store_true",
                    help="write the config without weights (implied by --config vitl)")
     p.add_argument("--out", required=True)
@@ -570,9 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--model")
     p.add_argument("--plan", help="time the whole model against this plan's hybrid")
-    p.add_argument("--variant", choices=dropin.VARIANTS, default="dw")
-    p.add_argument("--variants", default="mhsa,dw,ens-dw",
-                   help="single-block mode: which attention choices to time")
+    p.add_argument("--variant", choices=dropin.VARIANTS,
+                   help="with --plan: the hybrid's variant (default dw)")
+    p.add_argument("--variants", help="single-block mode: which attention choices to time "
+                                      "(default mhsa,dw,ens-dw)")
     p.add_argument("--reps", type=int, default=30)
     p.add_argument("--warmup", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)

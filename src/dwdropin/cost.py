@@ -92,10 +92,13 @@ def activation_bytes(variant: str, cfg: ModelConfig, replaced: int | None = None
         band = band_rows(k, m, c) * k * k * m * c
         return padded * c + k * k * m * c + band + 2 * min(np.getbufsize(), band)
 
+    # fold_full_kernel's (k, k, d, c) kernel, plus numpy's ufunc buffers for its
+    # broadcast multiply, at most np.getbufsize() values each
+    fold = k * k * d * c + 2 * min(np.getbufsize(), k * k * d * c)
     drop_in = {  # over its c channels, if any
-        "convfull": lambda: n * d + n * c + k * k * d * c,  # padded x, conv out; the fold
-        "dw": lambda: n * c + depthwise(c),                 # values; the conv's buffers
-        "ens-convfull": lambda: padded * d + 2 * n * c + k * k * d * c,
+        "convfull": lambda: n * d + n * c + fold,  # padded x, conv out; the fold
+        "dw": lambda: n * c + depthwise(c),        # values; the conv's buffers
+        "ens-convfull": lambda: padded * d + 2 * n * c + fold,
         "ens-dw": lambda: 2 * n * c + depthwise(c),
     }[variant]() if c else 0
     # the kept heads' q, k, v and outputs; one head group's weights

@@ -165,16 +165,17 @@ def planned_heads(plan, cfg, *variants) -> dict:
 def replace_heads(model: Model, plan, params: dict) -> HybridModel:
     """Swap the planned heads' attention for convolutional replacements.
 
-    `plan` is a SelectionPlan; `params` maps block index -> BlockDropin,
-    and the plan must pass `planned_heads` for every variant they use.
-    Heads outside the plan keep the exact attention path.
+    `plan` is a SelectionPlan; `params` maps each planned block, and no
+    other, to a BlockDropin, and the plan must pass `planned_heads` for
+    every variant they use. Heads outside the plan keep exact attention.
     """
     cfg = model.config
     by_block = planned_heads(plan, cfg, *(dp.variant for dp in params.values()))
+    if set(params) != set(by_block):
+        raise ConfigError(f"replacement parameters given for blocks {sorted(params)} "
+                          f"but plan covers {sorted(by_block)}")
     dropins, sublayers = {}, {}
     for b, heads in by_block.items():
-        if b not in params:
-            raise ConfigError(f"no replacement parameters for block {b}")
         dp = params[b]
         if dp.variant in ENSEMBLED:
             if dp.gamma is None or dp.kernel is None:
@@ -276,9 +277,9 @@ def build_dropins(model: Model, plan, variant: str, seed: int = 0, samples=None)
     Covered blocks are then built in sorted order, each block's kernels in
     head order (an ensembled block has one): with `samples`, which may be
     a lazy iterable, one streamed capture (`attention_inputs`) folds each
-    sample's planned-block inputs and exact head outputs into each block's
-    fit as soon as that sample's forward returns, so fit memory does not
-    grow with the sample count; without them, kernels are drawn by
+    planned block's input and exact head outputs into that block's fit
+    (`_BlockFit`) as the sample's pass reads the block, so fit memory does
+    not grow with the sample count; without them, kernels are drawn by
     `init_kernel` from `seed_stream(seed)` in that order. Ensembled blocks
     start from zero gamma logits. Returns (HybridModel, reports), where
     `reports` maps (block, head) or, for ensembled variants, block ->
@@ -289,15 +290,14 @@ def build_dropins(model: Model, plan, variant: str, seed: int = 0, samples=None)
     seeds = seed_stream(seed)
     heads = {b: tuple(sorted(by_block[b])) for b in sorted(by_block)}
     gammas = {b: np.zeros(cfg.n_h, dtype=F32) if variant in ENSEMBLED else None for b in heads}
-    fits = None
-    if samples is not None and heads:
+    if samples is not None:
         fits = {b: _BlockFit(model, b, variant, hs, gammas[b]) for b, hs in heads.items()}
         attention_inputs(model, samples, {b: fit.add for b, fit in fits.items()})
     params, reports = {}, {}
     for b, hs in heads.items():
         gamma = gammas[b]
         keys = [b] if gamma is not None else [(b, h) for h in hs]
-        if fits is None:
+        if samples is None:
             kernels = [init_kernel(variant, cfg, next(seeds)) for _ in keys]
         else:
             solved = fits[b].solve()
@@ -411,12 +411,12 @@ class _NormalEquations:
         self.rhs += np.einsum("qijc,ijc->cq", shifts, t64)
         self.tt += np.einsum("ijc,ijc->c", t64, t64)
 
-    def solve(self, heads=None, shared=False):
-        """The kernels of `fit_depthwise_kernel` from the pairs added so far."""
+    def solve(self, split: int, shared: bool) -> list:
+        """[(kernel, FitReport)] for each of `split` equal runs of channels."""
         if self.gram is None:
             raise ConfigError("kernel fitting needs at least one sample")
         k, gram, rhs, tt = self.k, self.gram, self.rhs, self.tt
-        width = len(tt) // (heads or 1)
+        width = len(tt) // split
         fits = []
         for part in (slice(lo, lo + width) for lo in range(0, len(tt), width)):
             if shared:
@@ -427,7 +427,7 @@ class _NormalEquations:
                 kern = np.stack([x for x, _ in solved], axis=1).reshape(k, k, -1).astype(F32)
                 ridge = tuple(ch for ch, (_, used) in enumerate(solved) if used)
             fits.append((kern, _fit_report(kern, gram[part], rhs[part], tt[part], ridge)))
-        return fits if heads else fits[0]
+        return fits
 
 
 def _solve_ridge(gram: np.ndarray, rhs: np.ndarray):
@@ -453,23 +453,22 @@ def _fit_report(kern: np.ndarray, gram, rhs, tt, ridge: tuple) -> FitReport:
                      zero_objective=float(tt.sum()), ridge_channels=ridge)
 
 
-def fit_depthwise_kernel(v_samples, target_samples, k: int, heads=None, shared=False):
+def fit_depthwise_kernel(v_samples, target_samples, k: int, shared=False):
     """Least-squares depthwise kernel for targets ~ dwconv2d(v, kernel).
 
     The objective is linear in the kernel entries, so each channel solves
-    its own k^2 x k^2 normal equations exactly; with `shared`, a head's
+    its own k^2 x k^2 normal equations exactly; with `shared`, the
     channels sum theirs into one system for one (k, k) kernel. A singular
     normal matrix falls back to ridge regularization (eps 1e-6) and is
     reported. The samples may be lazy iterables. Returns (kernel float32
-    (k, k, c) or shared (k, k), FitReport) for all channels as one head,
-    or with `heads` a list of such pairs, one per equal run of channels.
+    (k, k, c) or shared (k, k), FitReport).
     """
     eqs = _NormalEquations(k)
     for v, t in itertools.zip_longest(v_samples, target_samples):
         if v is None or t is None:
             raise ShapeError("value/target sample counts differ")
         eqs.add(v, t)
-    return eqs.solve(heads, shared)
+    return eqs.solve(1, shared)[0]
 
 
 def fit_loss_and_grad(kern: np.ndarray, v_samples: list, target_samples: list):
@@ -492,42 +491,33 @@ def fit_loss_and_grad(kern: np.ndarray, v_samples: list, target_samples: list):
     return loss, gradient
 
 
-def attention_inputs(model: Model, samples, blocks) -> dict:
-    """The fit's capture: one `vit.attention_reads` pass per sample, each
-    of `blocks` read once and recorded as (normed input, head outputs),
-    both (n, d). Returns {block: [record per sample]}. When `blocks` maps
-    each block to a fold, each record goes to fold(*record) once its
-    sample's pass returns and is not kept, and the lists come back empty.
-    An empty `blocks` runs no forward."""
-    folds = blocks if isinstance(blocks, dict) else {}
-    captured = {b: [] for b in blocks}
-    if not captured:
-        return captured
+def attention_inputs(model: Model, samples, folds: dict) -> None:
+    """The fit's capture: one `vit.attention_reads` pass per sample. The
+    read of each block b in `folds` runs b's exact attention once, hands
+    folds[b] its normed input and head outputs, both (n, d), and returns
+    the outputs for the pass to carry on, so nothing outlives its block.
+    An empty `folds` runs no forward."""
+    if not folds:
+        return
 
-    def read(a_in, block, record):
+    def read(a_in, block, fold):
         out = vit.attention(a_in, block.w_q, block.w_k, block.w_v, block.d_h)
-        # a copy fills the heap space attention's temporaries just freed;
-        # holding `out` itself raised pipeline-desk peak RSS by 1.4 MiB
-        record.append((a_in, out.copy()))
+        fold(a_in, out)
         return out
 
-    reads = {b: lambda a_in, block, r=record: read(a_in, block, r)
-             for b, record in captured.items()}
+    reads = {b: lambda a_in, block, fold=fold: read(a_in, block, fold)
+             for b, fold in folds.items()}
     for x in samples:
         vit.attention_reads(x, model, reads)
-        for b, fold in folds.items():
-            fold(*captured[b].pop())
-    return captured
 
 
 class _BlockFit:
-    """Least-squares fit of one replaced block's kernels, fed one capture
-    record (normed input, head outputs) at a time. The regressors are what
-    the block's sublayer convolves (`_block_values`) of the input; the
-    targets come from the head outputs: the columns of `heads`
-    (`vit.head_columns`, the regressors' gather), or for an ensembled
-    block the softmax(gamma) mix of all heads. One normal-equation system
-    serves the block."""
+    """Least-squares fit of one replaced block's kernels; `add` is its
+    capture fold (`attention_inputs`). The regressors are what the block's
+    sublayer convolves (`_block_values`) of the normed input; the targets
+    come from the head outputs: the columns of `heads` (`vit.head_columns`,
+    the regressors' gather), or for an ensembled block the softmax(gamma)
+    mix of all heads. One normal-equation system serves the block."""
 
     def __init__(self, model: Model, b: int, variant: str, heads: tuple, gamma):
         self.cfg = cfg = model.config
@@ -557,14 +547,3 @@ class _BlockFit:
         ensembled block."""
         return self.eqs.solve(self.split, self.shared)
 
-
-def fit_block(model: Model, b: int, variant: str, heads: tuple, gamma, inputs: dict):
-    """Least-squares fit of block b's kernels from the records of
-    `attention_inputs`, as `build_dropins` fits them from its streamed
-    capture. Returns [(kernel, FitReport)]: one per head of `heads`, or
-    one for an ensembled block.
-    """
-    fit = _BlockFit(model, b, variant, heads, gamma)
-    for a_in, out in inputs[b]:
-        fit.add(a_in, out)
-    return fit.solve()

@@ -423,13 +423,17 @@ def gumbel_topk_relax(w, p: int, tau: float, seed: int) -> np.ndarray:
     the deficit redistributed in proportion to remaining capacity, which
     keeps every weight in [0, 1] and the total exactly p. As tau -> 0 the
     rounds become disjoint one-hots and the projection is a no-op, leaving
-    the hard mask over the same perturbed logits.
+    the hard mask over the same perturbed logits. A tau so small that the
+    perturbed logits divided by it overflow is refused.
     """
     w = np.asarray(w, dtype=np.float64).ravel()
     _check_temperatures(tau)
     if not 0 < p <= w.shape[0]:
         raise ConfigError(f"p must be in (0, {w.shape[0]}], got {p}")
     z = w + gumbel_noise(w.shape[0], seed)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(z / tau).all():
+            raise ConfigError(f"temperature {tau!r} overflows float64 in perturbed logits / tau")
     cur = z.copy()
     acc = np.zeros_like(z)
     for _ in range(p):
@@ -461,17 +465,22 @@ def gated_block_forward(x: np.ndarray, block, replacement, w_bar: float) -> np.n
 
 
 def anneal_tau(step: int, total_steps: int, tau0: float, tau_end: float) -> float:
-    """Exponential temperature schedule tau0 -> tau_end with exact endpoints."""
+    """Exponential temperature schedule tau0 -> tau_end with exact endpoints;
+    with steps between them, which anneal by it, tau_end / tau0 must fit float64."""
     if total_steps < 1:
         raise ConfigError("total_steps must be >= 1")
     if not 0 <= step <= total_steps:
         raise ConfigError(f"step {step} outside [0, {total_steps}]")
     _check_temperatures(tau0, tau_end)
+    ratio = float(tau_end) / float(tau0)
+    if total_steps > 1 and not 0 < ratio < math.inf:
+        raise ConfigError(f"tau_end / tau0 ({float(tau_end)!r} / {float(tau0)!r}) "
+                          f"{'over' if ratio else 'under'}flows float64")
     if step == 0:
         return float(tau0)
     if step == total_steps:
         return float(tau_end)
-    return float(tau0 * (tau_end / tau0) ** (step / total_steps))
+    return float(tau0 * ratio ** (step / total_steps))
 
 
 def gate_trace(params: GateParams, steps: int) -> list:

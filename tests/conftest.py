@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwdropin import vit
+from dwdropin import dropin, vit
 from dwdropin.tensor import as_f32, seed_stream, seeded_fill
 
 TINY = vit.ModelConfig(n_b=2, n_h=2, d=8, d_h=4, m=4, k=3, ffn_mult=2)
@@ -76,6 +76,27 @@ def block_inputs(model, x):
     that shares no code with the fit's capture."""
     return [vit.layer_norm(h, block.norm1_scale, block.norm1_shift)
             for h, block in zip(block_residuals(model, x), model.blocks)]
+
+
+def capture_records(model, samples, blocks):
+    """The fit's capture, recorded: `dropin.attention_inputs` with a fold
+    per block that keeps each sample's (normed input, head outputs) pair.
+    Returns {block: [pair per sample]}."""
+    records = {b: [] for b in blocks}
+    dropin.attention_inputs(model, samples, {b: lambda *pair, r=r: r.append(pair)
+                                             for b, r in records.items()})
+    return records
+
+
+def fit_records(model, b, variant, heads, gamma, records):
+    """Block b's kernels fitted from recorded capture pairs by the block
+    fit `build_dropins` streams its capture into (`dropin._BlockFit`):
+    [(kernel, FitReport)], one per head of `heads`, or one for an
+    ensembled block."""
+    fit = dropin._BlockFit(model, b, variant, heads, gamma)
+    for pair in records[b]:
+        fit.add(*pair)
+    return fit.solve()
 
 
 def read_manifest(path):

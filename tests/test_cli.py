@@ -78,6 +78,20 @@ class TestGen:
         code = run("gen", "--dim", 7, "--head-dim", 4, "--out", tmp_path / "x.bin")
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [("--config", "vitl"), ("--config-only", *TINY_FLAGS)],
+                             ids=["vitl", "config-only"])
+    def test_seed_for_config_only_archive_refused(self, tmp_path, capsys, flags):
+        """A config-only archive draws no weights, so --seed would choose
+        nothing; omitted, it is recorded as 0."""
+        out = tmp_path / "c.bin"
+        capsys.readouterr()
+        assert run("gen", *flags, "--seed", 0, "--out", out) == 2
+        assert capsys.readouterr().err == ("error: --seed cannot be given for a config-only "
+                                           "archive: it has no weights\n")
+        assert not out.exists()
+        assert run("gen", *flags, "--out", out) == 0
+        assert load_archive(out).meta["manifest"]["options"]["seed"] == 0
+
 
 @pytest.fixture()
 def tiny_archive(tmp_path):
@@ -664,6 +678,10 @@ def _wrong_shape_gamma(ar):
     ar.tensors["dropin.block0.gamma"] = np.zeros(TINY.n_h + 1, np.float32)
 
 
+def _stray_variant(ar):
+    ar.meta["dropin"]["variants"]["1"] = "dw"
+
+
 def _stray_kernel(ar):
     ar.tensors["dropin.block1.head0.K"] = ar.tensors["dropin.block0.head0.K"]
 
@@ -677,8 +695,10 @@ class TestMalformedArchives:
         ("dw", _renamed_kernel, "kernels given for heads [1] but plan covers [0, 1]"),
         ("ens-dw", _wrong_shape_gamma, f"gamma must be ({TINY.n_h},)"),
         ("dw", _stray_kernel, "'dropin.block1.head0.K' belongs to no replaced head"),
+        ("dw", _stray_variant, "bad drop-in section: replacement parameters given for "
+         "blocks [0, 1] but plan covers [0]"),
     ], ids=["unknown-variant", "wrong-shape-kernel", "renamed-kernel", "wrong-shape-gamma",
-            "stray-kernel"])
+            "stray-kernel", "stray-variant"])
     def test_bad_dropin_section(self, tmp_path, tiny_archive, capsys, variant, mutate, message):
         plan = tmp_path / "plan.json"
         plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
@@ -974,6 +994,26 @@ class TestBench:
         assert err == f"error: --variants {variants!r} names no variant\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("plan_mode", [False, True], ids=["single-block", "plan"])
+    def test_flag_of_the_other_mode_refused(self, tmp_path, tiny_archive, capsys, plan_mode):
+        """--variant is read only with --plan and --variants only without
+        it; omitted, both are recorded as their defaults."""
+        out = tmp_path / "bench.json"
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        source = ("--model", tiny_archive, "--plan", plan) if plan_mode else TINY_FLAGS
+        stray, message = ((("--variants", "mhsa"), "--variants cannot be given with --plan, "
+                           "which times --variant") if plan_mode else
+                          (("--variant", "ens-convfull"), "--variant is read only by --plan"))
+        argv = ("bench", *source, "--reps", 1, "--warmup", 0, "--out", out)
+        capsys.readouterr()
+        assert run(*argv, *stray) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert run(*argv) == 0
+        options = json.loads(out.read_text())["manifest"]["options"]
+        assert (options["variant"], options["variants"]) == ("dw", "mhsa,dw,ens-dw")
+
     def test_single_block_fns_cover_every_variant(self):
         fns = single_block_bench_fns(TINY, seed=3)
         assert set(fns) == {"mhsa", *dropin.VARIANTS}
@@ -1094,13 +1134,16 @@ class TestGate:
         (("--blocks", -1), "--blocks must be >= 1, got -1"),
         (("--blocks", 0), "--blocks must be >= 1, got 0"),
         (("--tau0", "1e300", "--tau-end", "1e-300"),
-         "--tau-end / --tau0 (1e-300 / 1e+300) underflows float64"),
-        (("--tau0", "1e-320"), "--tau-end / --tau0 (0.05 / 1e-320) overflows float64"),
+         "tau_end / tau0 (1e-300 / 1e+300) underflows float64"),
+        (("--tau0", "1e-320"), "tau_end / tau0 (0.05 / 1e-320) overflows float64"),
+        (("--tau0", "1e-320", "--tau-end", "1e-320"),
+         "temperature 1e-320 overflows float64 in perturbed logits / tau"),
     ])
     def test_bad_schedule_is_usage_error(self, tmp_path, capsys, flags, message):
         """A schedule with no steps, a temperature that is not positive and
-        finite, a pair of temperatures whose ratio leaves float64, or a gate
-        over no blocks exits 2 with one error line and writes no trace."""
+        finite or that the perturbed logits overflow when divided by it, a
+        pair of temperatures whose ratio leaves float64, or a gate over no
+        blocks exits 2 with one error line and writes no trace."""
         out = tmp_path / "gate.json"
         capsys.readouterr()
         assert run("gate", "--blocks", 6, "--budget", 2, *flags, "--out", out) == 2

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from dwdropin.dropin import (
     attn_dw,
     build_dropins,
     ensemble_weights,
-    fit_block,
     fit_depthwise_kernel,
     fit_loss_and_grad,
     fold_full_kernel,
@@ -33,7 +34,16 @@ from dwdropin.tensor import (
 )
 from dwdropin.vit import DESK, ModelConfig, grid, head_cols, head_rows, init_model
 
-from conftest import GROUPED, TINY, block_inputs, block_residuals, make_inputs, traced_peak
+from conftest import (
+    GROUPED,
+    TINY,
+    block_inputs,
+    block_residuals,
+    capture_records,
+    fit_records,
+    make_inputs,
+    traced_peak,
+)
 
 
 def delta_kernel(k, channels=None):
@@ -277,6 +287,15 @@ class TestReplaceHeads:
         with pytest.raises(ConfigError):
             replace_heads(tiny_model, plan, params)
 
+    def test_parameters_for_unplanned_block_refused(self, tiny_model):
+        """Parameters for a block the plan does not replace would be
+        dropped from the hybrid; they are refused instead."""
+        plan = SelectionPlan(mode="blockwise", order="lowest", budget=1, targets=(0,))
+        params = {b: BlockDropin(variant="dw", head_kernels={
+            h: init_kernel("dw", TINY, 10 * b + h) for h in range(TINY.n_h)}) for b in (0, 1)}
+        with pytest.raises(ConfigError, match=re.escape("blocks [0, 1] but plan covers [0]")):
+            replace_heads(tiny_model, plan, params)
+
     def test_scattered_and_blockwise_cover_same_heads_agree(self, tiny_model):
         kernels = {h: init_kernel("dw", TINY, 70 + h) for h in range(TINY.n_h)}
         bw = replace_heads(
@@ -506,8 +525,8 @@ class TestKernelFitting:
         model = init_model(vit.DESK, 303)
         model.blocks[2].w_q[:] = 0  # uniform attention: global mean, not local
         samples = make_inputs(vit.DESK, 2, 107)
-        [(kern, rep)] = fit_block(model, 2, "dw", (0,), None,
-                                  attention_inputs(model, samples, [2]))
+        [(kern, rep)] = fit_records(model, 2, "dw", (0,), None,
+                                    capture_records(model, samples, [2]))
         assert np.isfinite(kern).all()
         assert rep.objective > 1e-6
         assert rep.objective <= rep.zero_objective
@@ -531,8 +550,8 @@ class TestKernelFitting:
 
     def test_fit_kernels_roundtrip_through_model(self, tiny_model):
         samples = make_inputs(TINY, 3, 130)
-        [(kern, rep)] = fit_block(tiny_model, 0, "dw", (1,), None,
-                                  attention_inputs(tiny_model, samples, [0]))
+        [(kern, rep)] = fit_records(tiny_model, 0, "dw", (1,), None,
+                                    capture_records(tiny_model, samples, [0]))
         assert kern.shape == (TINY.k, TINY.k, TINY.d_h)
         assert rep.objective <= rep.zero_objective
 
@@ -556,13 +575,16 @@ class TestKernelFitting:
             fit_depthwise_kernel(iter(v), iter(t), 3)
 
     def test_heads_split_matches_separate_fits(self):
-        """Fitting a block's channels as `heads` equal runs equals fitting
-        each run alone, for per-channel and shared kernels."""
+        """Solving a block's normal equations as 3 equal runs of channels,
+        one per head, equals fitting each run alone, for per-channel and
+        shared kernels."""
         v_list = [seeded_fill((6, 6, 6), 270 + i, "gaussian") for i in range(2)]
         t_list = [seeded_fill((6, 6, 6), 280 + i, "gaussian") for i in range(2)]
         for shared in (False, True):
-            fits = fit_depthwise_kernel(v_list, t_list, 3, heads=3, shared=shared)
-            for h, (kern, rep) in enumerate(fits):
+            eqs = dropin._NormalEquations(3)
+            for v, t in zip(v_list, t_list):
+                eqs.add(v, t)
+            for h, (kern, rep) in enumerate(eqs.solve(3, shared)):
                 cols = slice(2 * h, 2 * h + 2)
                 want, want_rep = fit_depthwise_kernel([v[..., cols] for v in v_list],
                                                       [t[..., cols] for t in t_list], 3,
@@ -643,8 +665,8 @@ class TestLossAndGrad:
 class TestEnsembledFitting:
     def test_fit_reduces_objective(self, tiny_model):
         samples = make_inputs(TINY, 3, 200)
-        [(kern, rep)] = fit_block(tiny_model, 0, "ens-dw", tuple(range(TINY.n_h)),
-                                  np.zeros(TINY.n_h), attention_inputs(tiny_model, samples, [0]))
+        [(kern, rep)] = fit_records(tiny_model, 0, "ens-dw", tuple(range(TINY.n_h)),
+                                    np.zeros(TINY.n_h), capture_records(tiny_model, samples, [0]))
         assert kern.shape == (TINY.k, TINY.k, TINY.d_h)
         assert rep.objective <= rep.zero_objective
 
@@ -685,9 +707,9 @@ class TestFitBlock:
     def test_matches_per_head_reference(self, variant, heads):
         model = init_model(FOUR_HEADS, 304)
         samples = make_inputs(FOUR_HEADS, 3, 94)
-        inputs = attention_inputs(model, samples, range(FOUR_HEADS.n_b))
+        inputs = capture_records(model, samples, range(FOUR_HEADS.n_b))
         for b in range(FOUR_HEADS.n_b):
-            fits = fit_block(model, b, variant, heads, None, inputs)
+            fits = fit_records(model, b, variant, heads, None, inputs)
             assert len(fits) == len(heads)
             for h, (kern, rep) in zip(heads, fits):
                 want, want_rep = per_head_fit(model, b, h, samples, variant)
@@ -700,12 +722,12 @@ class TestFitBlock:
     def test_ensembled_matches_sigma_mix_reference(self, variant, gamma_seed):
         model = init_model(FOUR_HEADS, 305)
         samples = make_inputs(FOUR_HEADS, 3, 96)
-        inputs = attention_inputs(model, samples, range(FOUR_HEADS.n_b))
+        inputs = capture_records(model, samples, range(FOUR_HEADS.n_b))
         gamma = (np.zeros(FOUR_HEADS.n_h, np.float32) if gamma_seed is None
                  else seeded_fill((FOUR_HEADS.n_h,), gamma_seed))
         for b in range(FOUR_HEADS.n_b):
-            [(kern, rep)] = fit_block(model, b, variant, tuple(range(FOUR_HEADS.n_h)),
-                                      gamma, inputs)
+            [(kern, rep)] = fit_records(model, b, variant, tuple(range(FOUR_HEADS.n_h)),
+                                        gamma, inputs)
             want, want_rep = sigma_mix_fit(model, b, gamma, samples, variant)
             assert kern.shape == kernel_shape(variant, FOUR_HEADS)
             np.testing.assert_array_equal(kern, want)
@@ -802,7 +824,7 @@ PLANS = [
 class TestCapture:
     """The fit's capture: one pass per sample that stops at the last
     planned block's attention, each planned block's exact attention run
-    once and recorded."""
+    once and handed to its fold (recorded by `capture_records`)."""
 
     def test_records_planned_blocks_bitwise(self, desk_model, monkeypatch):
         """The capture's `model_forward` returns the residual entering the
@@ -811,7 +833,7 @@ class TestCapture:
         forward, outputs = vit.model_forward, []
         monkeypatch.setattr(vit, "model_forward",
                             lambda *a, **kw: outputs.append(forward(*a, **kw)) or outputs[-1])
-        captured = attention_inputs(desk_model, samples, (4, 1))
+        captured = capture_records(desk_model, samples, (4, 1))
         assert sorted(captured) == [1, 4]
         assert len(outputs) == len(samples)
         for x, out in zip(samples, outputs):
@@ -829,7 +851,7 @@ class TestCapture:
     def test_records_match_full_forward_capture(self, desk_model, blocks):
         samples = make_inputs(DESK, 3, 235)
         want = full_forward_records(desk_model, samples, blocks)
-        got = attention_inputs(desk_model, samples, blocks)
+        got = capture_records(desk_model, samples, blocks)
         assert sorted(got) == sorted(want)
         for b in blocks:
             assert len(got[b]) == len(samples)
@@ -842,7 +864,7 @@ class TestCapture:
         every head's `head_attention` in its columns, bitwise."""
         model = init_model(GROUPED, 233)
         blk = model.blocks[0]
-        for a_in, heads in attention_inputs(model, make_inputs(GROUPED, 2, 234), (0,))[0]:
+        for a_in, heads in capture_records(model, make_inputs(GROUPED, 2, 234), (0,))[0]:
             for h in range(GROUPED.n_h):
                 np.testing.assert_array_equal(head_cols(heads, h, GROUPED.d_h),
                                               vit.head_attention(a_in, blk, h))
@@ -851,7 +873,7 @@ class TestCapture:
     def test_fitting_runs_attention_once_per_block_and_sample(self, desk_model, monkeypatch,
                                                               variant, mode, targets):
         """`vit.attention` runs len(samples) x (last planned block + 1)
-        times: in the capture passes only, never again in `fit_block`, and
+        times: in the capture passes only, never again in the fit, and
         never in the blocks after the last planned one."""
         attend, calls = vit.attention, []
         monkeypatch.setattr(vit, "attention", lambda *a, **kw: calls.append(1) or attend(*a, **kw))
@@ -872,21 +894,38 @@ class TestCapture:
         monkeypatch.setattr(vit, "ffn_forward",
                             lambda *a, **kw: calls.append("ffn") or ffn(*a, **kw))
         samples = make_inputs(DESK, 3, 236)
-        attention_inputs(desk_model, iter(samples), blocks)
+        capture_records(desk_model, iter(samples), blocks)
         assert calls.count("forward") == len(samples)
         assert calls.count("ffn") == len(samples) * max(blocks)
 
     def test_empty_block_set_runs_no_forward(self, desk_model, monkeypatch):
         calls = []
         monkeypatch.setattr(vit, "model_forward", lambda *a, **kw: calls.append(1))
-        assert attention_inputs(desk_model, make_inputs(DESK, 2, 237), ()) == {}
-        assert attention_inputs(desk_model, make_inputs(DESK, 2, 237), {}) == {}
+        assert capture_records(desk_model, make_inputs(DESK, 2, 237), ()) == {}
+        assert attention_inputs(desk_model, make_inputs(DESK, 2, 237), {}) is None
         assert calls == []
+
+    @pytest.mark.parametrize("blocks", [(4, 1), (0, 2)])
+    def test_each_fold_runs_before_its_blocks_ffn(self, desk_model, monkeypatch, blocks):
+        """A block's fold runs inside the pass, as soon as the pass reads
+        the block's attention and before the block's FFN, so no sample's
+        capture is held past its block."""
+        ffn, events = vit.ffn_forward, []
+        index = {id(block): b for b, block in enumerate(desk_model.blocks)}
+        monkeypatch.setattr(vit, "ffn_forward", lambda x, block: events.append(
+            ("ffn", index[id(block)])) or ffn(x, block))
+        samples = make_inputs(DESK, 2, 239)
+        attention_inputs(desk_model, samples, {
+            b: lambda a_in, out, b=b: events.append(("fold", b)) for b in blocks})
+        last = max(blocks)
+        per_sample = [event for b in range(last + 1)
+                      for event in [("fold", b)] * (b in blocks) + [("ffn", b)] * (b < last)]
+        assert events == per_sample * len(samples)
 
     @pytest.mark.parametrize("variant, mode, targets", PLANS)
     def test_fit_matches_full_forward_capture(self, desk_model, variant, mode, targets):
         """Kernels and FitReports of the trimmed streamed capture equal
-        `fit_block` over records of full forwards, bitwise."""
+        the block fit over records of full forwards, bitwise."""
         samples = make_inputs(DESK, 4, 238)
         plan = SelectionPlan(mode, "lowest", len(targets), targets)
         hm, reports = build_dropins(desk_model, plan, variant, samples=iter(samples))
@@ -895,7 +934,7 @@ class TestCapture:
         for b, heads in by_block.items():
             heads = tuple(sorted(heads))
             dp = hm.dropins[b]
-            fits = fit_block(desk_model, b, variant, heads, dp.gamma, records)
+            fits = fit_records(desk_model, b, variant, heads, dp.gamma, records)
             if variant in dropin.ENSEMBLED:
                 [(kern, rep)] = fits
                 np.testing.assert_array_equal(dp.kernel, kern)

@@ -559,6 +559,13 @@ class TestGumbelTopK:
             with pytest.raises(ConfigError, match="positive and finite"):
                 gumbel_topk_relax(np.zeros(4), 2, tau, seed=1)
 
+    @pytest.mark.parametrize("tau", [1e-320, 5e-324])
+    def test_temperature_that_overflows_the_logits_refused(self, tau):
+        """A positive, finite tau at which the perturbed logits / tau
+        overflow would make every weight NaN; it is refused instead."""
+        with pytest.raises(ConfigError, match=f"temperature {tau!r} overflows float64"):
+            gumbel_topk_relax(np.zeros(6), 2, tau, seed=1)
+
     def test_annealing_shrinks_l1_on_average(self):
         n_b, p, steps, seeds = 8, 3, 6, 120
         totals = np.zeros(steps + 1)
@@ -612,6 +619,18 @@ class TestAnnealTau:
         with pytest.raises(ConfigError):
             anneal_tau(1, 2, -4.0, 0.05)
 
+    @pytest.mark.parametrize("tau0, tau_end, message", [
+        (1e300, 1e-300, "tau_end / tau0 (1e-300 / 1e+300) underflows float64"),
+        (1e-320, 0.05, "tau_end / tau0 (0.05 / 1e-320) overflows float64")])
+    def test_ratio_out_of_float64_refused_at_every_step(self, tau0, tau_end, message):
+        """The steps between the endpoints anneal by tau_end / tau0: with
+        any such step, a ratio that leaves float64 refuses the schedule at
+        every step; with none, the endpoints run."""
+        for step in range(3):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                anneal_tau(step, 2, tau0, tau_end)
+        assert [anneal_tau(step, 1, tau0, tau_end) for step in (0, 1)] == [tau0, tau_end]
+
     @pytest.mark.parametrize("tau0, tau_end", [(np.nan, 0.05), (4.0, np.nan),
                                                (np.inf, 0.05), (4.0, np.inf)])
     def test_non_finite_temperatures_refused(self, tau0, tau_end):
@@ -639,6 +658,16 @@ class TestGateTrace:
     def test_temperatures_must_be_positive_and_finite(self, taus):
         with pytest.raises(ConfigError, match="positive and finite"):
             GateParams(logits=np.zeros(4), budget=2, **taus)
+
+    @pytest.mark.parametrize("tau0, tau_end, message", [
+        (1e300, 1e-300, "tau_end / tau0 (1e-300 / 1e+300) underflows float64"),
+        (1e-320, 1e-320, "temperature 1e-320 overflows float64")])
+    def test_schedule_leaving_float64_refused(self, tau0, tau_end, message):
+        """A ratio that leaves float64, or a temperature that overflows the
+        perturbed logits, is refused with its own message, not as a
+        temperature of 0 or a trace of NaN weights."""
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            gate_trace(GateParams(logits=np.zeros(6), budget=2, tau0=tau0, tau_end=tau_end), 5)
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_needs_a_step(self, steps):
