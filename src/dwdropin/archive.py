@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import F32, FormatError
+from .tensor import F32, FormatError, all_finite
 from .vit import BlockParams, Model, ModelConfig, block_shapes
 
 MAGIC = b"DWDROPIN"
@@ -104,7 +104,7 @@ def load_archive(path) -> Archive:
         if end > len(blob):
             raise ArchiveError(f"{path}: tensor {name!r} overruns the blob")
         arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape)
-        if not np.all(np.isfinite(arr)):
+        if not all_finite(arr):
             raise ArchiveError(f"{path}: tensor {name!r} holds non-finite values")
         tensors[name] = np.ascontiguousarray(arr, dtype=F32)
     return Archive(config=config, tensors=tensors, meta=manifest.get("meta", {}))

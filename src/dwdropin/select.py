@@ -27,6 +27,7 @@ from .tensor import (
     ConfigError,
     FormatError,
     ShapeError,
+    all_finite,
     seeded_generator,
     shifted_windows,
     softmax64,
@@ -364,12 +365,17 @@ def scores_from_file(path, mode: str) -> np.ndarray:
             raise FormatError(f"{path}: not a score report: {exc}") from exc
     scores = report.get(key) if isinstance(report, dict) else None
     rows = scores if mode != "blockwise" and isinstance(scores, list) else [scores]
-    finite = (type(v) in (int, float) and math.isfinite(v) for r in rows for v in r)
-    if not (all(isinstance(r, list) for r in rows) and all(finite)
+    numbers = (type(v) in (int, float) for r in rows for v in r)
+    if (all(isinstance(r, list) for r in rows) and all(numbers)
             and len({len(r) for r in rows}) <= 1):
-        raise FormatError(f"{path}: not a score report: {key!r} must be {shape} of "
-                          "finite numbers")
-    return np.asarray(scores, dtype=np.float64)
+        try:
+            out = np.asarray(scores, dtype=np.float64)
+        except OverflowError:  # an integer past float64's range
+            out = None
+        if out is not None and all_finite(out):
+            return out
+    raise FormatError(f"{path}: not a score report: {key!r} must be {shape} of "
+                      "finite numbers")
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +438,7 @@ def gumbel_topk_relax(w, p: int, tau: float, seed: int) -> np.ndarray:
         raise ConfigError(f"p must be in (0, {w.shape[0]}], got {p}")
     z = w + gumbel_noise(w.shape[0], seed)
     with np.errstate(over="ignore"):
-        if not np.isfinite(z / tau).all():
+        if not all_finite(z / tau):
             raise ConfigError(f"temperature {tau!r} overflows float64 in perturbed logits / tau")
     cur = z.copy()
     acc = np.zeros_like(z)

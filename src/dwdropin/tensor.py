@@ -2,7 +2,9 @@
 
 Values are float32 numpy arrays, C-contiguous and row-major. Arithmetic
 stays in float32 on the forward path; a result containing NaN/Inf is an
-error, never returned silently.
+error, never returned silently. `all_finite` is the one finiteness test:
+one BLAS self-dot, with the elementwise check only when that sum of
+squares overflows from finite values, so a check allocates nothing.
 
 Determinism: every operation here is a pure function of its inputs and
 repeated calls give bitwise-identical results. Convolutions accumulate
@@ -16,6 +18,7 @@ same order, so its bits are those of one multiply-add per offset.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -43,8 +46,20 @@ class NonFiniteError(ArithmeticError):
     """A NaN or Inf appeared where only finite values are allowed."""
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every value of the float array `a` is finite: the value of
+    np.isfinite(a).all(), in one BLAS pass and no temporary for a
+    contiguous `a`. A NaN or inf makes the self-dot a.a NaN or inf (the
+    squares are >= 0, so no inf - inf cancels one); finite values make it
+    finite unless their squares overflow its sum (|a| past about
+    1.8e19 / sqrt(a.size) in float32), and only then does the elementwise
+    check decide. numpy reports no floating-point error from a dot, so no
+    warning escapes."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(a).all():
+    if not all_finite(a):
         raise NonFiniteError(f"non-finite values in {what}")
     return a
 

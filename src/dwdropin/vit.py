@@ -287,10 +287,12 @@ def attention(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     `energy_tap(e, h0)` sees each group's weights (g, n, n), heads
     h0 .. h0 + g - 1, once, in head order.
 
-    Energies and EV are checked finite. Finite energies need no softmax
-    check: shifted by their row max (or overflowing to -inf) they
-    exponentiate into [0, 1] with a 1 in every row, so each row sum lies
-    in [1, n]."""
+    The energies are checked finite per group, the output once. Finite
+    energies need no softmax check: shifted by their row max (or
+    overflowing to -inf) they exponentiate into [0, 1] with a 1 in every
+    row, so each row sum lies in [1, n]. The output is checked whole
+    rather than as each group's strided EV view, which the check would
+    have to copy."""
     n = x.shape[0]
     q, k, v = (matmul(x, w).reshape(n, -1, d_h).transpose(1, 0, 2) for w in (w_q, w_k, w_v))
     out = np.empty((n, w_v.shape[1]), dtype=F32)
@@ -307,8 +309,8 @@ def attention(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
         e /= e.sum(axis=2, keepdims=True)
         if energy_tap is not None:
             energy_tap(e, h0)
-        _check_finite(np.matmul(e, v[s], out=heads[s]), "matmul result")
-    return out
+        np.matmul(e, v[s], out=heads[s])
+    return _check_finite(out, "matmul result")
 
 
 def project_heads(head_outputs: np.ndarray, block: BlockParams) -> np.ndarray:

@@ -188,6 +188,12 @@ REPORT_FAULTS = [
      "'sigma_b' must be a list of finite numbers"),
     ("nan-score", "blockwise", lambda r: {**r, "sigma_b": [float("nan"), *r["sigma_b"][1:]]},
      "'sigma_b' must be a list of finite numbers"),
+    ("integer-past-float64", "blockwise",
+     lambda r: {**r, "sigma_b": [10**400, *r["sigma_b"][1:]]},
+     "'sigma_b' must be a list of finite numbers"),
+    ("inf-head-score", "scattered",
+     lambda r: {**r, "sigma_h": [[float("inf"), *r["sigma_h"][0][1:]], *r["sigma_h"][1:]]},
+     "'sigma_h' must be equal-length rows of finite numbers"),
     ("ragged-sigma_h", "scattered", lambda r: {**r, "sigma_h": [r["sigma_h"][0], [1.0]]},
      "'sigma_h' must be equal-length rows of finite numbers"),
     ("not-an-object", "blockwise", lambda r: [r], "'sigma_b' must be a list of finite numbers"),

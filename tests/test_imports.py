@@ -1,6 +1,7 @@
 """Every module-level import of a package module is used by that module,
 and every private module-level name (`_name`) a module defines is read
-in that module.
+in that module. Only `tensor.all_finite` names an `isfinite`: it is the
+one finiteness test.
 
 `__init__.py` is exempt from the import check: its imports are the
 package's re-exports.
@@ -69,3 +70,27 @@ def test_detects_an_unread_private_name():
 def test_no_unread_private_names(path):
     assert ALL_MODULES
     assert unread_private_names(path.read_text()) == []
+
+
+def isfinite_readers(source: str) -> list:
+    """The top-level definition (or "<module>") around each `isfinite`
+    the module imports or reads: `np.isfinite`, `math.isfinite` or a bare
+    `isfinite`, called or not."""
+    tree = ast.parse(source)
+    return [getattr(node, "name", "<module>") for node in tree.body for n in ast.walk(node)
+            if (isinstance(n, ast.Name) and n.id == "isfinite")
+            or (isinstance(n, ast.Attribute) and n.attr == "isfinite")
+            or (isinstance(n, ast.alias) and n.name == "isfinite")]
+
+
+def test_detects_an_isfinite_reader():
+    source = ("import math\nfrom numpy import isfinite\nOK = math.isfinite(1.0)\n"
+              "def f(a):\n    return isfinite(a).all()\n"
+              "class C:\n    def g(self, a):\n        return map(np.isfinite, a)\n")
+    assert isfinite_readers(source) == ["<module>", "<module>", "f", "C"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+def test_only_all_finite_reads_isfinite(path):
+    expected = ["all_finite", "all_finite"] if path.stem == "tensor" else []
+    assert isfinite_readers(path.read_text()) == expected

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dwdropin.select import check_properties, gumbel_noise
 from dwdropin.tensor import (
@@ -9,6 +10,7 @@ from dwdropin.tensor import (
     NonFiniteError,
     ShapeError,
     _zero_pad,
+    all_finite,
     band_rows,
     conv2d,
     dwconv2d,
@@ -77,6 +79,67 @@ class TestMatmul:
         a = rng.standard_normal((17, 23)).astype(np.float32)
         b = rng.standard_normal((23, 11)).astype(np.float32)
         np.testing.assert_array_equal(matmul(a, b), matmul(a, b))
+
+
+class TestAllFinite:
+    """`all_finite` is `np.isfinite(a).all()`: its self-dot decides alone
+    unless the squares of finite values overflow, then the exact check does."""
+
+    @given(st.sampled_from([np.float32, np.float64]),
+           hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+           st.sampled_from(["zero", "unit", "1e20", "sqrt-max", "max"]),
+           st.sampled_from([None, np.nan, np.inf, -np.inf, -0.0]),
+           st.integers(0, 2**32 - 1),
+           st.sampled_from(["contiguous", "strided", "transposed"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_isfinite(self, dtype, shape, scale, special, seed, view):
+        """Finite values up to the dtype's max, which overflow the self-dot
+        from 1e20 (float32) or sqrt(max) on, with one NaN, +inf, -inf or -0.0
+        at any position, in contiguous, strided and transposed views."""
+        big = np.finfo(dtype).max
+        scale = {"zero": 0.0, "unit": 1.0, "1e20": 1e20, "sqrt-max": np.sqrt(big),
+                 "max": big}[scale]
+        rng = np.random.default_rng(seed)
+        base = (rng.uniform(-1.0, 1.0, (*shape[:-1], 2 * shape[-1])) * scale).astype(dtype)
+        a = {"contiguous": base[..., : shape[-1]].copy(), "strided": base[..., ::2],
+             "transposed": base[..., ::2].copy().T}[view]
+        if special is not None and a.size:
+            a[np.unravel_index(int(rng.integers(a.size)), a.shape)] = special
+        assert all_finite(a) is bool(np.isfinite(a).all())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value", [1e20, 3.4e38, -3.4e38])
+    def test_huge_finite_values_pass(self, dtype, value):
+        a = np.full((576, 4), value, dtype=dtype)
+        assert all_finite(a)
+        assert all_finite(a[:, :1])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 37, -1])
+    def test_one_non_finite_value_fails(self, value, where):
+        a = np.full((64, 1), 1e20, dtype=np.float32)
+        a[where] = value
+        assert not all_finite(a)
+
+    def test_negative_zero_and_empty_pass(self):
+        assert all_finite(np.full((3, 1), -0.0, dtype=np.float32))
+        assert all_finite(np.empty((0, 5), dtype=np.float32))
+        assert all_finite(np.empty(0, dtype=np.float64))
+
+    def test_raises_no_floating_point_error(self):
+        """The self-dot that overflows to inf and the exact fallback after it
+        signal nothing, even with every floating-point error raised."""
+        a = np.full((64, 64), 3.4e38, dtype=np.float32)
+        with np.errstate(all="raise"):
+            assert all_finite(a)
+            a[5, 7] = np.nan
+            assert not all_finite(a)
+
+    def test_checks_in_place(self):
+        """A contiguous (576, 4096) float32 check allocates no bool array
+        (np.isfinite's would be 2.25 MiB)."""
+        a = np.ones((576, 4096), dtype=np.float32)
+        assert traced_peak(lambda: all_finite(a)) < 64 * 1024
 
 
 class TestSoftmaxRows:

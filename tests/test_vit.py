@@ -446,6 +446,22 @@ class TestBatchedAttention:
                 NonFiniteError, match="non-finite values in matmul result"):
             attention(x, w_q, w_k, blk.w_v, blk.d_h)
 
+    @pytest.mark.parametrize("group", [0, 1])
+    def test_non_finite_weights_of_any_group_refused(self, group):
+        """The output is checked once, after the last group: NaN weights in
+        either of GROUPED's two head groups reach it and raise."""
+        blk = init_model(GROUPED, 69).blocks[0]
+        x = layer_norm(make_inputs(GROUPED, 1, 70)[0], blk.norm1_scale, blk.norm1_shift)
+        groups = head_groups(GROUPED.n_h, GROUPED.n)
+        assert len(groups) == 2
+
+        def tap(e, h0):
+            if h0 == groups[group][0]:
+                e[-1, 3, 5] = np.nan
+
+        with pytest.raises(NonFiniteError, match="non-finite values in matmul result"):
+            attention(x, blk.w_q, blk.w_k, blk.w_v, blk.d_h, energy_tap=tap)
+
 
 class TestSoftmaxOfFiniteEnergies:
     """`attention` checks its energies finite but not their softmax: finite
