@@ -97,7 +97,7 @@ def load_archive(path) -> Archive:
         raise ArchiveError(f"{path}: manifest 'meta' must be a JSON object")
     entries = [_tensor_entry(path, entry) for entry in manifest.get("tensors", [])]
     _check_layout(path, entries)
-    blob = data[mstart + mlen :]
+    blob = memoryview(data)[mstart + mlen :]
     tensors = {}
     for name, shape, start in entries:
         end = start + 4 * math.prod(shape)
@@ -106,7 +106,7 @@ def load_archive(path) -> Archive:
         arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(shape)
         if not all_finite(arr):
             raise ArchiveError(f"{path}: tensor {name!r} holds non-finite values")
-        tensors[name] = np.ascontiguousarray(arr, dtype=F32)
+        tensors[name] = arr.astype(F32)  # its own copy, freed with it, not with the file
     return Archive(config=config, tensors=tensors, meta=manifest.get("meta", {}))
 
 
@@ -154,21 +154,29 @@ def save_model(path, model: Model, meta: dict | None = None) -> None:
 
 
 def model_from_archive(ar: Archive) -> Model:
+    """The model an archive holds. Every tensor's shape is checked before
+    any block is built. As each block is built, its w_q, w_k and w_v in
+    `ar.tensors` are swapped for the column views of the block's fused
+    `w_qkv`, so the archive's own copies are freed then, not held next to
+    the fused ones until the load returns."""
     cfg = ar.config
     if not ar.tensors:
         raise ArchiveError("archive is config-only, it carries no weights")
-    try:
-        pos_enc = ar.tensors["pos_enc"]
-        blocks = [BlockParams(n_h=cfg.n_h, d_h=cfg.d_h,
-                              **{name: ar.tensors[f"block{b}.{name}"]
-                                 for name in block_shapes(cfg)})
-                  for b in range(cfg.n_b)]
-    except KeyError as exc:
-        raise ArchiveError(f"archive is missing tensor {exc}") from exc
     for name, arr in ar.tensors.items():
         expected = _expected_shape(name, cfg)
         if expected is not None and tuple(arr.shape) != expected:
             raise ArchiveError(f"tensor {name!r} has shape {arr.shape}, expected {expected}")
+    try:
+        pos_enc = ar.tensors["pos_enc"]
+        blocks = []
+        for b in range(cfg.n_b):
+            names = {name: f"block{b}.{name}" for name in block_shapes(cfg)}
+            block = BlockParams(n_h=cfg.n_h, d_h=cfg.d_h,
+                                **{name: ar.tensors[key] for name, key in names.items()})
+            ar.tensors.update((names[name], getattr(block, name)) for name in ("w_q", "w_k", "w_v"))
+            blocks.append(block)
+    except KeyError as exc:
+        raise ArchiveError(f"archive is missing tensor {exc}") from exc
     return Model(config=cfg, pos_enc=pos_enc, blocks=blocks)
 
 

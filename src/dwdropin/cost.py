@@ -86,9 +86,10 @@ def activation_bytes(variant: str, cfg: ModelConfig, replaced: int | None = None
     padded = (m + k - 1) ** 2  # tokens of a grid zero-padded for a k x k kernel
 
     def depthwise(c):
-        # dwconv2d over c channels: the padded grid, the tiled taps and one band of
-        # products, plus numpy's ufunc buffers for the strided windows and the
-        # broadcast taps, at most np.getbufsize() values each
+        # dwconv2d over c channels: the padded grid, the row taps (`tensor.row_taps`;
+        # the sublayer holds them from surgery on, and the call reads them) and one
+        # band of products, plus numpy's ufunc buffers for the strided windows and
+        # the broadcast taps, at most np.getbufsize() values each
         band = band_rows(k, m, c) * k * k * m * c
         return padded * c + k * k * m * c + band + 2 * min(np.getbufsize(), band)
 

@@ -38,6 +38,7 @@ from .tensor import (
     conv2d,
     dwconv2d,
     matmul,
+    row_taps,
     seed_stream,
     seeded_fill,
     shifted_windows,
@@ -73,14 +74,16 @@ def attn_conv_full(x: np.ndarray, w_vh: np.ndarray) -> np.ndarray:
     return conv2d(x, w_vh)
 
 
-def attn_dw(x: np.ndarray, w_v_slice: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    """Depthwise head replacement: value projection, then per-channel conv.
+def attn_dw(x: np.ndarray, w_v_slice: np.ndarray, kern: np.ndarray,
+            taps: np.ndarray | None = None) -> np.ndarray:
+    """Depthwise head replacement: value projection, then per-channel conv
+    (`dwconv2d`, with the kernel's row taps if the caller holds them).
 
     x is the (m, m, d) block input; returns (m, m, d_h).
     """
     if x.ndim != 3:
         raise ShapeError(f"input must be (m, m, d), got {x.shape}")
-    return dwconv2d(grid(matmul(flat(x), w_v_slice), x.shape[0]), kern)
+    return dwconv2d(grid(matmul(flat(x), w_v_slice), x.shape[0]), kern, taps)
 
 
 def ensemble_weights(gamma: np.ndarray, w_v: np.ndarray, w_o: np.ndarray,
@@ -208,14 +211,15 @@ class BlockSublayer:
     output projection `w_out` (`_block_values`), and one per-channel
     `kernel` (k, k, c): the block's kernels side by side, each (k, k) one
     repeated over its head's d_h channels. A depthwise formulation
-    convolves the value GEMM's output (`attn_dw`); the others fold the
-    kernel into w_val once per call (`fold_full_kernel`; held, the fold
-    would cost k^2 d c floats) and convolve the input. Untouched heads run
-    batched exact attention (`vit.attention`) over their query/key/value
-    columns, gathered here once. The output projection takes one
-    head-ordered array: the convolution's output when every head is
-    replaced, else one (n, d) buffer that replaced and untouched heads
-    fill."""
+    convolves the value GEMM's output (`attn_dw`) with the kernel's
+    read-only row `taps` (`tensor.row_taps`), made here once; the others
+    fold the kernel into w_val once per call (`fold_full_kernel`; held,
+    the fold would cost k^2 d c floats) and convolve the input. Untouched
+    heads run batched exact attention (`vit.attention`) over `w_exact`,
+    their [W_q | W_k | W_v] columns gathered here once. The output
+    projection takes one head-ordered array: the convolution's output
+    when every head is replaced, else one (n, d) buffer that replaced and
+    untouched heads fill."""
 
     variant: str
     heads: tuple
@@ -223,8 +227,9 @@ class BlockSublayer:
     w_out: np.ndarray
     kernel: np.ndarray
     m: int
+    taps: np.ndarray | None = None
     kept: tuple = ()
-    exact: tuple = ()
+    w_exact: np.ndarray | None = None
 
     @classmethod
     def build(cls, dp: BlockDropin, block, heads: tuple, cfg) -> "BlockSublayer":
@@ -236,22 +241,25 @@ class BlockSublayer:
         side = (cfg.k, cfg.k)
         kernel = np.concatenate([np.broadcast_to(kern.reshape(*side, -1), (*side, cfg.d_h))
                                  for kern in kernels], axis=2)
+        taps = None
+        if dp.variant in DEPTHWISE:
+            taps = row_taps(kernel, cfg.m)
+            taps.flags.writeable = False
         w_val, w_out = _block_values(dp.variant, block, heads, dp.gamma)
         kept = tuple(h for h in range(block.n_h) if h not in heads)
-        exact = tuple(vit.head_columns(w, kept, block.d_h)
-                      for w in (block.w_q, block.w_k, block.w_v)) if kept else ()
-        return cls(dp.variant, heads, w_val, w_out, kernel, cfg.m, kept, exact)
+        w_exact = vit.qkv_columns(block, kept) if kept else None
+        return cls(dp.variant, heads, w_val, w_out, kernel, cfg.m, taps, kept, w_exact)
 
     def __call__(self, x: np.ndarray, block) -> np.ndarray:
         if self.variant in DEPTHWISE:
-            y = flat(attn_dw(grid(x, self.m), self.w_val, self.kernel))
+            y = flat(attn_dw(grid(x, self.m), self.w_val, self.kernel, self.taps))
         else:
             y = flat(attn_conv_full(grid(x, self.m), fold_full_kernel(self.kernel, self.w_val)))
         if self.kept:
             n = x.shape[0]
             heads = np.empty((n, block.n_h, block.d_h), dtype=F32)
             heads[:, list(self.heads)] = y.reshape(n, len(self.heads), block.d_h)
-            heads[:, list(self.kept)] = vit.attention(x, *self.exact, block.d_h).reshape(
+            heads[:, list(self.kept)] = vit.attention(x, self.w_exact, block.d_h).reshape(
                 n, len(self.kept), block.d_h)
             y = heads.reshape(n, -1)
         return matmul(y, self.w_out)
@@ -501,7 +509,7 @@ def attention_inputs(model: Model, samples, folds: dict) -> None:
         return
 
     def read(a_in, block, fold):
-        out = vit.attention(a_in, block.w_q, block.w_k, block.w_v, block.d_h)
+        out = vit.attention(a_in, block.w_qkv, block.d_h)
         fold(a_in, out)
         return out
 

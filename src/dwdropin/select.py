@@ -137,8 +137,7 @@ def score_model(model: Model, samples) -> ScoreResult:
     states = [{h0: WelfordState.new((h1 - h0, cfg.n, cfg.n)) for h0, h1 in groups}
               for _ in range(cfg.n_b)]
     reads = {b: lambda a_in, block, s=state: vit.attention(
-                 a_in, block.w_q, block.w_k, block.w_v, block.d_h,
-                 energy_tap=lambda e, h0: welford_update(s[h0], e))
+                 a_in, block.w_qkv, block.d_h, energy_tap=lambda e, h0: welford_update(s[h0], e))
              for b, state in enumerate(states)}
     n_samples = 0
     for x in samples:

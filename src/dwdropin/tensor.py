@@ -158,19 +158,34 @@ def band_rows(k: int, m: int, c: int) -> int:
     return max(1, min(m, GROUP_BYTES // (4 * k * k * m * c)))
 
 
-def dwconv2d(x: np.ndarray, kern: np.ndarray) -> np.ndarray:
+def row_taps(kern: np.ndarray, m: int) -> np.ndarray:
+    """The (k, k, c) kernel tiled along a grid row of m pixels: (k, k, 1,
+    m*c) row taps, tap [r, s, 0] holding kern[r, s] once per pixel, the
+    operand `dwconv2d` multiplies its window rows by. The one tiling rule:
+    `dwconv2d` makes the taps per call unless its caller holds them."""
+    k = kern.shape[0]
+    return np.tile(as_f32(kern), (1, 1, m)).reshape(k, k, 1, m * kern.shape[2])
+
+
+def dwconv2d(x: np.ndarray, kern: np.ndarray, taps: np.ndarray | None = None) -> np.ndarray:
     """Depthwise 2-D convolution: one (k, k) filter per channel.
 
     x is (m, m, c), kern is (k, k, c); same zero-padding rule as conv2d.
-    The kernel is tiled along a grid row, so each band of `band_rows` rows
-    takes one multiply of its windows by every tap into one reused product
-    buffer, and one sum over the taps, in row-major offset order from +0:
-    bitwise the sum of window * kern[r, s] over the offsets.
+    The kernel is tiled along a grid row (`row_taps`; `taps`, if given,
+    must be row_taps(kern, m), made once by a caller that holds the
+    kernel), so each band of `band_rows` rows takes one multiply of its
+    windows by every tap into one reused product buffer, and one sum over
+    the taps, in row-major offset order from +0: bitwise the sum of
+    window * kern[r, s] over the offsets.
     """
     x, kern, k = _conv_operands("dwconv2d", x, kern, 3, "(m,m,c) and (k,k,c)")
     m, row = x.shape[0], x.shape[1] * x.shape[2]
+    if taps is None:
+        taps = row_taps(kern, m)
+    elif taps.shape != (k, k, 1, row) or taps.dtype != F32:
+        raise ShapeError(f"dwconv2d taps must be float32 {(k, k, 1, row)} for input {x.shape}, "
+                         f"got {taps.dtype} {taps.shape}")
     windows = shifted_windows(x, k).reshape(k, k, m, row)
-    taps = np.tile(kern, (1, 1, m)).reshape(k, k, 1, row)
     band = band_rows(k, m, x.shape[2])
     products = np.empty((k * k, band, row), dtype=F32)
     out = np.empty((m, row), dtype=F32)

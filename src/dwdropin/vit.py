@@ -1,11 +1,13 @@
 """Exact ViT forward path: batched multi-head attention, pre-norm blocks.
 
 This is both the baseline model and the ground-truth oracle that every
-convolutional replacement is measured against. Exact attention runs a
-block's heads batched, in head groups sized to stay in cache
-(`attention`); the per-head functions are its oracles. Inputs are token
-grids (n = m*m tokens, no class token); a learned positional table is
-added once at the input.
+convolutional replacement is measured against. A block holds its query,
+key and value projections as one (d, 3d) array (`BlockParams.w_qkv`),
+built once, so exact attention (`attention`) projects with one GEMM and
+then runs the heads batched, in head groups sized to stay in cache; the
+per-head functions are its oracles. Inputs are token grids (n = m*m
+tokens, no class token); a learned positional table is added once at the
+input.
 """
 
 from __future__ import annotations
@@ -96,7 +98,11 @@ class BlockParams:
     """One transformer block's weights.
 
     w_q/w_k/w_v are (d, d) with head h occupying columns [h*d_h, (h+1)*d_h);
-    w_o is (d, d) with head h occupying the matching row group.
+    w_o is (d, d) with head h occupying the matching row group. The block
+    holds one float32 (d, 3d) array `w_qkv` = [w_q | w_k | w_v], built once
+    here, and w_q, w_k and w_v are its column views: no second copy, and
+    writing through a view writes the fused array. Rebinding a view is
+    refused, since exact attention would not see it.
     """
 
     n_h: int
@@ -111,6 +117,20 @@ class BlockParams:
     norm1_shift: np.ndarray = field(repr=False, default=None)
     norm2_scale: np.ndarray = field(repr=False, default=None)
     norm2_shift: np.ndarray = field(repr=False, default=None)
+    w_qkv: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shapes = [np.shape(w) for w in (self.w_q, self.w_k, self.w_v)]
+        if len(shapes[0]) != 2 or shapes.count(shapes[0]) != 3:
+            raise ShapeError(f"w_q, w_k and w_v must share one (d, d) shape, got {shapes}")
+        w_qkv = np.concatenate((self.w_q, self.w_k, self.w_v), axis=1, dtype=F32)
+        self.w_q, self.w_k, self.w_v = np.split(w_qkv, 3, axis=1)
+        self.w_qkv = w_qkv
+
+    def __setattr__(self, name, value):
+        if name in ("w_q", "w_k", "w_v") and hasattr(self, "w_qkv"):
+            raise AttributeError(f"{name} is a view of w_qkv: write into it, do not rebind it")
+        super().__setattr__(name, value)
 
 
 @dataclass
@@ -130,6 +150,15 @@ def head_columns(w: np.ndarray, heads: tuple, d_h: int) -> np.ndarray:
     C-contiguous array; w itself when they are all of them."""
     cols = np.concatenate([np.arange(h * d_h, (h + 1) * d_h) for h in heads])
     return w if len(cols) == w.shape[1] else np.take(w, cols, axis=1)
+
+
+def qkv_columns(block: BlockParams, heads: tuple) -> np.ndarray:
+    """The query, key and value columns of `heads` (sorted) as one
+    [W_q | W_k | W_v] array gathered from block.w_qkv, whose d_h-column
+    slots run q heads, then k heads, then v heads: the weight `attention`
+    takes for those heads, block.w_qkv itself when they are all of them."""
+    slots = [part * block.n_h + h for part in range(3) for h in heads]
+    return head_columns(block.w_qkv, slots, block.d_h)
 
 
 def head_rows(w: np.ndarray, h: int, d_h: int) -> np.ndarray:
@@ -273,19 +302,20 @@ def head_groups(c: int, n: int) -> list:
     return [(h0, min(h0 + g, c)) for h0 in range(0, c, g)]
 
 
-def attention(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
-              d_h: int, energy_tap=None) -> np.ndarray:
-    """Attention of the heads whose q/k/v columns w_q, w_k, w_v (d, c)
-    hold, returned side by side: one (n, c) C-contiguous array in head
-    order, the layout `project_heads` and the drop-ins share. Three
-    full-width GEMMs, then for each of `head_groups` in turn one stacked
-    energy matmul, softmax in place and one stacked EV matmul that writes
-    the group's columns of the output. Each head's columns are
-    `head_attention`'s: bitwise where BLAS rounds the full-width and the
-    per-head projection GEMMs alike (desk and vitl with OpenBLAS), else
-    within float32 rounding (3.6e-7 at n_h=4, d=32, d_h=8, m=24).
-    `energy_tap(e, h0)` sees each group's weights (g, n, n), heads
-    h0 .. h0 + g - 1, once, in head order.
+def attention(x: np.ndarray, w_qkv: np.ndarray, d_h: int, energy_tap=None) -> np.ndarray:
+    """Attention of the heads whose query, key and value columns w_qkv
+    (d, 3c) holds as [W_q | W_k | W_v], c columns each (a block's
+    `BlockParams.w_qkv`, or a scattered block's kept heads), returned side
+    by side: one (n, c) C-contiguous array in head order, the layout
+    `project_heads` and the drop-ins share. One projection GEMM, whose q,
+    k and v heads are strided views of its (n, 3c) result, then for each
+    of `head_groups` in turn one stacked energy matmul, softmax in place
+    and one stacked EV matmul that writes the group's columns of the
+    output. Each head's columns are `head_attention`'s: bitwise where BLAS
+    rounds the full-width and the per-head projection GEMMs alike (desk
+    and vitl with OpenBLAS), else within float32 rounding (3.6e-7 at
+    n_h=4, d=32, d_h=8, m=24). `energy_tap(e, h0)` sees each group's
+    weights (g, n, n), heads h0 .. h0 + g - 1, once, in head order.
 
     The energies are checked finite per group, the output once. Finite
     energies need no softmax check: shifted by their row max (or
@@ -294,8 +324,8 @@ def attention(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray,
     rather than as each group's strided EV view, which the check would
     have to copy."""
     n = x.shape[0]
-    q, k, v = (matmul(x, w).reshape(n, -1, d_h).transpose(1, 0, 2) for w in (w_q, w_k, w_v))
-    out = np.empty((n, w_v.shape[1]), dtype=F32)
+    q, k, v = matmul(x, w_qkv).reshape(n, 3, -1, d_h).transpose(1, 2, 0, 3)
+    out = np.empty((n, w_qkv.shape[1] // 3), dtype=F32)
     heads = out.reshape(n, -1, d_h).transpose(1, 0, 2)
     scale = F32(1.0 / math.sqrt(d_h))
     for h0, h1 in head_groups(heads.shape[0], n):
@@ -321,7 +351,7 @@ def project_heads(head_outputs: np.ndarray, block: BlockParams) -> np.ndarray:
 
 def mhsa_forward(x: np.ndarray, block: BlockParams) -> np.ndarray:
     """Multi-head self-attention of one block, (n, d) -> (n, d)."""
-    return project_heads(attention(x, block.w_q, block.w_k, block.w_v, block.d_h), block)
+    return project_heads(attention(x, block.w_qkv, block.d_h), block)
 
 
 def mhsa_forward_headsum(x: np.ndarray, block: BlockParams) -> np.ndarray:

@@ -112,6 +112,42 @@ def test_wrong_shape_rejected(tmp_path, tiny_model):
         model_from_archive(load_archive(p))
 
 
+@pytest.mark.parametrize("name", ["w_q", "w_k", "w_v"])
+def test_wrong_projection_shape_checked_before_any_block(tmp_path, tiny_model, name):
+    """A wrong-shaped query, key or value tensor of the last block is an
+    ArchiveError, raised before any block is built: no tensor is swapped."""
+    p = tmp_path / "m.bin"
+    tensors = model_tensors(tiny_model)
+    bad = f"block{TINY.n_b - 1}.{name}"
+    tensors[bad] = np.zeros((TINY.d, TINY.d - 1), np.float32)
+    save_archive(p, TINY, tensors)
+    ar = load_archive(p)
+    loaded = dict(ar.tensors)
+    with pytest.raises(ArchiveError, match=re.escape(
+            f"tensor {bad!r} has shape ({TINY.d}, {TINY.d - 1}), expected ({TINY.d}, {TINY.d})")):
+        model_from_archive(ar)
+    assert all(ar.tensors[n] is arr for n, arr in loaded.items())
+
+
+def test_projections_swapped_for_fused_views(tmp_path, tiny_model):
+    """Loaded tensors are arrays of their own, not views of the file's
+    bytes; building a block swaps its w_q, w_k and w_v in `ar.tensors` for
+    the column views of its fused w_qkv, so no second copy is kept."""
+    p = tmp_path / "m.bin"
+    save_model(p, tiny_model)
+    ar = load_archive(p)
+    assert all(arr.flags.owndata for arr in ar.tensors.values())
+    names = list(ar.tensors)
+    model = model_from_archive(ar)
+    assert list(ar.tensors) == names
+    for b, block in enumerate(model.blocks):
+        for name in ("w_q", "w_k", "w_v"):
+            assert ar.tensors[f"block{b}.{name}"] is getattr(block, name)
+            assert np.shares_memory(getattr(block, name), block.w_qkv)
+    save_archive(tmp_path / "again.bin", ar.config, ar.tensors, ar.meta)
+    assert (tmp_path / "again.bin").read_bytes() == p.read_bytes()
+
+
 @pytest.mark.parametrize("change", [c for _, c in BAD_CONFIGS], ids=[i for i, _ in BAD_CONFIGS])
 def test_bad_config_block_rejected(tmp_path, tiny_model, change):
     p = tmp_path / "m.bin"

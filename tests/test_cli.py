@@ -725,6 +725,14 @@ class TestMalformedArchives:
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
 
+    @pytest.mark.parametrize("name", ["w_q", "w_k", "w_v"])
+    def test_wrong_projection_shape(self, tiny_archive, capsys, name):
+        ar = load_archive(tiny_archive)
+        ar.tensors[f"block1.{name}"] = ar.tensors[f"block1.{name}"][:, 1:]
+        save_archive(tiny_archive, ar.config, ar.tensors, ar.meta)
+        assert self.score_error(tiny_archive, capsys).endswith(
+            f"tensor 'block1.{name}' has shape (8, 7), expected (8, 8)\n")
+
     @pytest.mark.parametrize("change", [c for _, c in BAD_CONFIGS],
                              ids=[i for i, _ in BAD_CONFIGS])
     def test_bad_config_block(self, tiny_archive, capsys, change):

@@ -146,11 +146,11 @@ class TestPricesWhatRuns:
         def gemm(a, b):
             return a.shape[0] * a.shape[1] * b.shape[1]
 
-        def conv(x, w):  # every output pixel reads the whole (k, k, ...) kernel
+        def conv(x, w, taps=None):  # every output pixel reads the whole (k, k, ...) kernel
             return x.shape[0] * x.shape[1] * w.size
 
-        def energy_and_ev(x, w_q, w_k, w_v, d_h, energy_tap=None):
-            return 2 * x.shape[0] ** 2 * w_v.shape[1]
+        def energy_and_ev(x, w_qkv, d_h, energy_tap=None):
+            return 2 * x.shape[0] ** 2 * (w_qkv.shape[1] // 3)
 
         for module in (dropin, vit):
             meter(module, "matmul", gemm)

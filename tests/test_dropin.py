@@ -28,6 +28,7 @@ from dwdropin.tensor import (
     ShapeError,
     dwconv2d,
     matmul,
+    row_taps,
     seed_stream,
     seeded_fill,
     softmax64,
@@ -464,9 +465,7 @@ class TestDwSublayerAssembly:
                 vit.flat(dwconv2d(grid(values[:, i * cfg.d_h:(i + 1) * cfg.d_h], cfg.m), kerns[h]))
                 for i, h in enumerate(heads))))
             if kept:
-                exact = vit.attention(a_in, *(
-                    vit.head_columns(w, kept, cfg.d_h) for w in (blk.w_q, blk.w_k, blk.w_v)),
-                    cfg.d_h)
+                exact = vit.attention(a_in, vit.qkv_columns(blk, kept), cfg.d_h)
                 outs.update((h, head_cols(exact, i, cfg.d_h)) for i, h in enumerate(kept))
             np.testing.assert_array_equal(got, vit.project_heads(
                 np.concatenate([outs[h] for h in range(cfg.n_h)], axis=1), blk))
@@ -763,7 +762,10 @@ class TestBuiltOnce:
 
 class TestBlockShape:
     """Every replaced block is a value projection, one (k, k, c) kernel and
-    an output projection; only a full-convolution block folds, once a call."""
+    an output projection; only a full-convolution block folds, once a call.
+    What depends only on the weights is built once: a depthwise block's
+    read-only row taps, which every call hands to `dwconv2d`, and a
+    scattered block's one fused weight of its kept heads' q/k/v columns."""
 
     @pytest.mark.parametrize("variant, mode", [
         *((v, "blockwise") for v in dropin.VARIANTS), ("convfull", "scattered"),
@@ -786,11 +788,30 @@ class TestBlockShape:
         assert c == (cfg.d_h if variant in dropin.ENSEMBLED else len(heads) * cfg.d_h)
         assert sublayer.kernel.shape == (cfg.k, cfg.k, c)
         assert sublayer.w_out.shape == ((c if variant in dropin.ENSEMBLED else cfg.d), cfg.d)
+        kept = tuple(h for h in range(cfg.n_h) if h not in heads)
+        assert sublayer.kept == kept
+        if kept:
+            assert sublayer.w_exact.shape == (cfg.d, 3 * len(kept) * cfg.d_h)
+            np.testing.assert_array_equal(sublayer.w_exact, np.concatenate(
+                [vit.head_columns(w, kept, cfg.d_h) for w in
+                 (model.blocks[0].w_q, model.blocks[0].w_k, model.blocks[0].w_v)], axis=1))
+        else:
+            assert sublayer.w_exact is None
+        if variant in dropin.DEPTHWISE:
+            assert not sublayer.taps.flags.writeable
+            np.testing.assert_array_equal(sublayer.taps, row_taps(sublayer.kernel, cfg.m))
+        else:
+            assert sublayer.taps is None
 
         fold, calls = dropin.fold_full_kernel, []
         monkeypatch.setattr(dropin, "fold_full_kernel", lambda *a: calls.append(1) or fold(*a))
+        conv, taps_seen = dropin.dwconv2d, []
+        monkeypatch.setattr(dropin, "dwconv2d", lambda x, kern, taps=None:
+                            taps_seen.append(taps) or conv(x, kern, taps))
         sublayer(make_inputs(cfg, 1, 26)[0], model.blocks[0])
         assert len(calls) == (0 if variant in dropin.DEPTHWISE else 1)
+        assert [t is sublayer.taps for t in taps_seen] == (
+            [True] if variant in dropin.DEPTHWISE else [])
 
 
 def full_forward_records(model, samples, blocks):
@@ -801,7 +822,7 @@ def full_forward_records(model, samples, blocks):
 
     def recorder(record):
         def sublayer(a_in, block):
-            out = vit.attention(a_in, block.w_q, block.w_k, block.w_v, block.d_h)
+            out = vit.attention(a_in, block.w_qkv, block.d_h)
             record.append((a_in, out))
             return vit.project_heads(out, block)
         return sublayer
@@ -845,7 +866,7 @@ class TestCapture:
                 np.testing.assert_array_equal(a_in, block_inputs(desk_model, x)[b])
                 assert heads.shape == (DESK.n, DESK.d)
                 np.testing.assert_array_equal(
-                    heads, vit.attention(a_in, blk.w_q, blk.w_k, blk.w_v, blk.d_h))
+                    heads, vit.attention(a_in, blk.w_qkv, blk.d_h))
 
     @pytest.mark.parametrize("blocks", [(4, 1), (0,), (5,), (2, 0, 3)])
     def test_records_match_full_forward_capture(self, desk_model, blocks):

@@ -1,7 +1,8 @@
 """Every module-level import of a package module is used by that module,
 and every private module-level name (`_name`) a module defines is read
 in that module. Only `tensor.all_finite` names an `isfinite`: it is the
-one finiteness test.
+one finiteness test. Only `tensor.row_taps` calls a `tile`: it is the one
+rule that tiles a depthwise kernel into row taps.
 
 `__init__.py` is exempt from the import check: its imports are the
 package's re-exports.
@@ -94,3 +95,27 @@ def test_detects_an_isfinite_reader():
 def test_only_all_finite_reads_isfinite(path):
     expected = ["all_finite", "all_finite"] if path.stem == "tensor" else []
     assert isfinite_readers(path.read_text()) == expected
+
+
+def tile_callers(source: str) -> list:
+    """The top-level definition (or "<module>") around each call of a
+    `tile`: `np.tile(...)`, `numpy.tile(...)` or a bare `tile(...)`."""
+    tree = ast.parse(source)
+    return [getattr(node, "name", "<module>") for node in tree.body for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and ((isinstance(n.func, ast.Attribute) and n.func.attr == "tile")
+                 or (isinstance(n.func, ast.Name) and n.func.id == "tile"))]
+
+
+def test_detects_a_tile_caller():
+    source = ("import numpy as np\nfrom numpy import tile\nT = np.tile([1], 2)\n"
+              "def f(k):\n    return tile(k, 3)\n"
+              "class C:\n    def g(self, k):\n"
+              "        return numpy.tile(k, (1, 2)), np.repeat(k, 2)\n")
+    assert tile_callers(source) == ["<module>", "f", "C"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+def test_only_row_taps_tiles(path):
+    expected = ["row_taps"] if path.stem == "tensor" else []
+    assert tile_callers(path.read_text()) == expected

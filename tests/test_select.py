@@ -221,8 +221,8 @@ class TestScoreModel:
         states = [{h0: WelfordState.new((h1 - h0, cfg.n, cfg.n)) for h0, h1 in groups}
                   for _ in range(cfg.n_b)]
         fns = {b: lambda x, block, s=state: vit.project_heads(vit.attention(
-                   x, block.w_q, block.w_k, block.w_v, block.d_h,
-                   energy_tap=lambda e, h0: welford_update(s[h0], e)), block)
+                   x, block.w_qkv, block.d_h, energy_tap=lambda e, h0: welford_update(s[h0], e)),
+                   block)
                for b, state in enumerate(states)}
         for x in samples:
             vit.model_forward(x, model, mhsa_fns=fns)

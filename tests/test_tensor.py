@@ -15,6 +15,7 @@ from dwdropin.tensor import (
     conv2d,
     dwconv2d,
     matmul,
+    row_taps,
     seed_stream,
     seeded_fill,
     shifted_windows,
@@ -332,10 +333,11 @@ class TestDwconv2d:
     def test_holds_one_band(self, rng):
         """At the vitl shape the conv holds the padded grid, the output, the
         tiled taps, one band of products and the finiteness check's boolean
-        mask, never all k*k products."""
+        mask, never all k*k products; given held taps, it makes none."""
         m, c, k = 24, 1024, 3
         x = rng.standard_normal((m, m, c)).astype(np.float32)
         kern = rng.standard_normal((k, k, c)).astype(np.float32)
+        taps = row_taps(kern, m)
         dwconv2d(x, kern)
         peak = traced_peak(lambda: dwconv2d(x, kern))
         band = band_rows(k, m, c)
@@ -344,6 +346,35 @@ class TestDwconv2d:
         held += m * m * c
         assert peak <= held + 64 * 1024, (peak, held)  # 64 KiB for numpy's small objects
         assert peak < 4 * k * k * m * m * c
+        peak = traced_peak(lambda: dwconv2d(x, kern, taps))
+        assert peak <= held - taps.nbytes + 64 * 1024, (peak, held - taps.nbytes)
+
+    @pytest.mark.parametrize("m, c, k", [(8, 64, 3), (5, 7, 5), (1, 3, 3), (24, 1024, 3),
+                                         (24, 64, 7)])
+    def test_held_taps_give_the_same_bits(self, rng, m, c, k):
+        """Taps made once (`row_taps`) give the bits of taps made per call,
+        at desk, with k > m, and in the two-row bands of the vitl shape."""
+        x = rng.standard_normal((m, m, c)).astype(np.float32)
+        kern = rng.standard_normal((k, k, c)).astype(np.float32)
+        kern[rng.random(kern.shape) < 0.2] = -0.0
+        taps = row_taps(kern, m)
+        assert taps.shape == (k, k, 1, m * c) and taps.dtype == np.float32
+        np.testing.assert_array_equal(taps.reshape(k, k, m, c), np.broadcast_to(
+            kern[:, :, None], (k, k, m, c)))
+        if (m, c) == (24, 1024):
+            assert band_rows(k, m, c) == 2
+        got, want = dwconv2d(x, kern, taps), dwconv2d(x, kern)
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("bad", ["other m", "other c", "flat", "float64"])
+    def test_mis_shaped_taps_refused(self, bad):
+        m, c, k = 6, 4, 3
+        kern = np.ones((k, k, c), dtype=np.float32)
+        taps = {"other m": row_taps(kern, m + 1), "other c": row_taps(kern[:, :, 1:], m),
+                "flat": row_taps(kern, m).ravel(),
+                "float64": row_taps(kern, m).astype(np.float64)}[bad]
+        with pytest.raises(ShapeError, match=r"^dwconv2d taps must be float32 \(3, 3, 1, 24\)"):
+            dwconv2d(np.ones((m, m, c), dtype=np.float32), kern, taps)
 
 
 class TestSeededFill:

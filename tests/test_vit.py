@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwdropin import vit
-from dwdropin.tensor import ConfigError, NonFiniteError, matmul, seeded_fill, softmax_rows
+from dwdropin.tensor import (
+    F32,
+    ConfigError,
+    NonFiniteError,
+    ShapeError,
+    matmul,
+    seeded_fill,
+    softmax_rows,
+)
 from dwdropin.vit import (
     DESK,
     GROUP_BYTES,
@@ -33,6 +41,7 @@ from dwdropin.vit import (
     mhsa_forward,
     mhsa_forward_headsum,
     model_forward,
+    qkv_columns,
     qkv_project,
 )
 
@@ -277,7 +286,7 @@ class TestAttentionReads:
 
         def read(a_in, blk):
             reads.append((index[id(blk)], a_in))
-            return attention(a_in, blk.w_q, blk.w_k, blk.w_v, blk.d_h)
+            return attention(a_in, blk.w_qkv, blk.d_h)
 
         attention_reads(x, desk_model, dict.fromkeys(blocks, read))
         assert [b for b, _ in reads] == sorted(blocks)
@@ -347,9 +356,8 @@ class TestBatchedAttention:
                 np.testing.assert_allclose(got, want, rtol=0, atol=atol)
         else:
             same = np.testing.assert_array_equal
-        cols = [head_columns(w, heads, blk.d_h) for w in (blk.w_q, blk.w_k, blk.w_v)]
         seen = []
-        outs = attention(x, *cols, blk.d_h,
+        outs = attention(x, qkv_columns(blk, heads), blk.d_h,
                          energy_tap=lambda e, h0: seen.append((h0, e.copy())))
         assert outs.shape == (x.shape[0], len(heads) * blk.d_h)
         assert outs.flags.c_contiguous
@@ -422,11 +430,10 @@ class TestBatchedAttention:
             blk = init_model(cfg, 65).blocks[0]
             groups = ((7,), (0, 15), (1, 4, 9), tuple(range(0, 16, 2)), tuple(range(16)))
         x = layer_norm(make_inputs(cfg, 1, 66)[0], blk.norm1_scale, blk.norm1_shift)
-        out = attention(x, blk.w_q, blk.w_k, blk.w_v, blk.d_h)
+        out = attention(x, blk.w_qkv, blk.d_h)
         for heads in groups:
-            cols = [head_columns(w, heads, blk.d_h) for w in (blk.w_q, blk.w_k, blk.w_v)]
             np.testing.assert_array_equal(head_columns(out, heads, blk.d_h),
-                                          attention(x, *cols, blk.d_h))
+                                          attention(x, qkv_columns(blk, heads), blk.d_h))
 
     def test_head_columns(self, desk_model):
         w = desk_model.blocks[0].w_q
@@ -444,7 +451,7 @@ class TestBatchedAttention:
         assert np.isfinite(x @ w_q).all() and np.isfinite(x @ w_k).all()
         with np.errstate(over="ignore"), pytest.raises(
                 NonFiniteError, match="non-finite values in matmul result"):
-            attention(x, w_q, w_k, blk.w_v, blk.d_h)
+            attention(x, np.concatenate([w_q, w_k, blk.w_v], axis=1), blk.d_h)
 
     @pytest.mark.parametrize("group", [0, 1])
     def test_non_finite_weights_of_any_group_refused(self, group):
@@ -460,7 +467,79 @@ class TestBatchedAttention:
                 e[-1, 3, 5] = np.nan
 
         with pytest.raises(NonFiniteError, match="non-finite values in matmul result"):
-            attention(x, blk.w_q, blk.w_k, blk.w_v, blk.d_h, energy_tap=tap)
+            attention(x, blk.w_qkv, blk.d_h, energy_tap=tap)
+
+
+def three_gemm_attention(x, w_q, w_k, w_v, d_h):
+    """`attention` as it ran before the block held one fused weight: three
+    full-width projection GEMMs, each head's q, k and v a strided view of
+    its own (n, c) result, then the same head-group loop."""
+    n = x.shape[0]
+    q, k, v = (matmul(x, w).reshape(n, -1, d_h).transpose(1, 0, 2) for w in (w_q, w_k, w_v))
+    out = np.empty((n, w_v.shape[1]), dtype=np.float32)
+    heads = out.reshape(n, -1, d_h).transpose(1, 0, 2)
+    scale = np.float32(1.0 / np.sqrt(d_h))
+    for h0, h1 in head_groups(heads.shape[0], n):
+        s = slice(h0, h1)
+        e = np.matmul(q[s], k[s].transpose(0, 2, 1))
+        e *= scale
+        with np.errstate(over="ignore"):
+            e -= np.maximum.reduce(e, axis=2, keepdims=True, initial=np.float32(-np.inf))
+        np.exp(e, out=e)
+        e /= e.sum(axis=2, keepdims=True)
+        np.matmul(e, v[s], out=heads[s])
+    return out
+
+
+class TestFusedProjection:
+    """A block holds one (d, 3d) [W_q | W_k | W_v] array; `attention`
+    projects with one GEMM over it and gives the three-GEMM form's bits."""
+
+    @pytest.mark.parametrize("cfg", [
+        DESK,
+        ModelConfig(**{**VITL.to_dict(), "n_b": 1}),
+        ModelConfig(n_b=1, n_h=3, d=24, d_h=8, m=5, k=5),
+        ModelConfig(n_b=1, n_h=4, d=32, d_h=8, m=24, k=3, ffn_mult=2),
+        ModelConfig(n_b=1, n_h=12, d=48, d_h=4, m=16, k=3, ffn_mult=2),
+    ], ids=["desk", "vitl-block", "n_h3-d_h8-m5", "n_h4-d_h8-m24", "n_h12-d_h4-m16"])
+    def test_equals_three_gemm_form_bitwise(self, cfg):
+        blk = init_model(cfg, 71).blocks[0]
+        for x in make_inputs(cfg, 2, 72):
+            a_in = attention_input(x, blk)
+            np.testing.assert_array_equal(
+                attention(a_in, blk.w_qkv, blk.d_h),
+                three_gemm_attention(a_in, blk.w_q, blk.w_k, blk.w_v, blk.d_h))
+
+    def test_q_k_v_are_views_of_the_fused_weight(self, rng):
+        d = TINY.d
+        w_q, w_k, w_v = (rng.standard_normal((d, d)) for _ in range(3))  # float64 in
+        blk = random_block(TINY, 73)
+        fused = BlockParams(n_h=TINY.n_h, d_h=TINY.d_h, w_q=w_q, w_k=w_k, w_v=w_v,
+                            w_o=blk.w_o, ffn_w1=blk.ffn_w1, ffn_w2=blk.ffn_w2)
+        assert fused.w_qkv.shape == (d, 3 * d) and fused.w_qkv.dtype == F32
+        assert fused.w_qkv.flags.c_contiguous
+        for i, (w, given) in enumerate(zip((fused.w_q, fused.w_k, fused.w_v), (w_q, w_k, w_v))):
+            assert np.shares_memory(w, fused.w_qkv)
+            np.testing.assert_array_equal(w, given.astype(F32))
+            np.testing.assert_array_equal(fused.w_qkv[:, i * d:(i + 1) * d], w)
+        fused.w_k[:] = 0
+        assert not fused.w_qkv[:, d:2 * d].any() and fused.w_qkv[:, :d].any()
+        with pytest.raises(AttributeError, match="w_q is a view of w_qkv"):
+            fused.w_q = np.zeros((d, d), dtype=F32)
+
+    def test_mismatched_projections_refused(self):
+        blk = random_block(TINY, 74)
+        with pytest.raises(ShapeError, match="w_q, w_k and w_v must share one"):
+            BlockParams(n_h=TINY.n_h, d_h=TINY.d_h, w_q=blk.w_q, w_k=blk.w_k[:, 1:],
+                        w_v=blk.w_v, w_o=blk.w_o, ffn_w1=blk.ffn_w1, ffn_w2=blk.ffn_w2)
+
+    def test_qkv_columns(self, desk_model):
+        blk = desk_model.blocks[0]
+        assert qkv_columns(blk, (0, 1, 2, 3)) is blk.w_qkv
+        got = qkv_columns(blk, (1, 3))
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, np.concatenate(
+            [head_columns(w, (1, 3), DESK.d_h) for w in (blk.w_q, blk.w_k, blk.w_v)], axis=1))
 
 
 class TestSoftmaxOfFiniteEnergies:
@@ -471,9 +550,9 @@ class TestSoftmaxOfFiniteEnergies:
     def weights(t):
         """The tapped weights of one d_h = 1 head over tokens t (n,): its
         energies are the outer product t t^T."""
-        w = np.ones((1, 1), dtype=np.float32)
+        w_qkv = np.ones((1, 3), dtype=np.float32)
         seen = []
-        attention(t.reshape(-1, 1), w, w, w, 1, energy_tap=lambda e, h0: seen.append(e.copy()))
+        attention(t.reshape(-1, 1), w_qkv, 1, energy_tap=lambda e, h0: seen.append(e.copy()))
         return seen[0][0]
 
     @staticmethod
@@ -497,10 +576,10 @@ class TestSoftmaxOfFiniteEnergies:
         """Energies spanning more than float32's range overflow the max shift
         to -inf, which is weight 0: no RuntimeWarning reaches the caller."""
         t = np.array([1.7e19, -1.7e19, 1.0], dtype=np.float32)
-        w = np.ones((1, 1), dtype=np.float32)
+        w_qkv = np.ones((1, 3), dtype=np.float32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = attention(t.reshape(-1, 1), w, w, w, 1)
+            out = attention(t.reshape(-1, 1), w_qkv, 1)
         assert np.isfinite(out).all()
 
     # |t| up to 1.8e19 keeps t t^T (up to 3.2e38) below float32's max
@@ -521,9 +600,9 @@ class TestRowMax:
         """One d_h = 1 head over tokens t (n,) whose energies are
         key_sign * t t^T, single products that every path rounds alike."""
         q = t.reshape(-1, 1)
-        w_q = np.ones((1, 1), dtype=np.float32)
+        w_qkv = np.array([[1, key_sign, 1]], dtype=np.float32)
         seen = []
-        attention(q, w_q, key_sign * w_q, w_q, 1, energy_tap=lambda e, h0: seen.append(e.copy()))
+        attention(q, w_qkv, 1, energy_tap=lambda e, h0: seen.append(e.copy()))
         want = head_energy(q, key_sign * q)
         np.testing.assert_array_equal(seen[0][0].view(np.uint32), want.view(np.uint32))
 
