@@ -26,7 +26,8 @@ F32 = np.float32
 
 # Bytes of float32 temporaries one pass over a block of work may hold, so
 # that it stays in a core's 2 MiB L2 cache: exact attention's head groups
-# (`vit.group_size`) and `dwconv2d`'s bands of products (`band_rows`).
+# (`vit.group_size`), `dwconv2d`'s bands of products (`band_rows`) and the
+# FFN's GELU row bands (`vit.gelu`), each sized by `budget_units`.
 GROUP_BYTES = 2 * 1024 * 1024
 
 
@@ -44,6 +45,12 @@ class FormatError(ValueError):
 
 class NonFiniteError(ArithmeticError):
     """A NaN or Inf appeared where only finite values are allowed."""
+
+
+def budget_units(unit_bytes: int) -> int:
+    """How many units of `unit_bytes` bytes fit GROUP_BYTES, at least one:
+    the one rule that sizes a pass's block of work."""
+    return max(1, GROUP_BYTES // unit_bytes)
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -155,7 +162,7 @@ def band_rows(k: int, m: int, c: int) -> int:
     """Grid rows `dwconv2d` multiplies at once for a k x k kernel over an
     (m, m, c) grid: as many as keep their k*k*m*c float32 products within
     GROUP_BYTES, at least one and at most m."""
-    return max(1, min(m, GROUP_BYTES // (4 * k * k * m * c)))
+    return min(m, budget_units(4 * k * k * m * c))
 
 
 def row_taps(kern: np.ndarray, m: int) -> np.ndarray:

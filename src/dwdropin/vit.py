@@ -5,9 +5,11 @@ convolutional replacement is measured against. A block holds its query,
 key and value projections as one (d, 3d) array (`BlockParams.w_qkv`),
 built once, so exact attention (`attention`) projects with one GEMM and
 then runs the heads batched, in head groups sized to stay in cache; the
-per-head functions are its oracles. Inputs are token grids (n = m*m
-tokens, no class token); a learned positional table is added once at the
-input.
+per-head functions are its oracles. The FFN applies GELU in place to a
+hidden array larger than one band, one band of rows at a time. Head
+groups and GELU bands are both sized by `tensor.GROUP_BYTES`, the budget
+`dwconv2d`'s bands also use. Inputs are token grids (n = m*m tokens, no
+class token); a learned positional table is added once at the input.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from scipy.special import erf
 
 from .tensor import (
     F32,
-    GROUP_BYTES,
     ConfigError,
     ShapeError,
     _check_finite,
     as_f32,
+    budget_units,
     matmul,
     seed_stream,
     seeded_fill,
@@ -233,11 +235,36 @@ def attention_input(x: np.ndarray, block: BlockParams) -> np.ndarray:
     return layer_norm(x, block.norm1_scale, block.norm1_shift)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return x * F32(0.5) * (F32(1.0) + erf(x * F32(1.0 / math.sqrt(2.0))))
+def gelu(u: np.ndarray) -> np.ndarray:
+    """GELU of the C-contiguous float32 (p, q) array u, as the float32
+    expression u * 0.5 * (1 + erf(u * (1/sqrt 2))). An array that fits one
+    band of GROUP_BYTES (`budget_units`) gets that expression, into a new
+    array: it is in cache already, and the band loop and its writes into
+    the GEMM's output cost more there (about 1% of a desk forward). A
+    larger one is rewritten in place and returned, one band of rows at a
+    time through one band-sized scratch t, so each band's five passes stay
+    in cache: t = u * (1/sqrt 2), erf in place, t += 1, u *= 0.5, u *= t.
+    Each value takes the expression's float32 operations in its order
+    (1 + e and e + 1 round alike), so both forms give the same bits."""
+    rows = budget_units(4 * u.shape[1])
+    if rows >= u.shape[0]:
+        return u * F32(0.5) * (F32(1.0) + erf(u * F32(1.0 / math.sqrt(2.0))))
+    t = np.empty((rows, u.shape[1]), dtype=F32)
+    for i in range(0, u.shape[0], rows):
+        band = u[i : i + rows]
+        t_b = t[: band.shape[0]]
+        np.multiply(band, F32(1.0 / math.sqrt(2.0)), out=t_b)
+        erf(t_b, out=t_b)
+        t_b += F32(1.0)
+        band *= F32(0.5)
+        band *= t_b
+    return u
 
 
 def ffn_forward(x: np.ndarray, block: BlockParams) -> np.ndarray:
+    """The FFN sublayer, (n, d) -> (n, d): a GEMM into the (n, hidden)
+    array, `gelu` over it (in place, band by band, once it exceeds one
+    band), then a GEMM back. x is not written."""
     return matmul(gelu(matmul(x, block.ffn_w1)), block.ffn_w2)
 
 
@@ -292,7 +319,7 @@ def group_size(n: int) -> int:
     energies, softmax and EV over one group at a time, so those passes stay
     in cache: all four heads of a desk block form one group, a vitl block
     runs one head at a time."""
-    return max(1, GROUP_BYTES // (4 * n * n))
+    return budget_units(4 * n * n)
 
 
 def head_groups(c: int, n: int) -> list:

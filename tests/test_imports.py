@@ -1,8 +1,11 @@
 """Every module-level import of a package module is used by that module,
 and every private module-level name (`_name`) a module defines is read
 in that module. Only `tensor.all_finite` names an `isfinite`: it is the
-one finiteness test. Only `tensor.row_taps` calls a `tile`: it is the one
-rule that tiles a depthwise kernel into row taps.
+one finiteness test. Only `vit.gelu` names an `erf`, and only
+`vit.ffn_forward` names `gelu`: the GELU formula the frozen reference
+pins lives in one place, and rewrites only the hidden array the FFN
+owns. Only `tensor.row_taps` calls a `tile`: it is the one rule that
+tiles a depthwise kernel into row taps.
 
 `__init__.py` is exempt from the import check: its imports are the
 package's re-exports.
@@ -73,28 +76,45 @@ def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
 
 
-def isfinite_readers(source: str) -> list:
-    """The top-level definition (or "<module>") around each `isfinite`
-    the module imports or reads: `np.isfinite`, `math.isfinite` or a bare
-    `isfinite`, called or not."""
+def name_readers(source: str, name: str) -> list:
+    """The top-level definition (or "<module>") around each `name` the
+    module imports or reads: as an attribute (`np.isfinite`), imported, or
+    bare, called or not."""
     tree = ast.parse(source)
     return [getattr(node, "name", "<module>") for node in tree.body for n in ast.walk(node)
-            if (isinstance(n, ast.Name) and n.id == "isfinite")
-            or (isinstance(n, ast.Attribute) and n.attr == "isfinite")
-            or (isinstance(n, ast.alias) and n.name == "isfinite")]
+            if (isinstance(n, ast.Name) and n.id == name)
+            or (isinstance(n, ast.Attribute) and n.attr == name)
+            or (isinstance(n, ast.alias) and n.name == name)]
 
 
 def test_detects_an_isfinite_reader():
     source = ("import math\nfrom numpy import isfinite\nOK = math.isfinite(1.0)\n"
               "def f(a):\n    return isfinite(a).all()\n"
               "class C:\n    def g(self, a):\n        return map(np.isfinite, a)\n")
-    assert isfinite_readers(source) == ["<module>", "<module>", "f", "C"]
+    assert name_readers(source, "isfinite") == ["<module>", "<module>", "f", "C"]
 
 
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
 def test_only_all_finite_reads_isfinite(path):
     expected = ["all_finite", "all_finite"] if path.stem == "tensor" else []
-    assert isfinite_readers(path.read_text()) == expected
+    assert name_readers(path.read_text(), "isfinite") == expected
+
+
+def test_detects_an_erf_reader():
+    source = ("import scipy.special as sp\nfrom scipy.special import erf\n"
+              "def gelu(u):\n    return erf(u, out=u)\n"
+              "def act(x):\n    return gelu(x) + sp.erf(x)\n"
+              "class C:\n    f = staticmethod(gelu)\n")
+    assert name_readers(source, "erf") == ["<module>", "gelu", "act"]
+    assert name_readers(source, "gelu") == ["act", "C"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+def test_only_gelu_reads_erf(path):
+    source = path.read_text()
+    expected = ([["<module>", "gelu", "gelu"], ["ffn_forward"]] if path.stem == "vit"
+                else [[], []])
+    assert [name_readers(source, "erf"), name_readers(source, "gelu")] == expected
 
 
 def tile_callers(source: str) -> list:

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import warnings
 from pathlib import Path
 
@@ -6,20 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
-from dwdropin import vit
+from dwdropin import tensor, vit
 from dwdropin.tensor import (
     F32,
+    GROUP_BYTES,
     ConfigError,
     NonFiniteError,
     ShapeError,
+    budget_units,
     matmul,
     seeded_fill,
     softmax_rows,
 )
 from dwdropin.vit import (
     DESK,
-    GROUP_BYTES,
     LN_EPS,
     VITL,
     BlockParams,
@@ -29,6 +32,8 @@ from dwdropin.vit import (
     attention_reads,
     block_forward,
     explicit_attention,
+    ffn_forward,
+    gelu,
     grid,
     head_attention,
     head_cols,
@@ -45,7 +50,7 @@ from dwdropin.vit import (
     qkv_project,
 )
 
-from conftest import GROUPED, TINY, block_residuals, make_inputs
+from conftest import GROUPED, TINY, block_residuals, make_inputs, traced_peak
 
 
 # exact attention over its 576 tokens runs one head at a time
@@ -262,6 +267,66 @@ class TestBlockAndModelForward:
         for ba, bb in zip(a.blocks, b.blocks):
             np.testing.assert_array_equal(ba.w_q, bb.w_q)
             np.testing.assert_array_equal(ba.ffn_w2, bb.ffn_w2)
+
+
+def plain_gelu(x):
+    """GELU as one expression over the whole array: the bits `gelu` keeps."""
+    return x * F32(0.5) * (F32(1.0) + erf(x * F32(1.0 / math.sqrt(2.0))))
+
+
+# n = 576 tokens of d = 512: the FFN's (576, 2048) hidden array is 3 GELU bands
+THREE_BANDS = ModelConfig(n_b=1, n_h=8, d=512, d_h=64, m=24, k=3)
+
+
+class TestGelu:
+    """`gelu` has the bits of the plain expression; it rewrites a hidden
+    array of more than one band in place, band by band."""
+
+    @staticmethod
+    def hidden(shape, seed):
+        """Values across erf's range: gaussian of scale 4, with signed zeros,
+        tiny values and values where erf rounds to +-1."""
+        u = np.random.Generator(np.random.PCG64(seed)).standard_normal(shape).astype(F32) * 4
+        u.flat[:8] = [0.0, -0.0, 1e-30, -1e-30, 6.0, -6.0, 40.0, -40.0]
+        return u
+
+    @pytest.mark.parametrize("shape, group_bytes, rows", [
+        ((64, 256), GROUP_BYTES, 64),
+        ((576, 4096), GROUP_BYTES, 128),
+        ((10, 32), 4 * 32, 1),
+        ((10, 32), 3 * 4 * 32, 3),
+    ], ids=["desk", "vitl", "one-row-bands", "three-row-bands"])
+    def test_plain_expression_bitwise(self, monkeypatch, shape, group_bytes, rows):
+        monkeypatch.setattr(tensor, "GROUP_BYTES", group_bytes)
+        assert min(shape[0], budget_units(4 * shape[1])) == rows
+        u = self.hidden(shape, 31)
+        want = plain_gelu(u)
+        got = gelu(u)
+        assert (got is u) == (rows < shape[0])
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("cfg", [DESK, THREE_BANDS], ids=["desk", "three-bands"])
+    def test_ffn_forward_bitwise_and_leaves_x(self, cfg):
+        blk = random_block(cfg, 37)
+        x = make_inputs(cfg, 1, 38)[0]
+        kept = x.copy()
+        want = matmul(plain_gelu(matmul(x, blk.ffn_w1)), blk.ffn_w2)
+        got = ffn_forward(x, blk)
+        np.testing.assert_array_equal(x.view(np.uint32), kept.view(np.uint32))
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_ffn_holds_one_band_of_scratch(self):
+        """One FFN call holds its hidden array, one GELU band of scratch and
+        its (n, d) output: below their sum. The whole-array expression held
+        four hidden-sized temporaries at once."""
+        cfg = THREE_BANDS
+        blk = random_block(cfg, 41)
+        x = make_inputs(cfg, 1, 42)[0]
+        hidden = 4 * cfg.n * cfg.ffn_mult * cfg.d
+        assert math.ceil(cfg.n / budget_units(hidden // cfg.n)) == 3
+        ffn_forward(x, blk)  # warm caches
+        peak = traced_peak(lambda: ffn_forward(x, blk))
+        assert peak < hidden + GROUP_BYTES + 4 * cfg.n * cfg.d, peak
 
 
 class TestAttentionReads:
