@@ -1,6 +1,7 @@
-"""Model archive: a JSON manifest followed by a float32 blob, in one file.
-
-Layout:
+"""The package's files, written and read only here. A report is sorted-key
+JSON (`write_json`); `read_json` refuses one that is not JSON, or that its
+`parse` refuses, as a FormatError naming the file. A model archive is a
+JSON manifest followed by a float32 blob, in one file:
 
     bytes 0..8    magic b"DWDROPIN"
     bytes 8..16   little-endian uint64, manifest length in bytes
@@ -38,6 +39,23 @@ class Archive:
     config: ModelConfig
     tensors: dict  # name -> float32 ndarray, insertion-ordered
     meta: dict = field(default_factory=dict)
+
+
+def write_json(path, doc: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def read_json(path, what: str, parse=None):
+    """The JSON document in `path`, or `parse` of it; a FormatError
+    "{path}: not a {what}: ..." if it is not JSON or `parse` raises a ValueError."""
+    with open(path) as f:
+        try:
+            doc = json.load(f)
+            return parse(doc) if parse else doc
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or parse's
+            raise FormatError(f"{path}: not a {what}: {exc}") from exc
 
 
 def save_archive(path, config: ModelConfig, tensors: dict, meta: dict | None = None) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import re
@@ -28,6 +29,7 @@ from .archive import (
     model_tensors,
     save_archive,
     save_model,
+    write_json,
 )
 from .tensor import (
     ConfigError,
@@ -56,12 +58,6 @@ def run_manifest(command: str, args: argparse.Namespace) -> dict:
     return {"tool": TOOL, "version": __version__, "command": command, "options": options}
 
 
-def write_json(path, doc: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 # The flags that override a --config preset, by the config field each sets.
 CONFIG_FLAGS = {"blocks": "n_b", "heads": "n_h", "dim": "d", "head_dim": "d_h",
                 "grid": "m", "kernel": "k", "ffn_mult": "ffn_mult"}
@@ -83,7 +79,7 @@ def config_from_args(args) -> ModelConfig:
         return load_archive(args.model).config
     overrides = {field: getattr(args, flag) for flag, field in CONFIG_FLAGS.items()
                  if getattr(args, flag, None) is not None}
-    return ModelConfig(**{**PRESETS[args.config].to_dict(), **overrides})
+    return dataclasses.replace(PRESETS[args.config], **overrides)
 
 
 def synthetic_samples(cfg: ModelConfig, count: int, seed: int) -> Iterator[np.ndarray]:
@@ -278,7 +274,7 @@ def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
     hm_a = load_hybrid(path_a, "verification")
     hm_b = load_hybrid(path_b, "verification")
     model_a, cfg = hm_a.base, hm_a.base.config
-    if cfg.to_dict() != hm_b.base.config.to_dict():
+    if cfg != hm_b.base.config:
         raise ConfigError("archives have different configurations")
     checks = []
     xs = list(synthetic_samples(cfg, samples_n, seed))
@@ -401,8 +397,7 @@ def cmd_cost(args) -> int:
 def single_block_bench_fns(cfg: ModelConfig, seed: int) -> dict:
     """Attention-sublayer callables for one seeded block of this config:
     the exact "mhsa" plus every drop-in variant with seeded kernels."""
-    one = ModelConfig(**{**cfg.to_dict(), "n_b": 1})
-    model = vit.init_model(one, seed)
+    model = vit.init_model(dataclasses.replace(cfg, n_b=1), seed)
     block = model.blocks[0]
     plan = select.SelectionPlan(mode="blockwise", order="lowest", budget=1, targets=(0,))
     fns = {"mhsa": functools.partial(vit.mhsa_forward, block=block)}

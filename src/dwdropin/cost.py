@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -119,14 +119,7 @@ class CostReport:
     deltas: dict               # ratios and percentage changes vs baseline
 
     def to_json(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "variant": self.variant,
-            "rows": self.rows,
-            "totals": self.totals,
-            "baseline": self.baseline,
-            "deltas": self.deltas,
-        }
+        return asdict(self)
 
     def to_table(self) -> str:
         lines = [

@@ -16,16 +16,15 @@ behavior can be verified.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import vit
+from .archive import read_json, write_json
 from .tensor import (
     ConfigError,
-    FormatError,
     ShapeError,
     all_finite,
     seeded_generator,
@@ -335,19 +334,13 @@ def plan_to_file(plan: SelectionPlan, path, meta: dict | None = None) -> None:
     doc = plan.to_json()
     if meta:
         doc["meta"] = meta
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, doc)
 
 
 def plan_from_file(path) -> SelectionPlan:
     """Read a plan file; one that is not a plan (`SelectionPlan.from_json`)
     or not JSON is refused as a FormatError naming the file."""
-    with open(path) as f:
-        try:
-            return SelectionPlan.from_json(json.load(f))
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or ConfigError
-            raise FormatError(f"{path}: not a plan file: {exc}") from exc
+    return read_json(path, "plan file", SelectionPlan.from_json)
 
 
 def scores_from_file(path, mode: str) -> np.ndarray:
@@ -357,24 +350,22 @@ def scores_from_file(path, mode: str) -> np.ndarray:
     that is not a finite number, is refused as a FormatError naming the file."""
     key, shape = (("sigma_b", "a list") if mode == "blockwise"
                   else ("sigma_h", "equal-length rows"))
-    with open(path) as f:
-        try:
-            report = json.load(f)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise FormatError(f"{path}: not a score report: {exc}") from exc
-    scores = report.get(key) if isinstance(report, dict) else None
-    rows = scores if mode != "blockwise" and isinstance(scores, list) else [scores]
-    numbers = (type(v) in (int, float) for r in rows for v in r)
-    if (all(isinstance(r, list) for r in rows) and all(numbers)
-            and len({len(r) for r in rows}) <= 1):
-        try:
-            out = np.asarray(scores, dtype=np.float64)
-        except OverflowError:  # an integer past float64's range
-            out = None
-        if out is not None and all_finite(out):
-            return out
-    raise FormatError(f"{path}: not a score report: {key!r} must be {shape} of "
-                      "finite numbers")
+
+    def parse(report):
+        scores = report.get(key) if isinstance(report, dict) else None
+        rows = scores if mode != "blockwise" and isinstance(scores, list) else [scores]
+        numbers = (type(v) in (int, float) for r in rows for v in r)
+        if (all(isinstance(r, list) for r in rows) and all(numbers)
+                and len({len(r) for r in rows}) <= 1):
+            try:
+                out = np.asarray(scores, dtype=np.float64)
+            except OverflowError:  # an integer past float64's range
+                out = None
+            if out is not None and all_finite(out):
+                return out
+        raise ValueError(f"{key!r} must be {shape} of finite numbers")
+
+    return read_json(path, "score report", parse)
 
 
 # ---------------------------------------------------------------------------

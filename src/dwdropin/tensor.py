@@ -77,12 +77,13 @@ def as_f32(a) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of a (p, q) and b (q, r) -> (p, r), float32."""
+    """Matrix product of a (p, q) and b (q, r) -> (p, r), float32, reading
+    both in place: a strided view (a block's `w_v`) is not copied first."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} x {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    out = as_f32(a) @ as_f32(b)
+    out = np.matmul(a, b, dtype=F32)
     return _check_finite(out, "matmul result")
 
 

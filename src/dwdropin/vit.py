@@ -15,7 +15,7 @@ class token); a learned positional table is added once at the input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import erf
@@ -67,10 +67,7 @@ class ModelConfig:
         return self.m * self.m
 
     def to_dict(self) -> dict:
-        return {
-            "n_b": self.n_b, "n_h": self.n_h, "d": self.d, "d_h": self.d_h,
-            "m": self.m, "k": self.k, "ffn_mult": self.ffn_mult,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

@@ -10,10 +10,13 @@ from dwdropin.archive import (
     load_archive,
     model_from_archive,
     model_tensors,
+    read_json,
     save_archive,
     save_model,
+    write_json,
 )
 from dwdropin.select import SelectionPlan
+from dwdropin.tensor import FormatError
 
 from conftest import (
     BAD_CONFIGS,
@@ -239,3 +242,38 @@ def test_hybrid_tensors_roundtrip(tmp_path, tiny_model):
     x = make_inputs(TINY, 1, 9)[0]
     np.testing.assert_array_equal(dropin.hybrid_forward(restored, x),
                                   dropin.hybrid_forward(hm, x))
+
+
+def test_report_layout(tmp_path):
+    """A report is JSON with sorted keys, indent 2 and a trailing newline,
+    and reads back as the document written."""
+    p = tmp_path / "r.json"
+    doc = {"b": [1, 2.5], "a": {"y": None, "x": "s"}}
+    write_json(p, doc)
+    assert p.read_text() == ('{\n  "a": {\n    "x": "s",\n    "y": null\n  },\n'
+                             '  "b": [\n    1,\n    2.5\n  ]\n}\n')
+    assert read_json(p, "report") == doc
+    assert read_json(p, "report", lambda d: sorted(d)) == ["a", "b"]
+
+
+@pytest.mark.parametrize("raw, parse, message", [
+    (b"{", None, "Expecting property name"),
+    (b"\xff", None, "can't decode byte 0xff"),
+    (b"[1]", lambda d: int("x"), "invalid literal for int()"),
+], ids=["not-json", "not-utf8", "parse-refuses"])
+def test_report_refused(tmp_path, raw, parse, message):
+    """Text that is not JSON, or a ValueError from `parse`, is a FormatError
+    naming the file and what it is not."""
+    p = tmp_path / "r.json"
+    p.write_bytes(raw)
+    with pytest.raises(FormatError, match=re.escape(f"{p}: not a widget: ") + ".*"
+                       + re.escape(message)):
+        read_json(p, "widget", parse)
+
+
+def test_report_parse_fault_passes_through(tmp_path):
+    """An error of `parse` that is not a ValueError is not a file fault."""
+    p = tmp_path / "r.json"
+    p.write_text("[1]")
+    with pytest.raises(TypeError):
+        read_json(p, "widget", lambda d: d["k"])

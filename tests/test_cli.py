@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dwdropin
-from dwdropin import cli, dropin, vit
+from dwdropin import cli, cost, dropin, vit
 from dwdropin.archive import load_archive, model_from_archive, model_tensors, save_archive, save_model
 from dwdropin.cli import load_samples, main, save_samples, single_block_bench_fns, synthetic_samples
-from dwdropin.select import SelectionPlan, plan_to_file
+from dwdropin.select import SelectionPlan, plan_from_file, plan_to_file
 from dwdropin.tensor import ConfigError, seed_stream, seeded_fill
 
 from conftest import (
@@ -331,6 +331,21 @@ class TestReplace:
         x = make_inputs(TINY, 1, 99)[0]
         np.testing.assert_array_equal(dropin.hybrid_forward(hm, x),
                                       vit.model_forward(x, base))
+
+    def test_fit_reports_ridge(self, tmp_path, capsys):
+        """A W_V column of zeros leaves its value channel's normal matrix
+        singular, so the dw fit solves that channel with ridge and says so."""
+        model = vit.init_model(vit.DESK, 3)
+        block = model.blocks[0]
+        vit.head_cols(block.w_v, 1, block.d_h)[:, 0] = 0
+        save_model(tmp_path / "m.bin", model)
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        capsys.readouterr()
+        assert run("replace", "--model", tmp_path / "m.bin", "--plan", plan, "--variant", "dw",
+                   "--fit", "--samples", 4, "--out", tmp_path / "h.bin") == 0
+        assert capsys.readouterr().out.splitlines()[:-1] == [
+            "block 0 head 1: ridge applied on channels [0]"]
 
     def test_fit_beats_random_init(self, tmp_path, tiny_archive):
         plan = tmp_path / "plan.json"
@@ -980,6 +995,25 @@ class TestCost:
                    "--format", "json", "--out", out) == 0
         doc = json.loads(out.read_text())
         assert doc["model"]["deltas"]["flops_ratio"] < 1.0
+
+    def test_plan_and_sweep_tables(self, tmp_path, capsys):
+        """The table format prints the variant table, then the plan's
+        `CostReport.to_table()`, then one row per budget of
+        `cost.budget_sweep`: budget, GFLOPs to 3 places and % to 2."""
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 2, (0, 5)), plan)
+        capsys.readouterr()
+        assert run("cost", "--config", "vitl", "--plan", plan, "--variant", "ens-dw",
+                   "--format", "table", "--sweep") == 0
+        head, sweep = capsys.readouterr().out.split("\nbudget  FLOPs(G)  reduction(%)\n")
+        report = cost.model_cost_report(vit.VITL, plan_from_file(plan), "ens-dw")
+        assert head == f"{cost.variant_table_text(vit.VITL)}\n\n{report.to_table()}\n"
+        rows = np.array([line.split() for line in sweep.splitlines()], dtype=np.float64)
+        want = cost.budget_sweep(vit.VITL, "ens-dw")
+        np.testing.assert_array_equal(rows[:, 0], [w["budget"] for w in want])
+        np.testing.assert_allclose(rows[:, 1], [w["flops"] / 1e9 for w in want], rtol=0, atol=5e-4)
+        np.testing.assert_allclose(rows[:, 2], [w["flops_reduction_pct"] for w in want],
+                                   rtol=0, atol=5e-3)
 
 
 class TestBench:

@@ -5,7 +5,8 @@ one finiteness test. Only `vit.gelu` names an `erf`, and only
 `vit.ffn_forward` names `gelu`: the GELU formula the frozen reference
 pins lives in one place, and rewrites only the hidden array the FFN
 owns. Only `tensor.row_taps` calls a `tile`: it is the one rule that
-tiles a depthwise kernel into row taps.
+tiles a depthwise kernel into row taps. Only `archive` opens files: it
+writes and reads every report and archive.
 
 `__init__.py` is exempt from the import check: its imports are the
 package's re-exports.
@@ -139,3 +140,38 @@ def test_detects_a_tile_caller():
 def test_only_row_taps_tiles(path):
     expected = ["row_taps"] if path.stem == "tensor" else []
     assert tile_callers(path.read_text()) == expected
+
+
+def file_openers(source: str) -> list:
+    """The top-level definition (or "<module>") around each call that
+    opens, reads or writes a file: `open(...)` bare or as an
+    attribute (`io.open`, `path.open`), `json.load`, `json.dump`, or a bare
+    `load` or `dump` imported from json. `json.loads` and `json.dumps` work
+    on strings and are not counted."""
+    tree = ast.parse(source)
+
+    def opens(f):
+        if isinstance(f, ast.Name):
+            return f.id in ("open", "load", "dump")
+        return isinstance(f, ast.Attribute) and (
+            f.attr == "open" or (f.attr in ("load", "dump")
+                                 and isinstance(f.value, ast.Name) and f.value.id == "json"))
+
+    return [getattr(node, "name", "<module>") for node in tree.body for n in ast.walk(node)
+            if isinstance(n, ast.Call) and opens(n.func)]
+
+
+def test_detects_a_file_opener():
+    source = ("import io, json\nfrom json import dump\nF = open('x')\n"
+              "def save(p, d):\n    with io.open(p, 'w') as f:\n        dump(d, f)\n"
+              "def read(p):\n    return json.load(p.open())\n"
+              "TEXT = json.dumps(json.loads('1'))\n"
+              "class C:\n    def g(self, d, f):\n        return json.dump(d, f)\n")
+    assert file_openers(source) == ["<module>", "save", "save", "read", "read", "C"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+def test_only_archive_opens_files(path):
+    expected = (["write_json", "write_json", "read_json", "read_json", "save_archive",
+                 "load_archive"] if path.stem == "archive" else [])
+    assert file_openers(path.read_text()) == expected

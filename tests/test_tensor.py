@@ -81,6 +81,16 @@ class TestMatmul:
         b = rng.standard_normal((23, 11)).astype(np.float32)
         np.testing.assert_array_equal(matmul(a, b), matmul(a, b))
 
+    def test_column_view_read_in_place(self, rng):
+        """A strided column view, as a block's w_v is of its w_qkv, is read
+        where it lies: the product allocates its result, not a copy of the
+        view, and equals the product with a contiguous copy bitwise."""
+        x = rng.standard_normal((4, 256)).astype(np.float32)
+        view = rng.standard_normal((256, 768)).astype(np.float32)[:, 512:]
+        assert not view.flags.c_contiguous
+        assert traced_peak(lambda: matmul(x, view)) < view.nbytes // 4
+        np.testing.assert_array_equal(matmul(x, view), matmul(x, np.ascontiguousarray(view)))
+
 
 class TestAllFinite:
     """`all_finite` is `np.isfinite(a).all()`: its self-dot decides alone
