@@ -71,10 +71,18 @@ def refuse_next_to_model(args, flags) -> None:
                           "the archive fixes the config")
 
 
+def refuse_preset_next_to_model(args) -> None:
+    """Refuse --config or an override flag next to --model, and record
+    --config's default (desk) for the run manifest."""
+    refuse_next_to_model(args, ["config", *CONFIG_FLAGS])
+    record_defaults(args, config="desk")
+
+
 def config_from_args(args) -> ModelConfig:
-    """The --model archive's config, next to which no override flag may be
-    given, else the --config preset with the override flags applied."""
-    refuse_next_to_model(args, CONFIG_FLAGS)
+    """The --model archive's config, next to which neither --config nor an
+    override flag may be given, else the --config preset with the override
+    flags applied."""
+    refuse_preset_next_to_model(args)
     if getattr(args, "model", None):
         return load_archive(args.model).config
     overrides = {field: getattr(args, flag) for flag, field in CONFIG_FLAGS.items()
@@ -369,6 +377,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cost(args) -> int:
+    if args.variant is not None and not (args.plan or args.sweep):
+        raise ConfigError("--variant is read only by --plan or --sweep")
+    record_defaults(args, variant="dw")
     cfg = config_from_args(args)
     plan = select.plan_from_file(args.plan) if args.plan else None
     doc = {"variant_table": cost.variant_table(cfg),
@@ -418,7 +429,7 @@ def cmd_bench(args) -> int:
         # whole-model comparison: baseline forward vs the planned hybrid
         if not args.model:
             raise ConfigError("--plan benching needs --model with weights")
-        refuse_next_to_model(args, CONFIG_FLAGS)
+        refuse_preset_next_to_model(args)
         model = load_hybrid(args.model, "--plan benching").base
         cfg = model.config
         plan = select.plan_from_file(args.plan)
@@ -495,7 +506,7 @@ class Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(p):
-    p.add_argument("--config", choices=sorted(PRESETS), default="desk")
+    p.add_argument("--config", choices=sorted(PRESETS), help="preset (default desk)")
     p.add_argument("--blocks", type=int, help="override block count")
     p.add_argument("--heads", type=int, help="override heads per block")
     p.add_argument("--dim", type=int, help="override embedding dim")
@@ -561,7 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--model", help="read the config from an archive instead")
     p.add_argument("--plan")
-    p.add_argument("--variant", choices=dropin.VARIANTS, default="dw")
+    p.add_argument("--variant", choices=dropin.VARIANTS,
+                   help="with --plan or --sweep: the variant priced (default dw)")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("--sweep", action="store_true",
                    help="emit the FLOPs-vs-budget curve for blockwise replacement")

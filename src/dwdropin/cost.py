@@ -24,10 +24,12 @@ cost 6.19 (mhsa) / 12.08 (convfull) / 2.43 (dw) / 0.75 (ens-convfull) /
 0.15 (ens-dw) GFLOPs.
 
 Activation estimates sum the tensors one attention sublayer call holds at
-its peak, from the same c and c_k. They are coarse (numpy's own buffers
-are counted only for the depthwise conv, whose small bands make them its
-largest transient), and tests keep them within a factor of 2 of the
-traced peak of a real call.
+its peak, from the same c and c_k, by formulation: a depthwise drop-in
+holds its values, conv output, padded grid, row taps and one band of
+products with its ufunc buffers; a full-convolution one holds its fold
+plus the larger of the fold's ufunc buffers and the convolution's padded
+input and two (n, c) arrays, which never coexist. Tests keep them within
+a factor of 2 of the traced peak of a real call.
 """
 
 from __future__ import annotations
@@ -84,24 +86,20 @@ def activation_bytes(variant: str, cfg: ModelConfig, replaced: int | None = None
     n, d, d_h, k, m = cfg.n, cfg.d, cfg.d_h, cfg.k, cfg.m
     c, c_k, _ = _channels(variant, cfg, replaced)
     padded = (m + k - 1) ** 2  # tokens of a grid zero-padded for a k x k kernel
-
-    def depthwise(c):
-        # dwconv2d over c channels: the padded grid, the row taps (`tensor.row_taps`;
-        # the sublayer holds them from surgery on, and the call reads them) and one
-        # band of products, plus numpy's ufunc buffers for the strided windows and
-        # the broadcast taps, at most np.getbufsize() values each
+    if not c:
+        drop_in = 0
+    elif variant in dropin.DEPTHWISE:
+        # the values and the conv output; dwconv2d's padded grid, row taps (held by the
+        # sublayer from surgery on) and one band of products, plus numpy's ufunc buffers
+        # for the strided windows and the broadcast taps, np.getbufsize() values at most
         band = band_rows(k, m, c) * k * k * m * c
-        return padded * c + k * k * m * c + band + 2 * min(np.getbufsize(), band)
-
-    # fold_full_kernel's (k, k, d, c) kernel, plus numpy's ufunc buffers for its
-    # broadcast multiply, at most np.getbufsize() values each
-    fold = k * k * d * c + 2 * min(np.getbufsize(), k * k * d * c)
-    drop_in = {  # over its c channels, if any
-        "convfull": lambda: n * d + n * c + fold,  # padded x, conv out; the fold
-        "dw": lambda: n * c + depthwise(c),        # values; the conv's buffers
-        "ens-convfull": lambda: padded * d + 2 * n * c + fold,
-        "ens-dw": lambda: 2 * n * c + depthwise(c),
-    }[variant]() if c else 0
+        drop_in = 2 * n * c + padded * c + k * k * m * c + band + 2 * min(np.getbufsize(), band)
+    else:
+        # fold_full_kernel's (k, k, d, c) kernel, then the larger of two phases that
+        # never coexist: the fold multiply's ufunc buffers, freed when it returns,
+        # and conv2d's padded input and its two (n, c) arrays
+        fold = k * k * d * c
+        drop_in = fold + max(2 * min(np.getbufsize(), fold), padded * d + 2 * n * c)
     # the kept heads' q, k, v and outputs; one head group's weights
     exact = 4 * n * c_k + min(c_k // d_h, group_size(n)) * n * n
     # x and out, and the (n, d) buffer both kinds of head fill in a partly replaced block

@@ -107,13 +107,12 @@ class ScoreResult:
     sigma_h: np.ndarray   # (n_b, n_h) float64
     sigma_b: np.ndarray   # (n_b,) float64
     n_samples: int
-    convention: str = POPULATION
 
     def to_report(self, meta: dict | None = None) -> dict:
         n_h = self.sigma_h.shape[1]
         report = {
             "criterion": "summed pointwise std of attention weights",
-            "convention": self.convention,
+            "convention": POPULATION,
             "n_samples": self.n_samples,
             "sigma_h": [[float(v) for v in row] for row in self.sigma_h],
             "sigma_b": [float(v) for v in self.sigma_b],

@@ -151,6 +151,8 @@ MANIFEST_FAULTS = [
     ("format-version-bool", lambda m: {**m, "format_version": True}, "unsupported format version"),
     ("tensors-not-a-list", lambda m: {**m, "tensors": 5}, "'tensors' must be a list"),
     ("meta-not-an-object", lambda m: {**m, "meta": [1]}, "'meta' must be a JSON object"),
+    ("config-not-an-object", lambda m: {**m, "config": [1]},
+     "bad config block: not a JSON object"),
     ("duplicate-name", lambda m: m["tensors"][1].update(name="pos_enc") or m,
      "'pos_enc' is listed twice"),
     ("overlapping-ranges", lambda m: m["tensors"][1].update(offset=4) or m,

@@ -271,6 +271,24 @@ class TestSampleNames:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {data}: tensor {name!r} ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["score", "replace"])
+    @pytest.mark.parametrize("tensors, message", [
+        ({}, "no sample tensors found"),
+        ({"sample0": np.zeros((3, 3), np.float32)},
+         f"sample shape (3, 3) does not match model ({TINY.n}, {TINY.d})"),
+    ], ids=["no-samples", "wrong-shape"])
+    def test_bad_sample_set_refused(self, tmp_path, tiny_archive, capsys, command,
+                                    tensors, message):
+        data = tmp_path / "samples.bin"
+        save_archive(data, TINY, tensors)
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        argv = (("score", "--out", tmp_path / "r.json") if command == "score" else
+                ("replace", "--plan", plan, "--fit", "--out", tmp_path / "h.bin"))
+        capsys.readouterr()
+        assert run(*argv, "--model", tiny_archive, "--data", data) == 3
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
+
 
 class TestPlan:
     @pytest.fixture()
@@ -535,6 +553,15 @@ class TestVerify:
             err = capsys.readouterr().err
             assert err == f"error: tolerance must be >= 0, got {float(tol)}\n"
 
+    @pytest.mark.parametrize("other_side", ["model", "hybrid"])
+    def test_different_configs_refused(self, tmp_path, tiny_archive, capsys, other_side):
+        other = tmp_path / "other.bin"
+        save_model(other, vit.init_model(vit.ModelConfig(**{**TINY.to_dict(), "n_b": 1}), 3))
+        pair = (other, tiny_archive) if other_side == "model" else (tiny_archive, other)
+        capsys.readouterr()
+        assert run("verify", "--model", pair[0], "--hybrid", pair[1], "--samples", 2) == 2
+        assert capsys.readouterr().err == "error: archives have different configurations\n"
+
     def test_zero_tolerance_accepted(self, tiny_archive):
         assert run("verify", "--model", tiny_archive, "--hybrid", tiny_archive,
                    "--samples", 2, "--tol", 0) == 0
@@ -712,8 +739,10 @@ class TestMalformedArchives:
         ("dw", _stray_kernel, "'dropin.block1.head0.K' belongs to no replaced head"),
         ("dw", _stray_variant, "bad drop-in section: replacement parameters given for "
          "blocks [0, 1] but plan covers [0]"),
+        ("ens-dw", lambda ar: ar.tensors.pop("dropin.block0.gamma"),
+         "drop-in section is missing 'dropin.block0.gamma'"),
     ], ids=["unknown-variant", "wrong-shape-kernel", "renamed-kernel", "wrong-shape-gamma",
-            "stray-kernel", "stray-variant"])
+            "stray-kernel", "stray-variant", "missing-gamma"])
     def test_bad_dropin_section(self, tmp_path, tiny_archive, capsys, variant, mutate, message):
         plan = tmp_path / "plan.json"
         plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
@@ -747,6 +776,14 @@ class TestMalformedArchives:
         save_archive(tiny_archive, ar.config, ar.tensors, ar.meta)
         assert self.score_error(tiny_archive, capsys).endswith(
             f"tensor 'block1.{name}' has shape (8, 7), expected (8, 8)\n")
+
+    @pytest.mark.parametrize("name", ["block1.ffn_w2", "block0.w_v", "pos_enc"])
+    def test_missing_tensor(self, tiny_archive, capsys, name):
+        ar = load_archive(tiny_archive)
+        del ar.tensors[name]
+        save_archive(tiny_archive, ar.config, ar.tensors, ar.meta)
+        assert self.score_error(tiny_archive, capsys) == (
+            f"error: archive is missing tensor {name!r}\n")
 
     @pytest.mark.parametrize("change", [c for _, c in BAD_CONFIGS],
                              ids=[i for i, _ in BAD_CONFIGS])
@@ -967,16 +1004,33 @@ class TestCost:
 
     @pytest.mark.parametrize("flags", [("--blocks", 3), ("--heads", 2), ("--dim", 16),
                                        ("--head-dim", 2), ("--grid", 6), ("--kernel", 1),
-                                       ("--ffn-mult", 3)], ids=lambda f: f[0])
+                                       ("--ffn-mult", 3), ("--config", "vitl")],
+                             ids=lambda f: f[0])
     def test_override_next_to_model_refused(self, tmp_path, tiny_archive, capsys, flags):
-        """The archive fixes the config: an override flag next to --model
-        exits 2 with one line instead of being silently dropped."""
+        """The archive fixes the config: a preset or an override flag next to
+        --model exits 2 with one line instead of being silently dropped."""
         out = tmp_path / "cost.json"
         capsys.readouterr()
         assert run("cost", "--model", tiny_archive, *flags, "--out", out) == 2
         assert capsys.readouterr().err == (
             f"error: {flags[0]} cannot be given with --model: the archive fixes the config\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("with_model", [False, True], ids=["preset", "model"])
+    def test_variant_without_plan_or_sweep_refused(self, tmp_path, tiny_archive, capsys,
+                                                   with_model):
+        """Only --plan and --sweep price a variant: --variant without either
+        exits 2 with one line; omitted, it is recorded as dw and --config as
+        desk."""
+        source = ("--model", tiny_archive) if with_model else ()
+        out = tmp_path / "cost.json"
+        capsys.readouterr()
+        assert run("cost", *source, "--variant", "ens-dw", "--out", out) == 2
+        assert capsys.readouterr().err == "error: --variant is read only by --plan or --sweep\n"
+        assert not out.exists()
+        assert run("cost", *source, "--out", out) == 0
+        options = json.loads(out.read_text())["manifest"]["options"]
+        assert (options["variant"], options["config"]) == ("dw", "desk")
 
     def test_sweep_monotone(self, tmp_path):
         out = tmp_path / "cost.json"
@@ -1056,6 +1110,25 @@ class TestBench:
         options = json.loads(out.read_text())["manifest"]["options"]
         assert (options["variant"], options["variants"]) == ("dw", "mhsa,dw,ens-dw")
 
+    @pytest.mark.parametrize("variants", ["mhsa,xx", "xx", "dw,mhsa,DW"])
+    def test_unknown_variant_is_usage_error(self, tmp_path, capsys, variants):
+        out = tmp_path / "bench.json"
+        capsys.readouterr()
+        assert run("bench", *TINY_FLAGS, "--variants", variants, "--reps", 1,
+                   "--warmup", 0, "--out", out) == 2
+        unknown = variants.split(",")[-1]
+        assert capsys.readouterr().err == f"error: unknown bench variant {unknown!r}\n"
+        assert not out.exists()
+
+    def test_plan_without_model_refused(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        out = tmp_path / "bench.json"
+        capsys.readouterr()
+        assert run("bench", "--plan", plan, "--reps", 1, "--warmup", 0, "--out", out) == 2
+        assert capsys.readouterr().err == "error: --plan benching needs --model with weights\n"
+        assert not out.exists()
+
     def test_single_block_fns_cover_every_variant(self):
         fns = single_block_bench_fns(TINY, seed=3)
         assert set(fns) == {"mhsa", *dropin.VARIANTS}
@@ -1086,6 +1159,23 @@ class TestBench:
         assert capsys.readouterr().err == (
             "error: --heads cannot be given with --model: the archive fixes the config\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("plan_mode", [False, True], ids=["single-block", "plan"])
+    def test_config_next_to_model_refused(self, tmp_path, tiny_archive, capsys, plan_mode):
+        """The archive fixes the config in both modes: --config next to
+        --model exits 2; omitted, it is recorded as desk."""
+        out = tmp_path / "bench.json"
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        argv = ("bench", "--model", tiny_archive, *(("--plan", plan) if plan_mode else ()),
+                "--reps", 1, "--warmup", 0, "--out", out)
+        capsys.readouterr()
+        assert run(*argv, "--config", "desk") == 2
+        assert capsys.readouterr().err == (
+            "error: --config cannot be given with --model: the archive fixes the config\n")
+        assert not out.exists()
+        assert run(*argv) == 0
+        assert json.loads(out.read_text())["manifest"]["options"]["config"] == "desk"
 
     @pytest.mark.parametrize("plan_mode", [False, True], ids=["single-block", "plan"])
     def test_negative_warmup_is_usage_error(self, tmp_path, tiny_archive, capsys, plan_mode):

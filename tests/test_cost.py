@@ -279,7 +279,8 @@ class TestActivationBytes:
     factor of 2 of the traced peak of a real call, its input included."""
 
     @staticmethod
-    def assert_matches_traced_peak(cfg, variant, replaced=None):
+    def assert_matches_traced_peak(cfg, variant, replaced=None) -> float:
+        """Assert the factor-2 band and return the traced peak / estimate."""
         model = vit.init_model(ModelConfig(**{**cfg.to_dict(), "n_b": 1}), 7)
         block = model.blocks[0]
         if variant == "mhsa":
@@ -294,6 +295,7 @@ class TestActivationBytes:
         peak = traced_peak(lambda: sublayer(x, block)) + x.nbytes
         estimate = activation_bytes(variant, cfg, replaced)
         assert estimate / 2 <= peak <= 2 * estimate, (peak, estimate)
+        return peak / estimate
 
     @pytest.mark.parametrize("cfg", ACTIVATION_CONFIGS.values(), ids=ACTIVATION_CONFIGS.keys())
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -308,6 +310,22 @@ class TestActivationBytes:
         kept heads' exact attention: priced as exact attention, the odd
         config's traced peak is 2.8-5.7x the estimate."""
         self.assert_matches_traced_peak(ACTIVATION_CONFIGS[name], variant, replaced)
+
+    @pytest.mark.parametrize("cfg", ACTIVATION_CONFIGS.values(), ids=ACTIVATION_CONFIGS.keys())
+    @pytest.mark.parametrize("variant", ["convfull", "ens-convfull"])
+    def test_full_convolution_within_15_percent(self, cfg, variant):
+        """A whole full-convolution block holds its fold, then the larger of
+        the fold multiply's buffers and the convolution's padded input and
+        (n, c) arrays, which never coexist: priced so, it reads within 15%
+        of its traced peak."""
+        assert 0.85 <= self.assert_matches_traced_peak(cfg, variant) <= 1.15
+
+    def test_one_head_prices_alike_ensembled_or_not(self):
+        """At n_h = 1 every drop-in runs over c = d_h channels, so the
+        ensembled and plain forms of a formulation hold the same arrays."""
+        cfg = ModelConfig(n_b=1, n_h=1, d=16, d_h=16, m=8, k=3)
+        assert activation_bytes("dw", cfg) == activation_bytes("ens-dw", cfg)
+        assert activation_bytes("convfull", cfg) == activation_bytes("ens-convfull", cfg)
 
     @pytest.mark.parametrize("variant", dropin.VARIANTS)
     def test_prices_the_heads_flops_params_does(self, variant):

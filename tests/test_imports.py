@@ -6,7 +6,9 @@ one finiteness test. Only `vit.gelu` names an `erf`, and only
 pins lives in one place, and rewrites only the hidden array the FFN
 owns. Only `tensor.row_taps` calls a `tile`: it is the one rule that
 tiles a depthwise kernel into row taps. Only `archive` opens files: it
-writes and reads every report and archive.
+writes and reads every report and archive. `cost.activation_bytes`
+names no drop-in variant: it prices a block by its formulation
+(`dropin.DEPTHWISE`) and channel counts, as `flops_params` does.
 
 `__init__.py` is exempt from the import check: its imports are the
 package's re-exports.
@@ -16,6 +18,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from dwdropin import dropin
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dwdropin"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -175,3 +179,27 @@ def test_only_archive_opens_files(path):
     expected = (["write_json", "write_json", "read_json", "read_json", "save_archive",
                  "load_archive"] if path.stem == "archive" else [])
     assert file_openers(path.read_text()) == expected
+
+
+def named_strings(source: str, function: str, names) -> list:
+    """The string constants among `names` that the module's top-level
+    `function` holds, in source order."""
+    tree = ast.parse(source)
+    found = [n for node in tree.body if getattr(node, "name", None) == function
+             for n in ast.walk(node)
+             if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value in names]
+    return [n.value for n in sorted(found, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_detects_a_variant_name():
+    source = ('def activation_bytes(variant):\n    """Prices dw."""\n'
+              '    return {"dw": 1, "mhsa": 2}[variant] if variant != "ens-dw" else 0\n'
+              'def other():\n    return "convfull"\n')
+    assert named_strings(source, "activation_bytes", dropin.VARIANTS) == ["dw", "ens-dw"]
+    assert named_strings(source, "other", dropin.VARIANTS) == ["convfull"]
+
+
+def test_activation_bytes_names_no_variant():
+    source = (SRC / "cost.py").read_text()
+    assert "def activation_bytes(" in source
+    assert named_strings(source, "activation_bytes", dropin.VARIANTS) == []
