@@ -63,12 +63,17 @@ CONFIG_FLAGS = {"blocks": "n_b", "heads": "n_h", "dim": "d", "head_dim": "d_h",
                 "grid": "m", "kernel": "k", "ffn_mult": "ffn_mult"}
 
 
+def refuse_unread(args, flags, unread, why: str) -> None:
+    """When `unread` holds, refuse the first of `flags` given, as `--flag {why}`."""
+    given = [f for f in flags if getattr(args, f, None) is not None]
+    if unread and given:
+        raise ConfigError(f"--{given[0].replace('_', '-')} {why}")
+
+
 def refuse_next_to_model(args, flags) -> None:
     """Refuse any of `flags` given next to --model, whose archive fixes the config."""
-    given = [f for f in flags if getattr(args, f, None) is not None]
-    if given and getattr(args, "model", None):
-        raise ConfigError(f"--{given[0].replace('_', '-')} cannot be given with --model: "
-                          "the archive fixes the config")
+    refuse_unread(args, flags, getattr(args, "model", None),
+                  "cannot be given with --model: the archive fixes the config")
 
 
 def refuse_preset_next_to_model(args) -> None:
@@ -149,29 +154,32 @@ def record_defaults(args, **defaults) -> None:
 
 def refuse_next_to_data(args) -> None:
     """Refuse --samples or --seed next to --data, whose archive holds the samples."""
-    chosen = [f"--{f}" for f in ("samples", "seed") if getattr(args, f) is not None]
-    if args.data is not None and chosen:
-        raise ConfigError(f"{chosen[0]} cannot be given with --data: the archive holds the samples")
+    refuse_unread(args, ["samples", "seed"], args.data is not None,
+                  "cannot be given with --data: the archive holds the samples")
 
 
 def load_hybrid(path, purpose: str) -> dropin.HybridModel:
     """Load an archive with weights as a HybridModel (its `base` is the
-    plain model); a config-only archive is refused as an ArchiveError
-    naming `path` and saying that `purpose` needs weights."""
+    plain model). Every refusal is an ArchiveError naming `path`; a
+    config-only archive's says that `purpose` needs weights."""
     ar = load_archive(path)
     if not ar.tensors:
         raise ArchiveError(f"{path} is config-only; {purpose} needs weights")
-    return dropin.hybrid_from_archive(ar, model_from_archive(ar))
+    try:
+        return dropin.hybrid_from_archive(ar, model_from_archive(ar))
+    except ArchiveError as exc:
+        raise ArchiveError(f"{path}: {exc}") from exc
 
 
 @contextlib.contextmanager
-def overflow_is_file_fault(path):
-    """Refuse, as an ArchiveError naming `path` (exit 3), a model whose
-    finite weights overflow its forward pass."""
+def overflow_is_file_fault(path, data=None):
+    """Refuse, as an ArchiveError naming `path` (exit 3), a forward pass
+    that overflows; with `data`, the sample archive it read, naming both."""
     try:
         yield
     except NonFiniteError as exc:
-        raise ArchiveError(f"{path}: the model's forward pass overflows ({exc})") from exc
+        source = f"{path} on the samples of {data}" if data else path
+        raise ArchiveError(f"{source}: the model's forward pass overflows ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +189,8 @@ def overflow_is_file_fault(path):
 def cmd_gen(args) -> int:
     cfg = config_from_args(args)
     config_only = args.config_only or args.config == "vitl"
-    if config_only and args.seed is not None:
-        raise ConfigError("--seed cannot be given for a config-only archive: it has no weights")
+    refuse_unread(args, ["seed"], config_only,
+                  "cannot be given for a config-only archive: it has no weights")
     record_defaults(args, seed=0)
     meta = {"manifest": run_manifest("gen", args)}
     if config_only:
@@ -202,7 +210,7 @@ def cmd_score(args) -> int:
         record_defaults(args, samples=256, seed=0)
     model = load_hybrid(args.model, "scoring").base
     samples, source = get_samples(args, model.config)
-    with overflow_is_file_fault(args.model):
+    with overflow_is_file_fault(args.model, args.data):
         result = select.score_model(model, samples)
     report = result.to_report(meta={"source": source,
                                     "manifest": run_manifest("score", args)})
@@ -222,17 +230,15 @@ def cmd_plan(args) -> int:
 
 
 def cmd_replace(args) -> int:
-    unread = [f"--{f}" for f in ("samples", "data", "seed") if getattr(args, f) is not None]
-    if unread and not args.fit:
-        raise ConfigError(f"{unread[0]} is read only by --fit")
+    refuse_unread(args, ["samples", "data", "seed"], not args.fit, "is read only by --fit")
     refuse_next_to_data(args)
-    if args.fit and args.init_seed is not None:
-        raise ConfigError("--init-seed cannot be given with --fit: fitted kernels are not drawn")
+    refuse_unread(args, ["init_seed"], args.fit,
+                  "cannot be given with --fit: fitted kernels are not drawn")
     record_defaults(args, seed=0, init_seed=0)
     model = load_hybrid(args.model, "surgery").base
     plan = select.plan_from_file(args.plan)
     samples = get_samples(args, model.config)[0] if args.fit else None
-    with overflow_is_file_fault(args.model):
+    with overflow_is_file_fault(args.model, args.data):
         hm, reports = dropin.build_dropins(model, plan, args.variant, args.init_seed, samples)
     for key, rep in reports.items():
         if args.variant in dropin.ENSEMBLED:
@@ -377,8 +383,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    if args.variant is not None and not (args.plan or args.sweep):
-        raise ConfigError("--variant is read only by --plan or --sweep")
+    refuse_unread(args, ["variant"], not (args.plan or args.sweep),
+                  "is read only by --plan or --sweep")
     record_defaults(args, variant="dw")
     cfg = config_from_args(args)
     plan = select.plan_from_file(args.plan) if args.plan else None
@@ -419,10 +425,9 @@ def single_block_bench_fns(cfg: ModelConfig, seed: int) -> dict:
 
 
 def cmd_bench(args) -> int:
-    if args.plan and args.variants is not None:
-        raise ConfigError("--variants cannot be given with --plan, which times --variant")
-    if not args.plan and args.variant is not None:
-        raise ConfigError("--variant is read only by --plan")
+    refuse_unread(args, ["variants"], args.plan,
+                  "cannot be given with --plan, which times --variant")
+    refuse_unread(args, ["variant"], not args.plan, "is read only by --plan")
     record_defaults(args, variant="dw", variants="mhsa,dw,ens-dw")
     results = {}
     if args.plan:

@@ -78,6 +78,15 @@ class TestGen:
         code = run("gen", "--dim", 7, "--head-dim", 4, "--out", tmp_path / "x.bin")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--blocks", "--ffn-mult"])
+    @pytest.mark.parametrize("command", ["gen", "cost", "bench"])
+    def test_zero_dimension_refused(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "x.out"
+        capsys.readouterr()
+        assert run(command, "--out", out, flag, 0) == 2
+        assert capsys.readouterr() == ("", "error: all dimensions must be positive\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [("--config", "vitl"), ("--config-only", *TINY_FLAGS)],
                              ids=["vitl", "config-only"])
     def test_seed_for_config_only_archive_refused(self, tmp_path, capsys, flags):
@@ -759,6 +768,22 @@ class TestMalformedArchives:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    def test_missing_dropin_tensor_names_the_hybrid(self, tmp_path, tiny_archive, capsys):
+        """verify reads two archives: a malformed drop-in section is refused
+        with the path of the archive that holds it."""
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        hybrid = tmp_path / "h.bin"
+        assert run("replace", "--model", tiny_archive, "--plan", plan,
+                   "--variant", "ens-dw", "--out", hybrid) == 0
+        ar = load_archive(hybrid)
+        del ar.tensors["dropin.block0.gamma"]
+        save_archive(hybrid, ar.config, ar.tensors, ar.meta)
+        capsys.readouterr()
+        assert run("verify", "--model", tiny_archive, "--hybrid", hybrid, "--samples", 2) == 3
+        assert capsys.readouterr().err == (
+            f"error: {hybrid}: drop-in section is missing 'dropin.block0.gamma'\n")
+
     @staticmethod
     def score_error(archive, capsys) -> str:
         """Run score on a malformed archive: exit 3 and one error line."""
@@ -783,7 +808,7 @@ class TestMalformedArchives:
         del ar.tensors[name]
         save_archive(tiny_archive, ar.config, ar.tensors, ar.meta)
         assert self.score_error(tiny_archive, capsys) == (
-            f"error: archive is missing tensor {name!r}\n")
+            f"error: {tiny_archive}: archive is missing tensor {name!r}\n")
 
     @pytest.mark.parametrize("change", [c for _, c in BAD_CONFIGS],
                              ids=[i for i, _ in BAD_CONFIGS])
@@ -931,6 +956,25 @@ class TestMalformedArchives:
                 "(non-finite values in layer norm variance)\n"), argv[0]
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "f.bin").exists()
 
+    @pytest.mark.parametrize("command", ["score", "replace-fit"])
+    def test_overflowing_data_names_both_archives(self, tmp_path, tiny_archive, capsys,
+                                                  command):
+        """Samples of --data that overflow a model which runs synthetic
+        samples cleanly: the error names the sample archive next to the
+        model, since either may be at fault, and exits 3."""
+        data, out = tmp_path / "data.bin", tmp_path / "out.bin"
+        save_samples(data, TINY, [make_inputs(TINY, 1, 5)[0] * np.float32(1e30)])
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        argv = {"score": ("score",),
+                "replace-fit": ("replace", "--plan", plan, "--fit")}[command]
+        assert run(*argv, "--model", tiny_archive, "--samples", 2, "--out", out) == 0
+        capsys.readouterr()
+        assert run(*argv, "--model", tiny_archive, "--data", data, "--out", out) == 3
+        assert capsys.readouterr().err == (
+            f"error: {tiny_archive} on the samples of {data}: the model's forward pass "
+            "overflows (non-finite values in layer norm variance)\n")
+
 
 class TestMalformedPlans:
     """A plan file or score report that is not one exits 3 with one error
@@ -971,7 +1015,7 @@ class TestMalformedPlans:
         capsys.readouterr()
         assert run("verify", "--model", tiny_archive, "--hybrid", hybrid, "--samples", 2) == 3
         assert capsys.readouterr().err == (
-            "error: bad drop-in section: plan mode must be one of "
+            f"error: {hybrid}: bad drop-in section: plan mode must be one of "
             "('blockwise', 'scattered'), got 'diagonal'\n")
 
     @pytest.mark.parametrize("mode, fault, message", [f[1:] for f in REPORT_FAULTS],

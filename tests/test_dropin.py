@@ -1058,3 +1058,26 @@ class TestBuildDropins:
         assert hm.dropins == {} and reports == {}
         x = make_inputs(TINY, 1, 7)[0]
         np.testing.assert_array_equal(hybrid_forward(hm, x), vit.model_forward(x, tiny_model))
+
+
+# Refusals no other test reaches: (callable, arguments, error, message fragment).
+REFUSALS = [
+    (attn_dw, (np.zeros((TINY.n, TINY.d), np.float32), np.zeros((TINY.d, TINY.d_h), np.float32),
+               np.zeros((3, 3, TINY.d_h), np.float32)), ShapeError,
+     f"input must be (m, m, d), got ({TINY.n}, {TINY.d})"),
+    (ensemble_weights, (np.zeros(3), np.zeros((TINY.d, TINY.d), np.float32),
+                        np.zeros((TINY.d, TINY.d), np.float32), TINY.n_h, TINY.d_h),
+     ShapeError, f"gamma must have {TINY.n_h} entries, got (3,)"),
+    (replace_heads, (init_model(TINY, 0), SelectionPlan("blockwise", "lowest", 1, (0,)),
+                     {0: BlockDropin("ens-dw")}), ConfigError,
+     "block 0: ensembled replacement needs gamma and kernel"),
+    (fit_depthwise_kernel, ([np.zeros((4, 4, 2))], [np.zeros((4, 4, 3))], 3), ShapeError,
+     "value (4, 4, 2) and target (4, 4, 3) shapes differ"),
+]
+
+
+@pytest.mark.parametrize("fn, args, error, fragment", REFUSALS)
+def test_refusal(fn, args, error, fragment):
+    with pytest.raises(error) as exc:
+        fn(*args)
+    assert fragment in str(exc.value)

@@ -10,8 +10,8 @@ writes and reads every report and archive. `cost.activation_bytes`
 names no drop-in variant: it prices a block by its formulation
 (`dropin.DEPTHWISE`) and channel counts, as `flops_params` does.
 
-`__init__.py` is exempt from the import check: its imports are the
-package's re-exports.
+Every module is scanned, `__init__.py` too: the package binds only
+`__version__`, and each name is imported from the module that defines it.
 """
 
 import ast
@@ -22,8 +22,7 @@ import pytest
 from dwdropin import dropin
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dwdropin"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -75,9 +74,9 @@ def test_detects_an_unread_private_name():
     assert unread_private_names(source) == ["_dead", "_Gone", "_TABLE", "_x"]
 
 
-@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unread_private_names(path):
-    assert ALL_MODULES
+    assert MODULES
     assert unread_private_names(path.read_text()) == []
 
 
@@ -99,7 +98,7 @@ def test_detects_an_isfinite_reader():
     assert name_readers(source, "isfinite") == ["<module>", "<module>", "f", "C"]
 
 
-@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_only_all_finite_reads_isfinite(path):
     expected = ["all_finite", "all_finite"] if path.stem == "tensor" else []
     assert name_readers(path.read_text(), "isfinite") == expected
@@ -114,7 +113,7 @@ def test_detects_an_erf_reader():
     assert name_readers(source, "gelu") == ["act", "C"]
 
 
-@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_only_gelu_reads_erf(path):
     source = path.read_text()
     expected = ([["<module>", "gelu", "gelu"], ["ffn_forward"]] if path.stem == "vit"
@@ -140,7 +139,7 @@ def test_detects_a_tile_caller():
     assert tile_callers(source) == ["<module>", "f", "C"]
 
 
-@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_only_row_taps_tiles(path):
     expected = ["row_taps"] if path.stem == "tensor" else []
     assert tile_callers(path.read_text()) == expected
@@ -174,7 +173,7 @@ def test_detects_a_file_opener():
     assert file_openers(source) == ["<module>", "save", "save", "read", "read", "C"]
 
 
-@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_only_archive_opens_files(path):
     expected = (["write_json", "write_json", "read_json", "read_json", "save_archive",
                  "load_archive"] if path.stem == "archive" else [])

@@ -108,4 +108,4 @@ def test_hand_made_hybrid_with_refused_plan_exits_3(tmp_path, tiny_archive, tiny
     assert main(["verify", "--model", str(tiny_archive), "--hybrid", str(hybrid),
                  "--samples", "2"]) == 3
     assert capsys.readouterr().err == \
-        "error: bad drop-in section: ens-dw requires a blockwise plan\n"
+        f"error: {hybrid}: bad drop-in section: ens-dw requires a blockwise plan\n"

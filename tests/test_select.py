@@ -32,7 +32,7 @@ from dwdropin.select import (
     welford_finalize,
     welford_update,
 )
-from dwdropin.tensor import ConfigError, FormatError, seeded_fill, softmax_rows
+from dwdropin.tensor import ConfigError, FormatError, ShapeError, seeded_fill, softmax_rows
 from dwdropin.vit import init_model
 
 from conftest import GROUPED, PLAN_FAULTS, REPORT_FAULTS, TINY, block_inputs, make_inputs
@@ -673,3 +673,37 @@ class TestGateTrace:
     def test_needs_a_step(self, steps):
         with pytest.raises(ConfigError, match="steps must be >= 1"):
             gate_trace(GateParams(logits=np.zeros(4), budget=2), steps)
+
+
+# Refusals no other test reaches: (callable, arguments, error, message fragment).
+REFUSALS = [
+    (welford_update, (WelfordState.new((2, 3)), np.zeros((3, 2))), ShapeError,
+     "sample shape (3, 2) != state shape (2, 3)"),
+    (sigma_block, ([],), ConfigError, "block score needs at least one head score"),
+    (score_model, (init_model(TINY, 0), []), ConfigError,
+     "scoring needs at least one sample"),
+    (check_properties, ([], 3, 0.1), ConfigError, "property check needs at least one sample"),
+    (check_properties, ([np.zeros((5, 5))], 3, 0.1), ShapeError,
+     "weight matrices must be (m*m, m*m), got (5, 5)"),
+    (kernel_energy, (np.zeros((2, 2), np.float32), 4), ShapeError,
+     "kernel must be square with odd side, got (2, 2)"),
+    (read_off_kernel, (np.zeros((4, 4), np.float32), 2, 3), ConfigError,
+     "grid side 2 too small to host a 3x3 kernel"),
+    (select, (np.zeros(3), 1, "diagonal"), ConfigError,
+     "mode must be one of ('blockwise', 'scattered'), got 'diagonal'"),
+    (select, (np.zeros(3), 1, "blockwise", "middle"), ConfigError,
+     "order must be one of ('lowest', 'highest'), got 'middle'"),
+    (select, (np.zeros((3, 2)), 1, "blockwise"), ShapeError,
+     "blockwise selection expects one score per block"),
+    (select, (np.zeros(3), 1, "scattered"), ShapeError,
+     "scattered selection expects an (n_b, n_h) score array"),
+    (hard_topk_gate, (np.zeros(3), 0), ConfigError, "p must be in (0, 3], got 0"),
+    (gumbel_topk_relax, (np.zeros(3), 4, 1.0, 0), ConfigError, "p must be in (0, 3], got 4"),
+]
+
+
+@pytest.mark.parametrize("fn, args, error, fragment", REFUSALS)
+def test_refusal(fn, args, error, fragment):
+    with pytest.raises(error) as exc:
+        fn(*args)
+    assert fragment in str(exc.value)

@@ -421,3 +421,21 @@ class TestSeededFill:
         first seed), as a ConfigError rather than numpy's ValueError."""
         with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
             draw()
+
+
+# Refusals no other test reaches: (callable, arguments, error, message fragment).
+REFUSALS = [
+    (softmax_rows, (np.zeros(3, np.float32),), ShapeError,
+     "softmax_rows needs a rank-2 input, got shape (3,)"),
+    (dwconv2d, (np.zeros((4, 4), np.float32), np.zeros((3, 3, 4), np.float32)), ShapeError,
+     "dwconv2d expects (m,m,c) and (k,k,c), got (4, 4), (3, 3, 4)"),
+    (conv2d, (np.zeros((4, 5, 2), np.float32), np.zeros((3, 3, 2, 2), np.float32)),
+     ShapeError, "input grid must be square, got (4, 5, 2)"),
+]
+
+
+@pytest.mark.parametrize("fn, args, error, fragment", REFUSALS)
+def test_refusal(fn, args, error, fragment):
+    with pytest.raises(error) as exc:
+        fn(*args)
+    assert fragment in str(exc.value)

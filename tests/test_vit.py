@@ -706,3 +706,21 @@ class TestFrozenReference:
         model = init_model(cfg, seed)
         for x in make_inputs(cfg, 3, 70 + seed):
             np.testing.assert_array_equal(model_forward(x, model), reference_forward(x, model))
+
+
+# Refusals no other test reaches: (callable, arguments, error, message fragment).
+REFUSALS = [
+    (explicit_attention, (np.zeros((16, 16), np.float32), np.zeros((16, 2), np.float32)),
+     ShapeError, "values must be (m, m, d_h), got (16, 2)"),
+    (model_forward, (np.zeros((TINY.n, TINY.d + 1), np.float32), init_model(TINY, 0)),
+     ShapeError, f"input must be (n, d) = ({TINY.n}, {TINY.d}), got (16, 9)"),
+    (grid, (np.zeros((5, 2), np.float32), 2), ShapeError,
+     "cannot view 5 tokens as a 2x2 grid"),
+]
+
+
+@pytest.mark.parametrize("fn, args, error, fragment", REFUSALS)
+def test_refusal(fn, args, error, fragment):
+    with pytest.raises(error) as exc:
+        fn(*args)
+    assert fragment in str(exc.value)
