@@ -225,7 +225,8 @@ def seeded_fill(shape, seed: int, dist: str = "gaussian",
         out = gen.random(size=shape, dtype=F32)
     elif dist == "gaussian":
         out = gen.standard_normal(size=shape, dtype=F32)
-        out = out * F32(sigma) + F32(mu)
+        out *= F32(sigma)
+        out += F32(mu)
     else:
         raise ConfigError(f"unknown distribution {dist!r}")
     return np.ascontiguousarray(out)

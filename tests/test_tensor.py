@@ -398,6 +398,15 @@ class TestSeededFill:
         b = seeded_fill((8, 8), 2, "uniform")
         assert (a != b).any()
 
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.25, 0.02), (-3.7, 1.9), (1e-3, 1e30)])
+    def test_gaussian_scales_and_shifts_bitwise(self, mu, sigma):
+        """The in-place scale and shift keep the bits of the expression
+        draw * sigma + mu over a fresh draw from the same seed."""
+        draw = np.random.Generator(np.random.PCG64(5)).standard_normal(size=(9, 7), dtype=np.float32)
+        want = draw * np.float32(sigma) + np.float32(mu)
+        got = seeded_fill((9, 7), 5, "gaussian", mu, sigma)
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
     def test_gaussian_sample_mean(self):
         x = seeded_fill((100_000,), 7, "gaussian", 0.0, 1.0)
         assert abs(float(x.mean())) < 0.02

@@ -278,17 +278,70 @@ def plain_gelu(x):
 THREE_BANDS = ModelConfig(n_b=1, n_h=8, d=512, d_h=64, m=24, k=3)
 
 
+def f32_near(x, ulps):
+    """The float32 values within `ulps` patterns of the positive float32 x."""
+    return (np.uint32(F32(x).view(np.uint32)) + np.arange(-ulps, ulps + 1)).astype(np.uint32).view(F32)
+
+
+def with_negatives(x):
+    return np.concatenate([x, -x])
+
+
+# erf's argument where the Cephes erf switches to 1 - erfc: on 1.0 or next to it
+# (u near sqrt 2, so that fl(u * (1/sqrt 2)) is 1 - 2 ulp ... 1 + 1 ulp)
+NEAR_SQRT2 = f32_near(math.sqrt(2.0), 2)[1:]
+
+
+def erf_odd_inputs():
+    """float32 x where the odd symmetry of erf could break: every exponent
+    0-254 with several mantissas (subnormals included), +-0, +-inf, the
+    neighbours of 1.0, where Cephes switches to 1 - erfc, and the range
+    around 3.92, where float32 erf rounds to 1. Both signs of each."""
+    rng = np.random.Generator(np.random.PCG64(2027))
+    mantissas = np.concatenate([[0, 1, 2, 0x400000, 0x7FFFFE, 0x7FFFFF],
+                                rng.integers(0, 1 << 23, 10)]).astype(np.uint32)
+    exponents = np.arange(255, dtype=np.uint32) << np.uint32(23)
+    patterns = np.concatenate([(exponents[:, None] | mantissas).ravel(),
+                               rng.integers(1, 1 << 23, 1000, dtype=np.uint32),
+                               [0x7F800000]]).astype(np.uint32)
+    return with_negatives(np.concatenate([patterns.view(F32), f32_near(1.0, 64),
+                                          f32_near(3.92, 4096)]))
+
+
+def test_erf_is_odd_bitwise():
+    """copysign(erf(|x|), x) is erf(x) bit for bit: what `gelu` rests on.
+    `tests/check_erf_sign.py` checks every float32; this samples each class
+    so that a scipy whose erf is not odd fails here at once."""
+    x = erf_odd_inputs()
+    e = erf(x)
+    assert np.isin([0.0, 1.0, -1.0], e).all() and np.isinf(x).any()
+    assert ((x != 0) & (np.abs(x) < np.finfo(F32).tiny)).any()  # subnormals
+    crossing = np.abs(e[(np.abs(x) > 3.91) & (np.abs(x) < 3.93)])
+    assert (crossing < 1).any() and (crossing == 1).any()
+    got = np.copysign(erf(np.abs(x)), x)
+    np.testing.assert_array_equal(got.view(np.uint32), e.view(np.uint32))
+
+
 class TestGelu:
     """`gelu` has the bits of the plain expression; it rewrites a hidden
     array of more than one band in place, band by band."""
 
-    @staticmethod
-    def hidden(shape, seed):
-        """Values across erf's range: gaussian of scale 4, with signed zeros,
-        tiny values and values where erf rounds to +-1."""
+    # signed zeros, subnormals, tiny values, u whose fl(u / sqrt 2) is on or
+    # next to 1.0, and values where erf rounds to +-1
+    EDGES = with_negatives(np.concatenate([
+        np.array([0.0, 1e-45, 1e-40, 1.1754942e-38, 1e-30, 6.0, 40.0], dtype=F32),
+        NEAR_SQRT2]))
+
+    @classmethod
+    def hidden(cls, shape, seed):
+        """Values across erf's range: gaussian of scale 4, with `EDGES` first."""
         u = np.random.Generator(np.random.PCG64(seed)).standard_normal(shape).astype(F32) * 4
-        u.flat[:8] = [0.0, -0.0, 1e-30, -1e-30, 6.0, -6.0, 40.0, -40.0]
+        u.flat[: len(cls.EDGES)] = cls.EDGES
         return u
+
+    def test_edges_reach_erfs_switch_to_erfc(self):
+        t = NEAR_SQRT2 * F32(1.0 / math.sqrt(2.0))
+        assert (t == 1).any() and (t < 1).any() and (t > 1).any()
 
     @pytest.mark.parametrize("shape, group_bytes, rows", [
         ((64, 256), GROUP_BYTES, 64),
