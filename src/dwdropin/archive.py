@@ -158,6 +158,14 @@ def _tensor_entry(path, entry) -> tuple:
     return name, tuple(shape), offset
 
 
+def _model_shapes(cfg: ModelConfig) -> dict:
+    """Name -> shape of every tensor of a `cfg` model, in archive order."""
+    shapes = {"pos_enc": (cfg.n, cfg.d)}
+    for b in range(cfg.n_b):
+        shapes.update((f"block{b}.{name}", shape) for name, shape in block_shapes(cfg).items())
+    return shapes
+
+
 def model_tensors(model: Model) -> dict:
     """Flatten a model's weights into archive naming order."""
     out = {"pos_enc": model.pos_enc}
@@ -172,33 +180,29 @@ def save_model(path, model: Model, meta: dict | None = None) -> None:
 
 
 def model_from_archive(ar: Archive) -> Model:
-    """The model an archive holds. Every tensor's shape is checked before
-    any block is built. As each block is built, its w_q, w_k and w_v in
-    `ar.tensors` are swapped for the column views of the block's fused
-    `w_qkv`, so the archive's own copies are freed then, not held next to
-    the fused ones until the load returns."""
+    """The model an archive holds. Before any block is built, each
+    `_model_shapes` name must be present with its shape, and any other name
+    not `dropin.*` (`dropin.hybrid_from_archive`'s) is refused. As each
+    block is built, its w_q, w_k and w_v in `ar.tensors` are swapped for
+    the column views of its fused `w_qkv`, so the archive's own copies are
+    freed then, not held next to the fused ones until the load returns."""
     cfg = ar.config
     if not ar.tensors:
         raise ArchiveError("archive is config-only, it carries no weights")
+    shapes = _model_shapes(cfg)
     for name, arr in ar.tensors.items():
-        expected = _expected_shape(name, cfg)
-        if expected is not None and tuple(arr.shape) != expected:
-            raise ArchiveError(f"tensor {name!r} has shape {arr.shape}, expected {expected}")
-    try:
-        pos_enc = ar.tensors["pos_enc"]
-        blocks = []
-        for b in range(cfg.n_b):
-            names = {name: f"block{b}.{name}" for name in block_shapes(cfg)}
-            block = BlockParams(n_h=cfg.n_h, d_h=cfg.d_h,
-                                **{name: ar.tensors[key] for name, key in names.items()})
-            ar.tensors.update((names[name], getattr(block, name)) for name in ("w_q", "w_k", "w_v"))
-            blocks.append(block)
-    except KeyError as exc:
-        raise ArchiveError(f"archive is missing tensor {exc}") from exc
-    return Model(config=cfg, pos_enc=pos_enc, blocks=blocks)
-
-
-def _expected_shape(name: str, cfg: ModelConfig):
-    if name == "pos_enc":
-        return (cfg.n, cfg.d)
-    return block_shapes(cfg).get(name.split(".", 1)[-1])
+        if name not in shapes and not name.startswith("dropin."):
+            raise ArchiveError(f"tensor {name!r} is not a tensor of this model")
+        if name in shapes and tuple(arr.shape) != shapes[name]:
+            raise ArchiveError(f"tensor {name!r} has shape {arr.shape}, expected {shapes[name]}")
+    missing = [name for name in shapes if name not in ar.tensors]
+    if missing:
+        raise ArchiveError(f"archive is missing tensor {missing[0]!r}")
+    blocks = []
+    for b in range(cfg.n_b):
+        names = {name: f"block{b}.{name}" for name in block_shapes(cfg)}
+        block = BlockParams(n_h=cfg.n_h, d_h=cfg.d_h,
+                            **{name: ar.tensors[key] for name, key in names.items()})
+        ar.tensors.update((names[name], getattr(block, name)) for name in ("w_q", "w_k", "w_v"))
+        blocks.append(block)
+    return Model(config=cfg, pos_enc=ar.tensors["pos_enc"], blocks=blocks)

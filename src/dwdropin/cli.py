@@ -429,7 +429,6 @@ def cmd_bench(args) -> int:
                   "cannot be given with --plan, which times --variant")
     refuse_unread(args, ["variant"], not args.plan, "is read only by --plan")
     record_defaults(args, variant="dw", variants="mhsa,dw,ens-dw")
-    results = {}
     if args.plan:
         # whole-model comparison: baseline forward vs the planned hybrid
         if not args.model:
@@ -439,24 +438,24 @@ def cmd_bench(args) -> int:
         cfg = model.config
         plan = select.plan_from_file(args.plan)
         hm, _ = dropin.build_dropins(model, plan, args.variant, args.seed)
-        x = seeded_fill((cfg.n, cfg.d), args.seed + 1, "gaussian", 0.0, 1.0)
-        pairs = {"baseline": lambda inp: vit.model_forward(inp, model),
-                 f"hybrid[{args.variant}]": lambda inp: dropin.hybrid_forward(hm, inp)}
-        with overflow_is_file_fault(args.model):
-            for name, fn in pairs.items():
-                results[name] = cost.bench(fn, x, warmup=args.warmup, reps=args.reps)
+        fns = {"baseline": lambda inp: vit.model_forward(inp, model),
+               f"hybrid[{args.variant}]": lambda inp: dropin.hybrid_forward(hm, inp)}
     else:
         cfg = config_from_args(args)
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
         if not variants:
             raise ConfigError(f"--variants {args.variants!r} names no variant")
-        fns = single_block_bench_fns(cfg, args.seed)
+        block_fns = single_block_bench_fns(cfg, args.seed)
         for v in variants:
-            if v not in fns:
+            if v not in block_fns:
                 raise ConfigError(f"unknown bench variant {v!r}")
-        x = seeded_fill((cfg.n, cfg.d), args.seed + 1, "gaussian", 0.0, 1.0)
-        for v in variants:
-            results[v] = cost.bench(fns[v], x, warmup=args.warmup, reps=args.reps)
+        fns = {v: block_fns[v] for v in variants}
+    x = seeded_fill((cfg.n, cfg.d), args.seed + 1, "gaussian", 0.0, 1.0)
+    results = {}
+    # the weights are the file's only with --plan; the others are seeded
+    with overflow_is_file_fault(args.model) if args.plan else contextlib.nullcontext():
+        for name, fn in fns.items():
+            results[name] = cost.bench(fn, x, warmup=args.warmup, reps=args.reps)
     for name, r in results.items():
         print(f"{name:<18} median {r['median'] * 1e3:9.3f} ms   "
               f"p10 {r['p10'] * 1e3:9.3f}   p90 {r['p90'] * 1e3:9.3f}")

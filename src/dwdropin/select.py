@@ -271,9 +271,9 @@ class SelectionPlan:
     def from_json(cls, d) -> "SelectionPlan":
         """A plan from its JSON form, refusing (ConfigError) a `mode` or
         `order` outside MODES/ORDERS (a missing order reads as "lowest"), a
-        budget that is not an exact int, and targets that are not exact-int
-        block indices (blockwise) or [block, head] pairs (scattered).
-        Whether the targets exist is `dropin.planned_heads`' question."""
+        budget that is not an exact int, and targets that are not distinct
+        exact-int block indices (blockwise) or [block, head] pairs
+        (scattered). Whether they exist is `dropin.planned_heads`' question."""
         if not isinstance(d, dict):
             raise ConfigError("plan must be a JSON object")
         mode, order, budget = d.get("mode"), d.get("order", "lowest"), d.get("budget")
@@ -296,8 +296,11 @@ class SelectionPlan:
         if not ok:
             raise ConfigError(f"{mode} plan targets must be a list of integer {what}, "
                               f"got {targets!r}")
-        return cls(mode=mode, order=order, budget=budget,
-                   targets=tuple(t if mode == "blockwise" else tuple(t) for t in targets))
+        keys = tuple(t if mode == "blockwise" else tuple(t) for t in targets)
+        if len(set(keys)) < len(keys):
+            twice = next(targets[i] for i, t in enumerate(keys) if t in keys[:i])
+            raise ConfigError(f"{mode} plan names target {twice!r} twice")
+        return cls(mode=mode, order=order, budget=budget, targets=keys)
 
 
 def select(scores, budget: int, mode: str = "blockwise",

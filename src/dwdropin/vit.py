@@ -5,9 +5,9 @@ convolutional replacement is measured against. A block holds its query,
 key and value projections as one (d, 3d) array (`BlockParams.w_qkv`),
 built once, so exact attention (`attention`) projects with one GEMM and
 then runs the heads batched, in head groups sized to stay in cache; the
-per-head functions are its oracles. The FFN applies GELU in place to a
-hidden array larger than one band, one band of rows at a time. Its erf
-runs on |u|/sqrt 2 and the sign is put back after: that keeps scipy's
+per-head functions are its oracles. The FFN's GELU is one loop over row
+bands at every size, in place past one band, else into a new array. Its
+erf runs on |u|/sqrt 2 and the sign is put back after: that keeps scipy's
 bits, since that erf is odd bit for bit, and spares erf a sign branch
 that mispredicts on inputs of random sign. Head groups and GELU bands are
 both sized by `tensor.GROUP_BYTES`, the budget `dwconv2d`'s bands also
@@ -238,43 +238,35 @@ def attention_input(x: np.ndarray, block: BlockParams) -> np.ndarray:
 def gelu(u: np.ndarray) -> np.ndarray:
     """GELU of the C-contiguous float32 (p, q) array u, with the bits of the
     float32 expression u * 0.5 * (1 + erf(u * (1/sqrt 2))). erf runs on
-    t = |u| * (1/sqrt 2) and the sign of u is put back with copysign:
-    scipy's erf (Cephes) begins "if x < 0, return -erf(-x)", so it is odd
-    bit for bit (`tests/check_erf_sign.py` checks every float32), and
-    fl(|u| c) = |fl(u c)|. On GELU's inputs of random sign that branch
-    mispredicts about half the time; on |u| it never does, so `gelu` as a
-    whole takes about 14% less time on desk's (64, 256) hidden array and
-    26% less on a vitl (576, 4096) one (2-core x86-64, scipy 1.17).
+    |u| * (1/sqrt 2) and copysign puts u's sign back: fl(|u| c) = |fl(u c)|,
+    and scipy's erf (Cephes) begins "if x < 0, return -erf(-x)", so it is
+    odd bit for bit (`tests/check_erf_sign.py` checks every float32). That
+    branch mispredicts on inputs of random sign, never on |u|: gelu took 14%
+    less time at desk, 26% at vitl (2-core x86-64, scipy 1.17).
 
-    An array that fits one band of GROUP_BYTES (`budget_units`) is read
-    whole into a new array: it is in cache already, and the band loop and
-    its writes into the GEMM's output cost more there (about 1% of a desk
-    forward). A larger one is rewritten in place and returned, one band of
-    rows at a time through one band-sized scratch t, so each band's passes
-    stay in cache: t = |u|, t *= 1/sqrt 2, erf in place, copysign from u,
-    t += 1, u *= 0.5, u *= t. Each value takes the expression's float32
-    operations in its order (1 + e and e + 1 round alike), so both forms
-    give the same bits."""
+    Every size runs one loop over row bands of GROUP_BYTES (`budget_units`)
+    through one band-sized scratch t, so each band's passes stay in cache:
+    t = |u|, t *= 1/sqrt 2, erf in place, copysign from u, t += 1,
+    out = u * 0.5, out *= t. Size only picks where the result goes: an
+    array that fits one band, already in cache, goes to a new array
+    (writing into the GEMM's output measured slower at desk); a larger one
+    is rewritten in place and returned, so the FFN holds no second hidden
+    array. Each value takes the expression's float32 operations in order
+    (1 + e and e + 1 round alike), so the bits are the expression's."""
     rows = budget_units(4 * u.shape[1])
-    if rows >= u.shape[0]:
-        t = np.abs(u)
-        t *= F32(1.0 / math.sqrt(2.0))
-        erf(t, out=t)
-        np.copysign(t, u, out=t)
-        t += F32(1.0)
-        return u * F32(0.5) * t
-    t = np.empty((rows, u.shape[1]), dtype=F32)
+    out = np.empty_like(u) if rows >= u.shape[0] else u
+    t = np.empty((min(rows, u.shape[0]), u.shape[1]), dtype=F32)
     for i in range(0, u.shape[0], rows):
-        band = u[i : i + rows]
+        band, o = u[i : i + rows], out[i : i + rows]
         t_b = t[: band.shape[0]]
         np.abs(band, out=t_b)
         t_b *= F32(1.0 / math.sqrt(2.0))
         erf(t_b, out=t_b)
         np.copysign(t_b, band, out=t_b)
         t_b += F32(1.0)
-        band *= F32(0.5)
-        band *= t_b
-    return u
+        np.multiply(band, F32(0.5), out=o)
+        o *= t_b
+    return out
 
 
 def ffn_forward(x: np.ndarray, block: BlockParams) -> np.ndarray:

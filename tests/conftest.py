@@ -178,6 +178,11 @@ PLAN_FAULTS = [
      {"mode": "scattered", "order": "lowest", "budget": 1, "targets": [[0, 0, 1]]},
      "integer [block, head] pairs"),
     ("top-level-array", [0, 1], "plan must be a JSON object"),
+    ("repeated-block", {"mode": "blockwise", "order": "lowest", "budget": 2, "targets": [1, 1]},
+     "blockwise plan names target 1 twice"),
+    ("repeated-pair",
+     {"mode": "scattered", "order": "lowest", "budget": 3, "targets": [[0, 1], [1, 0], [0, 1]]},
+     "scattered plan names target [0, 1] twice"),
 ]
 
 # Score reports `plan` refuses, as (id, mode, report -> faulty report, message fragment).

@@ -132,6 +132,20 @@ def test_wrong_projection_shape_checked_before_any_block(tmp_path, tiny_model, n
     assert all(ar.tensors[n] is arr for n, arr in loaded.items())
 
 
+@pytest.mark.parametrize("name", [f"block{TINY.n_b}.w_o", "block0.w_o.copy", "junk"])
+def test_stray_tensor_rejected_before_any_block(tmp_path, tiny_model, name):
+    """A tensor outside the model's name table, and not a `dropin.*` one,
+    is an ArchiveError naming it, raised before any block is built."""
+    p = tmp_path / "m.bin"
+    stray = np.ones((TINY.d, TINY.d), np.float32)
+    save_archive(p, TINY, {**model_tensors(tiny_model), name: stray})
+    ar = load_archive(p)
+    loaded = dict(ar.tensors)
+    with pytest.raises(ArchiveError, match=re.escape(f"{name!r} is not a tensor of this model")):
+        model_from_archive(ar)
+    assert all(ar.tensors[n] is arr for n, arr in loaded.items())
+
+
 def test_projections_swapped_for_fused_views(tmp_path, tiny_model):
     """Loaded tensors are arrays of their own, not views of the file's
     bytes; building a block swaps its w_q, w_k and w_v in `ar.tensors` for

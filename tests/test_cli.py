@@ -810,6 +810,32 @@ class TestMalformedArchives:
         assert self.score_error(tiny_archive, capsys) == (
             f"error: {tiny_archive}: archive is missing tensor {name!r}\n")
 
+    @pytest.mark.parametrize("name, shape", [
+        (f"block{TINY.n_b}.w_o", (TINY.d, TINY.d)),
+        ("x.w_q", (TINY.d, TINY.d)),
+        ("block0.w_q.copy", (TINY.d, TINY.d)),
+        ("junk", (3,)),
+    ], ids=["block-past-the-last", "other-prefix", "suffixed", "junk"])
+    def test_stray_tensor(self, tiny_archive, capsys, name, shape):
+        """A tensor that is neither the model's nor a drop-in's is refused
+        by name, even when its shape is a model tensor's."""
+        ar = load_archive(tiny_archive)
+        ar.tensors[name] = np.ones(shape, np.float32)
+        save_archive(tiny_archive, ar.config, ar.tensors, ar.meta)
+        assert self.score_error(tiny_archive, capsys) == (
+            f"error: {tiny_archive}: tensor {name!r} is not a tensor of this model\n")
+
+    def test_stray_tensor_fails_verify(self, tmp_path, tiny_archive, capsys):
+        """An archive that differs from the model only by a stray tensor is
+        refused, not verified equal to it."""
+        stray = tmp_path / "stray.bin"
+        ar = load_archive(tiny_archive)
+        save_archive(stray, ar.config, {**ar.tensors, "junk": np.ones(3, np.float32)}, ar.meta)
+        capsys.readouterr()
+        assert run("verify", "--model", stray, "--hybrid", tiny_archive, "--samples", 2) == 3
+        assert capsys.readouterr().err == (
+            f"error: {stray}: tensor 'junk' is not a tensor of this model\n")
+
     @pytest.mark.parametrize("change", [c for _, c in BAD_CONFIGS],
                              ids=[i for i, _ in BAD_CONFIGS])
     def test_bad_config_block(self, tiny_archive, capsys, change):
@@ -1017,6 +1043,24 @@ class TestMalformedPlans:
         assert capsys.readouterr().err == (
             f"error: {hybrid}: bad drop-in section: plan mode must be one of "
             "('blockwise', 'scattered'), got 'diagonal'\n")
+
+    @pytest.mark.parametrize("mode, targets, twice", [
+        ("blockwise", (0,), [0, 0]),
+        ("scattered", ((0, 1),), [[0, 1], [0, 1]]),
+    ], ids=["blockwise", "scattered"])
+    def test_repeated_target_in_archive_meta(self, tmp_path, tiny_archive, capsys,
+                                             mode, targets, twice):
+        """A hybrid whose stored plan names a target twice is refused, not
+        loaded as if it named it once."""
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan(mode, "lowest", 1, targets), plan)
+        hybrid = tmp_path / "h.bin"
+        assert run("replace", "--model", tiny_archive, "--plan", plan, "--out", hybrid) == 0
+        rewrite_manifest(hybrid, lambda m: m["meta"]["dropin"]["plan"].update(targets=twice))
+        capsys.readouterr()
+        assert run("verify", "--model", tiny_archive, "--hybrid", hybrid, "--samples", 2) == 3
+        assert capsys.readouterr().err == (
+            f"error: {hybrid}: bad drop-in section: {mode} plan names target {twice[0]!r} twice\n")
 
     @pytest.mark.parametrize("mode, fault, message", [f[1:] for f in REPORT_FAULTS],
                              ids=[f[0] for f in REPORT_FAULTS])

@@ -116,7 +116,7 @@ def test_detects_an_erf_reader():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_only_gelu_reads_erf(path):
     source = path.read_text()
-    expected = ([["<module>", "gelu", "gelu"], ["ffn_forward"]] if path.stem == "vit"
+    expected = ([["<module>", "gelu"], ["ffn_forward"]] if path.stem == "vit"
                 else [[], []])
     assert [name_readers(source, "erf"), name_readers(source, "gelu")] == expected
 

@@ -348,14 +348,23 @@ class TestGelu:
         ((576, 4096), GROUP_BYTES, 128),
         ((10, 32), 4 * 32, 1),
         ((10, 32), 3 * 4 * 32, 3),
-    ], ids=["desk", "vitl", "one-row-bands", "three-row-bands"])
+        ((3, 32), 3 * 4 * 32, 3),
+        ((4, 32), 3 * 4 * 32, 3),
+    ], ids=["desk", "vitl", "one-row-bands", "three-row-bands", "one-band",
+            "one-band-and-a-row"])
     def test_plain_expression_bitwise(self, monkeypatch, shape, group_bytes, rows):
+        """An array of more rows than one band is rewritten in place (the
+        last band may be one row); one that fits a band goes to a new array
+        and u keeps its bits."""
         monkeypatch.setattr(tensor, "GROUP_BYTES", group_bytes)
         assert min(shape[0], budget_units(4 * shape[1])) == rows
         u = self.hidden(shape, 31)
+        kept = u.copy()
         want = plain_gelu(u)
         got = gelu(u)
         assert (got is u) == (rows < shape[0])
+        if got is not u:
+            np.testing.assert_array_equal(u.view(np.uint32), kept.view(np.uint32))
         np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     @pytest.mark.parametrize("cfg", [DESK, THREE_BANDS], ids=["desk", "three-bands"])
