@@ -9,15 +9,16 @@ equations, t^T t - 2 k^T r + k^T G k, with no second pass over the samples.
 A replaced block is fitted as one group: one value GEMM over the replaced
 heads' stacked value columns, their exact outputs side by side as
 targets, and one set of normal equations for the whole block. The targets
-come straight from the capture: one forward per sample hands each planned
-block's input and the (n, d) head outputs its exact attention computed to
-that block's fold, so no exact attention is run a second time to fit.
+come straight from the capture: one forward per chunk of samples hands
+each planned block's inputs and the (B, n, d) head outputs its exact
+attention computed to that block's fold, so no exact attention is run a
+second time to fit.
 
 The normal equations are sums over samples, so the fit never needs the
-samples together: `build_dropins` folds each block's capture into them as
-soon as the sample's pass reads that block and keeps nothing else, which
-holds fit memory flat however many samples are drawn (GPTQ accumulates
-its calibration Gram matrices the same way).
+samples together: `build_dropins` folds each block's capture into them,
+one sample at a time, as soon as the chunk's pass reads that block and
+keeps nothing else, which holds fit memory flat however many samples are
+drawn (GPTQ accumulates its calibration Gram matrices the same way).
 """
 
 import numpy as np
@@ -51,10 +52,10 @@ samples = [seeded_fill((cfg.n, cfg.d), next(seeds), "gaussian") for _ in range(8
 # A freshly initialized head is nowhere near convolution-like (that is
 # what the variance score is for), so the fit only captures a slice of it;
 # the point here is the mechanics and that fitting always helps. One
-# capture pass per sample serves every block fitted from it, and one
-# block fit serves all of the block's replaced heads. `build_dropins`
-# takes the samples as a one-pass iterator and folds each into the
-# block's normal equations as soon as the pass reads the block.
+# capture pass serves every block fitted from it, and one block fit
+# serves all of the block's replaced heads. `build_dropins` takes the
+# samples as a one-pass iterator and folds each into the block's normal
+# equations as soon as the pass reads the block for its chunk.
 heads = (1, 2)  # block 0, heads 1 and 2
 plan = SelectionPlan(mode="scattered", order="lowest", budget=len(heads),
                      targets=tuple((0, h) for h in heads))
@@ -73,9 +74,11 @@ block, pairs = model.blocks[0], {h: ([], []) for h in heads}
 
 
 def keep_heads(a_in, out):
-    for h, (values, targets) in pairs.items():
-        values.append(vit.grid(matmul(a_in, vit.head_cols(block.w_v, h, cfg.d_h)), cfg.m))
-        targets.append(vit.grid(vit.head_cols(out, h, cfg.d_h), cfg.m))
+    # the capture hands a fold a chunk of samples, (B, n, d) each
+    for a_s, out_s in zip(a_in, out):
+        for h, (values, targets) in pairs.items():
+            values.append(vit.grid(matmul(a_s, vit.head_cols(block.w_v, h, cfg.d_h)), cfg.m))
+            targets.append(vit.grid(vit.head_cols(out_s, h, cfg.d_h), cfg.m))
 
 
 attention_inputs(model, samples, {0: keep_heads})

@@ -16,8 +16,9 @@ decides where the kernel meets the values. Unensembled variants replace
 any subset of heads; ensembled variants collapse whole blocks and take
 only blockwise plans (`planned_heads`). A block's kernels are fitted from
 one set of per-channel least-squares normal equations against the
-attention outputs the kernels stand in for, folded in one sample at a
-time.
+attention outputs the kernels stand in for: the capture hands each block
+its inputs and outputs a chunk of samples at a time, and the fit folds
+them in one sample at a time, in sample order.
 """
 
 from __future__ import annotations
@@ -353,7 +354,8 @@ def hybrid_from_archive(ar, model: Model) -> HybridModel:
 
     The rebuild goes through `replace_heads`, so a variant, plan, gamma or
     kernel that surgery would refuse is refused here too, as is a `dropin.*`
-    tensor that no replaced block uses. Every refusal is an ArchiveError.
+    tensor that no replaced block uses, and a block key in `variants` that is
+    not its block's canonical decimal. Every refusal is an ArchiveError.
     """
     info = ar.meta.get("dropin")
     hm = HybridModel(base=model, dropins={}, plan=None)
@@ -362,6 +364,8 @@ def hybrid_from_archive(ar, model: Model) -> HybridModel:
             params = {}
             for b_str, variant in info["variants"].items():
                 b = int(b_str)
+                if str(b) != b_str:  # int() also reads " +2 ", "00" and other digits
+                    raise ValueError(f"block key {b_str!r} must be written {str(b)!r}")
                 if variant in ENSEMBLED:
                     params[b] = BlockDropin(variant=variant, gamma=ar.tensors[_gamma_name(b)],
                                             kernel=ar.tensors[_ens_kernel_name(b)])
@@ -500,11 +504,11 @@ def fit_loss_and_grad(kern: np.ndarray, v_samples: list, target_samples: list):
 
 
 def attention_inputs(model: Model, samples, folds: dict) -> None:
-    """The fit's capture: one `vit.attention_reads` pass per sample. The
-    read of each block b in `folds` runs b's exact attention once, hands
-    folds[b] its normed input and head outputs, both (n, d), and returns
-    the outputs for the pass to carry on, so nothing outlives its block.
-    An empty `folds` runs no forward."""
+    """The fit's capture: one `vit.attention_reads` pass over the samples.
+    The read of each block b in `folds` runs b's exact attention once per
+    chunk of the pass, hands folds[b] the chunk's normed inputs and head
+    outputs, both (B, n, d), and returns the outputs for the pass to carry
+    on, so nothing outlives its block. An empty `folds` runs no forward."""
     if not folds:
         return
 
@@ -513,10 +517,8 @@ def attention_inputs(model: Model, samples, folds: dict) -> None:
         fold(a_in, out)
         return out
 
-    reads = {b: lambda a_in, block, fold=fold: read(a_in, block, fold)
-             for b, fold in folds.items()}
-    for x in samples:
-        vit.attention_reads(x, model, reads)
+    vit.attention_reads(samples, model, {b: lambda a_in, block, fold=fold: read(a_in, block, fold)
+                                         for b, fold in folds.items()})
 
 
 class _BlockFit:
@@ -541,14 +543,20 @@ class _BlockFit:
         d_h = self.cfg.d_h
         if self.sig is None:
             return vit.head_columns(out, self.heads, d_h)
-        mix = np.zeros((self.cfg.n, d_h), dtype=np.float64)
+        mix = np.zeros((out.shape[0], d_h), dtype=np.float64)
         for h, s in enumerate(self.sig):
             mix += s * vit.head_cols(out, h, d_h)
         return mix.astype(F32)
 
     def add(self, a_in: np.ndarray, out: np.ndarray) -> None:
-        m = self.cfg.m
-        self.eqs.add(grid(matmul(a_in, self.w_val), m), grid(self._target(out), m))
+        """Fold in normed inputs and head outputs, one sample's (n, d) or a
+        chunk's (B, n, d): the value GEMM and the targets run once over all
+        the rows, then each sample is folded in turn, in order."""
+        cfg = self.cfg
+        v = matmul(a_in.reshape(-1, cfg.d), self.w_val)
+        t = self._target(out.reshape(-1, cfg.d))
+        for v_s, t_s in zip(*(a.reshape(-1, cfg.m, cfg.m, a.shape[1]) for a in (v, t))):
+            self.eqs.add(v_s, t_s)
 
     def solve(self) -> list:
         """[(kernel, FitReport)]: one per head of `heads`, or one for an

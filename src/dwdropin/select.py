@@ -2,7 +2,9 @@
 
 The variance criterion streams every head's attention-weight matrix
 through a one-pass Welford accumulator and scores each head by the summed
-pointwise standard deviation over the sample set. A head whose weights
+pointwise standard deviation over the sample set. The pass that feeds it
+(`vit.attention_reads`) runs chunks of samples block by block, but taps
+each sample's weights in sample order, so scores do not depend on it. A head whose weights
 never move is input-invariant and behaves like a fixed spatial kernel, so
 low scores mark the heads a convolution can stand in for. Accumulation is
 float64 even though the model runs float32: near-identical float32 weight
@@ -125,11 +127,13 @@ class ScoreResult:
 
 
 def score_model(model: Model, samples) -> ScoreResult:
-    """Score every head over an iterable of (n, d) inputs, one
-    `vit.attention_reads` pass per sample whose reads tap each head group's
-    (g, n, n) weights (`vit.head_groups`) into its one accumulator: nothing
-    is recomputed or kept per sample, so memory stays at two float64 n x n
-    buffers per head whatever the sample count."""
+    """Score every head over an iterable of (n, d) inputs, in one
+    `vit.attention_reads` pass whose reads tap each sample's head groups'
+    (g, n, n) weights (`vit.head_groups`) into their one accumulator, one
+    sample at a time and in sample order, so the scores do not depend on
+    the pass's chunks. Nothing is recomputed or kept past its chunk, so
+    memory stays at two float64 n x n buffers per head plus one chunk's
+    forward, whatever the sample count."""
     cfg = model.config
     groups = vit.head_groups(cfg.n_h, cfg.n)
     states = [{h0: WelfordState.new((h1 - h0, cfg.n, cfg.n)) for h0, h1 in groups}
@@ -137,10 +141,7 @@ def score_model(model: Model, samples) -> ScoreResult:
     reads = {b: lambda a_in, block, s=state: vit.attention(
                  a_in, block.w_qkv, block.d_h, energy_tap=lambda e, h0: welford_update(s[h0], e))
              for b, state in enumerate(states)}
-    n_samples = 0
-    for x in samples:
-        n_samples += 1
-        vit.attention_reads(x, model, reads)
+    n_samples = vit.attention_reads(samples, model, reads)
     if n_samples == 0:
         raise ConfigError("scoring needs at least one sample")
     sig_h = np.array([[sigma_head(sigma) for h0, _ in groups

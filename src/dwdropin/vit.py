@@ -12,11 +12,20 @@ bits, since that erf is odd bit for bit, and spares erf a sign branch
 that mispredicts on inputs of random sign. Head groups and GELU bands are
 both sized by `tensor.GROUP_BYTES`, the budget `dwconv2d`'s bands also
 use. Inputs are token grids (n = m*m tokens, no class token); a learned
-positional table is added once at the input.
+positional table is added once at the input (`embed`).
+
+One block loop (`blocks_forward`) runs every forward: one sample's (n, d)
+residual in `model_forward`, or in the sample passes of scoring and the
+fit's capture (`attention_reads`) a chunk of samples stacked as one
+(B*n, d) residual, so each block's row-wise work (norms, GEMMs, GELU,
+residual adds) runs once per chunk while its weights stay in cache, and
+only the attention core runs per sample. Chunks hold as many samples as
+fit GROUP_BYTES at a block's peak (`chunk_size`): 8 at desk, 1 at vitl.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -341,16 +350,20 @@ def attention(x: np.ndarray, w_qkv: np.ndarray, d_h: int, energy_tap=None) -> np
     """Attention of the heads whose query, key and value columns w_qkv
     (d, 3c) holds as [W_q | W_k | W_v], c columns each (a block's
     `BlockParams.w_qkv`, or a scattered block's kept heads), returned side
-    by side: one (n, c) C-contiguous array in head order, the layout
-    `project_heads` and the drop-ins share. One projection GEMM, whose q,
-    k and v heads are strided views of its (n, 3c) result, then for each
-    of `head_groups` in turn one stacked energy matmul, softmax in place
-    and one stacked EV matmul that writes the group's columns of the
-    output. Each head's columns are `head_attention`'s: bitwise where BLAS
-    rounds the full-width and the per-head projection GEMMs alike (desk
-    and vitl with OpenBLAS), else within float32 rounding (3.6e-7 at
-    n_h=4, d=32, d_h=8, m=24). `energy_tap(e, h0)` sees each group's
-    weights (g, n, n), heads h0 .. h0 + g - 1, once, in head order.
+    by side: one C-contiguous array in head order, the layout
+    `project_heads` and the drop-ins share. x is one sample's (n, d)
+    tokens, giving (n, c), or a chunk of samples (B, n, d), giving
+    (B, n, c). One projection GEMM over all the rows, whose q, k and v
+    heads are strided views of its result, then per sample, in sample
+    order, for each of `head_groups` in turn one stacked energy matmul,
+    softmax in place and one stacked EV matmul that writes the group's
+    columns of the output. Each head's columns are `head_attention`'s:
+    bitwise where BLAS rounds the full-width and the per-head projection
+    GEMMs alike (desk and vitl with OpenBLAS), else within float32
+    rounding (3.6e-7 at n_h=4, d=32, d_h=8, m=24); a sample's columns do
+    not depend on the chunk it came in. `energy_tap(e, h0)` sees each
+    group's weights (g, n, n), heads h0 .. h0 + g - 1, once per sample:
+    sample by sample, each in head order.
 
     The energies are checked finite per group, the output once. Finite
     energies need no softmax check: shifted by their row max (or
@@ -358,23 +371,27 @@ def attention(x: np.ndarray, w_qkv: np.ndarray, d_h: int, energy_tap=None) -> np
     row, so each row sum lies in [1, n]. The output is checked whole
     rather than as each group's strided EV view, which the check would
     have to copy."""
-    n = x.shape[0]
-    q, k, v = matmul(x, w_qkv).reshape(n, 3, -1, d_h).transpose(1, 2, 0, 3)
-    out = np.empty((n, w_qkv.shape[1] // 3), dtype=F32)
-    heads = out.reshape(n, -1, d_h).transpose(1, 0, 2)
+    n, d = x.shape[-2:]
+    c = w_qkv.shape[1] // 3
+    q, k, v = matmul(x.reshape(-1, d), w_qkv).reshape(-1, n, 3, c // d_h, d_h).transpose(
+        2, 0, 3, 1, 4)
+    out = np.empty((*x.shape[:-1], c), dtype=F32)
+    heads = out.reshape(-1, n, c // d_h, d_h).transpose(0, 2, 1, 3)
+    groups = head_groups(c // d_h, n)
     scale = F32(1.0 / math.sqrt(d_h))
-    for h0, h1 in head_groups(heads.shape[0], n):
-        s = slice(h0, h1)
-        e = _check_finite(np.matmul(q[s], k[s].transpose(0, 2, 1)), "matmul result")
-        e *= scale
-        with np.errstate(over="ignore"):  # a shift past -max overflows to -inf: weight 0
-            # max with an identity: numpy's reduce without one takes a slow path on short rows
-            e -= np.maximum.reduce(e, axis=2, keepdims=True, initial=F32(-np.inf))
-        np.exp(e, out=e)
-        e /= e.sum(axis=2, keepdims=True)
-        if energy_tap is not None:
-            energy_tap(e, h0)
-        np.matmul(e, v[s], out=heads[s])
+    for i in range(heads.shape[0]):
+        for h0, h1 in groups:
+            s = (i, slice(h0, h1))
+            e = _check_finite(np.matmul(q[s], k[s].transpose(0, 2, 1)), "matmul result")
+            e *= scale
+            with np.errstate(over="ignore"):  # a shift past -max overflows to -inf: weight 0
+                # max with an identity: numpy's reduce without one takes a slow path on short rows
+                e -= np.maximum.reduce(e, axis=2, keepdims=True, initial=F32(-np.inf))
+            np.exp(e, out=e)
+            e /= e.sum(axis=2, keepdims=True)
+            if energy_tap is not None:
+                energy_tap(e, h0)
+            np.matmul(e, v[s], out=heads[s])
     return _check_finite(out, "matmul result")
 
 
@@ -402,14 +419,17 @@ def mhsa_forward_headsum(x: np.ndarray, block: BlockParams) -> np.ndarray:
 
 
 def block_forward(x: np.ndarray, block: BlockParams, mhsa_fn=None) -> np.ndarray:
-    """Pre-norm residual block: x + MhSA(norm(x)), then x + FFN(norm(x)).
+    """Pre-norm residual block: x + MhSA(norm(x)), then x + FFN(norm(x)),
+    over the rows of x: one sample's (n, d) tokens, or a chunk's (B*n, d).
+    x is not written: the attention add makes the new residual, and the
+    FFN adds into it in place.
 
     `mhsa_fn(attn_in, block)` substitutes the attention sublayer: drop-in
     surgery and the sample passes' reads (`attention_reads`) go through it.
     """
     fn = mhsa_forward if mhsa_fn is None else mhsa_fn
     x = x + fn(attention_input(x, block), block)
-    x = x + ffn_forward(layer_norm(x, block.norm2_scale, block.norm2_shift), block)
+    x += ffn_forward(layer_norm(x, block.norm2_scale, block.norm2_shift), block)
     return x
 
 
@@ -418,35 +438,91 @@ def blocks_forward(x: np.ndarray, model: Model, start: int, stop: int | None = N
     """The one block loop: run the residual x entering block `start`
     through blocks [start, stop) (stop defaults to n_b) and return the
     residual entering block `stop`. `mhsa_fns` maps block index ->
-    substitute attention sublayer (`block_forward`)."""
+    substitute attention sublayer (`block_forward`). x is not written."""
     for b in range(start, model.config.n_b if stop is None else stop):
         x = block_forward(x, model.blocks[b], mhsa_fn=mhsa_fns.get(b) if mhsa_fns else None)
     return x
 
 
-def model_forward(x: np.ndarray, model: Model, mhsa_fns=None,
-                  stop: int | None = None) -> np.ndarray:
-    """Forward pass: the input plus the positional table, then
-    `blocks_forward` (with its `mhsa_fns`) over all blocks, or over blocks
-    [0, stop), returning the residual entering block `stop`."""
+def embed(x: np.ndarray, model: Model, out: np.ndarray | None = None) -> np.ndarray:
+    """The residual entering block 0: the (n, d) input plus the positional
+    table, into `out` if given. Any other shape is a ShapeError."""
     if x.shape != (model.config.n, model.config.d):
         raise ShapeError(
             f"input must be (n, d) = ({model.config.n}, {model.config.d}), got {x.shape}"
         )
-    return blocks_forward(as_f32(x) + model.pos_enc, model, 0, stop, mhsa_fns)
+    return np.add(as_f32(x), model.pos_enc, out=out)
 
 
-def attention_reads(x: np.ndarray, model: Model, reads: dict) -> None:
-    """The one sample pass of scoring and the fit's capture. `reads` maps
-    block b -> read(a_in, block), run in block order on b's normed input;
-    it returns b's (n, d) head outputs, which blocks before the last read
-    project and carry on, so the residual is `model_forward`'s bit for bit.
-    The pass ends after the last read; blocks with no read run `mhsa_forward`."""
-    last = max(reads)
-    fns = {b: lambda a_in, block, read=read: project_heads(read(a_in, block), block)
-           for b, read in reads.items() if b != last}
-    block = model.blocks[last]
-    reads[last](attention_input(model_forward(x, model, fns, stop=last), block), block)
+def model_forward(x: np.ndarray, model: Model, mhsa_fns=None,
+                  stop: int | None = None) -> np.ndarray:
+    """Forward pass of one sample: `embed`, then `blocks_forward` (with its
+    `mhsa_fns`) over all blocks, or over blocks [0, stop), returning the
+    residual entering block `stop`. The sample passes run the same two
+    steps over a chunk of samples (`attention_reads`)."""
+    return blocks_forward(embed(x, model), model, 0, stop, mhsa_fns)
+
+
+def chunk_size(config: ModelConfig) -> int:
+    """Samples the sample passes (`attention_reads`) carry through a block
+    at once: as many as fit GROUP_BYTES (`budget_units`) at the float32
+    bytes one sample holds at a block's peak, 4 (3 + 3 ffn_mult) n d. The
+    peak is the FFN's GELU: the residual entering the block and the one
+    leaving it, the FFN's normed input (n d each), then the hidden array,
+    GELU's scratch and GELU's output (ffn_mult n d each). So a block's
+    weights and working set stay in cache across a chunk: 8 samples at
+    desk, 58 at n_b=2, n_h=3, d=24, d_h=8, m=5, and 1 at vitl, where the
+    passes run one sample at a time."""
+    return budget_units(4 * (3 + 3 * config.ffn_mult) * config.n * config.d)
+
+
+def _stacked(first: np.ndarray, rest, model: Model, size: int) -> np.ndarray:
+    """`first` and up to size - 1 more samples drawn from the iterator
+    `rest`, each `embed`ded into its n rows of one C-contiguous
+    (B*n, d) array."""
+    n = model.config.n
+    x = np.empty((size * n, model.config.d), dtype=F32)
+    rows = 0
+    for sample in itertools.chain((first,), itertools.islice(rest, size - 1)):
+        embed(sample, model, out=x[rows : rows + n])
+        rows += n
+    return x[:rows]
+
+
+def attention_reads(samples, model: Model, reads: dict) -> int:
+    """The one sample pass of scoring and the fit's capture, over the
+    iterable `samples` of (n, d) inputs, drawn `chunk_size` at a time.
+    Each chunk is one C-contiguous (B*n, d) residual (`_stacked`) that
+    `blocks_forward` carries, so the norms, the GEMMs, GELU and the
+    residual adds run once per block and chunk; each sample's rows are
+    `model_forward`'s bit for bit where BLAS rounds a GEMM row alike
+    whatever the row count (desk and vitl with OpenBLAS). `reads` maps
+    block b -> read(a_in, block), run in block order on the chunk's normed
+    input to b viewed as (B, n, d); it returns the (B, n, d) head outputs
+    (`attention` runs its core per sample, in sample order), which blocks
+    before the last read project and carry on. Blocks with no read run
+    exact `attention`. The pass ends after the last read: no output
+    projection, second norm or FFN runs at or after it. Nothing holds a
+    chunk's input past block 0 or a chunk past its pass. Returns the
+    number of samples."""
+    cfg = model.config
+    n, d, last = cfg.n, cfg.d, max(reads)
+    block, size = model.blocks[last], chunk_size(cfg)
+
+    def sublayer(read):
+        return lambda a_in, block: project_heads(
+            read(a_in.reshape(-1, n, d), block).reshape(-1, d), block)
+
+    exact = sublayer(lambda a_in, block: attention(a_in, block.w_qkv, block.d_h))
+    fns = {b: sublayer(reads[b]) if b in reads else exact for b in range(last)}
+
+    def chunk(first) -> int:
+        x = blocks_forward(_stacked(first, samples, model, size), model, 0, last, fns)
+        reads[last](attention_input(x, block).reshape(-1, n, d), block)
+        return len(x) // n
+
+    samples = iter(samples)
+    return sum(chunk(first) for first in samples)
 
 
 def grid(x: np.ndarray, m: int) -> np.ndarray:

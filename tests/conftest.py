@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwdropin import dropin, vit
+from dwdropin import dropin, select, vit
 from dwdropin.tensor import as_f32, seed_stream, seeded_fill
 
 TINY = vit.ModelConfig(n_b=2, n_h=2, d=8, d_h=4, m=4, k=3, ffn_mult=2)
@@ -80,12 +80,51 @@ def block_inputs(model, x):
 
 def capture_records(model, samples, blocks):
     """The fit's capture, recorded: `dropin.attention_inputs` with a fold
-    per block that keeps each sample's (normed input, head outputs) pair.
+    per block that splits each chunk's (B, n, d) normed inputs and head
+    outputs into one (n, d) pair per sample and keeps them.
     Returns {block: [pair per sample]}."""
     records = {b: [] for b in blocks}
-    dropin.attention_inputs(model, samples, {b: lambda *pair, r=r: r.append(pair)
+    dropin.attention_inputs(model, samples, {b: lambda a_in, out, r=r: r.extend(zip(a_in, out))
                                              for b, r in records.items()})
     return records
+
+
+def full_forward_records(model, samples, blocks):
+    """The capture as one full `model_forward` per sample, every block run:
+    each of `blocks` records (normed input, `vit.attention` output) and
+    projects that output. Returns {block: [pair per sample]}."""
+    records = {b: [] for b in blocks}
+
+    def recorder(record):
+        def sublayer(a_in, block):
+            out = vit.attention(a_in, block.w_qkv, block.d_h)
+            record.append((a_in, out))
+            return vit.project_heads(out, block)
+        return sublayer
+
+    fns = {b: recorder(record) for b, record in records.items()}
+    for x in samples:
+        vit.model_forward(x, model, mhsa_fns=fns)
+    return records
+
+
+def full_forward_scores(model, samples) -> select.ScoreResult:
+    """The scorer as one full `model_forward` per sample, every block's
+    attention tapped and every block run to its end."""
+    cfg = model.config
+    groups = vit.head_groups(cfg.n_h, cfg.n)
+    states = [{h0: select.WelfordState.new((h1 - h0, cfg.n, cfg.n)) for h0, h1 in groups}
+              for _ in range(cfg.n_b)]
+    fns = {b: lambda x, block, s=state: vit.project_heads(vit.attention(
+               x, block.w_qkv, block.d_h,
+               energy_tap=lambda e, h0: select.welford_update(s[h0], e)), block)
+           for b, state in enumerate(states)}
+    for x in samples:
+        vit.model_forward(x, model, mhsa_fns=fns)
+    sigma_h = np.array([[select.sigma_head(sigma) for h0, _ in groups
+                         for sigma in select.welford_finalize(state[h0])] for state in states])
+    return select.ScoreResult(sigma_h=sigma_h, n_samples=len(samples),
+                              sigma_b=np.array([select.sigma_block(r) for r in sigma_h]))
 
 
 def fit_records(model, b, variant, heads, gamma, records):

@@ -248,9 +248,9 @@ class TestSyntheticSamples:
             synthetic_samples(TINY, count, seed)
 
     def test_score_memory_does_not_grow_with_samples(self, tmp_path):
-        """`score` draws and scores one sample at a time: 256 desk samples
-        peak less than 1 MiB above 64. Drawing them all first grew it by
-        about 3 MiB."""
+        """`score` draws and scores one chunk of samples at a time: 256 desk
+        samples peak less than 1 MiB above 64. Drawing them all first grew
+        it by about 3 MiB."""
         model, rep = tmp_path / "m.bin", tmp_path / "r.json"
         assert run("gen", "--config", "desk", "--seed", 3, "--out", model) == 0
         small, large = (traced_peak(lambda n=n: run_quietly(
@@ -768,6 +768,27 @@ class TestMalformedArchives:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("command", ["verify", "score"])
+    @pytest.mark.parametrize("key", [" +0 ", "+0", "0 ", "00", "\u0660", "\uff10"],
+                             ids=["padded-plus", "plus", "trailing-space", "leading-zero",
+                                  "arabic-indic", "fullwidth"])
+    def test_non_canonical_block_key(self, tmp_path, tiny_archive, capsys, command, key):
+        """A `variants` key that int() reads as block 0 but that is not
+        "0" names no block: exit 3, one line naming the hybrid."""
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
+        hybrid = tmp_path / "h.bin"
+        assert run("replace", "--model", tiny_archive, "--plan", plan, "--out", hybrid) == 0
+        ar = load_archive(hybrid)
+        ar.meta["dropin"]["variants"] = {key: "dw"}
+        save_archive(hybrid, ar.config, ar.tensors, ar.meta)
+        argv = {"verify": ("verify", "--model", tiny_archive, "--hybrid", hybrid),
+                "score": ("score", "--model", hybrid, "--out", tmp_path / "r.json")}[command]
+        capsys.readouterr()
+        assert run(*argv, "--samples", 2) == 3
+        assert capsys.readouterr().err == (
+            f"error: {hybrid}: bad drop-in section: block key {key!r} must be written '0'\n")
+
     def test_missing_dropin_tensor_names_the_hybrid(self, tmp_path, tiny_archive, capsys):
         """verify reads two archives: a malformed drop-in section is refused
         with the path of the archive that holds it."""
@@ -1001,6 +1022,57 @@ class TestMalformedArchives:
             f"error: {tiny_archive} on the samples of {data}: the model's forward pass "
             "overflows (non-finite values in layer norm variance)\n")
 
+
+    @pytest.mark.parametrize("command", ["score", "replace-fit"])
+    def test_overflow_late_in_a_chunk(self, tmp_path, capsys, command):
+        """A --data sample whose block-2 energies overflow, where gaussian
+        samples' do not: placed last in the first chunk of the pass, it is
+        refused as it is when it comes first, exit 3 and the same one line
+        naming both archives."""
+        model_path = tmp_path / "m.bin"
+        assert run("gen", "--config", "desk", "--seed", 3, "--out", model_path) == 0
+        model = model_from_archive(load_archive(model_path))
+        blk = model.blocks[2]
+
+        def max_energy(x):
+            a_in = vit.attention_input(vit.model_forward(x, model, stop=2), blk)
+            q = (a_in @ blk.w_q).reshape(vit.DESK.n, vit.DESK.n_h, vit.DESK.d_h)
+            k = (a_in @ blk.w_k).reshape(vit.DESK.n, vit.DESK.n_h, vit.DESK.d_h)
+            return float(np.abs(np.einsum("phc,qhc->hpq", q, k)).max())
+
+        # every token one direction: an extreme eigenvector of a head's
+        # W_q W_k^T, which block 2 reads back almost unchanged
+        directions = [vec - vec.mean() for h in range(vit.DESK.n_h)
+                      for vec in np.linalg.eigh(vit.head_cols(blk.w_q, h, vit.DESK.d_h) @
+                                                vit.head_cols(blk.w_k, h, vit.DESK.d_h).T)[1].T]
+        bad = max((np.tile(100 * v / v.std(), (vit.DESK.n, 1)).astype(np.float32)
+                   for v in directions), key=max_energy)
+        size = vit.chunk_size(vit.DESK)
+        good = make_inputs(vit.DESK, size + 2, 83)
+        worst, top = max_energy(bad), max(map(max_energy, good))
+        assert worst > 2 * top
+        scale = np.float32(np.sqrt(np.finfo(np.float32).max / np.sqrt(worst * top)))
+        ar = load_archive(model_path)
+        for name in ("block2.w_q", "block2.w_k"):
+            ar.tensors[name] = ar.tensors[name] * scale
+        save_archive(model_path, ar.config, ar.tensors, ar.meta)
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (2,)), plan)
+        data, out = tmp_path / "data.bin", tmp_path / "out.bin"
+        argv = {"score": ("score",),
+                "replace-fit": ("replace", "--plan", plan, "--fit")}[command]
+        argv = (*argv, "--model", model_path, "--data", data, "--out", out)
+        save_samples(data, vit.DESK, good)
+        assert run(*argv) == 0
+        errors = []
+        for samples in ([bad, *good], [*good[: size - 1], bad, *good[size - 1 :]]):
+            save_samples(data, vit.DESK, samples)
+            capsys.readouterr()
+            assert run(*argv) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors == 2 * [
+            f"error: {model_path} on the samples of {data}: the model's forward pass "
+            "overflows (non-finite values in matmul result)\n"]
 
 class TestMalformedPlans:
     """A plan file or score report that is not one exits 3 with one error

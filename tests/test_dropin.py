@@ -42,6 +42,7 @@ from conftest import (
     block_residuals,
     capture_records,
     fit_records,
+    full_forward_records,
     make_inputs,
     traced_peak,
 )
@@ -814,25 +815,6 @@ class TestBlockShape:
             [True] if variant in dropin.DEPTHWISE else [])
 
 
-def full_forward_records(model, samples, blocks):
-    """The capture as one full `model_forward` per sample, every block run:
-    each of `blocks` records (normed input, `vit.attention` output) and
-    projects that output."""
-    records = {b: [] for b in blocks}
-
-    def recorder(record):
-        def sublayer(a_in, block):
-            out = vit.attention(a_in, block.w_qkv, block.d_h)
-            record.append((a_in, out))
-            return vit.project_heads(out, block)
-        return sublayer
-
-    fns = {b: recorder(record) for b, record in records.items()}
-    for x in samples:
-        vit.model_forward(x, model, mhsa_fns=fns)
-    return records
-
-
 # (variant, mode, targets) of the capture tests: every variant blockwise,
 # and both unensembled ones scattered
 PLANS = [
@@ -848,16 +830,19 @@ class TestCapture:
     once and handed to its fold (recorded by `capture_records`)."""
 
     def test_records_planned_blocks_bitwise(self, desk_model, monkeypatch):
-        """The capture's `model_forward` returns the residual entering the
-        last captured block, and every record is the forward's own."""
-        samples = make_inputs(DESK, 3, 231)
-        forward, outputs = vit.model_forward, []
-        monkeypatch.setattr(vit, "model_forward",
+        """Each chunk's `blocks_forward` returns the residual entering the
+        last captured block, every sample's rows the forward's own, and
+        every record is the forward's own."""
+        size = vit.chunk_size(DESK)
+        samples = make_inputs(DESK, size + 1, 231)
+        forward, outputs = vit.blocks_forward, []
+        monkeypatch.setattr(vit, "blocks_forward",
                             lambda *a, **kw: outputs.append(forward(*a, **kw)) or outputs[-1])
         captured = capture_records(desk_model, samples, (4, 1))
         assert sorted(captured) == [1, 4]
-        assert len(outputs) == len(samples)
-        for x, out in zip(samples, outputs):
+        assert [len(out) for out in outputs] == [size * DESK.n, DESK.n]
+        rows = np.concatenate(outputs).reshape(len(samples), DESK.n, DESK.d)
+        for x, out in zip(samples, rows):
             np.testing.assert_array_equal(out, block_residuals(desk_model, x)[4])
         for b, records in captured.items():
             blk = desk_model.blocks[b]
@@ -893,35 +878,42 @@ class TestCapture:
     @pytest.mark.parametrize("variant, mode, targets", PLANS)
     def test_fitting_runs_attention_once_per_block_and_sample(self, desk_model, monkeypatch,
                                                               variant, mode, targets):
-        """`vit.attention` runs len(samples) x (last planned block + 1)
-        times: in the capture passes only, never again in the fit, and
-        never in the blocks after the last planned one."""
+        """`vit.attention` runs over each sample (last planned block + 1)
+        times, once per block and chunk: in the capture passes only, never
+        again in the fit, and never in the blocks after the last planned
+        one."""
         attend, calls = vit.attention, []
-        monkeypatch.setattr(vit, "attention", lambda *a, **kw: calls.append(1) or attend(*a, **kw))
-        samples = make_inputs(DESK, 3, 232)
+        monkeypatch.setattr(vit, "attention", lambda x, *a, **kw:
+                            calls.append(x.shape[:-2]) or attend(x, *a, **kw))
+        size = vit.chunk_size(DESK)
+        samples = make_inputs(DESK, size + 1, 232)
         plan = SelectionPlan(mode, "lowest", len(targets), targets)
         _, reports = build_dropins(desk_model, plan, variant, samples=samples)
         assert reports
         last = max(plan.blocks())
-        assert len(calls) == len(samples) * (last + 1)
+        assert calls == [(size,)] * (last + 1) + [(1,)] * (last + 1)
 
     @pytest.mark.parametrize("blocks", [(4, 1), (0,), (5,)])
-    def test_one_model_forward_per_sample(self, desk_model, monkeypatch, blocks):
-        """Each capture pass is one `model_forward` call, which runs the
-        blocks before the last captured one and no FFN after it."""
-        forward, ffn, calls = vit.model_forward, vit.ffn_forward, []
-        monkeypatch.setattr(vit, "model_forward",
-                            lambda *a, **kw: calls.append("forward") or forward(*a, **kw))
-        monkeypatch.setattr(vit, "ffn_forward",
-                            lambda *a, **kw: calls.append("ffn") or ffn(*a, **kw))
-        samples = make_inputs(DESK, 3, 236)
+    def test_one_blocks_forward_per_chunk(self, desk_model, monkeypatch, blocks):
+        """Each chunk of the capture is one `blocks_forward` call, which
+        runs the blocks before the last captured one and no FFN after it;
+        no `model_forward` runs."""
+        calls = []
+        for name in ("model_forward", "blocks_forward", "ffn_forward"):
+            fn = getattr(vit, name)
+            monkeypatch.setattr(vit, name, lambda *a, fn=fn, name=name, **kw:
+                                calls.append(name) or fn(*a, **kw))
+        samples = make_inputs(DESK, 2 * vit.chunk_size(DESK) + 1, 236)
+        chunks = 3
         capture_records(desk_model, iter(samples), blocks)
-        assert calls.count("forward") == len(samples)
-        assert calls.count("ffn") == len(samples) * max(blocks)
+        assert calls.count("model_forward") == 0
+        assert calls.count("blocks_forward") == chunks
+        assert calls.count("ffn_forward") == chunks * max(blocks)
 
     def test_empty_block_set_runs_no_forward(self, desk_model, monkeypatch):
         calls = []
-        monkeypatch.setattr(vit, "model_forward", lambda *a, **kw: calls.append(1))
+        for name in ("model_forward", "blocks_forward", "embed"):
+            monkeypatch.setattr(vit, name, lambda *a, **kw: calls.append(1))
         assert capture_records(desk_model, make_inputs(DESK, 2, 237), ()) == {}
         assert attention_inputs(desk_model, make_inputs(DESK, 2, 237), {}) is None
         assert calls == []
@@ -929,19 +921,21 @@ class TestCapture:
     @pytest.mark.parametrize("blocks", [(4, 1), (0, 2)])
     def test_each_fold_runs_before_its_blocks_ffn(self, desk_model, monkeypatch, blocks):
         """A block's fold runs inside the pass, as soon as the pass reads
-        the block's attention and before the block's FFN, so no sample's
-        capture is held past its block."""
+        the block's attention for a chunk and before the block's FFN, so no
+        chunk's capture is held past its block."""
         ffn, events = vit.ffn_forward, []
         index = {id(block): b for b, block in enumerate(desk_model.blocks)}
         monkeypatch.setattr(vit, "ffn_forward", lambda x, block: events.append(
-            ("ffn", index[id(block)])) or ffn(x, block))
-        samples = make_inputs(DESK, 2, 239)
+            ("ffn", index[id(block)], len(x) // DESK.n)) or ffn(x, block))
+        size = vit.chunk_size(DESK)
+        samples = make_inputs(DESK, size + 2, 239)
         attention_inputs(desk_model, samples, {
-            b: lambda a_in, out, b=b: events.append(("fold", b)) for b in blocks})
+            b: lambda a_in, out, b=b: events.append(("fold", b, len(a_in))) for b in blocks})
         last = max(blocks)
-        per_sample = [event for b in range(last + 1)
-                      for event in [("fold", b)] * (b in blocks) + [("ffn", b)] * (b < last)]
-        assert events == per_sample * len(samples)
+        per_chunk = [[event for b in range(last + 1)
+                      for event in [("fold", b, B)] * (b in blocks) + [("ffn", b, B)] * (b < last)]
+                     for B in (size, 2)]
+        assert events == per_chunk[0] + per_chunk[1]
 
     @pytest.mark.parametrize("variant, mode, targets", PLANS)
     def test_fit_matches_full_forward_capture(self, desk_model, variant, mode, targets):
@@ -1006,11 +1000,11 @@ class TestBuildDropins:
 
     @pytest.mark.parametrize("variant", ["dw", "ens-dw"])
     def test_fit_memory_does_not_grow_with_samples(self, desk_model, variant):
-        """The capture folds each sample into its blocks' normal equations
-        as soon as that sample's forward returns: fitting three desk blocks
-        from 64 samples peaks less than 1 MiB above fitting them from 8.
-        Recording every sample's input and head outputs first grew it by
-        about 5.3 MiB."""
+        """The capture folds each chunk of samples into its blocks' normal
+        equations as soon as the chunk's pass reads each block: fitting
+        three desk blocks from 64 samples peaks less than 1 MiB above
+        fitting them from 8. Recording every sample's input and head
+        outputs first grew it by about 5.3 MiB."""
         plan = SelectionPlan("blockwise", "lowest", 3, (0, 2, 4))
         pools = {n: make_inputs(DESK, n, 94) for n in (8, 64)}
         small, large = (traced_peak(lambda n=n: build_dropins(desk_model, plan, variant,

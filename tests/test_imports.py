@@ -5,10 +5,12 @@ one finiteness test. Only `vit.gelu` names an `erf`, and only
 `vit.ffn_forward` names `gelu`: the GELU formula the frozen reference
 pins lives in one place, and rewrites only the hidden array the FFN
 owns. Only `tensor.row_taps` calls a `tile`: it is the one rule that
-tiles a depthwise kernel into row taps. Only `archive` opens files: it
-writes and reads every report and archive. `cost.activation_bytes`
-names no drop-in variant: it prices a block by its formulation
-(`dropin.DEPTHWISE`) and channel counts, as `flops_params` does.
+tiles a depthwise kernel into row taps. Only `vit.blocks_forward` calls
+`block_forward`: it is the one block loop, of one sample and of a chunk.
+Only `archive` opens files: it writes and reads every report and
+archive. `cost.activation_bytes` names no drop-in variant: it prices a
+block by its formulation (`dropin.DEPTHWISE`) and channel counts, as
+`flops_params` does.
 
 Every module is scanned, `__init__.py` too: the package binds only
 `__version__`, and each name is imported from the module that defines it.
@@ -121,14 +123,15 @@ def test_only_gelu_reads_erf(path):
     assert [name_readers(source, "erf"), name_readers(source, "gelu")] == expected
 
 
-def tile_callers(source: str) -> list:
-    """The top-level definition (or "<module>") around each call of a
-    `tile`: `np.tile(...)`, `numpy.tile(...)` or a bare `tile(...)`."""
+def callers(source: str, name: str) -> list:
+    """The top-level definition (or "<module>") around each call of
+    `name`: as an attribute (`np.tile(...)`, `vit.block_forward(...)`) or
+    bare (`tile(...)`)."""
     tree = ast.parse(source)
     return [getattr(node, "name", "<module>") for node in tree.body for n in ast.walk(node)
             if isinstance(n, ast.Call)
-            and ((isinstance(n.func, ast.Attribute) and n.func.attr == "tile")
-                 or (isinstance(n.func, ast.Name) and n.func.id == "tile"))]
+            and ((isinstance(n.func, ast.Attribute) and n.func.attr == name)
+                 or (isinstance(n.func, ast.Name) and n.func.id == name))]
 
 
 def test_detects_a_tile_caller():
@@ -136,13 +139,32 @@ def test_detects_a_tile_caller():
               "def f(k):\n    return tile(k, 3)\n"
               "class C:\n    def g(self, k):\n"
               "        return numpy.tile(k, (1, 2)), np.repeat(k, 2)\n")
-    assert tile_callers(source) == ["<module>", "f", "C"]
+    assert callers(source, "tile") == ["<module>", "f", "C"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_only_row_taps_tiles(path):
     expected = ["row_taps"] if path.stem == "tensor" else []
-    assert tile_callers(path.read_text()) == expected
+    assert callers(path.read_text(), "tile") == expected
+
+
+def test_detects_a_block_forward_caller():
+    source = ("from .vit import block_forward\n"
+              "def blocks_forward(x, blocks):\n"
+              "    for blk in blocks:\n        x = block_forward(x, blk)\n    return x\n"
+              "def chunk_pass(x, model):\n    return vit.block_forward(x, model.blocks[0])\n"
+              "def gated(x, blk):\n    return gated_block_forward(x, blk, None, 0.0)\n"
+              "FN = block_forward\n")
+    assert callers(source, "block_forward") == ["blocks_forward", "chunk_pass"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_blocks_forward_calls_block_forward(path):
+    """One block loop: `model_forward` and the chunked sample passes
+    (`attention_reads`) both run `vit.blocks_forward`, and nothing else
+    runs a block."""
+    expected = ["blocks_forward"] if path.stem == "vit" else []
+    assert callers(path.read_text(), "block_forward") == expected
 
 
 def file_openers(source: str) -> list:

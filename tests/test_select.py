@@ -35,7 +35,15 @@ from dwdropin.select import (
 from dwdropin.tensor import ConfigError, FormatError, ShapeError, seeded_fill, softmax_rows
 from dwdropin.vit import init_model
 
-from conftest import GROUPED, PLAN_FAULTS, REPORT_FAULTS, TINY, block_inputs, make_inputs
+from conftest import (
+    GROUPED,
+    PLAN_FAULTS,
+    REPORT_FAULTS,
+    TINY,
+    block_inputs,
+    full_forward_scores,
+    make_inputs,
+)
 
 
 def two_pass_std(samples):
@@ -212,25 +220,6 @@ class TestScoreModel:
         assert not res.sigma_h[1, 9] and res.sigma_h.all(axis=1).sum() == 1
         assert calls == [8, 4] * cfg.n_b * len(samples)
 
-    @staticmethod
-    def full_forward_result(model, samples):
-        """The scorer as one full `model_forward` per sample, every block's
-        attention tapped and every block run to its end."""
-        cfg = model.config
-        groups = vit.head_groups(cfg.n_h, cfg.n)
-        states = [{h0: WelfordState.new((h1 - h0, cfg.n, cfg.n)) for h0, h1 in groups}
-                  for _ in range(cfg.n_b)]
-        fns = {b: lambda x, block, s=state: vit.project_heads(vit.attention(
-                   x, block.w_qkv, block.d_h, energy_tap=lambda e, h0: welford_update(s[h0], e)),
-                   block)
-               for b, state in enumerate(states)}
-        for x in samples:
-            vit.model_forward(x, model, mhsa_fns=fns)
-        sigma_h = np.array([[sigma_head(sigma) for h0, _ in groups
-                             for sigma in welford_finalize(state[h0])] for state in states])
-        return ScoreResult(sigma_h=sigma_h, sigma_b=np.array([sigma_block(r) for r in sigma_h]),
-                           n_samples=len(samples))
-
     @pytest.mark.parametrize("n_b", [6, 1], ids=["desk", "one-block"])
     def test_report_matches_full_forward_scoring(self, n_b):
         """Stopping at the last block's attention weights leaves the score
@@ -238,27 +227,30 @@ class TestScoreModel:
         cfg = vit.ModelConfig(**{**vit.DESK.to_dict(), "n_b": n_b})
         model = init_model(cfg, 407)
         samples = make_inputs(cfg, 9, 33)
-        want = self.full_forward_result(model, samples).to_report()
+        want = full_forward_scores(model, samples).to_report()
         got = score_model(model, iter(samples)).to_report()
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     @pytest.mark.parametrize("n_b", [6, 1], ids=["desk", "one-block"])
     def test_pass_stops_at_last_attention(self, monkeypatch, n_b):
-        """Per sample: one `model_forward` call, n_b - 1 FFNs and output
-        projections, and n_b attentions."""
+        """Per chunk of samples: one `blocks_forward` call, n_b - 1 FFNs and
+        output projections, and n_b attentions; no `model_forward`."""
         cfg = vit.ModelConfig(**{**vit.DESK.to_dict(), "n_b": n_b})
         model = init_model(cfg, 408)
         calls = []
-        for name in ("model_forward", "ffn_forward", "project_heads", "attention"):
+        for name in ("model_forward", "blocks_forward", "ffn_forward", "project_heads",
+                     "attention"):
             fn = getattr(vit, name)
             monkeypatch.setattr(vit, name, lambda *a, fn=fn, name=name, **kw:
                                 calls.append(name) or fn(*a, **kw))
-        samples = make_inputs(cfg, 3, 34)
+        samples = make_inputs(cfg, vit.chunk_size(cfg) + 1, 34)
+        chunks = 2
         score_model(model, iter(samples))
-        assert calls.count("model_forward") == len(samples)
-        assert calls.count("ffn_forward") == len(samples) * (n_b - 1)
-        assert calls.count("project_heads") == len(samples) * (n_b - 1)
-        assert calls.count("attention") == len(samples) * n_b
+        assert calls.count("model_forward") == 0
+        assert calls.count("blocks_forward") == chunks
+        assert calls.count("ffn_forward") == chunks * (n_b - 1)
+        assert calls.count("project_heads") == chunks * (n_b - 1)
+        assert calls.count("attention") == chunks * n_b
 
     def test_deterministic(self, tiny_model):
         r1 = score_model(tiny_model, make_inputs(TINY, 4, 13))
@@ -270,8 +262,8 @@ class TestScoreModel:
         assert res.n_samples == 3
 
     def test_memory_does_not_grow_with_sample_count(self, tiny_model):
-        # samples are folded in one at a time; peak allocation is set by the
-        # accumulators and one forward pass, not by the stream length
+        # samples are folded in one chunk at a time; peak allocation is set
+        # by the accumulators and one chunk's pass, not by the stream length
         import tracemalloc
 
         from dwdropin.tensor import seed_stream

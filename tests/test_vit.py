@@ -400,9 +400,13 @@ class TestAttentionReads:
                                         tuple(range(DESK.n_b))],
                              ids=["1-4", "0", "last", "2-3", "all"])
     def test_reads_in_block_order_and_stop_at_the_last(self, desk_model, monkeypatch, blocks):
-        x = make_inputs(DESK, 1, 241)[0]
-        want = [attention_input(h, blk)
-                for h, blk in zip(block_residuals(desk_model, x), desk_model.blocks)]
+        """Two chunks, a full one and one sample: each chunk's reads see
+        its samples' normed inputs stacked (B, n, d), block by block."""
+        size = vit.chunk_size(DESK)
+        xs = make_inputs(DESK, size + 1, 241)
+        want = [[attention_input(h, blk)
+                 for h, blk in zip(block_residuals(desk_model, x), desk_model.blocks)]
+                for x in xs]
         index = {id(blk): b for b, blk in enumerate(desk_model.blocks)}
         ran = []
         for name in ("project_heads", "ffn_forward"):
@@ -415,12 +419,17 @@ class TestAttentionReads:
             reads.append((index[id(blk)], a_in))
             return attention(a_in, blk.w_qkv, blk.d_h)
 
-        attention_reads(x, desk_model, dict.fromkeys(blocks, read))
-        assert [b for b, _ in reads] == sorted(blocks)
-        for b, a_in in reads:
-            np.testing.assert_array_equal(a_in, want[b])
+        assert attention_reads(iter(xs), desk_model, dict.fromkeys(blocks, read)) == len(xs)
+        chunks = [range(size), range(size, size + 1)]
+        expected = [(b, chunk) for chunk in chunks for b in sorted(blocks)]
+        assert [(b, a_in.shape) for b, a_in in reads] == [
+            (b, (len(chunk), DESK.n, DESK.d)) for b, chunk in expected]
+        for (b, a_in), (_, chunk) in zip(reads, expected):
+            for got, i in zip(a_in, chunk, strict=True):
+                np.testing.assert_array_equal(got, want[i][b])
         last = max(blocks)
-        assert ran == [(name, b) for b in range(last) for name in ("project_heads", "ffn_forward")]
+        assert ran == [(name, b) for _ in chunks for b in range(last)
+                       for name in ("project_heads", "ffn_forward")]
 
 
 class TestExplicitVsHeadAttention:
