@@ -113,14 +113,13 @@ def save_samples(path, cfg: ModelConfig, samples: list, meta=None) -> None:
 
 def load_samples(path, cfg: ModelConfig) -> list:
     """The `sample{i}` tensors of an archive in index order, refusing any
-    other `sample...` name (`sample_x`, `samples`, `sample01`)."""
+    other tensor name (`sample_x`, `sample01`, `pos_enc`)."""
     ar = load_archive(path)
-    names = [n for n in ar.tensors if n.startswith("sample")]
-    for n in names:
+    for n in ar.tensors:
         if not re.fullmatch(r"sample(0|[1-9][0-9]*)", n):
             raise ArchiveError(f"{path}: tensor {n!r} is not named sample<i> (an integer "
                                "i >= 0 without leading zeros)")
-    names.sort(key=lambda n: int(n[len("sample"):]))
+    names = sorted(ar.tensors, key=lambda n: int(n[len("sample"):]))
     if not names:
         raise ArchiveError(f"{path}: no sample tensors found")
     samples = [ar.tensors[n] for n in names]

@@ -504,21 +504,12 @@ def fit_loss_and_grad(kern: np.ndarray, v_samples: list, target_samples: list):
 
 
 def attention_inputs(model: Model, samples, folds: dict) -> None:
-    """The fit's capture: one `vit.attention_reads` pass over the samples.
-    The read of each block b in `folds` runs b's exact attention once per
-    chunk of the pass, hands folds[b] the chunk's normed inputs and head
-    outputs, both (B, n, d), and returns the outputs for the pass to carry
-    on, so nothing outlives its block. An empty `folds` runs no forward."""
-    if not folds:
-        return
-
-    def read(a_in, block, fold):
-        out = vit.attention(a_in, block.w_qkv, block.d_h)
-        fold(a_in, out)
-        return out
-
-    vit.attention_reads(samples, model, {b: lambda a_in, block, fold=fold: read(a_in, block, fold)
-                                         for b, fold in folds.items()})
+    """The fit's capture: one `vit.attention_reads` pass over the samples
+    that folds each block b in `folds`: folds[b] gets each chunk's normed
+    inputs to b and b's exact head outputs, both (B, n, d), so nothing
+    outlives its block. An empty `folds` runs no forward."""
+    if folds:
+        vit.attention_reads(samples, model, folds=folds)
 
 
 class _BlockFit:

@@ -128,20 +128,18 @@ class ScoreResult:
 
 def score_model(model: Model, samples) -> ScoreResult:
     """Score every head over an iterable of (n, d) inputs, in one
-    `vit.attention_reads` pass whose reads tap each sample's head groups'
-    (g, n, n) weights (`vit.head_groups`) into their one accumulator, one
-    sample at a time and in sample order, so the scores do not depend on
-    the pass's chunks. Nothing is recomputed or kept past its chunk, so
-    memory stays at two float64 n x n buffers per head plus one chunk's
-    forward, whatever the sample count."""
+    `vit.attention_reads` pass that taps each block: each sample's head
+    groups' (g, n, n) weights (`vit.head_groups`) go into their one
+    accumulator, one sample at a time and in sample order, so the scores
+    do not depend on the pass's chunks. Nothing is recomputed or kept past
+    its chunk, so memory stays at two float64 n x n buffers per head plus
+    one chunk's forward, whatever the sample count."""
     cfg = model.config
     groups = vit.head_groups(cfg.n_h, cfg.n)
     states = [{h0: WelfordState.new((h1 - h0, cfg.n, cfg.n)) for h0, h1 in groups}
               for _ in range(cfg.n_b)]
-    reads = {b: lambda a_in, block, s=state: vit.attention(
-                 a_in, block.w_qkv, block.d_h, energy_tap=lambda e, h0: welford_update(s[h0], e))
-             for b, state in enumerate(states)}
-    n_samples = vit.attention_reads(samples, model, reads)
+    taps = {b: lambda e, h0, s=state: welford_update(s[h0], e) for b, state in enumerate(states)}
+    n_samples = vit.attention_reads(samples, model, taps=taps)
     if n_samples == 0:
         raise ConfigError("scoring needs at least one sample")
     sig_h = np.array([[sigma_head(sigma) for h0, _ in groups
@@ -272,9 +270,10 @@ class SelectionPlan:
     def from_json(cls, d) -> "SelectionPlan":
         """A plan from its JSON form, refusing (ConfigError) a `mode` or
         `order` outside MODES/ORDERS (a missing order reads as "lowest"), a
-        budget that is not an exact int, and targets that are not distinct
+        budget that is not an exact int, targets that are not distinct
         exact-int block indices (blockwise) or [block, head] pairs
-        (scattered). Whether they exist is `dropin.planned_heads`' question."""
+        (scattered), and a budget other than their count. Whether they
+        exist is `dropin.planned_heads`' question."""
         if not isinstance(d, dict):
             raise ConfigError("plan must be a JSON object")
         mode, order, budget = d.get("mode"), d.get("order", "lowest"), d.get("budget")
@@ -301,6 +300,9 @@ class SelectionPlan:
         if len(set(keys)) < len(keys):
             twice = next(targets[i] for i, t in enumerate(keys) if t in keys[:i])
             raise ConfigError(f"{mode} plan names target {twice!r} twice")
+        if budget != len(keys):
+            raise ConfigError(f"plan budget must equal its target count {len(keys)}, "
+                              f"got {budget}")
         return cls(mode=mode, order=order, budget=budget, targets=keys)
 
 

@@ -15,8 +15,8 @@ use. Inputs are token grids (n = m*m tokens, no class token); a learned
 positional table is added once at the input (`embed`).
 
 One block loop (`blocks_forward`) runs every forward: one sample's (n, d)
-residual in `model_forward`, or in the sample passes of scoring and the
-fit's capture (`attention_reads`) a chunk of samples stacked as one
+residual in `model_forward`, or in the one sample pass (`attention_reads`),
+which scoring taps and the fit's capture folds, a chunk stacked as one
 (B*n, d) residual, so each block's row-wise work (norms, GEMMs, GELU,
 residual adds) runs once per chunk while its weights stay in cache, and
 only the attention core runs per sample. Chunks hold as many samples as
@@ -124,10 +124,10 @@ class BlockParams:
     w_o: np.ndarray
     ffn_w1: np.ndarray
     ffn_w2: np.ndarray
-    norm1_scale: np.ndarray = field(repr=False, default=None)
-    norm1_shift: np.ndarray = field(repr=False, default=None)
-    norm2_scale: np.ndarray = field(repr=False, default=None)
-    norm2_shift: np.ndarray = field(repr=False, default=None)
+    norm1_scale: np.ndarray = field(repr=False)
+    norm1_shift: np.ndarray = field(repr=False)
+    norm2_scale: np.ndarray = field(repr=False)
+    norm2_shift: np.ndarray = field(repr=False)
     w_qkv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -425,7 +425,7 @@ def block_forward(x: np.ndarray, block: BlockParams, mhsa_fn=None) -> np.ndarray
     FFN adds into it in place.
 
     `mhsa_fn(attn_in, block)` substitutes the attention sublayer: drop-in
-    surgery and the sample passes' reads (`attention_reads`) go through it.
+    surgery and the sample pass (`attention_reads`) go through it.
     """
     fn = mhsa_forward if mhsa_fn is None else mhsa_fn
     x = x + fn(attention_input(x, block), block)
@@ -489,36 +489,40 @@ def _stacked(first: np.ndarray, rest, model: Model, size: int) -> np.ndarray:
     return x[:rows]
 
 
-def attention_reads(samples, model: Model, reads: dict) -> int:
+def attention_reads(samples, model: Model, taps=None, folds=None) -> int:
     """The one sample pass of scoring and the fit's capture, over the
     iterable `samples` of (n, d) inputs, drawn `chunk_size` at a time.
     Each chunk is one C-contiguous (B*n, d) residual (`_stacked`) that
     `blocks_forward` carries, so the norms, the GEMMs, GELU and the
     residual adds run once per block and chunk; each sample's rows are
     `model_forward`'s bit for bit where BLAS rounds a GEMM row alike
-    whatever the row count (desk and vitl with OpenBLAS). `reads` maps
-    block b -> read(a_in, block), run in block order on the chunk's normed
-    input to b viewed as (B, n, d); it returns the (B, n, d) head outputs
-    (`attention` runs its core per sample, in sample order), which blocks
-    before the last read project and carry on. Blocks with no read run
-    exact `attention`. The pass ends after the last read: no output
+    whatever the row count (desk and vitl with OpenBLAS). Each block's
+    exact `attention` runs here on the chunk's normed input, viewed
+    (B, n, d), with `taps[b]` as block b's `energy_tap(e, h0)`; then
+    `folds[b](a_in, out)` gets that input and the (B, n, d) head outputs,
+    which the pass goes on to use: read them, do not write them. The pass
+    ends after the attention of the last block either names: no output
     projection, second norm or FFN runs at or after it. Nothing holds a
     chunk's input past block 0 or a chunk past its pass. Returns the
     number of samples."""
+    taps, folds = taps or {}, folds or {}
     cfg = model.config
-    n, d, last = cfg.n, cfg.d, max(reads)
-    block, size = model.blocks[last], chunk_size(cfg)
+    n, d, last = cfg.n, cfg.d, max(taps.keys() | folds.keys())
+    size = chunk_size(cfg)
 
-    def sublayer(read):
-        return lambda a_in, block: project_heads(
-            read(a_in.reshape(-1, n, d), block).reshape(-1, d), block)
+    def attend(b, a_in):
+        block, a_in = model.blocks[b], a_in.reshape(-1, n, d)
+        out = attention(a_in, block.w_qkv, block.d_h, energy_tap=taps.get(b))
+        if b in folds:
+            folds[b](a_in, out)
+        return out
 
-    exact = sublayer(lambda a_in, block: attention(a_in, block.w_qkv, block.d_h))
-    fns = {b: sublayer(reads[b]) if b in reads else exact for b in range(last)}
+    fns = {b: lambda a_in, block, b=b: project_heads(attend(b, a_in).reshape(-1, d), block)
+           for b in range(last)}
 
     def chunk(first) -> int:
         x = blocks_forward(_stacked(first, samples, model, size), model, 0, last, fns)
-        reads[last](attention_input(x, block).reshape(-1, n, d), block)
+        attend(last, attention_input(x, model.blocks[last]))
         return len(x) // n
 
     samples = iter(samples)

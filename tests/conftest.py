@@ -222,6 +222,12 @@ PLAN_FAULTS = [
     ("repeated-pair",
      {"mode": "scattered", "order": "lowest", "budget": 3, "targets": [[0, 1], [1, 0], [0, 1]]},
      "scattered plan names target [0, 1] twice"),
+    ("budget-not-target-count",
+     {"mode": "blockwise", "order": "lowest", "budget": -7, "targets": [2]},
+     "plan budget must equal its target count 1, got -7"),
+    ("scattered-budget-not-target-count",
+     {"mode": "scattered", "order": "lowest", "budget": 3, "targets": [[0, 1], [1, 0]]},
+     "plan budget must equal its target count 2, got 3"),
 ]
 
 # Score reports `plan` refuses, as (id, mode, report -> faulty report, message fragment).

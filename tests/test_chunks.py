@@ -23,7 +23,7 @@ import json
 import numpy as np
 import pytest
 
-from dwdropin import cli, dropin, vit
+from dwdropin import cli, dropin, select, vit
 from dwdropin.select import SelectionPlan, score_model
 from dwdropin.tensor import GROUP_BYTES
 from dwdropin.vit import DESK, VITL, ModelConfig, attention, attention_input, init_model
@@ -61,19 +61,23 @@ def tapped_attention(a_in, block):
 
 def chunked_reads(model, samples, blocks) -> list:
     """(block, normed input, head outputs, taps) of every sample's read,
-    in the order the chunked pass reads them."""
-    index = {id(blk): b for b, blk in enumerate(model.blocks)}
-    reads = []
+    in the order the chunked pass reads them: each block's tap digests
+    every weight group the pass's attention sees, and its fold, which
+    follows the chunk's taps, splits the chunk into its samples."""
+    groups = len(vit.head_groups(model.config.n_h, model.config.n))
+    reads, taps = [], []
 
-    def read(a_in, block):
-        out, taps = tapped_attention(a_in, block)
-        per = len(taps) // len(a_in)
-        reads.extend((index[id(block)], a, o, taps[i * per : (i + 1) * per])
-                     for i, (a, o) in enumerate(zip(a_in, out)))
-        return out
+    def fold(b):
+        def add(a_in, out):
+            assert len(taps) == groups * len(a_in)
+            reads.extend((b, a, o, taps[i * groups : (i + 1) * groups])
+                         for i, (a, o) in enumerate(zip(a_in, out, strict=True)))
+            taps.clear()
+        return add
 
-    assert vit.attention_reads(samples, model, dict.fromkeys(blocks, read)) == \
-        sum(1 for r in reads if r[0] == max(blocks))
+    tap = dict.fromkeys(blocks, lambda e, h0: taps.append((h0, digest(e))))
+    assert vit.attention_reads(samples, model, taps=tap, folds={b: fold(b) for b in blocks}) \
+        == sum(1 for r in reads if r[0] == max(blocks))
     return reads
 
 
@@ -197,6 +201,35 @@ class TestChunkedResults:
                 for h, (kern, rep) in zip(heads, fits):
                     np.testing.assert_array_equal(dp.head_kernels[h], kern)
                     assert reports[(b, h)] == rep
+
+    @pytest.mark.parametrize("kind", ["list", "lazy"])
+    def test_one_pass_taps_and_folds_the_same_blocks(self, desk_model, kind):
+        """One pass that taps every block and folds blocks 2, 3 and 5 into
+        their dw fits gives `score_model`'s σ and `build_dropins`' dw
+        kernels bit for bit: the shared pass a block statistic beside σ
+        needs."""
+        count = 2 * vit.chunk_size(DESK) + 1
+        groups = vit.head_groups(DESK.n_h, DESK.n)
+        states = [{h0: select.WelfordState.new((h1 - h0, DESK.n, DESK.n)) for h0, h1 in groups}
+                  for _ in range(DESK.n_b)]
+        heads = tuple(range(DESK.n_h))
+        fits = {b: dropin._BlockFit(desk_model, b, "dw", heads, None) for b in (2, 3, 5)}
+        taps = {b: lambda e, h0, s=state: select.welford_update(s[h0], e)
+                for b, state in enumerate(states)}
+        assert vit.attention_reads(samples_of(DESK, count, kind), desk_model, taps=taps,
+                                   folds={b: fit.add for b, fit in fits.items()}) == count
+        sigma_h = np.array([[select.sigma_head(sigma) for h0, _ in groups
+                             for sigma in select.welford_finalize(state[h0])]
+                            for state in states])
+        np.testing.assert_array_equal(
+            sigma_h, score_model(desk_model, samples_of(DESK, count, kind)).sigma_h)
+        plan = SelectionPlan("blockwise", "lowest", len(fits), tuple(fits))
+        hm, reports = dropin.build_dropins(desk_model, plan, "dw",
+                                           samples=samples_of(DESK, count, kind))
+        for b, fit in fits.items():
+            for h, (kern, rep) in zip(heads, fit.solve(), strict=True):
+                np.testing.assert_array_equal(hm.dropins[b].head_kernels[h], kern)
+                assert reports[(b, h)] == rep
 
     def test_odd_scores_and_fits_match_per_sample_ones(self):
         """Across two chunks and a partial third, within float32 rounding

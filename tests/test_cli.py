@@ -261,12 +261,12 @@ class TestSyntheticSamples:
 
 
 class TestSampleNames:
-    """A `--data` archive tensor that starts with "sample" but is not
-    `sample{i}` exits 3 with one error line naming the file and the tensor."""
+    """A `--data` archive tensor not named `sample{i}` exits 3 with one
+    error line naming the file and the tensor."""
 
     @pytest.mark.parametrize("command", ["score", "replace"])
     @pytest.mark.parametrize("name", ["sample_x", "samples", "sample01", "sample-1",
-                                      "sample+1", "sample 1", "sample"])
+                                      "sample+1", "sample 1", "sample", "junk", "pos_enc"])
     def test_bad_sample_name_refused(self, tmp_path, tiny_archive, capsys, command, name):
         x0, x1 = make_inputs(TINY, 2, 79)
         data = tmp_path / "samples.bin"
@@ -1133,6 +1133,23 @@ class TestMalformedPlans:
         assert run("verify", "--model", tiny_archive, "--hybrid", hybrid, "--samples", 2) == 3
         assert capsys.readouterr().err == (
             f"error: {hybrid}: bad drop-in section: {mode} plan names target {twice[0]!r} twice\n")
+
+    @pytest.mark.parametrize("mode, targets", [("blockwise", (0,)), ("scattered", ((0, 1),))],
+                             ids=["blockwise", "scattered"])
+    def test_budget_not_target_count_in_archive_meta(self, tmp_path, tiny_archive, capsys,
+                                                     mode, targets):
+        """A hybrid whose stored plan's budget is not its target count is
+        refused, not loaded with a budget that describes another plan."""
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan(mode, "lowest", 1, targets), plan)
+        hybrid = tmp_path / "h.bin"
+        assert run("replace", "--model", tiny_archive, "--plan", plan, "--out", hybrid) == 0
+        rewrite_manifest(hybrid, lambda m: m["meta"]["dropin"]["plan"].update(budget=-7))
+        capsys.readouterr()
+        assert run("verify", "--model", tiny_archive, "--hybrid", hybrid, "--samples", 2) == 3
+        assert capsys.readouterr().err == (
+            f"error: {hybrid}: bad drop-in section: plan budget must equal its target count 1, "
+            "got -7\n")
 
     @pytest.mark.parametrize("mode, fault, message", [f[1:] for f in REPORT_FAULTS],
                              ids=[f[0] for f in REPORT_FAULTS])

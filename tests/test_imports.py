@@ -7,7 +7,11 @@ pins lives in one place, and rewrites only the hidden array the FFN
 owns. Only `tensor.row_taps` calls a `tile`: it is the one rule that
 tiles a depthwise kernel into row taps. Only `vit.blocks_forward` calls
 `block_forward`: it is the one block loop, of one sample and of a chunk.
-Only `archive` opens files: it writes and reads every report and
+Exact `attention` runs in `vit.mhsa_forward`, in the sample pass
+(`vit.attention_reads`) and in a drop-in block's kept heads
+(`dropin.BlockSublayer`), nowhere else: scoring and the fit's capture
+tap and fold the pass rather than run attention themselves. Only
+`archive` opens files: it writes and reads every report and
 archive. `cost.activation_bytes` names no drop-in variant: it prices a
 block by its formulation (`dropin.DEPTHWISE`) and channel counts, as
 `flops_params` does.
@@ -165,6 +169,26 @@ def test_only_blocks_forward_calls_block_forward(path):
     runs a block."""
     expected = ["blocks_forward"] if path.stem == "vit" else []
     assert callers(path.read_text(), "block_forward") == expected
+
+
+def test_detects_an_attention_caller():
+    source = ("from . import vit\n"
+              "def score_model(model, samples):\n"
+              "    return vit.attention(samples, model.w_qkv, 4, energy_tap=print)\n"
+              "def oracles(x, blk):\n"
+              "    return head_attention(x, blk, 0), explicit_attention(x, x)\n"
+              "class BlockSublayer:\n    def __call__(self, x):\n"
+              "        return attention(x, self.w_exact, 4)\n")
+    assert callers(source, "attention") == ["score_model", "BlockSublayer"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_the_sample_pass_runs_exact_attention(path):
+    """Besides the one-block sublayers that are attention (`mhsa_forward`,
+    a drop-in block's kept heads), only the sample pass runs it."""
+    expected = {"vit": ["mhsa_forward", "attention_reads"],
+                "dropin": ["BlockSublayer"]}.get(path.stem, [])
+    assert callers(path.read_text(), "attention") == expected
 
 
 def file_openers(source: str) -> list:

@@ -392,16 +392,19 @@ class TestGelu:
 
 
 class TestAttentionReads:
-    """The one pass rule of scoring and the fit's capture: the reads run in
-    block order on the forward's own normed inputs, and the pass stops at
-    the last read's attention."""
+    """The one pass rule of scoring and the fit's capture: the pass runs
+    every block's attention itself, taps and folds in block order on the
+    forward's own normed inputs, and stops at the last tapped or folded
+    block's attention."""
 
     @pytest.mark.parametrize("blocks", [(4, 1), (0,), (DESK.n_b - 1,), (3, 2),
                                         tuple(range(DESK.n_b))],
                              ids=["1-4", "0", "last", "2-3", "all"])
     def test_reads_in_block_order_and_stop_at_the_last(self, desk_model, monkeypatch, blocks):
-        """Two chunks, a full one and one sample: each chunk's reads see
-        its samples' normed inputs stacked (B, n, d), block by block."""
+        """Two chunks, a full one and one sample: each chunk's folds see
+        its samples' normed inputs stacked (B, n, d), block by block, and
+        their exact head outputs, after the taps of every sample's head
+        groups, sample by sample."""
         size = vit.chunk_size(DESK)
         xs = make_inputs(DESK, size + 1, 241)
         want = [[attention_input(h, blk)
@@ -413,23 +416,44 @@ class TestAttentionReads:
             fn = getattr(vit, name)
             monkeypatch.setattr(vit, name, lambda y, blk, fn=fn, name=name:
                                 ran.append((name, index[id(blk)])) or fn(y, blk))
-        reads = []
+        reads, events = [], []
+        taps = {b: lambda e, h0, b=b: events.append(("tap", b, h0)) for b in blocks}
+        folds = {b: lambda a_in, out, b=b: events.append(("fold", b)) or reads.append(
+                     (b, a_in, out)) for b in blocks}
 
-        def read(a_in, blk):
-            reads.append((index[id(blk)], a_in))
-            return attention(a_in, blk.w_qkv, blk.d_h)
-
-        assert attention_reads(iter(xs), desk_model, dict.fromkeys(blocks, read)) == len(xs)
+        assert attention_reads(iter(xs), desk_model, taps=taps, folds=folds) == len(xs)
         chunks = [range(size), range(size, size + 1)]
         expected = [(b, chunk) for chunk in chunks for b in sorted(blocks)]
-        assert [(b, a_in.shape) for b, a_in in reads] == [
-            (b, (len(chunk), DESK.n, DESK.d)) for b, chunk in expected]
-        for (b, a_in), (_, chunk) in zip(reads, expected):
+        assert [(b, a_in.shape, out.shape) for b, a_in, out in reads] == [
+            (b, (len(chunk), DESK.n, DESK.d), (len(chunk), DESK.n, DESK.d))
+            for b, chunk in expected]
+        for (b, a_in, out), (_, chunk) in zip(reads, expected):
+            blk = desk_model.blocks[b]
+            np.testing.assert_array_equal(out, attention(a_in, blk.w_qkv, blk.d_h))
             for got, i in zip(a_in, chunk, strict=True):
                 np.testing.assert_array_equal(got, want[i][b])
+        groups = head_groups(DESK.n_h, DESK.n)
+        assert events == [event for b, chunk in expected for event in (
+            [("tap", b, h0) for _ in chunk for h0, _ in groups] + [("fold", b)])]
         last = max(blocks)
         assert ran == [(name, b) for _ in chunks for b in range(last)
                        for name in ("project_heads", "ffn_forward")]
+
+    @pytest.mark.parametrize("taps, folds", [((1,), (4,)), ((4,), (1,)), ((), (2,)),
+                                             ((2,), ())], ids=["tap-1-fold-4", "tap-4-fold-1",
+                                                               "fold-only", "tap-only"])
+    def test_stops_at_the_last_block_either_names(self, desk_model, monkeypatch, taps, folds):
+        """A tap and a fold on different blocks: each reaches only its own
+        block, and every block up to the later one runs its attention."""
+        index = {id(blk.w_qkv): b for b, blk in enumerate(desk_model.blocks)}
+        ran, seen = [], set()
+        monkeypatch.setattr(vit, "attention", lambda x, w_qkv, d_h, energy_tap=None, fn=attention:
+                            ran.append(index[id(w_qkv)]) or fn(x, w_qkv, d_h, energy_tap))
+        attention_reads(make_inputs(DESK, 2, 242), desk_model,
+                        taps={b: lambda e, h0, b=b: seen.add(("tap", b)) for b in taps},
+                        folds={b: lambda a_in, out, b=b: seen.add(("fold", b)) for b in folds})
+        assert ran == list(range(max(taps + folds) + 1))
+        assert seen == {("tap", b) for b in taps} | {("fold", b) for b in folds}
 
 
 class TestExplicitVsHeadAttention:
@@ -606,6 +630,12 @@ class TestBatchedAttention:
             attention(x, blk.w_qkv, blk.d_h, energy_tap=tap)
 
 
+def norms(blk) -> dict:
+    """A block's four layer-norm tensors, as BlockParams takes them."""
+    return {name: getattr(blk, name)
+            for name in ("norm1_scale", "norm1_shift", "norm2_scale", "norm2_shift")}
+
+
 def three_gemm_attention(x, w_q, w_k, w_v, d_h):
     """`attention` as it ran before the block held one fused weight: three
     full-width projection GEMMs, each head's q, k and v a strided view of
@@ -651,7 +681,7 @@ class TestFusedProjection:
         w_q, w_k, w_v = (rng.standard_normal((d, d)) for _ in range(3))  # float64 in
         blk = random_block(TINY, 73)
         fused = BlockParams(n_h=TINY.n_h, d_h=TINY.d_h, w_q=w_q, w_k=w_k, w_v=w_v,
-                            w_o=blk.w_o, ffn_w1=blk.ffn_w1, ffn_w2=blk.ffn_w2)
+                            w_o=blk.w_o, ffn_w1=blk.ffn_w1, ffn_w2=blk.ffn_w2, **norms(blk))
         assert fused.w_qkv.shape == (d, 3 * d) and fused.w_qkv.dtype == F32
         assert fused.w_qkv.flags.c_contiguous
         for i, (w, given) in enumerate(zip((fused.w_q, fused.w_k, fused.w_v), (w_q, w_k, w_v))):
@@ -667,7 +697,16 @@ class TestFusedProjection:
         blk = random_block(TINY, 74)
         with pytest.raises(ShapeError, match="w_q, w_k and w_v must share one"):
             BlockParams(n_h=TINY.n_h, d_h=TINY.d_h, w_q=blk.w_q, w_k=blk.w_k[:, 1:],
-                        w_v=blk.w_v, w_o=blk.w_o, ffn_w1=blk.ffn_w1, ffn_w2=blk.ffn_w2)
+                        w_v=blk.w_v, w_o=blk.w_o, ffn_w1=blk.ffn_w1, ffn_w2=blk.ffn_w2,
+                        **norms(blk))
+
+    def test_block_without_norms_refused(self):
+        """A block is built with its layer norms or not at all, rather than
+        failing deep in its forward."""
+        blk = random_block(TINY, 75)
+        with pytest.raises(TypeError, match="norm1_scale"):
+            BlockParams(n_h=TINY.n_h, d_h=TINY.d_h, w_q=blk.w_q, w_k=blk.w_k, w_v=blk.w_v,
+                        w_o=blk.w_o, ffn_w1=blk.ffn_w1, ffn_w2=blk.ffn_w2)
 
     def test_qkv_columns(self, desk_model):
         blk = desk_model.blocks[0]
