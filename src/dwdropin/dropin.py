@@ -67,7 +67,7 @@ def fold_full_kernel(kern: np.ndarray, w_val: np.ndarray) -> np.ndarray:
         raise ShapeError(f"kernel {kern.shape} must be (k, k) or (k, k, c) for values (d, c), "
                          f"got values {w_val.shape}")
     k = kern.shape[0]
-    return as_f32(kern).reshape(k, k, 1, -1) * as_f32(w_val)
+    return as_f32(kern).reshape(k, k, 1, -1) * np.asarray(w_val, dtype=F32)
 
 
 def attn_conv_full(x: np.ndarray, w_vh: np.ndarray) -> np.ndarray:

@@ -60,7 +60,9 @@ class WelfordState:
 def welford_update(state: WelfordState, sample: np.ndarray) -> WelfordState:
     """Fold one sample in: count+=1; delta=x-mean; mean+=delta/count;
     m2+=delta*(x-mean), in place on a float64 copy of the sample. Mutates
-    and returns the state."""
+    and returns the state. M2 needs no clamp: the new mean rounds into
+    [mean, x], so each term is ±0 or positive, and M2 stays +0 or positive
+    unless a sample is not finite or x - mean overflows (then NaN or -inf)."""
     x = np.array(sample, dtype=np.float64)
     if x.shape != state.mean.shape:
         raise ShapeError(f"sample shape {x.shape} != state shape {state.mean.shape}")
@@ -70,17 +72,13 @@ def welford_update(state: WelfordState, sample: np.ndarray) -> WelfordState:
     x -= state.mean
     delta *= x
     state.m2 += delta
-    # mathematically >= 0; clamp float dust so the invariant holds exactly
-    np.maximum(state.m2, 0.0, out=state.m2)
     return state
 
 
 def welford_finalize(state: WelfordState) -> np.ndarray:
-    """Pointwise standard deviation sqrt(M2/count), population convention."""
+    """Pointwise population std sqrt(M2/count); +0 at count 1, as M2 is +0."""
     if state.count == 0:
         raise ConfigError("cannot finalize statistics over zero samples")
-    if state.count == 1:
-        return np.zeros_like(state.m2)
     return np.sqrt(state.m2 / state.count)
 
 

@@ -490,22 +490,23 @@ def _stacked(first: np.ndarray, rest, model: Model, size: int) -> np.ndarray:
 
 
 def attention_reads(samples, model: Model, taps=None, folds=None) -> int:
-    """The one sample pass of scoring and the fit's capture, over the
-    iterable `samples` of (n, d) inputs, drawn `chunk_size` at a time.
-    Each chunk is one C-contiguous (B*n, d) residual (`_stacked`) that
-    `blocks_forward` carries, so the norms, the GEMMs, GELU and the
-    residual adds run once per block and chunk; each sample's rows are
-    `model_forward`'s bit for bit where BLAS rounds a GEMM row alike
-    whatever the row count (desk and vitl with OpenBLAS). Each block's
-    exact `attention` runs here on the chunk's normed input, viewed
-    (B, n, d), with `taps[b]` as block b's `energy_tap(e, h0)`; then
-    `folds[b](a_in, out)` gets that input and the (B, n, d) head outputs,
-    which the pass goes on to use: read them, do not write them. The pass
-    ends after the attention of the last block either names: no output
-    projection, second norm or FFN runs at or after it. Nothing holds a
-    chunk's input past block 0 or a chunk past its pass. Returns the
-    number of samples."""
+    """The one sample pass of scoring and the fit's capture over the
+    iterable `samples` of (n, d) inputs. `chunk_size` samples at a time
+    make one C-contiguous (B*n, d) residual (`_stacked`) that
+    `blocks_forward` carries, so norms, GEMMs, GELU and residual adds run
+    once per block and chunk; each sample's rows are `model_forward`'s bit
+    for bit where BLAS rounds a GEMM row alike whatever the row count
+    (desk and vitl with OpenBLAS). Block b's exact `attention` runs here on
+    the chunk's normed input, viewed (B, n, d), with `taps[b]` as its
+    `energy_tap(e, h0)`; then `folds[b](a_in, out)` gets that input and
+    the (B, n, d) head outputs, which the pass goes on to use: read them,
+    do not write them. The pass ends after the attention of the last block
+    either names, before its output projection; if neither names one, it
+    raises ConfigError before drawing a sample. Nothing holds a chunk's
+    input past block 0 or a chunk past its pass. Returns the sample count."""
     taps, folds = taps or {}, folds or {}
+    if not taps and not folds:
+        raise ConfigError("a sample pass needs a tap or a fold")
     cfg = model.config
     n, d, last = cfg.n, cfg.d, max(taps.keys() | folds.keys())
     size = chunk_size(cfg)

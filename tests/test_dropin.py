@@ -100,6 +100,18 @@ class TestFoldFullKernel:
         with pytest.raises(ShapeError, match=r"must be \(k, k\) or \(k, k, c\)"):
             fold_full_kernel(np.ones((3, 3, channels), np.float32), w_v)
 
+    def test_strided_values_read_in_place(self, rng):
+        """A column view of a fused (d, 3c) weight folds without a copy of
+        it, into the bits of the contiguous fold."""
+        d = c = 256
+        w_v = rng.standard_normal((d, 3 * c)).astype(np.float32)[:, 2 * c:]
+        kern = rng.standard_normal((3, 3, c)).astype(np.float32)
+        want = fold_full_kernel(kern, np.ascontiguousarray(w_v))
+        got = []
+        peak = traced_peak(lambda: got.append(fold_full_kernel(kern, w_v)))
+        assert peak <= want.nbytes + 128 * 1024
+        np.testing.assert_array_equal(got[0], want)
+
 
 class TestAttnConvFull:
     def test_delta_center_is_value_projection(self, rng):

@@ -53,6 +53,35 @@ def two_pass_std(samples):
     return np.sqrt(((stack - mean) ** 2).sum(axis=0) / len(samples))
 
 
+def _rows(elements, width=4):
+    """Streams of 1 to 12 samples, each `width` values drawn from `elements`."""
+    return st.lists(st.lists(elements, min_size=width, max_size=width),
+                    min_size=1, max_size=12).map(np.array)
+
+
+def _softmax(logits):
+    z = logits.astype(np.float32)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+# Streams whose M2 the update keeps at +0 or above with no clamp: softmax
+# rows (float32, as scoring taps them), constants of any finite size, ±1
+# alternation, a large mean with small noise, and subnormals with ±0,
+# whose products underflow to ±0.
+WELFORD_STREAMS = st.one_of(
+    _rows(st.floats(-30, 30)).map(_softmax),
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 12))
+    .map(lambda vc: np.full((vc[1], 4), vc[0])),
+    st.tuples(st.sampled_from([1.0, -1.0]), st.integers(1, 12))
+    .map(lambda sc: np.full((sc[1], 4), sc[0]) * (-1.0) ** np.arange(sc[1])[:, None]),
+    _rows(st.floats(-1e-3, 1e-3)).map(lambda noise: 1e6 + noise),
+    _rows(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                    st.floats(-SMALLEST_NORMAL, SMALLEST_NORMAL))),
+)
+
+
 class TestWelford:
     def test_identical_samples_zero_m2(self, rng):
         x = rng.standard_normal((4, 4))
@@ -112,6 +141,19 @@ class TestWelford:
         for _ in range(500):
             welford_update(st_, 1e6 + 1e-3 * rng.standard_normal(3))
             assert (st_.m2 >= 0).all()
+
+    @given(WELFORD_STREAMS)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_m2_never_below_plus_zero(self, stream):
+        """After every update M2 is >= 0 with no -0 bit, and one sample
+        finalizes to exactly +0: the bounds the update keeps with no clamp."""
+        st_ = WelfordState.new(stream.shape[1:])
+        for x in stream:
+            welford_update(st_, x)
+            assert (st_.m2 >= 0).all() and not np.signbit(st_.m2).any()
+            if st_.count == 1:
+                sigma = welford_finalize(st_)
+                assert not sigma.any() and not np.signbit(sigma).any()
 
     def test_finalize_empty_raises(self):
         with pytest.raises(ConfigError):

@@ -455,6 +455,15 @@ class TestAttentionReads:
         assert ran == list(range(max(taps + folds) + 1))
         assert seen == {("tap", b) for b in taps} | {("fold", b) for b in folds}
 
+    @pytest.mark.parametrize("taps, folds", [(None, None), ({}, {})], ids=["none", "empty"])
+    def test_nothing_to_read_refused(self, desk_model, taps, folds):
+        """A pass with neither a tap nor a fold refuses before it draws a
+        sample."""
+        samples = iter(make_inputs(DESK, 2, 243))
+        with pytest.raises(ConfigError, match="^a sample pass needs a tap or a fold$"):
+            attention_reads(samples, desk_model, taps=taps, folds=folds)
+        assert len(list(samples)) == 2
+
 
 class TestExplicitVsHeadAttention:
     def test_agreement_on_model(self, desk_model, rng):
