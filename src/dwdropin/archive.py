@@ -182,18 +182,16 @@ def save_model(path, model: Model, meta: dict | None = None) -> None:
 def model_from_archive(ar: Archive) -> Model:
     """The model an archive holds. Before any block is built, each
     `_model_shapes` name must be present with its shape, and any other name
-    not `dropin.*` (`dropin.hybrid_from_archive`'s) is refused. As each
-    block is built, its w_q, w_k and w_v in `ar.tensors` are swapped for
-    the column views of its fused `w_qkv`, so the archive's own copies are
-    freed then, not held next to the fused ones until the load returns."""
+    is refused. As each block is built, its w_q, w_k and w_v in `ar.tensors`
+    are swapped for the column views of its fused `w_qkv`, so the archive's
+    own copies are freed then, not held next to the fused ones until the
+    load returns."""
     cfg = ar.config
-    if not ar.tensors:
-        raise ArchiveError("archive is config-only, it carries no weights")
     shapes = _model_shapes(cfg)
     for name, arr in ar.tensors.items():
-        if name not in shapes and not name.startswith("dropin."):
+        if name not in shapes:
             raise ArchiveError(f"tensor {name!r} is not a tensor of this model")
-        if name in shapes and tuple(arr.shape) != shapes[name]:
+        if tuple(arr.shape) != shapes[name]:
             raise ArchiveError(f"tensor {name!r} has shape {arr.shape}, expected {shapes[name]}")
     missing = [name for name in shapes if name not in ar.tensors]
     if missing:

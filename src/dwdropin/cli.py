@@ -157,15 +157,16 @@ def refuse_next_to_data(args) -> None:
                   "cannot be given with --data: the archive holds the samples")
 
 
-def load_hybrid(path, purpose: str) -> dropin.HybridModel:
-    """Load an archive with weights as a HybridModel (its `base` is the
-    plain model). Every refusal is an ArchiveError naming `path`; a
-    config-only archive's says that `purpose` needs weights."""
+def load_weights(path, purpose: str, read):
+    """`read` of the archive at `path`: `model_from_archive` for a model
+    archive, `dropin.hybrid_from_archive` for a hybrid or model one. Every
+    refusal is an ArchiveError naming `path`; a config-only archive's says
+    that `purpose` needs weights."""
     ar = load_archive(path)
     if not ar.tensors:
         raise ArchiveError(f"{path} is config-only; {purpose} needs weights")
     try:
-        return dropin.hybrid_from_archive(ar, model_from_archive(ar))
+        return read(ar)
     except ArchiveError as exc:
         raise ArchiveError(f"{path}: {exc}") from exc
 
@@ -207,7 +208,7 @@ def cmd_score(args) -> int:
     refuse_next_to_data(args)
     if args.data is None:
         record_defaults(args, samples=256, seed=0)
-    model = load_hybrid(args.model, "scoring").base
+    model = load_weights(args.model, "scoring", model_from_archive)
     samples, source = get_samples(args, model.config)
     with overflow_is_file_fault(args.model, args.data):
         result = select.score_model(model, samples)
@@ -234,7 +235,7 @@ def cmd_replace(args) -> int:
     refuse_unread(args, ["init_seed"], args.fit,
                   "cannot be given with --fit: fitted kernels are not drawn")
     record_defaults(args, seed=0, init_seed=0)
-    model = load_hybrid(args.model, "surgery").base
+    model = load_weights(args.model, "surgery", model_from_archive)
     plan = select.plan_from_file(args.plan)
     samples = get_samples(args, model.config)[0] if args.fit else None
     with overflow_is_file_fault(args.model, args.data):
@@ -284,8 +285,8 @@ def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
     """The equivalence and invariant suite behind cmd_verify."""
     if not tol >= 0:  # false for NaN too
         raise ConfigError(f"tolerance must be >= 0, got {tol}")
-    hm_a = load_hybrid(path_a, "verification")
-    hm_b = load_hybrid(path_b, "verification")
+    hm_a = load_weights(path_a, "verification", dropin.hybrid_from_archive)
+    hm_b = load_weights(path_b, "verification", dropin.hybrid_from_archive)
     model_a, cfg = hm_a.base, hm_a.base.config
     if cfg != hm_b.base.config:
         raise ConfigError("archives have different configurations")
@@ -433,7 +434,7 @@ def cmd_bench(args) -> int:
         if not args.model:
             raise ConfigError("--plan benching needs --model with weights")
         refuse_preset_next_to_model(args)
-        model = load_hybrid(args.model, "--plan benching").base
+        model = load_weights(args.model, "--plan benching", model_from_archive)
         cfg = model.config
         plan = select.plan_from_file(args.plan)
         hm, _ = dropin.build_dropins(model, plan, args.variant, args.seed)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import vit
-from .archive import ArchiveError
+from .archive import ArchiveError, model_from_archive
 from .select import SelectionPlan
 from .tensor import (
     F32,
@@ -138,8 +138,8 @@ class BlockDropin:
 class HybridModel:
     base: Model
     dropins: dict  # block index -> BlockDropin
-    plan: object | None = None
-    sublayers: dict = field(default_factory=dict)  # block index -> BlockSublayer
+    plan: SelectionPlan
+    sublayers: dict  # block index -> BlockSublayer
 
 
 def kernel_shape(variant: str, cfg) -> tuple:
@@ -343,43 +343,42 @@ def hybrid_tensors_meta(hm: HybridModel) -> tuple:
         else:
             for h in sorted(dp.head_kernels):
                 tensors[_head_kernel_name(b, h)] = dp.head_kernels[h]
-    meta = {"variants": variants}
-    if hm.plan is not None:
-        meta["plan"] = hm.plan.to_json()
-    return tensors, meta
+    return tensors, {"variants": variants, "plan": hm.plan.to_json()}
 
 
-def hybrid_from_archive(ar, model: Model) -> HybridModel:
-    """Rebuild a HybridModel from an archive's dropin tensors and metadata.
-
-    The rebuild goes through `replace_heads`, so a variant, plan, gamma or
-    kernel that surgery would refuse is refused here too, as is a `dropin.*`
-    tensor that no replaced block uses, and a block key in `variants` that is
-    not its block's canonical decimal. Every refusal is an ArchiveError.
-    """
+def hybrid_from_archive(ar) -> HybridModel:
+    """The hybrid an archive holds: its `dropin.*` tensors are popped out of
+    `ar.tensors`, the rest is built by `model_from_archive`, and the section
+    (none: the empty plan) is rebuilt through `replace_heads`. So a variant,
+    plan, gamma or kernel that surgery would refuse is refused here too, as
+    is a `dropin.*` tensor that no replaced block uses, and a block key in
+    `variants` that is not its block's canonical decimal. Every refusal is
+    an ArchiveError."""
+    section = {n: ar.tensors.pop(n) for n in list(ar.tensors) if n.startswith("dropin.")}
+    model = model_from_archive(ar)
     info = ar.meta.get("dropin")
-    hm = HybridModel(base=model, dropins={}, plan=None)
     try:
+        params, plan = {}, SelectionPlan("blockwise", "lowest", 0, ())
         if info:
-            params = {}
             for b_str, variant in info["variants"].items():
                 b = int(b_str)
                 if str(b) != b_str:  # int() also reads " +2 ", "00" and other digits
                     raise ValueError(f"block key {b_str!r} must be written {str(b)!r}")
                 if variant in ENSEMBLED:
-                    params[b] = BlockDropin(variant=variant, gamma=ar.tensors[_gamma_name(b)],
-                                            kernel=ar.tensors[_ens_kernel_name(b)])
+                    params[b] = BlockDropin(variant=variant, gamma=section[_gamma_name(b)],
+                                            kernel=section[_ens_kernel_name(b)])
                     continue
                 names = {h: _head_kernel_name(b, h) for h in range(model.config.n_h)}
                 params[b] = BlockDropin(variant=variant, head_kernels={
-                    h: ar.tensors[name] for h, name in names.items() if name in ar.tensors})
-            hm = replace_heads(model, SelectionPlan.from_json(info["plan"]), params)
+                    h: section[name] for h, name in names.items() if name in section})
+            plan = SelectionPlan.from_json(info["plan"])
+        hm = replace_heads(model, plan, params)
     except KeyError as exc:
         raise ArchiveError(f"drop-in section is missing {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise ArchiveError(f"bad drop-in section: {exc}") from exc
     used = hybrid_tensors_meta(hm)[0]
-    unused = sorted(n for n in ar.tensors if n.startswith("dropin.") and n not in used)
+    unused = sorted(n for n in section if n not in used)
     if unused:
         raise ArchiveError(f"drop-in tensor {unused[0]!r} belongs to no replaced head")
     return hm
@@ -405,18 +404,26 @@ class _NormalEquations:
     (value, target) pair at a time, so only that pair and its shifts are
     ever held. The one accumulator of every fit: `fit_depthwise_kernel`
     pulls pairs from iterables, a block's streamed fit (`_BlockFit`) pushes
-    one per capture forward."""
+    one per capture forward. It refuses the kernel sizes and grids
+    `dwconv2d` refuses, and a pair whose channels are not the first's."""
 
     def __init__(self, k: int):
+        if k % 2 == 0 or k < 1:
+            raise ConfigError(f"kernel size k must be odd and >= 1, got {k}")
         self.k = k
         self.gram = self.rhs = self.tt = None
 
     def add(self, v: np.ndarray, t: np.ndarray) -> None:
         if v.shape != t.shape:
             raise ShapeError(f"value {v.shape} and target {t.shape} shapes differ")
+        if v.ndim != 3 or v.shape[0] != v.shape[1]:
+            raise ShapeError(f"value grid must be (m, m, c), got {v.shape}")
         if self.gram is None:
             c, kk = v.shape[2], self.k * self.k
             self.gram, self.rhs, self.tt = np.zeros((c, kk, kk)), np.zeros((c, kk)), np.zeros(c)
+        elif v.shape[2] != len(self.tt):
+            raise ShapeError(f"value {v.shape} has {v.shape[2]} channels, "
+                             f"the first sample {len(self.tt)}")
         shifts = shifted_windows(np.asarray(v, dtype=np.float64), self.k).reshape(-1, *v.shape)
         t64 = np.asarray(t, dtype=np.float64)
         self.gram += np.einsum("qijc,pijc->cqp", shifts, shifts)

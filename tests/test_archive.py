@@ -6,6 +6,7 @@ import pytest
 
 from dwdropin import dropin, vit
 from dwdropin.archive import (
+    Archive,
     ArchiveError,
     load_archive,
     model_from_archive,
@@ -251,11 +252,44 @@ def test_hybrid_tensors_roundtrip(tmp_path, tiny_model):
     p = tmp_path / "h.bin"
     save_archive(p, TINY, {**model_tensors(tiny_model), **extra}, {"dropin": dmeta})
     ar = load_archive(p)
-    restored = dropin.hybrid_from_archive(ar, model_from_archive(ar))
+    restored = dropin.hybrid_from_archive(ar)
     assert restored.plan == plan
     x = make_inputs(TINY, 1, 9)[0]
     np.testing.assert_array_equal(dropin.hybrid_forward(restored, x),
                                   dropin.hybrid_forward(hm, x))
+
+
+def test_hybrid_from_plain_archive(tmp_path, tiny_model):
+    """A model archive reads as the hybrid of the empty plan: no drop-in,
+    no sublayer, and the baseline forward bit for bit."""
+    p = tmp_path / "m.bin"
+    save_model(p, tiny_model)
+    hm = dropin.hybrid_from_archive(load_archive(p))
+    assert hm.plan == SelectionPlan("blockwise", "lowest", 0, ())
+    assert hm.dropins == {} and hm.sublayers == {}
+    x = make_inputs(TINY, 1, 9)[0]
+    np.testing.assert_array_equal(dropin.hybrid_forward(hm, x), vit.model_forward(x, tiny_model))
+
+
+def test_model_reader_refuses_a_hybrid(tmp_path, tiny_model):
+    """`model_from_archive` reads model archives only: a hybrid's first
+    `dropin.*` tensor is refused as a stray."""
+    plan = SelectionPlan("scattered", "lowest", 1, ((1, 0),))
+    hm, _ = dropin.build_dropins(tiny_model, plan, "dw")
+    extra, dmeta = dropin.hybrid_tensors_meta(hm)
+    p = tmp_path / "h.bin"
+    save_archive(p, TINY, {**model_tensors(tiny_model), **extra}, {"dropin": dmeta})
+    with pytest.raises(ArchiveError, match="^tensor 'dropin.block1.head0.K' is not a tensor "
+                                           "of this model$"):
+        model_from_archive(load_archive(p))
+
+
+def test_hybrid_reader_needs_the_model():
+    """A drop-in section without the model's tensors is refused for the
+    first model tensor it lacks, before the section is read."""
+    ar = Archive(TINY, {"dropin.block0.gamma": np.zeros(TINY.n_h, np.float32)})
+    with pytest.raises(ArchiveError, match="^archive is missing tensor 'pos_enc'$"):
+        dropin.hybrid_from_archive(ar)
 
 
 def test_report_layout(tmp_path):

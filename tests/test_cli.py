@@ -16,7 +16,7 @@ from dwdropin import cli, cost, dropin, vit
 from dwdropin.archive import load_archive, model_from_archive, model_tensors, save_archive, save_model
 from dwdropin.cli import load_samples, main, save_samples, single_block_bench_fns, synthetic_samples
 from dwdropin.select import SelectionPlan, plan_from_file, plan_to_file
-from dwdropin.tensor import ConfigError, seed_stream, seeded_fill
+from dwdropin.tensor import ConfigError, NonFiniteError, seed_stream, seeded_fill
 
 from conftest import (
     BAD_CONFIGS,
@@ -354,7 +354,7 @@ class TestReplace:
         assert run("replace", "--model", tiny_archive, "--plan", plan, "--out", out) == 0
         base = model_from_archive(load_archive(tiny_archive))
         ar = load_archive(out)
-        hm = dropin.hybrid_from_archive(ar, model_from_archive(ar))
+        hm = dropin.hybrid_from_archive(ar)
         x = make_inputs(TINY, 1, 99)[0]
         np.testing.assert_array_equal(dropin.hybrid_forward(hm, x),
                                       vit.model_forward(x, base))
@@ -386,7 +386,7 @@ class TestReplace:
 
         def max_gap(path):
             ar = load_archive(path)
-            hm = dropin.hybrid_from_archive(ar, model_from_archive(ar))
+            hm = dropin.hybrid_from_archive(ar)
             gaps = []
             for x in make_inputs(TINY, 4, 21):
                 gaps.append(float(np.abs(dropin.hybrid_forward(hm, x)
@@ -647,7 +647,8 @@ class TestVerifySharedPrefix:
     def test_report_matches_full_forwards(self, tmp_path, deep_archives, monkeypatch, capsys,
                                           model, hybrid, shared):
         paths = deep_archives
-        hms = [cli.load_hybrid(paths[name], "verification") for name in (model, hybrid)]
+        hms = [cli.load_weights(paths[name], "verification", dropin.hybrid_from_archive)
+               for name in (model, hybrid)]
         assert cli.shared_prefix(*hms) == shared
         out = tmp_path / "verify.json"
         argv = ("--model", paths[model], "--hybrid", paths[hybrid], "--samples", 3,
@@ -774,7 +775,9 @@ class TestMalformedArchives:
                                   "arabic-indic", "fullwidth"])
     def test_non_canonical_block_key(self, tmp_path, tiny_archive, capsys, command, key):
         """A `variants` key that int() reads as block 0 but that is not
-        "0" names no block: exit 3, one line naming the hybrid."""
+        "0" names no block: verify exits 3, one line naming the hybrid.
+        score reads only model archives, so it refuses the hybrid's first
+        drop-in tensor before any section is read."""
         plan = tmp_path / "plan.json"
         plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
         hybrid = tmp_path / "h.bin"
@@ -782,12 +785,14 @@ class TestMalformedArchives:
         ar = load_archive(hybrid)
         ar.meta["dropin"]["variants"] = {key: "dw"}
         save_archive(hybrid, ar.config, ar.tensors, ar.meta)
-        argv = {"verify": ("verify", "--model", tiny_archive, "--hybrid", hybrid),
-                "score": ("score", "--model", hybrid, "--out", tmp_path / "r.json")}[command]
+        argv, message = {
+            "verify": (("verify", "--model", tiny_archive, "--hybrid", hybrid),
+                       f"bad drop-in section: block key {key!r} must be written '0'"),
+            "score": (("score", "--model", hybrid, "--out", tmp_path / "r.json"),
+                      "tensor 'dropin.block0.head0.K' is not a tensor of this model")}[command]
         capsys.readouterr()
         assert run(*argv, "--samples", 2) == 3
-        assert capsys.readouterr().err == (
-            f"error: {hybrid}: bad drop-in section: block key {key!r} must be written '0'\n")
+        assert capsys.readouterr().err == f"error: {hybrid}: {message}\n"
 
     def test_missing_dropin_tensor_names_the_hybrid(self, tmp_path, tiny_archive, capsys):
         """verify reads two archives: a malformed drop-in section is refused
@@ -804,6 +809,31 @@ class TestMalformedArchives:
         assert run("verify", "--model", tiny_archive, "--hybrid", hybrid, "--samples", 2) == 3
         assert capsys.readouterr().err == (
             f"error: {hybrid}: drop-in section is missing 'dropin.block0.gamma'\n")
+
+    @pytest.mark.parametrize("variant, first", [("dw", "dropin.block0.head0.K"),
+                                                ("ens-dw", "dropin.block0.gamma")],
+                             ids=["dw", "ens-dw"])
+    @pytest.mark.parametrize("command", ["score", "replace", "bench-plan"])
+    def test_hybrid_model_refused(self, tmp_path, tiny_archive, capsys, command, variant,
+                                  first):
+        """score, replace and bench --plan read a model archive: a hybrid
+        --model exits 3 with one line naming it and its first drop-in
+        tensor in manifest order, and writes nothing."""
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 2, (1, 0)), plan)
+        hybrid, out = tmp_path / "h.bin", tmp_path / "out"
+        assert run("replace", "--model", tiny_archive, "--plan", plan,
+                   "--variant", variant, "--out", hybrid) == 0
+        assert [n for n in load_archive(hybrid).tensors if n.startswith("dropin.")][0] == first
+        argv = {"score": ("score", "--samples", 2, "--out", out),
+                "replace": ("replace", "--plan", plan, "--out", out),
+                "bench-plan": ("bench", "--plan", plan, "--reps", 1, "--warmup", 0,
+                               "--out", out)}[command]
+        capsys.readouterr()
+        assert run(*argv, "--model", hybrid) == 3
+        assert capsys.readouterr() == ("", f"error: {hybrid}: tensor {first!r} is not a "
+                                           "tensor of this model\n")
+        assert not out.exists()
 
     @staticmethod
     def score_error(archive, capsys) -> str:
@@ -1484,6 +1514,18 @@ class TestEntryPoint:
                               "--out", str(tmp_path / "r.json")],
                              capture_output=True, text=True)
         assert bad.returncode == 2
+
+    def test_escaped_non_finite_error_exits_1(self, monkeypatch, capsys):
+        """A NonFiniteError that no command turns into a file fault exits 1
+        with one `error:` line. Every forward a command runs is such a
+        fault (exit 3), so this takes a callee that raises it."""
+        def overflow(*args, **kwargs):
+            raise NonFiniteError("non-finite values in gate trace")
+
+        monkeypatch.setattr(cli.select, "gate_trace", overflow)
+        capsys.readouterr()
+        assert run("gate", "--blocks", 2, "--budget", 1) == 1
+        assert capsys.readouterr() == ("", "error: non-finite values in gate trace\n")
 
 
 class TestVersion:

@@ -586,6 +586,21 @@ class TestKernelFitting:
         with pytest.raises(ShapeError, match="counts differ"):
             fit_depthwise_kernel(iter(v), iter(t), 3)
 
+    @pytest.mark.parametrize("shapes, k, error, message", [
+        ([(8, 8, 4)], 2, ConfigError, "kernel size k must be odd and >= 1, got 2"),
+        ([(8, 8, 4)], 0, ConfigError, "kernel size k must be odd and >= 1, got 0"),
+        ([(6, 8, 4)], 3, ShapeError, "value grid must be (m, m, c), got (6, 8, 4)"),
+        ([(8, 8)], 3, ShapeError, "value grid must be (m, m, c), got (8, 8)"),
+        ([(8, 8, 4), (8, 8, 5)], 3, ShapeError,
+         "value (8, 8, 5) has 5 channels, the first sample 4"),
+    ], ids=["even-k", "zero-k", "non-square", "rank-2", "channel-change"])
+    def test_refuses_what_dwconv2d_refuses(self, shapes, k, error, message):
+        """The fit refuses a kernel size or a grid `dwconv2d` would refuse,
+        and a sample whose channel count is not the first sample's."""
+        v = [seeded_fill(shape, 290 + i, "gaussian") for i, shape in enumerate(shapes)]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            fit_depthwise_kernel(v, v, k)
+
     def test_heads_split_matches_separate_fits(self):
         """Solving a block's normal equations as 3 equal runs of channels,
         one per head, equals fitting each run alone, for per-channel and

@@ -14,7 +14,10 @@ tap and fold the pass rather than run attention themselves. Only
 `archive` opens files: it writes and reads every report and
 archive. `cost.activation_bytes` names no drop-in variant: it prices a
 block by its formulation (`dropin.DEPTHWISE`) and channel counts, as
-`flops_params` does.
+`flops_params` does. Only `dropin` spells a `dropin.*` archive name: the
+hybrid's section is read and written there alone. Only
+`dropin.replace_heads` makes a `HybridModel`: reading a hybrid archive
+rebuilds it through surgery.
 
 Every module is scanned, `__init__.py` too: the package binds only
 `__version__`, and each name is imported from the module that defines it.
@@ -248,3 +251,50 @@ def test_activation_bytes_names_no_variant():
     source = (SRC / "cost.py").read_text()
     assert "def activation_bytes(" in source
     assert named_strings(source, "activation_bytes", dropin.VARIANTS) == []
+
+
+def test_detects_a_hybrid_model_maker():
+    source = ("from .dropin import HybridModel\n"
+              "def replace_heads(model, plan):\n"
+              "    return HybridModel(base=model, dropins={}, plan=plan, sublayers={})\n"
+              "def hybrid_from_archive(ar, model):\n"
+              "    hm = dropin.HybridModel(model, {}, None, {})\n"
+              "    return hm if isinstance(hm, HybridModel) else None\n")
+    assert callers(source, "HybridModel") == ["replace_heads", "hybrid_from_archive"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_replace_heads_makes_a_hybrid(path):
+    expected = ["replace_heads"] if path.stem == "dropin" else []
+    assert callers(path.read_text(), "HybridModel") == expected
+
+
+def dropin_name_spellers(source: str) -> list:
+    """The top-level definition (or "<module>") around each string
+    constant, or literal part of an f-string, that starts with "dropin.";
+    docstrings are not counted."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+                  and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    return [getattr(node, "name", "<module>") for node in tree.body for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and n.value.startswith("dropin.") and id(n) not in docstrings]
+
+
+def test_detects_a_dropin_name_speller():
+    source = ('"""dropin.* names live in one module."""\n'
+              'def model_from_archive(ar):\n'
+              '    """Refuses dropin.* names."""\n'
+              '    return [n for n in ar if n.startswith("dropin.")]\n'
+              'def gamma_name(b):\n    return f"dropin.block{b}.gamma"\n'
+              'META = {"dropin": 1}\n')
+    assert dropin_name_spellers(source) == ["model_from_archive", "gamma_name"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_dropin_spells_dropin_names(path):
+    expected = (["_head_kernel_name", "_gamma_name", "_ens_kernel_name", "hybrid_from_archive"]
+                if path.stem == "dropin" else [])
+    assert dropin_name_spellers(path.read_text()) == expected

@@ -67,7 +67,7 @@ def test_library_paths_refuse_alike(tiny_model, plan, variant, message):
             call()
         assert str(exc.value) == message, name
     with pytest.raises(ArchiveError) as exc:
-        dropin.hybrid_from_archive(_archive_with_plan(tiny_model, plan, variant), tiny_model)
+        dropin.hybrid_from_archive(_archive_with_plan(tiny_model, plan, variant))
     assert str(exc.value) == f"bad drop-in section: {message}"
 
 
