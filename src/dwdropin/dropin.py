@@ -525,7 +525,9 @@ class _BlockFit:
     sublayer convolves (`_block_values`) of the normed input; the targets
     come from the head outputs: the columns of `heads` (`vit.head_columns`,
     the regressors' gather), or for an ensembled block the softmax(gamma)
-    mix of all heads. One normal-equation system serves the block."""
+    mix of all heads. One normal-equation system serves the block, and
+    only its fold writes it, so blocks in the pass's two stages fold at
+    once."""
 
     def __init__(self, model: Model, b: int, variant: str, heads: tuple, gamma):
         self.cfg = cfg = model.config

@@ -129,9 +129,11 @@ def score_model(model: Model, samples) -> ScoreResult:
     `vit.attention_reads` pass that taps each block: each sample's head
     groups' (g, n, n) weights (`vit.head_groups`) go into their one
     accumulator, one sample at a time and in sample order, so the scores
-    do not depend on the pass's chunks. Nothing is recomputed or kept past
-    its chunk, so memory stays at two float64 n x n buffers per head plus
-    one chunk's forward, whatever the sample count."""
+    do not depend on the pass's chunks. Each block's taps touch only its
+    own accumulators, so blocks in the pass's two stages may run at once.
+    Nothing is recomputed or kept past its chunk, so memory stays at two
+    float64 n x n buffers per head plus one chunk's forward per stage,
+    whatever the sample count."""
     cfg = model.config
     groups = vit.head_groups(cfg.n_h, cfg.n)
     states = [{h0: WelfordState.new((h1 - h0, cfg.n, cfg.n)) for h0, h1 in groups}

@@ -7,8 +7,10 @@ one BLAS self-dot, with the elementwise check only when that sum of
 squares overflows from finite values, so a check allocates nothing.
 
 Determinism: every operation here is a pure function of its inputs and
-repeated calls give bitwise-identical results. Convolutions accumulate
-over the windows of `shifted_windows` in row-major offset order from +0:
+repeated calls give bitwise-identical results. `matmul` is one of its
+inputs and of whether `small_gemms` holds, since BLAS may round a row of
+one large GEMM otherwise than the same row in a small piece. Convolutions
+accumulate over the windows of `shifted_windows` in row-major offset order from +0:
 `conv2d` one GEMM per offset, whose channel contraction BLAS reduces in
 an order fixed for a given build; `dwconv2d` multiplies a band of grid
 rows by every tap at once and sums the products over the taps in that
@@ -17,6 +19,8 @@ same order, so its bits are those of one multiply-add per offset.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 
@@ -29,6 +33,15 @@ F32 = np.float32
 # (`vit.group_size`), `dwconv2d`'s bands of products (`band_rows`) and the
 # FFN's GELU row bands (`vit.gelu`), each sized by `budget_units`.
 GROUP_BYTES = 2 * 1024 * 1024
+
+# Multiply-adds up to which OpenBLAS keeps an sgemm on its calling thread
+# (its small-matrix path). A larger one runs on two threads, and the second
+# then busy-waits about 135 ms after the call: a (64, 64, 244) GEMM ran at
+# cpu/wall 1.0, a (64, 64, 245) one at 1.97 (2-core x86-64, OpenBLAS 0.3.31).
+# Within `small_gemms`, `matmul` runs in row pieces of at most this many.
+SMALL_GEMM = 10**6
+
+_small_gemms = contextvars.ContextVar("small_gemms", default=False)
 
 
 class ShapeError(ValueError):
@@ -76,14 +89,43 @@ def as_f32(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=F32)
 
 
+def piece_rows(q: int, r: int) -> int:
+    """Rows of a (p, q) x (q, r) GEMM that fit SMALL_GEMM multiply-adds:
+    0 when one row exceeds it."""
+    return SMALL_GEMM // max(1, q * r)
+
+
+@contextlib.contextmanager
+def small_gemms():
+    """Within it, in this context, `matmul` runs each GEMM as row pieces
+    of `piece_rows` rows, so every call stays on the calling thread, in
+    place of one call that OpenBLAS would thread; a GEMM that no row
+    piece fits runs whole. Each row's bits are those of the small-matrix
+    path: the row's GEMM alone where that is small. A thread started
+    within sees it only if it runs in a copy of this context
+    (`contextvars.copy_context`)."""
+    token = _small_gemms.set(True)
+    try:
+        yield
+    finally:
+        _small_gemms.reset(token)
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of a (p, q) and b (q, r) -> (p, r), float32, reading
-    both in place: a strided view (a block's `w_v`) is not copied first."""
+    both in place: a strided view (a block's `w_v`) is not copied first.
+    One np.matmul, or row pieces of it within `small_gemms`."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} x {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    out = np.matmul(a, b, dtype=F32)
+    rows = piece_rows(*b.shape) if _small_gemms.get() else 0
+    if 0 < rows < a.shape[0]:
+        out = np.empty((a.shape[0], b.shape[1]), dtype=F32)
+        for i in range(0, a.shape[0], rows):
+            np.matmul(a[i : i + rows], b, out=out[i : i + rows], dtype=F32)
+    else:
+        out = np.matmul(a, b, dtype=F32)
     return _check_finite(out, "matmul result")
 
 

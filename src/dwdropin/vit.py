@@ -21,12 +21,23 @@ which scoring taps and the fit's capture folds, a chunk stacked as one
 residual adds) runs once per chunk while its weights stay in cache, and
 only the attention core runs per sample. Chunks hold as many samples as
 fit GROUP_BYTES at a block's peak (`chunk_size`): 8 at desk, 1 at vitl.
+At desk the pass runs on two cores as two stages (`two_stage`): the
+calling thread runs the first half of the blocks, one worker thread the
+rest, a chunk behind. OpenBLAS threads an sgemm past about 10^6
+multiply-adds and its second thread then spins, taking the other stage's
+core, so the pass runs its GEMMs in row pieces within that size
+(`tensor.small_gemms`); every other GEMM stays one call. At vitl, whose
+GEMMs no row piece fits and already run on both cores, the pass runs on
+the calling thread alone.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import queue
+import threading
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -40,12 +51,19 @@ from .tensor import (
     as_f32,
     budget_units,
     matmul,
+    piece_rows,
     seed_stream,
     seeded_fill,
+    small_gemms,
     softmax_rows,
 )
 
 LN_EPS = F32(1e-5)
+# Fewest rows a piece of the FFN's GEMM may hold for the sample pass to
+# run on two threads (`two_stage`); thinner pieces waste the GEMM kernel:
+# a desk chunk's FFN GEMMs in 16-row pieces took 1.2-1.7x the time of
+# 48-row ones.
+MIN_PIECE_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -489,6 +507,17 @@ def _stacked(first: np.ndarray, rest, model: Model, size: int) -> np.ndarray:
     return x[:rows]
 
 
+def two_stage(config: ModelConfig) -> bool:
+    """Whether the sample pass (`attention_reads`) runs as two stages on
+    two threads: when its FFN GEMM, (rows, d) x (d, ffn_mult d), pieces
+    into at least MIN_PIECE_ROWS rows within SMALL_GEMM
+    (`tensor.piece_rows`), so every GEMM of both stages stays on its
+    calling thread. Desk (61-row pieces) and n_b=2, n_h=3, d=24, d_h=8,
+    m=5 (434) do; vitl, whose GEMMs no row piece fits and which already
+    run on both cores, does not."""
+    return piece_rows(config.d, config.ffn_mult * config.d) >= MIN_PIECE_ROWS
+
+
 def attention_reads(samples, model: Model, taps=None, folds=None) -> int:
     """The one sample pass of scoring and the fit's capture over the
     iterable `samples` of (n, d) inputs. `chunk_size` samples at a time
@@ -496,20 +525,37 @@ def attention_reads(samples, model: Model, taps=None, folds=None) -> int:
     `blocks_forward` carries, so norms, GEMMs, GELU and residual adds run
     once per block and chunk; each sample's rows are `model_forward`'s bit
     for bit where BLAS rounds a GEMM row alike whatever the row count
-    (desk and vitl with OpenBLAS). Block b's exact `attention` runs here on
-    the chunk's normed input, viewed (B, n, d), with `taps[b]` as its
-    `energy_tap(e, h0)`; then `folds[b](a_in, out)` gets that input and
-    the (B, n, d) head outputs, which the pass goes on to use: read them,
-    do not write them. The pass ends after the attention of the last block
-    either names, before its output projection; if neither names one, it
-    raises ConfigError before drawing a sample. Nothing holds a chunk's
-    input past block 0 or a chunk past its pass. Returns the sample count."""
+    (desk, vitl and n_b=2, n_h=3, d=24, d_h=8, m=5 with OpenBLAS). Block
+    b's exact `attention` runs here on the chunk's normed input, viewed
+    (B, n, d), with `taps[b]` as its `energy_tap(e, h0)`; then
+    `folds[b](a_in, out)` gets that input and the (B, n, d) head outputs,
+    which the pass goes on to use: read them, do not write them. The pass
+    ends after the attention of the last block either names, before its
+    output projection; if neither names one, it raises ConfigError before
+    drawing a sample. Returns the sample count.
+
+    Where `two_stage`, the pass runs within `small_gemms` as a pipeline
+    of two stages: the calling thread stacks each chunk and runs blocks
+    [0, s), s = (last + 1) // 2, then hands the chunk on through a queue
+    of one to a worker thread, which runs the rest, in a copy of the
+    caller's context (so `np.errstate` and `small_gemms` hold there). So
+    each block's taps and folds run in order, chunk after chunk and
+    sample after sample, but two blocks in different stages tap and fold
+    at once: callers must keep no mutable state across blocks, as
+    `select.score_model` and `dropin._BlockFit` keep theirs per block. An
+    error in either stage stops the pass and is raised as the one-thread
+    loop raises it: the worker's, from an earlier chunk, before the
+    caller's. The worker never outlives the call. Nothing holds a chunk's
+    input past block 0, and a chunk lives from its stacking to the end of
+    its stage two: up to three chunks at once, one per stage and one in
+    the queue."""
     taps, folds = taps or {}, folds or {}
     if not taps and not folds:
         raise ConfigError("a sample pass needs a tap or a fold")
     cfg = model.config
     n, d, last = cfg.n, cfg.d, max(taps.keys() | folds.keys())
-    size = chunk_size(cfg)
+    size, pipelined = chunk_size(cfg), two_stage(cfg)
+    split = (last + 1) // 2 if pipelined else 0
 
     def attend(b, a_in):
         block, a_in = model.blocks[b], a_in.reshape(-1, n, d)
@@ -521,13 +567,39 @@ def attention_reads(samples, model: Model, taps=None, folds=None) -> int:
     fns = {b: lambda a_in, block, b=b: project_heads(attend(b, a_in).reshape(-1, d), block)
            for b in range(last)}
 
-    def chunk(first) -> int:
-        x = blocks_forward(_stacked(first, samples, model, size), model, 0, last, fns)
+    def stage_one(first) -> np.ndarray:
+        return blocks_forward(_stacked(first, samples, model, size), model, 0, split, fns)
+
+    def stage_two(x) -> int:
+        x = blocks_forward(x, model, split, last, fns)
         attend(last, attention_input(x, model.blocks[last]))
         return len(x) // n
 
     samples = iter(samples)
-    return sum(chunk(first) for first in samples)
+    if not pipelined:  # one thread: split is 0, so stage two runs every block
+        return sum(stage_two(_stacked(first, samples, model, size)) for first in samples)
+    handoff, failed, counts = queue.Queue(maxsize=1), [], []
+
+    def worker():
+        while (x := handoff.get()) is not None:  # after a failure, drain what is handed on
+            if not failed:
+                try:
+                    counts.append(stage_two(x))
+                except BaseException as e:  # raised by the caller, after join
+                    failed.append(e)
+
+    with small_gemms():
+        thread = threading.Thread(target=contextvars.copy_context().run, args=(worker,))
+        thread.start()
+        try:
+            for first in itertools.takewhile(lambda _: not failed, samples):
+                handoff.put(stage_one(first))
+        finally:
+            handoff.put(None)
+            thread.join()
+            if failed:
+                raise failed[0]
+    return sum(counts)
 
 
 def grid(x: np.ndarray, m: int) -> np.ndarray:

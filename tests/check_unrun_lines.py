@@ -1,7 +1,8 @@
 """Print every statement inside a `src/dwdropin` function that tier-1 never runs.
 
 Runs the tier-1 suite (`pytest tests`) in this process under a
-`sys.settrace` hook that traces only frames of the package's modules, then
+`sys.settrace` hook, set for every thread the suite starts too
+(`threading.settrace`), that traces only frames of the package's modules, then
 prints `file:line: source` for each statement of a function or method
 body (docstrings aside) that no test ran: a simple statement counts as
 run if any of its lines ran, a compound one (`if`, `for`, `while`,
@@ -21,6 +22,7 @@ from __future__ import annotations
 import ast
 import os
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -78,9 +80,11 @@ def main() -> int:
         return local if frame.f_code.co_filename.startswith(prefix) else None
 
     sys.settrace(tracer)
+    threading.settrace(tracer)
     try:
         code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
+        threading.settrace(None)
         sys.settrace(None)
     unrun = 0
     for path in sorted(PACKAGE.glob("*.py")):

@@ -11,6 +11,8 @@ Exact `attention` runs in `vit.mhsa_forward`, in the sample pass
 (`vit.attention_reads`) and in a drop-in block's kept heads
 (`dropin.BlockSublayer`), nowhere else: scoring and the fit's capture
 tap and fold the pass rather than run attention themselves. Only
+`vit.attention_reads` starts a thread: its two-stage pipeline is the
+package's one use of a second core besides BLAS's own. Only
 `archive` opens files: it writes and reads every report and
 archive. `cost.activation_bytes` names no drop-in variant: it prices a
 block by its formulation (`dropin.DEPTHWISE`) and channel counts, as
@@ -192,6 +194,39 @@ def test_only_the_sample_pass_runs_exact_attention(path):
     expected = {"vit": ["mhsa_forward", "attention_reads"],
                 "dropin": ["BlockSublayer"]}.get(path.stem, [])
     assert callers(path.read_text(), "attention") == expected
+
+
+# Calls that start a thread or a process: `threading`, `_thread`,
+# `concurrent.futures` and `multiprocessing`.
+THREAD_STARTERS = ("Thread", "Timer", "start_new_thread", "ThreadPoolExecutor",
+                   "ProcessPoolExecutor", "Process", "Pool")
+
+
+def thread_starters(source: str) -> list:
+    """The top-level definition (or "<module>") around each call of one
+    of THREAD_STARTERS, as an attribute (`threading.Thread(...)`) or bare."""
+    tree = ast.parse(source)
+    return [getattr(node, "name", "<module>") for node in tree.body for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and (n.func.attr if isinstance(n.func, ast.Attribute)
+                 else getattr(n.func, "id", None)) in THREAD_STARTERS]
+
+
+def test_detects_a_thread_starter():
+    source = ("import threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+              "T = threading.Thread(target=print)\n"
+              "def attention_reads(xs):\n    return Thread(target=len, args=(xs,))\n"
+              "def mapped(xs):\n    with ThreadPoolExecutor(2) as ex:\n"
+              "        return list(ex.map(len, xs))\n"
+              "class C:\n    def g(self):\n"
+              "        return multiprocessing.Pool(2), threading.get_ident()\n")
+    assert thread_starters(source) == ["<module>", "attention_reads", "mapped", "C"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_the_sample_pass_starts_a_thread(path):
+    expected = ["attention_reads"] if path.stem == "vit" else []
+    assert thread_starters(path.read_text()) == expected
 
 
 def file_openers(source: str) -> list:

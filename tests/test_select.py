@@ -275,8 +275,9 @@ class TestScoreModel:
 
     @pytest.mark.parametrize("n_b", [6, 1], ids=["desk", "one-block"])
     def test_pass_stops_at_last_attention(self, monkeypatch, n_b):
-        """Per chunk of samples: one `blocks_forward` call, n_b - 1 FFNs and
-        output projections, and n_b attentions; no `model_forward`."""
+        """Per chunk of samples: one `blocks_forward` call per stage of the
+        pass, n_b - 1 FFNs and output projections, and n_b attentions; no
+        `model_forward`."""
         cfg = vit.ModelConfig(**{**vit.DESK.to_dict(), "n_b": n_b})
         model = init_model(cfg, 408)
         calls = []
@@ -289,7 +290,7 @@ class TestScoreModel:
         chunks = 2
         score_model(model, iter(samples))
         assert calls.count("model_forward") == 0
-        assert calls.count("blocks_forward") == chunks
+        assert calls.count("blocks_forward") == 2 * chunks
         assert calls.count("ffn_forward") == chunks * (n_b - 1)
         assert calls.count("project_heads") == chunks * (n_b - 1)
         assert calls.count("attention") == chunks * n_b

@@ -393,18 +393,20 @@ class TestGelu:
 
 class TestAttentionReads:
     """The one pass rule of scoring and the fit's capture: the pass runs
-    every block's attention itself, taps and folds in block order on the
-    forward's own normed inputs, and stops at the last tapped or folded
-    block's attention."""
+    every block's attention itself, taps and folds each block in chunk
+    order on the forward's own normed inputs, and stops at the last
+    tapped or folded block's attention."""
 
     @pytest.mark.parametrize("blocks", [(4, 1), (0,), (DESK.n_b - 1,), (3, 2),
                                         tuple(range(DESK.n_b))],
                              ids=["1-4", "0", "last", "2-3", "all"])
     def test_reads_in_block_order_and_stop_at_the_last(self, desk_model, monkeypatch, blocks):
-        """Two chunks, a full one and one sample: each chunk's folds see
-        its samples' normed inputs stacked (B, n, d), block by block, and
-        their exact head outputs, after the taps of every sample's head
-        groups, sample by sample."""
+        """Two chunks, a full one and one sample: per block, each chunk's
+        fold sees its samples' normed inputs stacked (B, n, d) and their
+        exact head outputs, after the taps of every sample's head groups,
+        sample by sample, and each block before the last projects and runs
+        its FFN once per chunk. Blocks in the pass's two stages run at
+        once, so the order across blocks is not pinned."""
         size = vit.chunk_size(DESK)
         xs = make_inputs(DESK, size + 1, 241)
         want = [[attention_input(h, blk)
@@ -423,21 +425,23 @@ class TestAttentionReads:
 
         assert attention_reads(iter(xs), desk_model, taps=taps, folds=folds) == len(xs)
         chunks = [range(size), range(size, size + 1)]
-        expected = [(b, chunk) for chunk in chunks for b in sorted(blocks)]
-        assert [(b, a_in.shape, out.shape) for b, a_in, out in reads] == [
-            (b, (len(chunk), DESK.n, DESK.d), (len(chunk), DESK.n, DESK.d))
-            for b, chunk in expected]
-        for (b, a_in, out), (_, chunk) in zip(reads, expected):
-            blk = desk_model.blocks[b]
-            np.testing.assert_array_equal(out, attention(a_in, blk.w_qkv, blk.d_h))
-            for got, i in zip(a_in, chunk, strict=True):
-                np.testing.assert_array_equal(got, want[i][b])
         groups = head_groups(DESK.n_h, DESK.n)
-        assert events == [event for b, chunk in expected for event in (
-            [("tap", b, h0) for _ in chunk for h0, _ in groups] + [("fold", b)])]
+        for b in blocks:
+            blk = desk_model.blocks[b]
+            mine = [(a_in, out) for c, a_in, out in reads if c == b]
+            assert [(a_in.shape, out.shape) for a_in, out in mine] == [
+                ((len(chunk), DESK.n, DESK.d), (len(chunk), DESK.n, DESK.d)) for chunk in chunks]
+            for (a_in, out), chunk in zip(mine, chunks):
+                np.testing.assert_array_equal(out, attention(a_in, blk.w_qkv, blk.d_h))
+                for got, i in zip(a_in, chunk, strict=True):
+                    np.testing.assert_array_equal(got, want[i][b])
+            assert [e for e in events if e[1] == b] == [event for chunk in chunks for event in (
+                [("tap", b, h0) for _ in chunk for h0, _ in groups] + [("fold", b)])]
+        assert {e[1] for e in events} == set(blocks)
         last = max(blocks)
-        assert ran == [(name, b) for _ in chunks for b in range(last)
-                       for name in ("project_heads", "ffn_forward")]
+        assert sorted(ran, key=lambda r: r[1]) == [
+            (name, b) for b in range(last) for _ in chunks
+            for name in ("project_heads", "ffn_forward")]
 
     @pytest.mark.parametrize("taps, folds", [((1,), (4,)), ((4,), (1,)), ((), (2,)),
                                              ((2,), ())], ids=["tap-1-fold-4", "tap-4-fold-1",
