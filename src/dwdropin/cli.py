@@ -259,7 +259,7 @@ def cmd_replace(args) -> int:
 
 def _max_diff_located(ref: list, got: list):
     worst = (0.0, None)
-    for idx, (a, b) in enumerate(zip(ref, got)):
+    for idx, (a, b) in enumerate(pair for chunks in zip(ref, got) for pair in zip(*chunks)):
         diff = np.abs(a.astype(np.float64) - b.astype(np.float64))
         dmax = float(diff.max())
         if dmax >= worst[0]:
@@ -291,22 +291,23 @@ def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
     if cfg != hm_b.base.config:
         raise ConfigError("archives have different configurations")
     checks = []
-    xs = list(synthetic_samples(cfg, samples_n, seed))
+    xs = np.stack(list(synthetic_samples(cfg, samples_n, seed)))
+    chunks = np.split(xs, range(vit.chunk_size(cfg), samples_n, vit.chunk_size(cfg)))
 
-    # the --hybrid pass starts from the residuals the --model pass kept at
-    # the end of the prefix both run alike; every --model forward runs
-    # first, so an overflow names the archive it names without sharing
+    # a chunk at a time, every --model forward first, so an overflow names
+    # the archive it would name unshared; the --hybrid pass starts from the
+    # residuals the --model pass kept at the end of the prefix both run alike
     shared = shared_prefix(hm_a, hm_b)
     residuals, outs_a = [], []
     with overflow_is_file_fault(path_a):
-        for x in xs:
+        for x in chunks:
             residuals.append(vit.model_forward(x, model_a, hm_a.sublayers, stop=shared))
             outs_a.append(vit.blocks_forward(residuals[-1], model_a, shared,
                                              mhsa_fns=hm_a.sublayers))
     with overflow_is_file_fault(path_b):
         outs_b = ([vit.blocks_forward(h, hm_b.base, shared, mhsa_fns=hm_b.sublayers)
                    for h in residuals] if shared
-                  else [dropin.hybrid_forward(hm_b, x) for x in xs])
+                  else [dropin.hybrid_forward(hm_b, x) for x in chunks])
     dmax, where = _max_diff_located(outs_a, outs_b)
     checks.append({"name": "forward_equivalence", "passed": dmax <= tol,
                    "max_diff": dmax, "tol": tol,
@@ -314,7 +315,7 @@ def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
 
     # the oracle checks read block 0's normed input for up to 3 samples
     block = model_a.blocks[0]
-    a_ins = [vit.attention_input(x + model_a.pos_enc, block) for x in xs[:3]]
+    a_ins = [vit.attention_input(vit.embed(x, model_a), block) for x in xs[:3]]
 
     # grid-form attention evaluator vs the flattened matmul path
     worst = 0.0

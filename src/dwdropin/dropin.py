@@ -80,11 +80,12 @@ def attn_dw(x: np.ndarray, w_v_slice: np.ndarray, kern: np.ndarray,
     """Depthwise head replacement: value projection, then per-channel conv
     (`dwconv2d`, with the kernel's row taps if the caller holds them).
 
-    x is the (m, m, d) block input; returns (m, m, d_h).
+    x, the (m, m, d) block input or a chunk's (B, m, m, d), gives d_h channels.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"input must be (m, m, d), got {x.shape}")
-    return dwconv2d(grid(matmul(flat(x), w_v_slice), x.shape[0]), kern, taps)
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"input must be (m, m, d), got {x.shape}; a chunk is (B, m, m, d)")
+    v = matmul(x.reshape(-1, x.shape[-1]), w_v_slice)
+    return dwconv2d(v.reshape(*x.shape[:-1], -1), kern, taps)
 
 
 def ensemble_weights(gamma: np.ndarray, w_v: np.ndarray, w_o: np.ndarray,
@@ -207,20 +208,20 @@ def _block_values(variant: str, block, heads: tuple, gamma) -> tuple:
 
 @dataclass(frozen=True)
 class BlockSublayer:
-    """A replaced block's attention sublayer (x, block) -> (n, d), built
-    once by `replace_heads`: a value projection `w_val` (d, c) and an
-    output projection `w_out` (`_block_values`), and one per-channel
-    `kernel` (k, k, c): the block's kernels side by side, each (k, k) one
-    repeated over its head's d_h channels. A depthwise formulation
-    convolves the value GEMM's output (`attn_dw`) with the kernel's
-    read-only row `taps` (`tensor.row_taps`), made here once; the others
-    fold the kernel into w_val once per call (`fold_full_kernel`; held,
-    the fold would cost k^2 d c floats) and convolve the input. Untouched
-    heads run batched exact attention (`vit.attention`) over `w_exact`,
-    their [W_q | W_k | W_v] columns gathered here once. The output
-    projection takes one head-ordered array: the convolution's output
-    when every head is replaced, else one (n, d) buffer that replaced and
-    untouched heads fill."""
+    """A replaced block's attention sublayer (x, block) over (n, d) or a
+    chunk's (B, n, d), built once by `replace_heads`: a value projection
+    `w_val` (d, c) and an output projection `w_out` (`_block_values`), and
+    one per-channel `kernel` (k, k, c): the block's kernels side by side,
+    each (k, k) one repeated over its head's d_h channels. A depthwise
+    formulation convolves the value GEMM's output (`attn_dw`) with the
+    kernel's read-only row `taps` (`tensor.row_taps`), made here once; the
+    others fold the kernel into w_val once per call (`fold_full_kernel`;
+    held, the fold would cost k^2 d c floats) and convolve the input.
+    Untouched heads run batched exact attention (`vit.attention`) over
+    `w_exact`, their [W_q | W_k | W_v] columns gathered here once. Each
+    step runs once over a chunk's rows or grids, and the output GEMM takes
+    one head-ordered array: the convolution's output when every head is
+    replaced, else one (rows, d) buffer that both kinds of head fill."""
 
     variant: str
     heads: tuple
@@ -252,25 +253,26 @@ class BlockSublayer:
         return cls(dp.variant, heads, w_val, w_out, kernel, cfg.m, taps, kept, w_exact)
 
     def __call__(self, x: np.ndarray, block) -> np.ndarray:
+        grids = x.reshape(*x.shape[:-2], self.m, self.m, -1)
         if self.variant in DEPTHWISE:
-            y = flat(attn_dw(grid(x, self.m), self.w_val, self.kernel, self.taps))
+            y = attn_dw(grids, self.w_val, self.kernel, self.taps)
         else:
-            y = flat(attn_conv_full(grid(x, self.m), fold_full_kernel(self.kernel, self.w_val)))
+            y = attn_conv_full(grids, fold_full_kernel(self.kernel, self.w_val))
+        y = y.reshape(-1, y.shape[-1])
         if self.kept:
-            n = x.shape[0]
-            heads = np.empty((n, block.n_h, block.d_h), dtype=F32)
-            heads[:, list(self.heads)] = y.reshape(n, len(self.heads), block.d_h)
+            heads = np.empty((len(y), block.n_h, block.d_h), dtype=F32)
+            heads[:, list(self.heads)] = y.reshape(len(y), -1, block.d_h)
             heads[:, list(self.kept)] = vit.attention(x, self.w_exact, block.d_h).reshape(
-                n, len(self.kept), block.d_h)
-            y = heads.reshape(n, -1)
-        return matmul(y, self.w_out)
+                len(y), -1, block.d_h)
+            y = heads.reshape(len(y), -1)
+        return matmul(y, self.w_out).reshape(x.shape)
 
 
 def hybrid_forward(hm: HybridModel, x: np.ndarray) -> np.ndarray:
-    """Forward pass with replacements live: each replaced block runs the
-    sublayer `replace_heads` built for it, and untouched blocks run the
-    exact baseline code path, so an empty plan reproduces the baseline
-    bitwise."""
+    """Forward pass of one sample or a chunk (`vit.model_forward`) with
+    replacements live: each replaced block runs the sublayer
+    `replace_heads` built for it, and untouched blocks run the exact
+    baseline code path, so an empty plan reproduces the baseline bitwise."""
     return vit.model_forward(x, hm.base, mhsa_fns=hm.sublayers)
 
 

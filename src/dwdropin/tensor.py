@@ -147,58 +147,60 @@ def softmax64(z: np.ndarray) -> np.ndarray:
 
 
 def _zero_pad(x: np.ndarray, half: int) -> np.ndarray:
-    """x (m, m, c) inside a zero border `half` wide on both grid axes: the
-    values of np.pad's constant mode without its per-call overhead."""
-    m = x.shape[0]
-    out = np.zeros((m + 2 * half, m + 2 * half, x.shape[2]), dtype=x.dtype)
-    out[half : half + m, half : half + m] = x
+    """x (..., m, m, c) inside a zero border `half` wide on both grid axes:
+    the values of np.pad's constant mode without its per-call overhead."""
+    *lead, m, _, c = x.shape
+    out = np.zeros((*lead, m + 2 * half, m + 2 * half, c), dtype=x.dtype)
+    out[..., half : half + m, half : half + m, :] = x
     return out
 
 
 def shifted_windows(x: np.ndarray, k: int) -> np.ndarray:
-    """The k*k windows of x (m, m, c) zero-padded by k // 2, as one
-    read-only (k, k, m, m, c) strided view of the padded grid: window
-    [r, s] is the one of kernel offset (r, s), and its [i, j] holds
-    x[i+r, j+s], or zero off the grid. A window row [r, s, i] is m*c
-    contiguous values. This is the one place a kernel offset meets the
-    grid; convolutions, the kernel fit and the structural checks all read
-    their windows here, in row-major offset order."""
-    m = x.shape[0]
+    """The k*k windows of x (m, m, c), or of each grid of a chunk
+    (B, m, m, c), zero-padded by k // 2, as one read-only (k, k, m, m, c)
+    or (k, k, B, m, m, c) strided view of the padded grids: window [r, s]
+    is the one of kernel offset (r, s), and its [i, j] holds x[i+r, j+s],
+    or zero off the grid. A window row [r, s, ..., i] is m*c contiguous
+    values. This is the one place a kernel offset meets the grid;
+    convolutions, the kernel fit and the structural checks all read their
+    windows here, in row-major offset order."""
     xp = _zero_pad(x, k // 2)
-    row, col, ch = xp.strides
-    windows = np.ndarray((k, k, m, m, x.shape[2]), xp.dtype, xp, 0, (row, col, row, col, ch))
+    *lead, row, col, ch = xp.strides
+    windows = np.ndarray((k, k, *x.shape), xp.dtype, xp, 0, (row, col, *lead, row, col, ch))
     windows.flags.writeable = False
     return windows
 
 
 def _conv_operands(op: str, x: np.ndarray, w: np.ndarray, rank: int, layout: str):
-    """Check a convolution's grid x and kernel w (k, k, c, ...) of `rank`
-    axes; returns both as float32 and the kernel side k."""
-    if x.ndim != 3 or w.ndim != rank:
+    """Check a convolution's grid x, (m, m, c) or a chunk's (B, m, m, c),
+    and kernel w (k, k, c, ...) of `rank` axes; returns both as float32
+    and the kernel side k."""
+    if x.ndim not in (3, 4) or w.ndim != rank:
         raise ShapeError(f"{op} expects {layout}, got {x.shape}, {w.shape}")
     k = w.shape[0]
     if k != w.shape[1] or k % 2 == 0:
         raise ConfigError(f"kernel must be square with odd side, got {w.shape[:2]}")
-    if x.shape[0] != x.shape[1]:
+    if x.shape[-3] != x.shape[-2]:
         raise ShapeError(f"input grid must be square, got {x.shape}")
-    if w.shape[2] != x.shape[2]:
-        raise ShapeError(f"channel mismatch: input {x.shape[2]}, kernel {w.shape[2]}")
+    if w.shape[2] != x.shape[-1]:
+        raise ShapeError(f"channel mismatch: input {x.shape[-1]}, kernel {w.shape[2]}")
     return as_f32(x), as_f32(w), k
 
 
 def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """2-D convolution of x (m, m, c_i) with w (k, k, c_i, c_o), stride 1.
+    """2-D convolution of x (m, m, c_i), or of each grid of a chunk
+    (B, m, m, c_i), with w (k, k, c_i, c_o), stride 1.
 
     Out-of-grid inputs count as zero, so the output keeps the m x m grid.
-    out[i, j] = sum over offsets (r, s) of w[r, s]^T . x[i+r, j+s].
+    out[i, j] = sum over offsets (r, s) of w[r, s]^T . x[i+r, j+s], one
+    GEMM per offset over the pixels of every grid.
     """
     x, w, k = _conv_operands("conv2d", x, w, 4, "(m,m,ci) and (k,k,ci,co)")
-    m = x.shape[0]
-    out = np.zeros((m * m, w.shape[3]), dtype=F32)
+    out = np.zeros((x.size // x.shape[-1], w.shape[3]), dtype=F32)
     windows = itertools.chain.from_iterable(shifted_windows(x, k))
     for window, w_rs in zip(windows, w.reshape(k * k, *w.shape[2:])):
-        out += window.reshape(m * m, -1) @ w_rs
-    return _check_finite(out.reshape(m, m, -1), "conv2d result")
+        out += window.reshape(len(out), -1) @ w_rs
+    return _check_finite(out.reshape(*x.shape[:-1], -1), "conv2d result")
 
 
 def band_rows(k: int, m: int, c: int) -> int:
@@ -220,29 +222,30 @@ def row_taps(kern: np.ndarray, m: int) -> np.ndarray:
 def dwconv2d(x: np.ndarray, kern: np.ndarray, taps: np.ndarray | None = None) -> np.ndarray:
     """Depthwise 2-D convolution: one (k, k) filter per channel.
 
-    x is (m, m, c), kern is (k, k, c); same zero-padding rule as conv2d.
-    The kernel is tiled along a grid row (`row_taps`; `taps`, if given,
-    must be row_taps(kern, m), made once by a caller that holds the
-    kernel), so each band of `band_rows` rows takes one multiply of its
-    windows by every tap into one reused product buffer, and one sum over
-    the taps, in row-major offset order from +0: bitwise the sum of
-    window * kern[r, s] over the offsets.
+    x is (m, m, c), or a chunk's (B, m, m, c), kern is (k, k, c); same
+    zero-padding rule as conv2d. The kernel is tiled along a grid row
+    (`row_taps`; `taps`, if given, must be row_taps(kern, m), made once by
+    a caller that holds the kernel), so each band of `band_rows` rows of a
+    grid takes one multiply of its windows by every tap into one reused
+    product buffer, and one sum over the taps, in row-major offset order
+    from +0, into one output array: bitwise the sum of window * kern[r, s]
+    over the offsets, each grid's whatever the chunk.
     """
     x, kern, k = _conv_operands("dwconv2d", x, kern, 3, "(m,m,c) and (k,k,c)")
-    m, row = x.shape[0], x.shape[1] * x.shape[2]
+    m, row = x.shape[-2], x.shape[-2] * x.shape[-1]
     if taps is None:
         taps = row_taps(kern, m)
     elif taps.shape != (k, k, 1, row) or taps.dtype != F32:
         raise ShapeError(f"dwconv2d taps must be float32 {(k, k, 1, row)} for input {x.shape}, "
                          f"got {taps.dtype} {taps.shape}")
-    windows = shifted_windows(x, k).reshape(k, k, m, row)
-    band = band_rows(k, m, x.shape[2])
+    windows = shifted_windows(x, k).reshape(k, k, -1, m, row)
+    band = band_rows(k, m, x.shape[-1])
     products = np.empty((k * k, band, row), dtype=F32)
-    out = np.empty((m, row), dtype=F32)
-    for i in range(0, m, band):
+    out = np.empty(windows.shape[2:], dtype=F32)
+    for g, i in itertools.product(range(len(out)), range(0, m, band)):
         p = products[:, : min(band, m - i)]
-        np.multiply(windows[:, :, i : i + band], taps, out=p.reshape(k, k, -1, row))
-        np.add.reduce(p, axis=0, out=out[i : i + band], initial=0)
+        np.multiply(windows[:, :, g, i : i + band], taps, out=p.reshape(k, k, -1, row))
+        np.add.reduce(p, axis=0, out=out[g, i : i + band], initial=0)
     return _check_finite(out.reshape(x.shape), "dwconv2d result")
 
 

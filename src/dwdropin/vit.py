@@ -14,26 +14,28 @@ both sized by `tensor.GROUP_BYTES`, the budget `dwconv2d`'s bands also
 use. Inputs are token grids (n = m*m tokens, no class token); a learned
 positional table is added once at the input (`embed`).
 
-One block loop (`blocks_forward`) runs every forward: one sample's (n, d)
-residual in `model_forward`, or in the one sample pass (`attention_reads`),
-which scoring taps and the fit's capture folds, a chunk stacked as one
-(B*n, d) residual, so each block's row-wise work (norms, GEMMs, GELU,
-residual adds) runs once per chunk while its weights stay in cache, and
+One block loop (`blocks_forward`) runs every forward, one code path for
+one sample's (n, d) residual and a chunk's (B, n, d): `model_forward`,
+the hybrids and the one sample pass (`attention_reads`), which scoring
+taps and the fit's capture folds. A chunk runs each block's row-wise work
+(norms, GEMMs, GELU, residual adds) once while its weights stay in cache;
 only the attention core runs per sample. Chunks hold as many samples as
 fit GROUP_BYTES at a block's peak (`chunk_size`): 8 at desk, 1 at vitl.
 At desk the pass runs on two cores as two stages (`two_stage`): the
 calling thread runs the first half of the blocks, one worker thread the
 rest, a chunk behind. OpenBLAS threads an sgemm past about 10^6
 multiply-adds and its second thread then spins, taking the other stage's
-core, so the pass runs its GEMMs in row pieces within that size
-(`tensor.small_gemms`); every other GEMM stays one call. At vitl, whose
-GEMMs no row piece fits and already run on both cores, the pass runs on
-the calling thread alone.
+core, so there every forward runs its GEMMs in row pieces within that
+size (`tensor.small_gemms`), which also keeps a sample's bits whatever
+its chunk. At vitl, whose GEMMs no row piece fits and already run on
+both cores, GEMMs stay whole and the pass runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import functools
 import itertools
 import math
 import queue
@@ -297,10 +299,11 @@ def gelu(u: np.ndarray) -> np.ndarray:
 
 
 def ffn_forward(x: np.ndarray, block: BlockParams) -> np.ndarray:
-    """The FFN sublayer, (n, d) -> (n, d): a GEMM into the (n, hidden)
-    array, `gelu` over it (in place, band by band, once it exceeds one
-    band), then a GEMM back. x is not written."""
-    return matmul(gelu(matmul(x, block.ffn_w1)), block.ffn_w2)
+    """The FFN sublayer over x's rows, (n, d) or (B, n, d): a GEMM into the
+    (rows, hidden) array, `gelu` over it (in place, band by band, once it
+    exceeds one band), then a GEMM back. x is not written."""
+    rows = matmul(gelu(matmul(x.reshape(-1, x.shape[-1]), block.ffn_w1)), block.ffn_w2)
+    return rows.reshape(x.shape)
 
 
 def qkv_project(x: np.ndarray, block: BlockParams, h: int):
@@ -369,17 +372,17 @@ def attention(x: np.ndarray, w_qkv: np.ndarray, d_h: int, energy_tap=None) -> np
     (d, 3c) holds as [W_q | W_k | W_v], c columns each (a block's
     `BlockParams.w_qkv`, or a scattered block's kept heads), returned side
     by side: one C-contiguous array in head order, the layout
-    `project_heads` and the drop-ins share. x is one sample's (n, d)
-    tokens, giving (n, c), or a chunk of samples (B, n, d), giving
-    (B, n, c). One projection GEMM over all the rows, whose q, k and v
-    heads are strided views of its result, then per sample, in sample
+    `project_heads` and the drop-ins share. x is a forward's normed
+    residual, one sample's (n, d), giving (n, c), or a chunk's (B, n, d),
+    giving (B, n, c). One projection GEMM over all the rows, whose q, k
+    and v heads are strided views of its result, then per sample, in sample
     order, for each of `head_groups` in turn one stacked energy matmul,
     softmax in place and one stacked EV matmul that writes the group's
     columns of the output. Each head's columns are `head_attention`'s:
     bitwise where BLAS rounds the full-width and the per-head projection
     GEMMs alike (desk and vitl with OpenBLAS), else within float32
     rounding (3.6e-7 at n_h=4, d=32, d_h=8, m=24); a sample's columns do
-    not depend on the chunk it came in. `energy_tap(e, h0)` sees each
+    not depend on its chunk (`two_stage`). `energy_tap(e, h0)` sees each
     group's weights (g, n, n), heads h0 .. h0 + g - 1, once per sample:
     sample by sample, each in head order.
 
@@ -419,9 +422,14 @@ def project_heads(head_outputs: np.ndarray, block: BlockParams) -> np.ndarray:
     return matmul(head_outputs, block.w_o)
 
 
-def mhsa_forward(x: np.ndarray, block: BlockParams) -> np.ndarray:
-    """Multi-head self-attention of one block, (n, d) -> (n, d)."""
-    return project_heads(attention(x, block.w_qkv, block.d_h), block)
+def mhsa_forward(x: np.ndarray, block: BlockParams, energy_tap=None, fold=None) -> np.ndarray:
+    """Multi-head self-attention of one block over x, (n, d) or (B, n, d):
+    `attention` with its `energy_tap`, `fold(x, heads)` if given (the
+    sample pass's hooks), then the output projection over all the rows."""
+    heads = attention(x, block.w_qkv, block.d_h, energy_tap)
+    if fold is not None:
+        fold(x, heads)
+    return project_heads(heads.reshape(-1, heads.shape[-1]), block).reshape(x.shape)
 
 
 def mhsa_forward_headsum(x: np.ndarray, block: BlockParams) -> np.ndarray:
@@ -438,12 +446,12 @@ def mhsa_forward_headsum(x: np.ndarray, block: BlockParams) -> np.ndarray:
 
 def block_forward(x: np.ndarray, block: BlockParams, mhsa_fn=None) -> np.ndarray:
     """Pre-norm residual block: x + MhSA(norm(x)), then x + FFN(norm(x)),
-    over the rows of x: one sample's (n, d) tokens, or a chunk's (B*n, d).
-    x is not written: the attention add makes the new residual, and the
-    FFN adds into it in place.
+    over one sample's (n, d) tokens or a chunk's (B, n, d), alike. x is
+    not written: the attention add makes the new residual, and the FFN
+    adds into it in place.
 
     `mhsa_fn(attn_in, block)` substitutes the attention sublayer: drop-in
-    surgery and the sample pass (`attention_reads`) go through it.
+    surgery and the sample pass's hooks (`attention_reads`) go through it.
     """
     fn = mhsa_forward if mhsa_fn is None else mhsa_fn
     x = x + fn(attention_input(x, block), block)
@@ -453,83 +461,78 @@ def block_forward(x: np.ndarray, block: BlockParams, mhsa_fn=None) -> np.ndarray
 
 def blocks_forward(x: np.ndarray, model: Model, start: int, stop: int | None = None,
                    mhsa_fns=None) -> np.ndarray:
-    """The one block loop: run the residual x entering block `start`
-    through blocks [start, stop) (stop defaults to n_b) and return the
-    residual entering block `stop`. `mhsa_fns` maps block index ->
-    substitute attention sublayer (`block_forward`). x is not written."""
-    for b in range(start, model.config.n_b if stop is None else stop):
-        x = block_forward(x, model.blocks[b], mhsa_fn=mhsa_fns.get(b) if mhsa_fns else None)
+    """The one block loop: run the residual x entering block `start`,
+    (n, d) or (B, n, d), through blocks [start, stop) (stop defaults to
+    n_b) and return the residual entering block `stop`, in row pieces
+    (`tensor.small_gemms`) where `two_stage`. `mhsa_fns` maps block index
+    -> substitute attention sublayer (`block_forward`). x is not written."""
+    with small_gemms() if two_stage(model.config) else contextlib.nullcontext():
+        for b in range(start, model.config.n_b if stop is None else stop):
+            x = block_forward(x, model.blocks[b], mhsa_fn=mhsa_fns.get(b) if mhsa_fns else None)
     return x
 
 
-def embed(x: np.ndarray, model: Model, out: np.ndarray | None = None) -> np.ndarray:
-    """The residual entering block 0: the (n, d) input plus the positional
-    table, into `out` if given. Any other shape is a ShapeError."""
-    if x.shape != (model.config.n, model.config.d):
-        raise ShapeError(
-            f"input must be (n, d) = ({model.config.n}, {model.config.d}), got {x.shape}"
-        )
-    return np.add(as_f32(x), model.pos_enc, out=out)
+def embed(x: np.ndarray, model: Model) -> np.ndarray:
+    """The residual entering block 0: one sample's (n, d) input, or a
+    chunk's (B, n, d), plus the positional table. The one input check of
+    a forward: any other rank or trailing shape is a ShapeError."""
+    n, d = model.config.n, model.config.d
+    if np.ndim(x) not in (2, 3) or np.shape(x)[-2:] != (n, d):
+        raise ShapeError(f"input must be (n, d) = ({n}, {d}), got {np.shape(x)}; "
+                         "a chunk is (B, n, d)")
+    return as_f32(x) + model.pos_enc
 
 
 def model_forward(x: np.ndarray, model: Model, mhsa_fns=None,
                   stop: int | None = None) -> np.ndarray:
-    """Forward pass of one sample: `embed`, then `blocks_forward` (with its
-    `mhsa_fns`) over all blocks, or over blocks [0, stop), returning the
-    residual entering block `stop`. The sample passes run the same two
-    steps over a chunk of samples (`attention_reads`)."""
+    """Forward pass of one sample (n, d) or a chunk (B, n, d): `embed`,
+    then `blocks_forward` (with its `mhsa_fns`) over all blocks, or over
+    blocks [0, stop), returning the residual entering block `stop`. Each
+    sample of a chunk gets its own forward's bits (`two_stage`)."""
     return blocks_forward(embed(x, model), model, 0, stop, mhsa_fns)
 
 
 def chunk_size(config: ModelConfig) -> int:
-    """Samples the sample passes (`attention_reads`) carry through a block
-    at once: as many as fit GROUP_BYTES (`budget_units`) at the float32
+    """Samples a chunked forward (the sample pass, `verify`) carries
+    through a block at once: as many as fit GROUP_BYTES (`budget_units`) at the float32
     bytes one sample holds at a block's peak, 4 (3 + 3 ffn_mult) n d. The
     peak is the FFN's GELU: the residual entering the block and the one
     leaving it, the FFN's normed input (n d each), then the hidden array,
     GELU's scratch and GELU's output (ffn_mult n d each). So a block's
     weights and working set stay in cache across a chunk: 8 samples at
-    desk, 58 at n_b=2, n_h=3, d=24, d_h=8, m=5, and 1 at vitl, where the
-    passes run one sample at a time."""
+    desk, 58 at n_b=2, n_h=3, d=24, d_h=8, m=5, and 1 at vitl, where
+    forwards run one sample at a time."""
     return budget_units(4 * (3 + 3 * config.ffn_mult) * config.n * config.d)
 
 
 def _stacked(first: np.ndarray, rest, model: Model, size: int) -> np.ndarray:
     """`first` and up to size - 1 more samples drawn from the iterator
-    `rest`, each `embed`ded into its n rows of one C-contiguous
-    (B*n, d) array."""
-    n = model.config.n
-    x = np.empty((size * n, model.config.d), dtype=F32)
-    rows = 0
-    for sample in itertools.chain((first,), itertools.islice(rest, size - 1)):
-        embed(sample, model, out=x[rows : rows + n])
-        rows += n
-    return x[:rows]
+    `rest`, `embed`ded as one (B, n, d) chunk."""
+    return embed(np.stack([first, *itertools.islice(rest, size - 1)]), model)
 
 
 def two_stage(config: ModelConfig) -> bool:
-    """Whether the sample pass (`attention_reads`) runs as two stages on
-    two threads: when its FFN GEMM, (rows, d) x (d, ffn_mult d), pieces
-    into at least MIN_PIECE_ROWS rows within SMALL_GEMM
-    (`tensor.piece_rows`), so every GEMM of both stages stays on its
-    calling thread. Desk (61-row pieces) and n_b=2, n_h=3, d=24, d_h=8,
-    m=5 (434) do; vitl, whose GEMMs no row piece fits and which already
-    run on both cores, does not."""
+    """Whether every forward runs its GEMMs in row pieces within
+    SMALL_GEMM (`blocks_forward`) and the sample pass runs as two stages
+    on two threads (`attention_reads`): when the FFN GEMM, (rows, d) x
+    (d, ffn_mult d), pieces into at least MIN_PIECE_ROWS rows
+    (`tensor.piece_rows`). Desk (61-row pieces) and n_b=2, n_h=3, d=24,
+    d_h=8, m=5 (434) do; vitl, whose GEMMs no row piece fits, does not.
+    So a sample's rows keep their bits in any chunk: unpieced, that odd
+    config's drift by 3.3e-6; pieced, vitl's dw value GEMMs would not."""
     return piece_rows(config.d, config.ffn_mult * config.d) >= MIN_PIECE_ROWS
 
 
 def attention_reads(samples, model: Model, taps=None, folds=None) -> int:
     """The one sample pass of scoring and the fit's capture over the
     iterable `samples` of (n, d) inputs. `chunk_size` samples at a time
-    make one C-contiguous (B*n, d) residual (`_stacked`) that
-    `blocks_forward` carries, so norms, GEMMs, GELU and residual adds run
-    once per block and chunk; each sample's rows are `model_forward`'s bit
-    for bit where BLAS rounds a GEMM row alike whatever the row count
-    (desk, vitl and n_b=2, n_h=3, d=24, d_h=8, m=5 with OpenBLAS). Block
-    b's exact `attention` runs here on the chunk's normed input, viewed
-    (B, n, d), with `taps[b]` as its `energy_tap(e, h0)`; then
-    `folds[b](a_in, out)` gets that input and the (B, n, d) head outputs,
-    which the pass goes on to use: read them, do not write them. The pass
+    make one (B, n, d) residual (`_stacked`) that `blocks_forward`
+    carries, so norms, GEMMs, GELU and residual adds run once per block
+    and chunk; each sample's rows are `model_forward`'s bit for bit.
+    Block b's `mhsa_forward` runs with `taps[b]` as its
+    `energy_tap(e, h0)` and `folds[b]` as its `fold(a_in, out)`, which
+    gets the chunk's (B, n, d) normed input and head outputs, which the
+    pass goes on to use: read them, do not write them. The pass
     ends after the attention of the last block either names, before its
     output projection; if neither names one, it raises ConfigError before
     drawing a sample. Returns the sample count.
@@ -553,27 +556,22 @@ def attention_reads(samples, model: Model, taps=None, folds=None) -> int:
     if not taps and not folds:
         raise ConfigError("a sample pass needs a tap or a fold")
     cfg = model.config
-    n, d, last = cfg.n, cfg.d, max(taps.keys() | folds.keys())
+    last = max(taps.keys() | folds.keys())
     size, pipelined = chunk_size(cfg), two_stage(cfg)
     split = (last + 1) // 2 if pipelined else 0
-
-    def attend(b, a_in):
-        block, a_in = model.blocks[b], a_in.reshape(-1, n, d)
-        out = attention(a_in, block.w_qkv, block.d_h, energy_tap=taps.get(b))
-        if b in folds:
-            folds[b](a_in, out)
-        return out
-
-    fns = {b: lambda a_in, block, b=b: project_heads(attend(b, a_in).reshape(-1, d), block)
-           for b in range(last)}
+    hooks = {b: functools.partial(mhsa_forward, energy_tap=taps.get(b), fold=folds.get(b))
+             for b in range(last)}
 
     def stage_one(first) -> np.ndarray:
-        return blocks_forward(_stacked(first, samples, model, size), model, 0, split, fns)
+        return blocks_forward(_stacked(first, samples, model, size), model, 0, split, hooks)
 
     def stage_two(x) -> int:
-        x = blocks_forward(x, model, split, last, fns)
-        attend(last, attention_input(x, model.blocks[last]))
-        return len(x) // n
+        block = model.blocks[last]
+        a_in = attention_input(blocks_forward(x, model, split, last, hooks), block)
+        out = attention(a_in, block.w_qkv, block.d_h, taps.get(last))
+        if last in folds:
+            folds[last](a_in, out)
+        return len(x)
 
     samples = iter(samples)
     if not pipelined:  # one thread: split is 0, so stage two runs every block

@@ -1,6 +1,8 @@
-"""The sample passes run in chunks (`vit.attention_reads`): each chunk's
-residual is one (B*n, d) array that the block loop carries, and the
-attention core runs per sample inside it. A chunked pass must give what
+"""Forwards run in chunks: each chunk's residual is one (B, n, d) array
+that the block loop carries, and the attention core runs per sample
+inside it. A chunk through `model_forward` or `hybrid_forward` must give
+each sample its own forward's bits, for exact attention and every
+drop-in variant. A chunked pass (`vit.attention_reads`) must give what
 one pass per sample gives, read by read and tap by tap, each block's in
 (chunk, sample) order, and so must the σ report and the fitted kernels.
 Blocks in the pass's two stages read at once, so the order across blocks
@@ -12,17 +14,19 @@ or one full `model_forward` per sample (`conftest.full_forward_scores`,
 `full_forward_records`).
 
 Bits hold where BLAS rounds a GEMM row alike whatever the row count:
-desk, vitl and the odd config (d=24, d_h=8, m=5) with OpenBLAS. The pass
-runs its GEMMs in row pieces on OpenBLAS's small-matrix path
-(`tensor.small_gemms`), the path the odd config's per-sample GEMMs take,
-so its FFN's (rows, 96) x (96, 24) down-projection rounds each row as one
-sample's forward does.
+desk, vitl and the odd config (d=24, d_h=8, m=5) with OpenBLAS. Every
+forward of a config where `vit.two_stage` holds, per sample or chunked,
+in the pass or not, runs its GEMMs in row pieces on OpenBLAS's
+small-matrix path (`tensor.small_gemms`), so the odd config's FFN's
+(rows, 96) x (96, 24) down-projection rounds each row as one sample's
+forward does.
 """
 
 import dataclasses
 import hashlib
 import itertools
 import json
+import re
 import sys
 import threading
 
@@ -156,18 +160,78 @@ class TestChunkedReads:
     @pytest.mark.parametrize("cfg, count", [(DESK, 2 * vit.chunk_size(DESK) + 1),
                                             (VITL_ONE, 2)], ids=["desk", "vitl-block"])
     def test_stacked_forward_is_per_sample_forward(self, cfg, count):
-        """The block loop over stacked samples, with attention per sample
-        as the chunked pass runs it, gives each sample's `model_forward`
-        rows, through every block."""
+        """The block loop over a (B, n, d) stack of embedded samples gives
+        each sample's `model_forward` rows, through every block."""
         model = init_model(cfg, 17)
         samples = list(samples_of(cfg, count, "list"))
-        per_sample = {b: lambda a, blk: vit.project_heads(attention(
-            a.reshape(count, cfg.n, cfg.d), blk.w_qkv, blk.d_h).reshape(-1, cfg.d), blk)
-            for b in range(cfg.n_b)}
-        stacked = vit.blocks_forward(np.concatenate([vit.embed(x, model) for x in samples]),
-                                     model, 0, mhsa_fns=per_sample)
-        for x, rows in zip(samples, np.split(stacked, count)):
+        stacked = vit.blocks_forward(vit.embed(np.stack(samples), model), model, 0)
+        assert stacked.shape == (count, cfg.n, cfg.d)
+        for x, rows in zip(samples, stacked, strict=True):
             np.testing.assert_array_equal(rows, vit.model_forward(x, model))
+
+
+def plans_of(cfg) -> dict:
+    """An all-block, a one-block and a scattered plan of `cfg`."""
+    every, middle = tuple(range(cfg.n_b)), cfg.n_b // 2
+    scattered = ((0, 1), (cfg.n_b - 1, 0))
+    return {"all": SelectionPlan("blockwise", "lowest", len(every), every),
+            "one": SelectionPlan("blockwise", "lowest", 1, (middle,)),
+            "scattered": SelectionPlan("scattered", "lowest", len(scattered), scattered)}
+
+
+FORWARDS = [("exact", None)] + [
+    (variant, plan) for variant in dropin.VARIANTS for plan in ("all", "one", "scattered")
+    if plan != "scattered" or variant not in dropin.ENSEMBLED]
+
+
+class TestChunkedForwards:
+    """A chunk through `model_forward` or `hybrid_forward` gives each
+    sample its own forward's bits: exact attention and every variant, on
+    an all-block, a one-block and (unensembled) a scattered plan."""
+
+    @pytest.mark.parametrize("forward, plan", FORWARDS,
+                             ids=[f"{v}-{p}" if p else v for v, p in FORWARDS])
+    @pytest.mark.parametrize("cfg, count", [(DESK, vit.chunk_size(DESK)),
+                                            (ODD, vit.chunk_size(ODD)), (VITL_ONE, 2)],
+                             ids=["desk", "odd", "vitl-block"])
+    def test_each_sample_of_a_chunk_is_its_own_forward(self, cfg, count, forward, plan):
+        model = init_model(cfg, 19)
+        if plan is None:
+            def run(x):
+                return vit.model_forward(x, model)
+        else:
+            hm, _ = dropin.build_dropins(model, plans_of(cfg)[plan], forward, seed=5)
+
+            def run(x):
+                return dropin.hybrid_forward(hm, x)
+        samples = list(samples_of(cfg, count, "list"))
+        chunk = run(np.stack(samples))
+        assert chunk.shape == (count, cfg.n, cfg.d)
+        for x, rows in zip(samples, chunk, strict=True):
+            np.testing.assert_array_equal(rows, run(x))
+
+
+class TestEmbed:
+    """`embed` is the one input check of a forward, of a sample and of a
+    chunk: any other rank or trailing shape is a ShapeError."""
+
+    def test_a_chunk_is_its_samples_embedded(self, desk_model):
+        samples = list(samples_of(DESK, 3, "list"))
+        got = vit.embed(np.stack(samples), desk_model)
+        for x, rows in zip(samples, got, strict=True):
+            np.testing.assert_array_equal(rows, vit.embed(x, desk_model))
+
+    @pytest.mark.parametrize("shape", [(), (DESK.d,), (2, 1, DESK.n, DESK.d),
+                                       (DESK.n, DESK.d + 1), (DESK.n - 1, DESK.d),
+                                       (2, DESK.n, DESK.d + 1), (2, DESK.n + 1, DESK.d)],
+                             ids=["rank-0", "rank-1", "rank-4", "sample-d", "sample-n",
+                                  "chunk-d", "chunk-n"])
+    def test_other_shapes_are_refused(self, desk_model, shape):
+        x = np.zeros(shape, dtype=np.float32)
+        for fn in (vit.embed, vit.model_forward):
+            with pytest.raises(tensor.ShapeError, match=r"input must be \(n, d\) = \(64, 64\), "
+                               rf"got {re.escape(str(shape))}; a chunk is \(B, n, d\)"):
+                fn(x, desk_model)
 
 
 class TestChunkedResults:

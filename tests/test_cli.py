@@ -571,6 +571,30 @@ class TestVerify:
         assert run("verify", "--model", pair[0], "--hybrid", pair[1], "--samples", 2) == 2
         assert capsys.readouterr().err == "error: archives have different configurations\n"
 
+    def test_where_names_the_last_sample_and_its_first_position_at_the_max(self):
+        """Over chunks, a tie across samples goes to the last sample holding
+        the max, a tie within one to its first (token, channel)."""
+        ref = [np.zeros((3, 2), np.float32) for _ in range(4)]
+        got = [a.copy() for a in ref]
+        for s, t, c in ((0, 0, 1), (2, 2, 0), (2, 1, 1), (3, 0, 0)):
+            got[s][t, c] = 2.0 if s < 3 else 1.0
+        chunks = [np.stack(ref[:2]), np.stack(ref[2:])], [np.stack(got[:2]), np.stack(got[2:])]
+        assert cli._max_diff_located(*chunks) == (2.0, (2, 1, 1))
+        assert cli._max_diff_located(chunks[0], chunks[0]) == (0.0, (3, 0, 0))
+
+    def test_identical_archives_report_the_last_sample(self, tmp_path, capsys):
+        """Every difference is 0, so `where` names sample samples - 1,
+        token 0, channel 0, across two desk chunks."""
+        model, out = tmp_path / "desk.bin", tmp_path / "verify.json"
+        samples = vit.chunk_size(vit.DESK) + 1
+        assert run("gen", "--config", "desk", "--seed", 3, "--out", model) == 0
+        assert run("verify", "--model", model, "--hybrid", model, "--samples", samples,
+                   "--tol", 0, "--out", out) == 0
+        [check] = [c for c in json.loads(out.read_text())["checks"]
+                   if c["name"] == "forward_equivalence"]
+        assert (check["max_diff"], check["where"]) == (
+            0.0, {"sample": samples - 1, "token": 0, "channel": 0})
+
     def test_zero_tolerance_accepted(self, tiny_archive):
         assert run("verify", "--model", tiny_archive, "--hybrid", tiny_archive,
                    "--samples", 2, "--tol", 0) == 0
@@ -635,7 +659,7 @@ def verify_unshared(monkeypatch, capsys, *argv):
 
 
 class TestVerifySharedPrefix:
-    """verify runs the blocks before the first replaced one once per sample
+    """verify runs the blocks before the first replaced one once per chunk
     when both archives hold the same base tensors, and its outputs stay
     those of full forwards."""
 
@@ -661,21 +685,24 @@ class TestVerifySharedPrefix:
         assert (got, captured.out, captured.err) == want
         assert out.read_bytes() == want_bytes
 
-    def test_shared_blocks_run_once_per_sample(self, deep_archives, monkeypatch):
-        """model vs b2: blocks 0 and 1 run once per sample, in the --model
-        pass; blocks 2 and 3 run once per sample in each pass."""
+    def test_shared_blocks_run_once_per_chunk(self, deep_archives, monkeypatch):
+        """model vs b2 over two chunks: blocks 0 and 1 run once per chunk,
+        in the --model pass; blocks 2 and 3 run once per chunk in each
+        pass."""
         forward, blocks = vit.block_forward, []
 
         def counted(x, block, **kw):
-            blocks.append(id(block))
+            blocks.append((id(block), len(x)))
             return forward(x, block, **kw)
         monkeypatch.setattr(vit, "block_forward", counted)
+        size = vit.chunk_size(TINY)
         assert run("verify", "--model", deep_archives["model"], "--hybrid", deep_archives["b2"],
-                   "--samples", 3, "--tol", 0.5) in (0, 1)
+                   "--samples", size + 1, "--tol", 0.5) in (0, 1)
         # each archive holds its own block objects: 4 of --model's, 2 of --hybrid's
         counts = collections.Counter(blocks)
-        assert len(counts) == 4 + 2
-        assert set(counts.values()) == {3}
+        assert len(counts) == 2 * (4 + 2)
+        assert {len_x for _, len_x in counts} == {size, 1}
+        assert set(counts.values()) == {1}
 
     def test_overflow_in_shared_prefix_names_model(self, tmp_path, deep_archives, monkeypatch,
                                                    capsys):

@@ -876,9 +876,8 @@ class TestCapture:
         assert sorted(captured) == [1, 4]
         assert sorted(outputs) == [(0, 2), (2, 4)]
         for (_, stop), stage in outputs.items():
-            assert [len(out) for out in stage] == [size * DESK.n, DESK.n]
-            rows = np.concatenate(stage).reshape(len(samples), DESK.n, DESK.d)
-            for x, out in zip(samples, rows):
+            assert [out.shape for out in stage] == [(size, DESK.n, DESK.d), (1, DESK.n, DESK.d)]
+            for x, out in zip(samples, np.concatenate(stage)):
                 np.testing.assert_array_equal(out, block_residuals(desk_model, x)[stop])
         for b, records in captured.items():
             blk = desk_model.blocks[b]
@@ -966,7 +965,7 @@ class TestCapture:
         ffn, events = vit.ffn_forward, []
         index = {id(block): b for b, block in enumerate(desk_model.blocks)}
         monkeypatch.setattr(vit, "ffn_forward", lambda x, block: events.append(
-            ("ffn", index[id(block)], len(x) // DESK.n)) or ffn(x, block))
+            ("ffn", index[id(block)], len(x))) or ffn(x, block))
         size = vit.chunk_size(DESK)
         samples = make_inputs(DESK, size + 2, 239)
         attention_inputs(desk_model, samples, {

@@ -6,7 +6,11 @@ one finiteness test. Only `vit.gelu` names an `erf`, and only
 pins lives in one place, and rewrites only the hidden array the FFN
 owns. Only `tensor.row_taps` calls a `tile`: it is the one rule that
 tiles a depthwise kernel into row taps. Only `vit.blocks_forward` calls
-`block_forward`: it is the one block loop, of one sample and of a chunk.
+`block_forward`: it is the one block loop, of one sample's (n, d)
+residual and of a chunk's (B, n, d), in one code path. Only `vit` names
+`tensor.small_gemms`, in `blocks_forward` and the sample pass: every
+forward of a config runs its GEMMs in row pieces exactly where
+`vit.two_stage` holds, so a sample's bits do not depend on its chunk.
 Exact `attention` runs in `vit.mhsa_forward`, in the sample pass
 (`vit.attention_reads`) and in a drop-in block's kept heads
 (`dropin.BlockSublayer`), nowhere else: scoring and the fit's capture
@@ -169,9 +173,9 @@ def test_detects_a_block_forward_caller():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_only_blocks_forward_calls_block_forward(path):
-    """One block loop: `model_forward` and the chunked sample passes
-    (`attention_reads`) both run `vit.blocks_forward`, and nothing else
-    runs a block."""
+    """One block loop: `model_forward`, of one sample or a chunk, and the
+    sample pass (`attention_reads`) both run `vit.blocks_forward`, and
+    nothing else runs a block."""
     expected = ["blocks_forward"] if path.stem == "vit" else []
     assert callers(path.read_text(), "block_forward") == expected
 
@@ -227,6 +231,23 @@ def test_detects_a_thread_starter():
 def test_only_the_sample_pass_starts_a_thread(path):
     expected = ["attention_reads"] if path.stem == "vit" else []
     assert thread_starters(path.read_text()) == expected
+
+
+def test_detects_a_small_gemms_reader():
+    source = ("from .tensor import small_gemms\n"
+              "def blocks_forward(x):\n    with small_gemms():\n        return x\n"
+              "def pieces():\n    return tensor.small_gemms\n"
+              "class C:\n    def f(self):\n        with tensor.small_gemms() as g:\n"
+              "            return _small_gemms.get()\n")
+    assert name_readers(source, "small_gemms") == ["<module>", "blocks_forward", "pieces", "C"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_vit_enters_small_gemms(path):
+    """The piece rule (`vit.two_stage`) governs every forward, so no
+    other module may run its own GEMMs in pieces."""
+    expected = ["<module>", "blocks_forward", "attention_reads"] if path.stem == "vit" else []
+    assert name_readers(path.read_text(), "small_gemms") == expected
 
 
 def file_openers(source: str) -> list:
