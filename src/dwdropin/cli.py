@@ -257,14 +257,17 @@ def cmd_replace(args) -> int:
     return EXIT_OK
 
 
-def _max_diff_located(ref: list, got: list):
-    worst = (0.0, None)
-    for idx, (a, b) in enumerate(pair for chunks in zip(ref, got) for pair in zip(*chunks)):
-        diff = np.abs(a.astype(np.float64) - b.astype(np.float64))
-        dmax = float(diff.max())
-        if dmax >= worst[0]:
-            loc = np.unravel_index(int(diff.argmax()), diff.shape)
-            worst = (dmax, (idx, *[int(i) for i in loc]))
+def _max_diff_located(chunk_pairs):
+    worst, idx = (0.0, None), 0
+    for chunks in chunk_pairs:
+        for a, b in zip(*chunks):
+            diff = np.abs(a.astype(np.float64) - b.astype(np.float64))
+            dmax = float(diff.max())
+            if dmax >= worst[0]:
+                loc = np.unravel_index(int(diff.argmax()), diff.shape)
+                worst = (dmax, (idx, *[int(i) for i in loc]))
+            idx += 1
+        del chunks, a, b  # hold no chunk while the next one is drawn
     return worst
 
 
@@ -290,32 +293,28 @@ def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
     model_a, cfg = hm_a.base, hm_a.base.config
     if cfg != hm_b.base.config:
         raise ConfigError("archives have different configurations")
-    checks = []
-    xs = np.stack(list(synthetic_samples(cfg, samples_n, seed)))
-    chunks = np.split(xs, range(vit.chunk_size(cfg), samples_n, vit.chunk_size(cfg)))
-
-    # a chunk at a time, every --model forward first, so an overflow names
-    # the archive it would name unshared; the --hybrid pass starts from the
-    # residuals the --model pass kept at the end of the prefix both run alike
     shared = shared_prefix(hm_a, hm_b)
-    residuals, outs_a = [], []
-    with overflow_is_file_fault(path_a):
-        for x in chunks:
-            residuals.append(vit.model_forward(x, model_a, hm_a.sublayers, stop=shared))
-            outs_a.append(vit.blocks_forward(residuals[-1], model_a, shared,
-                                             mhsa_fns=hm_a.sublayers))
-    with overflow_is_file_fault(path_b):
-        outs_b = ([vit.blocks_forward(h, hm_b.base, shared, mhsa_fns=hm_b.sublayers)
-                   for h in residuals] if shared
-                  else [dropin.hybrid_forward(hm_b, x) for x in chunks])
-    dmax, where = _max_diff_located(outs_a, outs_b)
-    checks.append({"name": "forward_equivalence", "passed": dmax <= tol,
-                   "max_diff": dmax, "tol": tol,
-                   "where": {"sample": where[0], "token": where[1], "channel": where[2]}})
+
+    def forwards(x):
+        # --model's forward, then --hybrid's from where their shared prefix ends: an
+        # overflow names the archive of the first chunk that overflows, --model first
+        with overflow_is_file_fault(path_a):
+            h = vit.model_forward(x, model_a, hm_a.sublayers, stop=shared)
+            out_a = vit.blocks_forward(h, model_a, shared, mhsa_fns=hm_a.sublayers)
+        with overflow_is_file_fault(path_b):
+            return out_a, (vit.blocks_forward(h, hm_b.base, shared, mhsa_fns=hm_b.sublayers)
+                           if shared else dropin.hybrid_forward(hm_b, x))
+
+    stacks = vit.chunks(synthetic_samples(cfg, samples_n, seed), cfg)
+    dmax, where = _max_diff_located(map(forwards, stacks))
+    checks = [{"name": "forward_equivalence", "passed": dmax <= tol,
+               "max_diff": dmax, "tol": tol,
+               "where": {"sample": where[0], "token": where[1], "channel": where[2]}}]
 
     # the oracle checks read block 0's normed input for up to 3 samples
     block = model_a.blocks[0]
-    a_ins = [vit.attention_input(vit.embed(x, model_a), block) for x in xs[:3]]
+    a_ins = [vit.attention_input(vit.embed(x, model_a), block)
+             for x in synthetic_samples(cfg, min(samples_n, 3), seed)]
 
     # grid-form attention evaluator vs the flattened matmul path
     worst = 0.0

@@ -19,8 +19,8 @@ one sample's (n, d) residual and a chunk's (B, n, d): `model_forward`,
 the hybrids and the one sample pass (`attention_reads`), which scoring
 taps and the fit's capture folds. A chunk runs each block's row-wise work
 (norms, GEMMs, GELU, residual adds) once while its weights stay in cache;
-only the attention core runs per sample. Chunks hold as many samples as
-fit GROUP_BYTES at a block's peak (`chunk_size`): 8 at desk, 1 at vitl.
+only the attention core runs per sample. `chunks` stacks as many samples
+as fit GROUP_BYTES at a block's peak (`chunk_size`): 8 at desk, 1 at vitl.
 At desk the pass runs on two cores as two stages (`two_stage`): the
 calling thread runs the first half of the blocks, one worker thread the
 rest, a chunk behind. OpenBLAS threads an sgemm past about 10^6
@@ -493,22 +493,26 @@ def model_forward(x: np.ndarray, model: Model, mhsa_fns=None,
 
 
 def chunk_size(config: ModelConfig) -> int:
-    """Samples a chunked forward (the sample pass, `verify`) carries
-    through a block at once: as many as fit GROUP_BYTES (`budget_units`) at the float32
-    bytes one sample holds at a block's peak, 4 (3 + 3 ffn_mult) n d. The
-    peak is the FFN's GELU: the residual entering the block and the one
-    leaving it, the FFN's normed input (n d each), then the hidden array,
-    GELU's scratch and GELU's output (ffn_mult n d each). So a block's
-    weights and working set stay in cache across a chunk: 8 samples at
-    desk, 58 at n_b=2, n_h=3, d=24, d_h=8, m=5, and 1 at vitl, where
-    forwards run one sample at a time."""
+    """Samples a chunked forward (`chunks`: the sample pass, `verify`)
+    carries through a block at once: as many as fit GROUP_BYTES
+    (`budget_units`) at the float32 bytes one sample holds at a block's
+    peak, 4 (3 + 3 ffn_mult) n d. The peak is the FFN's GELU: the
+    residual entering the block and the one leaving it, the FFN's normed
+    input (n d each), then the hidden array, GELU's scratch and GELU's
+    output (ffn_mult n d each). So a block's weights and working set stay
+    in cache across a chunk: 8 samples at desk, 58 at n_b=2, n_h=3, d=24,
+    d_h=8, m=5, and 1 at vitl, where forwards run one sample at a time.
+    The chunk's raw stack, which no block reads, may live beside it."""
     return budget_units(4 * (3 + 3 * config.ffn_mult) * config.n * config.d)
 
 
-def _stacked(first: np.ndarray, rest, model: Model, size: int) -> np.ndarray:
-    """`first` and up to size - 1 more samples drawn from the iterator
-    `rest`, `embed`ded as one (B, n, d) chunk."""
-    return embed(np.stack([first, *itertools.islice(rest, size - 1)]), model)
+def chunks(samples, config: ModelConfig):
+    """The one chunk rule: the (n, d) inputs of the iterable `samples` as
+    (B, n, d) stacks of `chunk_size`, the last one shorter, each drawn
+    only when asked for and held by nothing once yielded; none from an
+    empty iterable."""
+    samples, size = iter(samples), chunk_size(config)
+    return map(np.stack, iter(lambda: list(itertools.islice(samples, size)), []))
 
 
 def two_stage(config: ModelConfig) -> bool:
@@ -525,10 +529,10 @@ def two_stage(config: ModelConfig) -> bool:
 
 def attention_reads(samples, model: Model, taps=None, folds=None) -> int:
     """The one sample pass of scoring and the fit's capture over the
-    iterable `samples` of (n, d) inputs. `chunk_size` samples at a time
-    make one (B, n, d) residual (`_stacked`) that `blocks_forward`
-    carries, so norms, GEMMs, GELU and residual adds run once per block
-    and chunk; each sample's rows are `model_forward`'s bit for bit.
+    iterable `samples` of (n, d) inputs. Each stack of `chunks`, embedded,
+    is one (B, n, d) residual that `blocks_forward` carries, so norms,
+    GEMMs, GELU and residual adds run once per block and chunk; each
+    sample's rows are `model_forward`'s bit for bit.
     Block b's `mhsa_forward` runs with `taps[b]` as its
     `energy_tap(e, h0)` and `folds[b]` as its `fold(a_in, out)`, which
     gets the chunk's (B, n, d) normed input and head outputs, which the
@@ -548,22 +552,19 @@ def attention_reads(samples, model: Model, taps=None, folds=None) -> int:
     `select.score_model` and `dropin._BlockFit` keep theirs per block. An
     error in either stage stops the pass and is raised as the one-thread
     loop raises it: the worker's, from an earlier chunk, before the
-    caller's. The worker never outlives the call. Nothing holds a chunk's
-    input past block 0, and a chunk lives from its stacking to the end of
-    its stage two: up to three chunks at once, one per stage and one in
-    the queue."""
+    caller's. The worker never outlives the call. A chunk lives from its
+    stacking to the end of its stage two: up to three at once, one per
+    stage and one in the queue. Its embedded input dies at block 0, its
+    raw stack (`chunks`) once the caller has stacked the next chunk."""
     taps, folds = taps or {}, folds or {}
     if not taps and not folds:
         raise ConfigError("a sample pass needs a tap or a fold")
     cfg = model.config
     last = max(taps.keys() | folds.keys())
-    size, pipelined = chunk_size(cfg), two_stage(cfg)
+    pipelined = two_stage(cfg)
     split = (last + 1) // 2 if pipelined else 0
     hooks = {b: functools.partial(mhsa_forward, energy_tap=taps.get(b), fold=folds.get(b))
              for b in range(last)}
-
-    def stage_one(first) -> np.ndarray:
-        return blocks_forward(_stacked(first, samples, model, size), model, 0, split, hooks)
 
     def stage_two(x) -> int:
         block = model.blocks[last]
@@ -573,9 +574,9 @@ def attention_reads(samples, model: Model, taps=None, folds=None) -> int:
             folds[last](a_in, out)
         return len(x)
 
-    samples = iter(samples)
+    stacks = chunks(samples, cfg)
     if not pipelined:  # one thread: split is 0, so stage two runs every block
-        return sum(stage_two(_stacked(first, samples, model, size)) for first in samples)
+        return sum(stage_two(embed(x, model)) for x in stacks)
     handoff, failed, counts = queue.Queue(maxsize=1), [], []
 
     def worker():
@@ -590,8 +591,8 @@ def attention_reads(samples, model: Model, taps=None, folds=None) -> int:
         thread = threading.Thread(target=contextvars.copy_context().run, args=(worker,))
         thread.start()
         try:
-            for first in itertools.takewhile(lambda _: not failed, samples):
-                handoff.put(stage_one(first))
+            for x in itertools.takewhile(lambda _: not failed, stacks):
+                handoff.put(blocks_forward(embed(x, model), model, 0, split, hooks))
         finally:
             handoff.put(None)
             thread.join()

@@ -8,8 +8,9 @@ with relative paths, so no path of the run reaches a file or a stream.
 The script imports the `src/` of the checkout it sits in. It prints one
 line per command (its exit code and the SHA-256 of its stdout and
 stderr), then one line per output file. It is not a `test_*` file, so
-pytest does not collect it. Run it from two checkouts and diff the
-output to check that a change keeps the loop's outputs bit for bit:
+pytest does not collect it; `test_readme_loop.py` runs its `main()` and
+compares the lines with those pinned in `readme_loop.txt`. Run it from
+two checkouts and diff the output to see what a change alters:
 
     python tests/check_readme_loop.py > loop.txt
 

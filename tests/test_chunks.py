@@ -1,12 +1,12 @@
-"""Forwards run in chunks: each chunk's residual is one (B, n, d) array
-that the block loop carries, and the attention core runs per sample
-inside it. A chunk through `model_forward` or `hybrid_forward` must give
-each sample its own forward's bits, for exact attention and every
-drop-in variant. A chunked pass (`vit.attention_reads`) must give what
-one pass per sample gives, read by read and tap by tap, each block's in
-(chunk, sample) order, and so must the σ report and the fitted kernels.
-Blocks in the pass's two stages read at once, so the order across blocks
-is not pinned.
+"""Forwards run in chunks, stacked by one rule (`vit.chunks`): each
+chunk's residual is one (B, n, d) array that the block loop carries, and
+the attention core runs per sample inside it. A chunk through
+`model_forward` or `hybrid_forward` must give each sample its own
+forward's bits, for exact attention and every drop-in variant. A chunked
+pass (`vit.attention_reads`) must give what one pass per sample gives,
+read by read and tap by tap, each block's in (chunk, sample) order, and
+so must the σ report and the fitted kernels. Blocks in the pass's two
+stages read at once, so the order across blocks is not pinned.
 
 The oracles here run one sample at a time: `model_forward(x, stop=b)`
 for the residual entering block b, then `attention` of its normed input,
@@ -116,6 +116,53 @@ class TestChunkRule:
         GELU's scratch and GELU's output, float32."""
         unit = 4 * cfg.n * (3 * cfg.d + 3 * cfg.ffn_mult * cfg.d)
         assert vit.chunk_size(cfg) == max(1, GROUP_BYTES // unit)
+
+
+class Drawn:
+    """An iterator over `samples` that counts the samples drawn from it."""
+
+    def __init__(self, samples):
+        self.samples, self.count = iter(samples), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        sample = next(self.samples)
+        self.count += 1
+        return sample
+
+
+class TestChunks:
+    """`vit.chunks` is the one chunk rule: the pass and `verify` stack
+    their samples through it."""
+
+    def test_seventeen_desk_samples_give_eight_eight_and_one(self):
+        stacks = vit.chunks(samples_of(DESK, 17, "lazy"), DESK)
+        assert [s.shape for s in stacks] == [(8, DESK.n, DESK.d)] * 2 + [(1, DESK.n, DESK.d)]
+
+    def test_nothing_from_nothing(self):
+        assert list(vit.chunks([], DESK)) == []
+        assert list(vit.chunks(iter(()), DESK)) == []
+
+    @pytest.mark.parametrize("cfg, count", [(DESK, 17), (ODD, 59), (VITL_ONE, 2)],
+                             ids=["desk", "odd", "vitl-block"])
+    def test_each_stack_is_np_stack_of_its_samples(self, cfg, count):
+        samples, size = list(samples_of(cfg, count, "list")), vit.chunk_size(cfg)
+        stacks = list(vit.chunks(samples, cfg))
+        assert len(stacks) == -(-count // size)
+        for i, stack in enumerate(stacks):
+            want = np.stack(samples[i * size : (i + 1) * size])
+            assert (stack.dtype, stack.shape) == (want.dtype, want.shape)
+            assert digest(stack) == digest(want)
+
+    def test_draws_no_sample_beyond_the_chunk_it_yields(self):
+        """Nothing is drawn before the first stack is asked for, and when a
+        stack is yielded exactly the samples up to its end are drawn."""
+        drawn = Drawn(samples_of(DESK, 17, "lazy"))
+        stacks = vit.chunks(drawn, DESK)
+        assert drawn.count == 0
+        assert [(drawn.count, len(stack)) for stack in stacks] == [(8, 8), (16, 8), (17, 1)]
 
 
 class TestChunkedReads:

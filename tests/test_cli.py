@@ -579,8 +579,8 @@ class TestVerify:
         for s, t, c in ((0, 0, 1), (2, 2, 0), (2, 1, 1), (3, 0, 0)):
             got[s][t, c] = 2.0 if s < 3 else 1.0
         chunks = [np.stack(ref[:2]), np.stack(ref[2:])], [np.stack(got[:2]), np.stack(got[2:])]
-        assert cli._max_diff_located(*chunks) == (2.0, (2, 1, 1))
-        assert cli._max_diff_located(chunks[0], chunks[0]) == (0.0, (3, 0, 0))
+        assert cli._max_diff_located(zip(*chunks)) == (2.0, (2, 1, 1))
+        assert cli._max_diff_located(zip(chunks[0], chunks[0])) == (0.0, (3, 0, 0))
 
     def test_identical_archives_report_the_last_sample(self, tmp_path, capsys):
         """Every difference is 0, so `where` names sample samples - 1,
@@ -594,6 +594,20 @@ class TestVerify:
                    if c["name"] == "forward_equivalence"]
         assert (check["max_diff"], check["where"]) == (
             0.0, {"sample": samples - 1, "token": 0, "channel": 0})
+
+    def test_memory_does_not_grow_with_samples(self, tmp_path):
+        """verify streams its samples a chunk at a time: over 4 desk chunks
+        its traced peak exceeds its 1-chunk peak by less than one chunk's
+        input."""
+        model, plan, hybrid = tmp_path / "m.bin", tmp_path / "plan.json", tmp_path / "h.bin"
+        plan_to_file(SelectionPlan("blockwise", "lowest", 1, (2,)), plan)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run("gen", "--config", "desk", "--seed", 3, "--out", model) == 0
+            assert run("replace", "--model", model, "--plan", plan, "--out", hybrid) == 0
+        size, cfg = vit.chunk_size(vit.DESK), vit.DESK
+        one, four = (traced_peak(lambda n=n: cli.verification_checks(
+            str(model), str(hybrid), n, 0, 0.5)) for n in (size, 4 * size))
+        assert four - one < size * cfg.n * cfg.d * 4, (one, four)
 
     def test_zero_tolerance_accepted(self, tiny_archive):
         assert run("verify", "--model", tiny_archive, "--hybrid", tiny_archive,
@@ -733,6 +747,37 @@ class TestVerifySharedPrefix:
                                                              np.float32)
         save_archive(hybrid, ar.config, ar.tensors, ar.meta)
         argv = ("--model", model, "--hybrid", hybrid, "--samples", 2)
+        want = verify_unshared(monkeypatch, capsys, *argv)
+        assert run("verify", *argv) == 3
+        captured = capsys.readouterr()
+        assert (3, captured.out, captured.err) == want
+        assert captured.err == (f"error: {hybrid}: the model's forward pass overflows "
+                                "(non-finite values in dwconv2d result)\n")
+
+    def test_overflow_names_the_archive_of_the_first_chunk_that_overflows(
+            self, tmp_path, deep_archives, monkeypatch, capsys):
+        """A second-chunk sample overflows the --model archive's forward,
+        which verify names next to a sound hybrid. Next to a --hybrid
+        archive whose own block 2 overflows on the first chunk, verify,
+        running a chunk at a time, names --hybrid, shared prefix or not."""
+        model, hybrid = deep_archives["model"], tmp_path / "b2-big.bin"
+        ar = load_archive(deep_archives["b2"])
+        for h in range(TINY.n_h):
+            ar.tensors[f"dropin.block2.head{h}.K"] = np.full((TINY.k, TINY.k, TINY.d_h), 3e38,
+                                                             np.float32)
+        save_archive(hybrid, ar.config, ar.tensors, ar.meta)
+        size, drawn = vit.chunk_size(TINY), cli.synthetic_samples
+
+        def second_chunk_overflows(cfg, count, seed):
+            for i, x in enumerate(drawn(cfg, count, seed)):
+                yield x * np.float32(1e30) if i == size else x
+        monkeypatch.setattr(cli, "synthetic_samples", second_chunk_overflows)
+        flags = ("--samples", size + 1)
+        capsys.readouterr()
+        assert run("verify", "--model", model, "--hybrid", deep_archives["b2"], *flags) == 3
+        assert capsys.readouterr().err == (f"error: {model}: the model's forward pass overflows "
+                                           "(non-finite values in layer norm variance)\n")
+        argv = ("--model", model, "--hybrid", hybrid, *flags)
         want = verify_unshared(monkeypatch, capsys, *argv)
         assert run("verify", *argv) == 3
         captured = capsys.readouterr()

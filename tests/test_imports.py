@@ -7,7 +7,9 @@ pins lives in one place, and rewrites only the hidden array the FFN
 owns. Only `tensor.row_taps` calls a `tile`: it is the one rule that
 tiles a depthwise kernel into row taps. Only `vit.blocks_forward` calls
 `block_forward`: it is the one block loop, of one sample's (n, d)
-residual and of a chunk's (B, n, d), in one code path. Only `vit` names
+residual and of a chunk's (B, n, d), in one code path. Only `vit.chunks`
+calls `chunk_size`: it is the one chunk rule, which stacks the samples of
+the sample pass and of `verify`. Only `vit` names
 `tensor.small_gemms`, in `blocks_forward` and the sample pass: every
 forward of a config runs its GEMMs in row pieces exactly where
 `vit.two_stage` holds, so a sample's bits do not depend on its chunk.
@@ -178,6 +180,23 @@ def test_only_blocks_forward_calls_block_forward(path):
     nothing else runs a block."""
     expected = ["blocks_forward"] if path.stem == "vit" else []
     assert callers(path.read_text(), "block_forward") == expected
+
+
+def test_detects_a_chunk_size_caller():
+    source = ("from .vit import chunk_size\n"
+              "def chunks(samples, cfg):\n    return batched(samples, chunk_size(cfg))\n"
+              "def verification_checks(xs, cfg):\n"
+              "    return np.split(xs, range(vit.chunk_size(cfg), len(xs), 8))\n"
+              "def budget(cfg):\n    return head_chunk_size(cfg), chunk_size\n")
+    assert callers(source, "chunk_size") == ["chunks", "verification_checks"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_chunks_calls_chunk_size(path):
+    """One chunk rule: the sample pass (`attention_reads`) and `verify`
+    take their chunks from `vit.chunks`, and nothing else sizes one."""
+    expected = ["chunks"] if path.stem == "vit" else []
+    assert callers(path.read_text(), "chunk_size") == expected
 
 
 def test_detects_an_attention_caller():
