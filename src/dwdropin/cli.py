@@ -299,7 +299,7 @@ def verification_checks(path_a: str, path_b: str, samples_n: int, seed: int,
         # --model's forward, then --hybrid's from where their shared prefix ends: an
         # overflow names the archive of the first chunk that overflows, --model first
         with overflow_is_file_fault(path_a):
-            h = vit.model_forward(x, model_a, hm_a.sublayers, stop=shared)
+            h = vit.blocks_forward(vit.embed(x, model_a), model_a, 0, shared, hm_a.sublayers)
             out_a = vit.blocks_forward(h, model_a, shared, mhsa_fns=hm_a.sublayers)
         with overflow_is_file_fault(path_b):
             return out_a, (vit.blocks_forward(h, hm_b.base, shared, mhsa_fns=hm_b.sublayers)
@@ -425,30 +425,26 @@ def single_block_bench_fns(cfg: ModelConfig, seed: int) -> dict:
 
 
 def cmd_bench(args) -> int:
-    refuse_unread(args, ["variants"], args.plan,
-                  "cannot be given with --plan, which times --variant")
-    refuse_unread(args, ["variant"], not args.plan, "is read only by --plan")
-    record_defaults(args, variant="dw", variants="mhsa,dw,ens-dw")
+    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        raise ConfigError(f"--variants {args.variants!r} names no variant")
+    for v in variants:
+        if v not in ("mhsa", *dropin.VARIANTS):
+            raise ConfigError(f"unknown bench variant {v!r}")
     if args.plan:
-        # whole-model comparison: baseline forward vs the planned hybrid
         if not args.model:
             raise ConfigError("--plan benching needs --model with weights")
         refuse_preset_next_to_model(args)
         model = load_weights(args.model, "--plan benching", model_from_archive)
         cfg = model.config
         plan = select.plan_from_file(args.plan)
-        hm, _ = dropin.build_dropins(model, plan, args.variant, args.seed)
-        fns = {"baseline": lambda inp: vit.model_forward(inp, model),
-               f"hybrid[{args.variant}]": lambda inp: dropin.hybrid_forward(hm, inp)}
+        fns = {v: functools.partial(vit.model_forward, model=model) if v == "mhsa" else
+               functools.partial(dropin.hybrid_forward,
+                                 dropin.build_dropins(model, plan, v, args.seed)[0])
+               for v in variants}
     else:
         cfg = config_from_args(args)
-        variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-        if not variants:
-            raise ConfigError(f"--variants {args.variants!r} names no variant")
         block_fns = single_block_bench_fns(cfg, args.seed)
-        for v in variants:
-            if v not in block_fns:
-                raise ConfigError(f"unknown bench variant {v!r}")
         fns = {v: block_fns[v] for v in variants}
     x = seeded_fill((cfg.n, cfg.d), args.seed + 1, "gaussian", 0.0, 1.0)
     results = {}
@@ -498,14 +494,16 @@ class Parser(argparse.ArgumentParser):
     stops with "expected one argument"; this parser reads every negative
     number `float` accepts as a value, so it reaches the command's own
     check. It replaces argparse's private `_negative_number_matcher`
-    (an instance attribute in Python 3.10 to 3.13); subcommand parsers are
-    made of the same class."""
+    (an instance attribute in Python 3.10 to 3.13). It also reads a flag
+    only as spelled in full, never from a prefix (`allow_abbrev=False`),
+    so a flag added later cannot change what a prefix meant. Subcommand
+    parsers are made of the same class."""
 
     NEGATIVE_NUMBER = re.compile(
         r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = self.NEGATIVE_NUMBER
 
 
@@ -584,15 +582,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_cost)
 
-    p = sub.add_parser("bench", help="wall-clock comparison (single block, or "
-                                     "baseline-vs-hybrid with --plan)")
+    p = sub.add_parser("bench", help="wall-clock comparison (one block, or the whole "
+                                     "model with --plan)")
     _add_config_flags(p)
     p.add_argument("--model")
-    p.add_argument("--plan", help="time the whole model against this plan's hybrid")
-    p.add_argument("--variant", choices=dropin.VARIANTS,
-                   help="with --plan: the hybrid's variant (default dw)")
-    p.add_argument("--variants", help="single-block mode: which attention choices to time "
-                                      "(default mhsa,dw,ens-dw)")
+    p.add_argument("--plan", help="time whole-model forwards: mhsa exact, each variant "
+                                  "this plan's hybrid")
+    p.add_argument("--variants", default="mhsa,dw",
+                   help="comma-separated mhsa and drop-in variants to time (default %(default)s)")
     p.add_argument("--reps", type=int, default=30)
     p.add_argument("--warmup", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)

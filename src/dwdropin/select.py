@@ -351,10 +351,11 @@ def plan_from_file(path) -> SelectionPlan:
 def scores_from_file(path, mode: str) -> np.ndarray:
     """The scores `select` ranks for `mode`, read from a score report:
     `sigma_b`, one per block (blockwise), or `sigma_h`, one row of head
-    scores per block (scattered). A report without them, or with a score
-    that is not a finite number, is refused as a FormatError naming the file."""
-    key, shape = (("sigma_b", "a list") if mode == "blockwise"
-                  else ("sigma_h", "equal-length rows"))
+    scores per block (scattered). A report without them, `sigma_h` with
+    no row, or a score that is not a finite number is refused as a
+    FormatError naming the file."""
+    key, shape, ndim = (("sigma_b", "a list", 1) if mode == "blockwise"
+                        else ("sigma_h", "equal-length rows", 2))
 
     def parse(report):
         scores = report.get(key) if isinstance(report, dict) else None
@@ -366,7 +367,7 @@ def scores_from_file(path, mode: str) -> np.ndarray:
                 out = np.asarray(scores, dtype=np.float64)
             except OverflowError:  # an integer past float64's range
                 out = None
-            if out is not None and all_finite(out):
+            if out is not None and out.ndim == ndim and all_finite(out):
                 return out
         raise ValueError(f"{key!r} must be {shape} of finite numbers")
 

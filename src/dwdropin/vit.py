@@ -483,13 +483,11 @@ def embed(x: np.ndarray, model: Model) -> np.ndarray:
     return as_f32(x) + model.pos_enc
 
 
-def model_forward(x: np.ndarray, model: Model, mhsa_fns=None,
-                  stop: int | None = None) -> np.ndarray:
+def model_forward(x: np.ndarray, model: Model, mhsa_fns=None) -> np.ndarray:
     """Forward pass of one sample (n, d) or a chunk (B, n, d): `embed`,
-    then `blocks_forward` (with its `mhsa_fns`) over all blocks, or over
-    blocks [0, stop), returning the residual entering block `stop`. Each
+    then `blocks_forward` (with its `mhsa_fns`) over all blocks. Each
     sample of a chunk gets its own forward's bits (`two_stage`)."""
-    return blocks_forward(embed(x, model), model, 0, stop, mhsa_fns)
+    return blocks_forward(embed(x, model), model, 0, mhsa_fns=mhsa_fns)
 
 
 def chunk_size(config: ModelConfig) -> int:
@@ -502,7 +500,8 @@ def chunk_size(config: ModelConfig) -> int:
     output (ffn_mult n d each). So a block's weights and working set stay
     in cache across a chunk: 8 samples at desk, 58 at n_b=2, n_h=3, d=24,
     d_h=8, m=5, and 1 at vitl, where forwards run one sample at a time.
-    The chunk's raw stack, which no block reads, may live beside it."""
+    A chunk's input, which no block after the first reads, may live
+    beside it: embedded in the sample pass, raw in `verify`."""
     return budget_units(4 * (3 + 3 * config.ffn_mult) * config.n * config.d)
 
 
@@ -554,8 +553,9 @@ def attention_reads(samples, model: Model, taps=None, folds=None) -> int:
     loop raises it: the worker's, from an earlier chunk, before the
     caller's. The worker never outlives the call. A chunk lives from its
     stacking to the end of its stage two: up to three at once, one per
-    stage and one in the queue. Its embedded input dies at block 0, its
-    raw stack (`chunks`) once the caller has stacked the next chunk."""
+    stage and one in the queue. Its raw stack (`chunks`) dies as it is
+    embedded; its embedded input lives through the one-thread loop's
+    forward, or in the pipeline until the caller embeds the next chunk."""
     taps, folds = taps or {}, folds or {}
     if not taps and not folds:
         raise ConfigError("a sample pass needs a tap or a fold")
@@ -574,9 +574,9 @@ def attention_reads(samples, model: Model, taps=None, folds=None) -> int:
             folds[last](a_in, out)
         return len(x)
 
-    stacks = chunks(samples, cfg)
+    stacks = map(functools.partial(embed, model=model), chunks(samples, cfg))
     if not pipelined:  # one thread: split is 0, so stage two runs every block
-        return sum(stage_two(embed(x, model)) for x in stacks)
+        return sum(map(stage_two, stacks))
     handoff, failed, counts = queue.Queue(maxsize=1), [], []
 
     def worker():
@@ -592,7 +592,7 @@ def attention_reads(samples, model: Model, taps=None, folds=None) -> int:
         thread.start()
         try:
             for x in itertools.takewhile(lambda _: not failed, stacks):
-                handoff.put(blocks_forward(embed(x, model), model, 0, split, hooks))
+                handoff.put(blocks_forward(x, model, 0, split, hooks))
         finally:
             handoff.put(None)
             thread.join()

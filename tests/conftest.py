@@ -248,5 +248,7 @@ REPORT_FAULTS = [
      "'sigma_h' must be equal-length rows of finite numbers"),
     ("ragged-sigma_h", "scattered", lambda r: {**r, "sigma_h": [r["sigma_h"][0], [1.0]]},
      "'sigma_h' must be equal-length rows of finite numbers"),
+    ("empty-sigma_h", "scattered", lambda r: {**r, "sigma_h": []},
+     "'sigma_h' must be equal-length rows of finite numbers"),
     ("not-an-object", "blockwise", lambda r: [r], "'sigma_b' must be a list of finite numbers"),
 ]

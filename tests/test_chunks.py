@@ -8,10 +8,10 @@ read by read and tap by tap, each block's in (chunk, sample) order, and
 so must the σ report and the fitted kernels. Blocks in the pass's two
 stages read at once, so the order across blocks is not pinned.
 
-The oracles here run one sample at a time: `model_forward(x, stop=b)`
-for the residual entering block b, then `attention` of its normed input,
-or one full `model_forward` per sample (`conftest.full_forward_scores`,
-`full_forward_records`).
+The oracles here run one sample at a time: `blocks_forward(embed(x),
+model, 0, b)` for the residual entering block b, then `attention` of its
+normed input, or one full `model_forward` per sample
+(`conftest.full_forward_scores`, `full_forward_records`).
 
 Bits hold where BLAS rounds a GEMM row alike whatever the row count:
 desk, vitl and the odd config (d=24, d_h=8, m=5) with OpenBLAS. Every
@@ -38,7 +38,7 @@ from dwdropin.select import SelectionPlan, score_model
 from dwdropin.tensor import GROUP_BYTES, NonFiniteError
 from dwdropin.vit import DESK, VITL, ModelConfig, attention, attention_input, init_model
 
-from conftest import fit_records, full_forward_records, full_forward_scores
+from conftest import fit_records, full_forward_records, full_forward_scores, traced_peak
 
 ODD = ModelConfig(n_b=2, n_h=3, d=24, d_h=8, m=5, k=5)
 VITL_ONE = dataclasses.replace(VITL, n_b=1)
@@ -99,7 +99,7 @@ def per_sample_reads(model, samples, blocks) -> list:
     for b in sorted(blocks):
         block = model.blocks[b]
         for x in samples:
-            a_in = attention_input(vit.model_forward(x, model, stop=b), block)
+            a_in = attention_input(vit.blocks_forward(vit.embed(x, model), model, 0, b), block)
             reads.append((b, a_in, *tapped_attention(a_in, block)))
     return reads
 
@@ -435,6 +435,19 @@ class TestTwoStages:
         assert vit.attention_reads(samples_of(VITL_ONE, 2, "lazy"), model, folds={
             0: lambda a_in, out: pieced.append(tensor._small_gemms.get())}) == 2
         assert pieced == [False, False]
+
+    def test_one_thread_pass_holds_no_raw_stack(self):
+        """Where the pass runs on one thread, each stack is embedded as it
+        is drawn: beside block 0's working set the pass holds the chunk's
+        embedded input only, not its raw stack too."""
+        cfg = ModelConfig(n_b=2, n_h=2, d=128, d_h=64, m=8, k=3)
+        assert vit.chunk_size(cfg) == 4 and not vit.two_stage(cfg)
+        model, samples = init_model(cfg, 5), samples_of(cfg, 12, "list")
+        embedded = vit.embed(np.stack(samples[:4]), model)
+        block0 = traced_peak(lambda: vit.blocks_forward(embedded, model, 0, 1))
+        peak = traced_peak(lambda: vit.attention_reads(samples, model,
+                                                       taps={1: lambda e, h0: None}))
+        assert peak - block0 < 1.5 * embedded.nbytes, (peak - block0) / embedded.nbytes
 
     @pytest.mark.parametrize("cfg", [DESK, ODD], ids=["desk", "odd"])
     def test_both_stages_piece_their_gemms_and_no_thread_outlives_the_pass(self, cfg):

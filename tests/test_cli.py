@@ -1,10 +1,14 @@
+import argparse
 import collections
 import contextlib
 import hashlib
 import io
 import json
+import re
+import shlex
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1137,7 +1141,7 @@ class TestMalformedArchives:
         blk = model.blocks[2]
 
         def max_energy(x):
-            a_in = vit.attention_input(vit.model_forward(x, model, stop=2), blk)
+            a_in = vit.attention_input(vit.blocks_forward(vit.embed(x, model), model, 0, 2), blk)
             q = (a_in @ blk.w_q).reshape(vit.DESK.n, vit.DESK.n_h, vit.DESK.d_h)
             k = (a_in @ blk.w_k).reshape(vit.DESK.n, vit.DESK.n_h, vit.DESK.d_h)
             return float(np.abs(np.einsum("phc,qhc->hpq", q, k)).max())
@@ -1370,24 +1374,24 @@ class TestBench:
         assert not out.exists()
 
     @pytest.mark.parametrize("plan_mode", [False, True], ids=["single-block", "plan"])
-    def test_flag_of_the_other_mode_refused(self, tmp_path, tiny_archive, capsys, plan_mode):
-        """--variant is read only with --plan and --variants only without
-        it; omitted, both are recorded as their defaults."""
+    def test_variant_flag_unrecognized(self, tmp_path, tiny_archive, capsys, plan_mode):
+        """Both modes read one --variants list: --variant is no flag of
+        bench, and an omitted --variants is recorded as its default."""
         out = tmp_path / "bench.json"
         plan = tmp_path / "plan.json"
         plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
         source = ("--model", tiny_archive, "--plan", plan) if plan_mode else TINY_FLAGS
-        stray, message = ((("--variants", "mhsa"), "--variants cannot be given with --plan, "
-                           "which times --variant") if plan_mode else
-                          (("--variant", "ens-convfull"), "--variant is read only by --plan"))
         argv = ("bench", *source, "--reps", 1, "--warmup", 0, "--out", out)
         capsys.readouterr()
-        assert run(*argv, *stray) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run(*argv, "--variant", "dw") == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: unrecognized arguments: --variant dw\n")
         assert not out.exists()
         assert run(*argv) == 0
-        options = json.loads(out.read_text())["manifest"]["options"]
-        assert (options["variant"], options["variants"]) == ("dw", "mhsa,dw,ens-dw")
+        doc = json.loads(out.read_text())
+        assert set(doc["results"]) == {"mhsa", "dw"}
+        assert doc["manifest"]["options"]["variants"] == "mhsa,dw"
+        assert "variant" not in doc["manifest"]["options"]
 
     @pytest.mark.parametrize("variants", ["mhsa,xx", "xx", "dw,mhsa,DW"])
     def test_unknown_variant_is_usage_error(self, tmp_path, capsys, variants):
@@ -1417,14 +1421,43 @@ class TestBench:
             assert y.shape == (TINY.n, TINY.d), v
             assert np.all(np.isfinite(y)), v
 
-    def test_plan_mode_times_baseline_and_hybrid(self, tmp_path, tiny_archive):
+    def test_plan_mode_times_whole_model_forwards(self, tmp_path, tiny_archive, monkeypatch):
+        """With --plan, mhsa is the exact forward and each drop-in its
+        hybrid's, every one built before the first timing."""
         plan = tmp_path / "plan.json"
         plan_to_file(SelectionPlan("blockwise", "lowest", 1, (0,)), plan)
         out = tmp_path / "bench.json"
+        calls, build, bench = [], dropin.build_dropins, cost.bench
+
+        def building(model, plan, variant, seed):
+            calls.append(("build", variant))
+            return build(model, plan, variant, seed)
+
+        def timing(fn, x, **kwargs):
+            calls.append(("time", fn.func.__name__))
+            return bench(fn, x, **kwargs)
+
+        monkeypatch.setattr(dropin, "build_dropins", building)
+        monkeypatch.setattr(cost, "bench", timing)
         assert run("bench", "--model", tiny_archive, "--plan", plan,
-                   "--variant", "dw", "--reps", 2, "--warmup", 1, "--out", out) == 0
-        doc = json.loads(out.read_text())
-        assert set(doc["results"]) == {"baseline", "hybrid[dw]"}
+                   "--variants", "mhsa,dw,ens-dw", "--reps", 2, "--warmup", 1,
+                   "--out", out) == 0
+        assert calls == [("build", "dw"), ("build", "ens-dw"), ("time", "model_forward"),
+                         ("time", "hybrid_forward"), ("time", "hybrid_forward")]
+        assert list(json.loads(out.read_text())["results"]) == ["dw", "ens-dw", "mhsa"]
+
+    def test_plan_mode_refuses_a_plan_an_entry_cannot_take(self, tmp_path, tiny_archive,
+                                                           capsys):
+        plan = tmp_path / "plan.json"
+        plan_to_file(SelectionPlan("scattered", "lowest", 1, ((0, 1),)), plan)
+        out = tmp_path / "bench.json"
+        argv = ("bench", "--model", tiny_archive, "--plan", plan, "--reps", 1,
+                "--warmup", 0, "--out", out)
+        capsys.readouterr()
+        assert run(*argv, "--variants", "mhsa,ens-dw") == 2
+        assert capsys.readouterr() == ("", "error: ens-dw requires a blockwise plan\n")
+        assert not out.exists()
+        assert run(*argv) == 0
 
     @pytest.mark.parametrize("plan_mode", [False, True], ids=["single-block", "plan"])
     def test_override_next_to_model_refused(self, tmp_path, tiny_archive, capsys, plan_mode):
@@ -1598,6 +1631,48 @@ class TestEntryPoint:
         capsys.readouterr()
         assert run("gate", "--blocks", 2, "--budget", 1) == 1
         assert capsys.readouterr() == ("", "error: non-finite values in gate trace\n")
+
+
+def subparsers() -> dict:
+    """`cli.build_parser()`'s subcommand parsers by name."""
+    action, = [a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestFlagSpelling:
+    """A flag is read only as spelled in full (`cli.Parser`), so a flag
+    added later cannot change what a prefix meant, and every command the
+    README shows parses, so a removed or renamed flag cannot linger there."""
+
+    @pytest.mark.parametrize("command", sorted(subparsers()))
+    def test_no_flag_is_read_from_a_prefix(self, capsys, command):
+        """Each long flag cut by its last character, where the cut is no
+        flag itself, is refused as unrecognized next to the required flags."""
+        actions = subparsers()[command]._actions
+        flags = {f for a in actions for f in a.option_strings if f.startswith("--")}
+        required = [arg for a in actions if a.required for arg in (a.option_strings[0], "1")]
+        cuts = sorted({f[:-1] for f in flags} - flags)
+        assert cuts
+        for cut in cuts:
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args([command, *required, cut])
+            assert exc.value.code == 2, cut
+            assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {cut}\n")
+
+    def test_readme_commands_parse(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+        commands = [words[1:] for block in blocks for line in block.splitlines()
+                    if (words := shlex.split(line, comments=True))[:1] == ["dwdropin"]]
+        assert len(commands) >= 8
+        for argv in commands:
+            try:
+                cli.build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: dwdropin {shlex.join(argv)}\n"
+                            f"{capsys.readouterr().err}")
 
 
 class TestVersion:

@@ -81,18 +81,18 @@ def tiny_archive(tmp_path, tiny_model):
 @pytest.mark.parametrize("plan, variant, message", [r[1:] for r in CLI_REFUSALS],
                          ids=[r[0] for r in CLI_REFUSALS])
 @pytest.mark.parametrize("command", [
-    ("replace", "--out", "h.bin"),
-    ("cost", "--format", "json"),
-    ("bench", "--reps", "1", "--warmup", "0"),
+    ("replace", "--variant", "--out", "h.bin"),
+    ("cost", "--variant", "--format", "json"),
+    ("bench", "--variants", "--reps", "1", "--warmup", "0"),
 ], ids=["replace", "cost", "bench-plan"])
 def test_cli_refuses_alike(tmp_path, tiny_archive, capsys, command, plan, variant, message):
     plan_file = tmp_path / "plan.json"
     plan_to_file(plan, plan_file)
-    name, *rest = command
+    name, variant_flag, *rest = command
     rest = [str(tmp_path / a) if a.endswith(".bin") else a for a in rest]
     capsys.readouterr()
     assert main([name, "--model", str(tiny_archive), "--plan", str(plan_file),
-                 "--variant", variant, *rest]) == 2
+                 variant_flag, variant, *rest]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
